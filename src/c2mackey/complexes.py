@@ -590,12 +590,11 @@ def realize_map(src_kinds: list[str], tgt_kinds: list[str],
     return MackeyMap(src, tgt, f_theta, f_dot)
 
 
-def _subquotient(level_maps: dict, ell: int) -> MackeyModule:
-    """Homology of modules at one degree: ker(out)/im(into), with the
-    induced Mackey structure on chosen representatives."""
-    mod = level_maps["module"]
-    d_out = level_maps["out"]      # MackeyMap or None
-    d_in = level_maps["into"]      # MackeyMap or None
+def _subquotient(mod: MackeyModule, d_out: MackeyMap | None,
+                 d_in: MackeyMap | None, ell: int) -> MackeyModule:
+    """Homology of modules at one degree: ker(d_out)/im(d_in), with the
+    induced Mackey structure on chosen representatives (None stands for a
+    zero map)."""
 
     def level_data(dim, out_m, in_m):
         if out_m is None:
@@ -640,11 +639,8 @@ def homology(c: FreeComplex, d: int, ell: int = 2) -> MackeyModule:
         return zero_module(ell)
     mods, maps = realize(c, ell)
     i = d - c.min_degree
-    return _subquotient({
-        "module": mods[i],
-        "out": maps[i - 1] if i - 1 >= 0 else None,
-        "into": maps[i] if i < len(maps) else None,
-    }, ell)
+    return _subquotient(mods[i], maps[i - 1] if i - 1 >= 0 else None,
+                        maps[i] if i < len(maps) else None, ell)
 
 
 def homology_counts(c: FreeComplex, ell: int = 2) -> dict[int, dict[str, int]]:
@@ -831,11 +827,6 @@ def _relayout_map(src, tgt, slayout, tlayout, comps, deg) -> ChainMap:
 
 # -- duality ----------------------------------------------------------------
 
-def _dual_entry(ka: str, kb: str, e: int) -> int:
-    # F->F arrows are self-dual; the two p's trade places; H->H is scalar.
-    return e
-
-
 def cotens_H(c: FreeComplex) -> FreeComplex:
     """The arrow-reversal dual: degrees negate, differentials transpose,
     restriction and transfer arrows trade roles."""
@@ -852,7 +843,8 @@ def cotens_H(c: FreeComplex) -> FreeComplex:
         if dorig is not None:
             for r in range(len(sk)):
                 for cx in range(len(tk)):
-                    m[cx][r] = _dual_entry(tk[cx], sk[r], dorig[r][cx])
+                    # every arrow is its own dual (the two p's trade places)
+                    m[cx][r] = dorig[r][cx]
         diffs.append(m)
     return canonicalize(FreeComplex(-hi, gens, diffs))
 

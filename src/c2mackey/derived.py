@@ -53,6 +53,11 @@ def _canon(s: Strand) -> FreeComplex:
     return shift_complex(strand(s.kind, s.param), s.shift)
 
 
+def _pairwise(pair, xs: list[Strand], ys: list[Strand]) -> list[Strand]:
+    """The sorted union of ``pair(x, y)`` over every pair of summands."""
+    return sorted(s for sx in xs for sy in ys for s in pair(sx, sy))
+
+
 def _split_drop_disks(c: FreeComplex) -> list[Strand]:
     return [s for s in split(c, validate=False).strands
             if s.kind not in DISK_KINDS]
@@ -64,11 +69,7 @@ def dbox_pair(sx: Strand, sy: Strand) -> list[Strand]:
 
 
 def dbox(xs: list[Strand], ys: list[Strand]) -> list[Strand]:
-    out: list[Strand] = []
-    for sx in xs:
-        for sy in ys:
-            out.extend(dbox_pair(sx, sy))
-    return sorted(out)
+    return _pairwise(dbox_pair, xs, ys)
 
 
 def dcotens_pair(sx: Strand, sz: Strand) -> list[Strand]:
@@ -79,11 +80,7 @@ def dcotens_pair(sx: Strand, sz: Strand) -> list[Strand]:
 
 
 def dcotens(xs: list[Strand], zs: list[Strand]) -> list[Strand]:
-    out: list[Strand] = []
-    for sx in xs:
-        for sz in zs:
-            out.extend(dcotens_pair(sx, sz))
-    return sorted(out)
+    return _pairwise(dcotens_pair, xs, zs)
 
 
 # -- box and cotensor: closed forms -------------------------------------------
@@ -115,11 +112,7 @@ def dbox_formula_pair(sx: Strand, sy: Strand) -> list[Strand]:
 
 
 def dbox_formula(xs: list[Strand], ys: list[Strand]) -> list[Strand]:
-    out: list[Strand] = []
-    for sx in xs:
-        for sy in ys:
-            out.extend(dbox_formula_pair(sx, sy))
-    return sorted(out)
+    return _pairwise(dbox_formula_pair, xs, ys)
 
 
 def dcotens_formula_pair(sx: Strand, sz: Strand) -> list[Strand]:
@@ -151,11 +144,7 @@ def dcotens_formula_pair(sx: Strand, sz: Strand) -> list[Strand]:
 
 
 def dcotens_formula(xs: list[Strand], zs: list[Strand]) -> list[Strand]:
-    out: list[Strand] = []
-    for sx in xs:
-        for sz in zs:
-            out.extend(dcotens_formula_pair(sx, sz))
-    return sorted(out)
+    return _pairwise(dcotens_formula_pair, xs, zs)
 
 
 # -- twisted duality -----------------------------------------------------------

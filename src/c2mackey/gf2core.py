@@ -3,7 +3,7 @@
 All matrices in this package are small (a few hundred rows at the very
 most), so the representation favours simplicity and exactness over
 asymptotics.  For l = 2 each row is a Python int used as a bitset and a
-row operation is a single XOR; for odd l rows are bytearrays of residues.
+row operation is a single XOR; for odd l rows are lists of residues.
 No floats anywhere.
 """
 
@@ -39,7 +39,7 @@ class PrimeField:
 class FMatrix:
     """A dense matrix over GF(l).
 
-    Rows are ints (bitsets) when l = 2 and bytearrays otherwise.  The
+    Rows are ints (bitsets) when l = 2 and lists of ints otherwise.  The
     class only implements what the rest of the package needs: ring ops,
     reduced row echelon form and the solvers built on top of it.
     """
@@ -54,7 +54,7 @@ class FMatrix:
             if ell == 2:
                 self.rows = [0] * nrows
             else:
-                self.rows = [bytearray(ncols) for _ in range(nrows)]
+                self.rows = [[0] * ncols for _ in range(nrows)]
         else:
             self.rows = rows
 
@@ -91,7 +91,7 @@ class FMatrix:
         if self.ell == 2:
             return FMatrix(2, self.nrows, self.ncols, list(self.rows))
         return FMatrix(self.ell, self.nrows, self.ncols,
-                       [bytearray(r) for r in self.rows])
+                       [list(r) for r in self.rows])
 
     # -- element access -----------------------------------------------
 
@@ -125,10 +125,6 @@ class FMatrix:
         return (self.ell == other.ell and self.nrows == other.nrows
                 and self.ncols == other.ncols
                 and self.to_rows() == other.to_rows())
-
-    def __hash__(self):
-        return hash((self.ell, self.nrows, self.ncols,
-                     tuple(tuple(r) for r in self.to_rows())))
 
     def __repr__(self):
         return f"FMatrix(GF({self.ell}), {self.nrows}x{self.ncols}, {self.to_rows()})"
@@ -305,13 +301,13 @@ class FMatrix:
                 R.rows[r], R.rows[sel] = R.rows[sel], R.rows[r]
                 inv = ff.inv(R.rows[r][c])
                 if inv != 1:
-                    R.rows[r] = bytearray((v * inv) % self.ell for v in R.rows[r])
+                    R.rows[r] = [(v * inv) % self.ell for v in R.rows[r]]
                 for i in range(self.nrows):
                     if i != r and R.rows[i][c]:
                         f = R.rows[i][c]
-                        R.rows[i] = bytearray(
+                        R.rows[i] = [
                             (R.rows[i][j] - f * R.rows[r][j]) % self.ell
-                            for j in range(self.ncols))
+                            for j in range(self.ncols)]
                 pivots.append(c)
                 r += 1
         return R, pivots

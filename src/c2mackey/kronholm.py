@@ -119,6 +119,11 @@ def classify_cell_map(v: RepCell, target: tuple[int, int]) -> int:
     return 4
 
 
+# the first cell attaches to the zero complex by the zero map, whose
+# cofiber is the cell itself
+_ZERO = FreeComplex(0, [[]], [])
+
+
 def attach_source(cell: RepCell) -> FreeComplex:
     return shift_complex(strand("Hn", cell.q), cell.m - 1)
 
@@ -162,8 +167,42 @@ def is_spacelike(f: ChainMap) -> bool:
     errs = validate_chain_map(f)
     if errs:
         raise ValueError("invalid chain map: " + "; ".join(errs))
-    dec = split(cone(f), validate=False)
-    return not any(s.kind == "B" for s in dec.strands)
+    return _verdict(f)[3] is None
+
+
+def _verdict(f: ChainMap, cells: list[RepCell] | None = None):
+    """Cone an attaching map once, split the cofiber once, and check in
+    order: no B strand; then, against ``cells`` (every cell attached so
+    far, the new one last), every summand is a cell Sigma^k H(r) with
+    0 <= r <= k and the dimension multiset and the total weight are
+    conserved.  Without ``cells`` only the first check runs.  Returns
+    (cofiber, decomposition, output cells, failure), where failure is
+    None or the error that rejects the attachment."""
+    y = cone(f)
+    dec = split(y, validate=False)
+    where = (f"cell {len(cells) - 1} = ({cells[-1].m}, {cells[-1].q}): "
+             if cells else "")
+    if any(s.kind == "B" for s in dec.strands):
+        return y, dec, [], ScriptError(where + "attaching map is not "
+                                       "spacelike")
+    if not cells:
+        return y, dec, [], None
+    out = []
+    for s in dec.strands:
+        if s.kind in DISK_KINDS:
+            continue
+        if s.kind != "Hn" or not 0 <= s.param <= s.shift:
+            return y, dec, [], RuntimeError(
+                "freeness failed: decomposition contains a non-cell "
+                f"summand {s} (full list: {dec.strands})")
+        out.append(RepCell(s.shift, s.param))
+    if Counter(c.m for c in out) != Counter(c.m for c in cells):
+        return y, dec, out, ScriptError(
+            where + "attachment annihilates existing cells (dimension "
+            "multiset not conserved)")
+    if sum(c.q for c in out) != sum(c.q for c in cells):
+        return y, dec, out, ScriptError(where + "total weight not conserved")
+    return y, dec, out, None
 
 
 @dataclass
@@ -204,19 +243,6 @@ def _make_report(inp: list[RepCell], outp: list[RepCell]) -> ShiftReport:
     return ShiftReport(sorted(inp), sorted(outp), deltas)
 
 
-def _cells_of(dec: Decomposition) -> list[RepCell]:
-    out = []
-    for s in dec.strands:
-        if s.kind in DISK_KINDS:
-            continue
-        if s.kind != "Hn" or not 0 <= s.param <= s.shift:
-            raise RuntimeError(
-                "freeness failed: decomposition contains a non-cell "
-                f"summand {s} (full list: {dec.strands})")
-        out.append(RepCell(s.shift, s.param))
-    return out
-
-
 def kronholm_split(script: RepBuildScript) -> tuple[Decomposition, ShiftReport]:
     """Run a build script: attach cells in order, re-split after every
     step, enforce spacelikeness, conservation, and the weight bound, and
@@ -227,43 +253,26 @@ def kronholm_split(script: RepBuildScript) -> tuple[Decomposition, ShiftReport]:
     if order != sorted(order):
         raise ScriptError("cells must be attached in nondecreasing "
                           "(dimension, weight) order")
-    y: FreeComplex | None = None
+    y = _ZERO
     seen: list[RepCell] = []
-    dec: Decomposition | None = None
     for idx, (cell, attach) in enumerate(script.cells):
         cell.check()
-        if y is None:
-            if attach:
-                raise ScriptError("the first cell has nothing to attach to")
-            y = rep_cell_complex(cell)
-        else:
-            f = attach_map(y, cell, attach)
-            if not is_spacelike(f):
-                raise ScriptError(
-                    f"cell {idx} = ({cell.m}, {cell.q}): attaching map is "
-                    f"not spacelike")
-            y = cone(f)
+        if not seen and attach:
+            raise ScriptError("the first cell has nothing to attach to")
         seen.append(cell)
-        dec = split(y, validate=False)
-        out_cells = _cells_of(dec)
+        y, dec, out_cells, failure = _verdict(attach_map(y, cell, attach),
+                                              seen)
+        if failure is not None:
+            raise failure
         log.debug("cell %d = (%d, %d): %d live summands", idx, cell.m,
                   cell.q, len(out_cells))
-        if Counter(c.m for c in out_cells) != Counter(c.m for c in seen):
-            raise ScriptError(
-                f"cell {idx} = ({cell.m}, {cell.q}): attachment annihilates "
-                f"existing cells (dimension multiset not conserved)")
-        if sum(c.q for c in out_cells) != sum(c.q for c in seen):
-            raise ScriptError(
-                f"cell {idx} = ({cell.m}, {cell.q}): total weight not "
-                f"conserved")
         for oc in out_cells:
             if oc.m == cell.m and oc.q > cell.q:
                 raise RuntimeError(
                     f"weight bound failed after cell {idx}: output cell "
                     f"({oc.m}, {oc.q}) exceeds attached weight {cell.q} "
                     f"(full list: {out_cells})")
-    assert dec is not None
-    return dec, _make_report(seen, _cells_of(dec))
+    return dec, _make_report(seen, out_cells)
 
 
 # -- fuzzing -------------------------------------------------------------------
@@ -278,11 +287,11 @@ def random_spacelike_script(rng, max_cells: int = 8,
     cells = sorted(RepCell(m, rng.randint(0, m))
                    for m in (rng.randint(0, max_dim) for _ in range(n)))
     script: list[tuple[RepCell, AttachData | None]] = []
-    y: FreeComplex | None = None
+    y = _ZERO
     seen: list[RepCell] = []
     for cell in cells:
         attach: AttachData | None = None
-        if y is not None and rng.random() < 0.7:
+        if seen and rng.random() < 0.7:
             src = attach_source(cell)
             kern = hom_delta(src, y, 0).kernel_basis()
             cols = list(range(kern.ncols))
@@ -297,17 +306,7 @@ def random_spacelike_script(rng, max_cells: int = 8,
                 if not any(vec):
                     continue
                 f = chain_map_from_vector(src, y, 0, vec)
-                trial = split(cone(f), validate=False)
-                if any(s.kind == "B" for s in trial.strands):
-                    continue
-                try:
-                    out = _cells_of(trial)
-                except RuntimeError:
-                    continue
-                want = Counter(c.m for c in seen) + Counter([cell.m])
-                if Counter(c.m for c in out) != want:
-                    continue
-                if sum(c.q for c in out) != sum(c.q for c in seen) + cell.q:
+                if _verdict(f, seen + [cell])[3] is not None:
                     continue
                 attach = {}
                 for d, mat in f.components.items():
@@ -320,8 +319,5 @@ def random_spacelike_script(rng, max_cells: int = 8,
                 break
         script.append((cell, attach))
         seen.append(cell)
-        if y is None:
-            y = rep_cell_complex(cell)
-        else:
-            y = cone(attach_map(y, cell, attach))
+        y = cone(attach_map(y, cell, attach))
     return RepBuildScript(script)

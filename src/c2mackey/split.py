@@ -3,11 +3,14 @@ certificates.
 
 Every bounded complex of F/H sums over GF(2) is isomorphic to a direct
 sum of strands (A_k, H(n), B_r) and contractible disks.  ``split``
-finds such a decomposition by sweeping levels bottom-up and peeling, at
-each level: identity disks, then B-strands, then the two H(n) families,
-then A-extensions.  Each basis change is recorded as a ``BasisMove``;
-replaying the certificate on the input complex reproduces the literal
-direct sum, which is what ``verify_certificate`` checks.
+finds such a decomposition by sweeping levels bottom-up.  A ``_Sweep``
+runs one named step after another at each level: ``disks`` (identity
+disks), ``b_strands``, ``h_minus`` and ``h_plus`` (B-strands and the two
+H(n) families), ``a_strands`` (A-extensions) and ``close_level`` (new
+strands at the generators left over); ``strands`` then reads off the
+strand of each generator path.  Each basis change is recorded as a
+``BasisMove``; replaying the certificate on the input complex reproduces
+the literal direct sum, which is what ``verify_certificate`` checks.
 
 The move vocabulary: for generators i, j in one degree, ``add*`` moves
 replace the inclusion of generator i by (iota_i + iota_j . phi) for an
@@ -86,13 +89,40 @@ _VARIANTS = {
     "add_pup": ("F", "H", 1),
     "add_pdown": ("H", "F", 1),
 }
+_VARIANT_OF = {rule: name for name, rule in _VARIANTS.items()}
 
 
 def _variant_for(ki: str, kj: str, phi: int) -> str:
-    for name, (a, b, e) in _VARIANTS.items():
-        if (a, b, e) == (ki, kj, phi):
-            return name
-    raise SplitError(f"no move variant for arrow {phi} : {ki} -> {kj}")
+    variant = _VARIANT_OF.get((ki, kj, phi))
+    if variant is None:
+        raise SplitError(f"no move variant for arrow {phi} : {ki} -> {kj}")
+    return variant
+
+
+def _shape(seq: list[str]) -> tuple[str, int] | None:
+    """(kind, param) of the strand whose generator kinds, top first, are
+    ``seq``; None if no strand has that shape (disks aside)."""
+    n = len(seq)
+    if all(k == "F" for k in seq):
+        return ("A", n - 1)
+    if seq[-1] == "H" and all(k == "F" for k in seq[:-1]):
+        return ("Hn", n - 1)
+    if seq[0] == "H" and all(k == "F" for k in seq[1:]):
+        return ("Hn", -(n - 1))
+    if (n >= 3 and seq[0] == "H" and seq[-1] == "H"
+            and all(k == "F" for k in seq[1:-1])):
+        return ("B", n - 3)
+    return None
+
+
+def _path_strand(seq: list[str], top: int) -> Strand | None:
+    """The strand with generator kinds ``seq`` (top first) and top degree
+    ``top``, or None if the kinds form no strand."""
+    shape = _shape(seq)
+    if shape is None:
+        return None
+    # canonical A and H(-n) strands start in degree 0, the rest end there
+    return Strand(*shape, top if seq[-1] == "H" else top - (len(seq) - 1))
 
 
 @dataclass
@@ -102,9 +132,6 @@ class Decomposition:
 
     def counts(self) -> Counter:
         return Counter(self.strands)
-
-    def non_disk(self) -> list[Strand]:
-        return [s for s in self.strands if s.kind not in DISK_KINDS]
 
     def to_json(self) -> dict:
         return {"strands": [s.to_json() for s in self.strands],
@@ -182,253 +209,261 @@ def split(c: FreeComplex, validate: bool = True) -> Decomposition:
         bad = validate_complex(c)
         if bad:
             raise ValueError("not a valid complex: " + "; ".join(bad))
-    work = c.copy()
-    lo = work.min_degree
-    moves: list[BasisMove] = []
+    sweep = _Sweep(c)
+    for li in range(1, len(sweep.work.gens)):
+        sweep.start_level(li)
+        sweep.disks()
+        sweep.b_strands()
+        sweep.h_minus()
+        sweep.h_plus()
+        sweep.a_strands()
+        sweep.close_level()
+    strands = sweep.strands()
+    log.debug("split: %d generators -> %d strands in %d moves",
+              c.num_gens(), len(strands), len(sweep.moves))
+    return Decomposition(strands, sweep.moves)
 
-    members: dict[int, list[tuple[int, int]]] = {}
-    strand_of: dict[tuple[int, int], int] = {}
-    disk_sids: set[int] = set()
-    next_sid = 0
 
-    def new_strand(elems: list[tuple[int, int]]) -> int:
-        nonlocal next_sid
-        sid = next_sid
-        next_sid += 1
-        members[sid] = elems
+class _Sweep:
+    """The state of one ``split``: a working copy of the complex, the moves
+    applied to it, and the strands built so far, each a list of (level,
+    generator) pairs, top first.  Level ``li`` is the current one: its
+    generators are the sources of the differential into level ``li - 1``,
+    whose generators are the tops of the strands below."""
+
+    def __init__(self, c: FreeComplex):
+        self.work = c.copy()
+        self.moves: list[BasisMove] = []
+        self.members: dict[int, list[tuple[int, int]]] = {}
+        self.strand_of: dict[tuple[int, int], int] = {}
+        self.disk_sids: set[int] = set()
+        for g in range(len(self.work.gens[0]) if self.work.gens else 0):
+            self.new_strand([(0, g)])
+
+    def new_strand(self, elems: list[tuple[int, int]]) -> None:
+        sid = len(self.members)
+        self.members[sid] = elems
         for e in elems:
-            strand_of[e] = sid
-        return sid
+            self.strand_of[e] = sid
 
-    def do_move(degree: int, variant: str, i: int, j: int) -> None:
-        mv = BasisMove(degree, variant, i, j)
-        apply_move(work, mv)
-        moves.append(mv)
+    def move(self, level: int, variant: str, i: int, j: int) -> None:
+        mv = BasisMove(self.work.min_degree + level, variant, i, j)
+        apply_move(self.work, mv)
+        self.moves.append(mv)
 
-    for g in range(len(work.gens[0])):
-        new_strand([(0, g)])
+    def start_level(self, li: int) -> None:
+        self.li = li
+        self.D = self.work.diffs[li - 1]
+        self.src = self.work.gens[li]
+        self.tgt = self.work.gens[li - 1]
+        self.assigned = [False] * len(self.src)
+        self.of_kind = {"F": [], "H": []}    # the sources, by kind
+        for a, k in enumerate(self.src):
+            self.of_kind[k].append(a)
 
-    for li in range(1, len(work.gens)):
-        D = work.diffs[li - 1]
-        src_kinds = work.gens[li]
-        tgt_kinds = work.gens[li - 1]
-        nsrc, ntgt = len(src_kinds), len(tgt_kinds)
-        assigned = [False] * nsrc
+    # -- step 1 ----------------------------------------------------------
 
-        def top_info(r: int):
-            """(type, length) of the strand whose top is target r, or None
-            if r cannot absorb a new element (disk / completed strand)."""
-            sid = strand_of[(li - 1, r)]
-            if sid in disk_sids:
-                return None
-            mem = members[sid]
-            if mem[0] != (li - 1, r):
-                raise SplitError("level generator is not a strand top")
-            seq = [work.gens[L][g] for (L, g) in mem]
-            if all(k == "F" for k in seq):
-                return ("A", len(seq) - 1)
-            if seq == ["H"]:
-                return ("H0", 0)
-            if seq[-1] == "H" and all(k == "F" for k in seq[:-1]):
-                return ("HEND", len(seq) - 1)
-            return None    # completed B / H(-n): never a target again
-
-        def phase_a(alpha: int, beta: int, e0: int) -> None:
-            """Clear every other source entry into the pivot target beta,
-            by adding to it a phi-multiple of alpha with e0 . phi matching
-            the stray entry."""
-            ka = src_kinds[alpha]
-            kb = tgt_kinds[beta]
-            for c2 in range(nsrc):
-                if c2 == alpha:
-                    continue
-                e2 = D[beta][c2]
-                if not e2:
-                    continue
-                kc = src_kinds[c2]
-                if kc == "H" and ka == "H":
-                    variant = "add_dot"
-                elif kc == "H":
-                    # only a literal F-F disk pivot can absorb an H source;
-                    # in steps 4-5 the H pivots have already been exhausted
-                    if not (kb == "F" and e0 == 1):
-                        raise SplitError("H source entry survived past the "
-                                         "H-pivot steps")
-                    variant = "add_pdown"
-                elif ka == "H":
-                    variant = "add_pup"
-                else:
-                    phi = e2 if (kb == "F" and e0 == 1) else 1
-                    variant = {1: "add", 2: "add_t", 3: "add_u"}[phi]
-                do_move(lo + li, variant, c2, alpha)
-                if D[beta][c2]:
-                    raise SplitError("phase A failed to clear a source")
-
-        def phase_b_disk(alpha: int, beta: int) -> None:
-            kb = tgt_kinds[beta]
-            for r2 in range(ntgt):
-                if r2 == beta:
-                    continue
-                e2 = D[r2][alpha]
-                if not e2:
-                    continue
-                kr = tgt_kinds[r2]
-                if kb == "F":
-                    variant = ({1: "add", 2: "add_t", 3: "add_u"}[e2]
-                               if kr == "F" else "add_pup")
-                else:
-                    variant = "add_dot" if kr == "H" else "add_pdown"
-                do_move(lo + li - 1, variant, beta, r2)
-                if D[r2][alpha]:
-                    raise SplitError("disk phase B failed to clear a target")
-
-        def absorb_cascade(alpha: int, mem: list[tuple[int, int]]) -> None:
-            pred = alpha
-            for (L, cur) in mem:
-                Dm = work.diffs[L]
-                e_cur = Dm[cur][pred]
-                if not e_cur:
-                    raise SplitError("cascade lost the strand entry")
-                k_cur = work.gens[L][cur]
-                for r in range(len(Dm)):
-                    if r == cur:
-                        continue
-                    e_r = Dm[r][pred]
-                    if not e_r:
-                        continue
-                    k_r = work.gens[L][r]
-                    if k_cur == "F":
-                        if k_r != "F":
-                            raise SplitError("a parallel strand ends above "
-                                             "the selected one")
-                        variant = "add"
-                    else:
-                        variant = "add_dot" if k_r == "H" else "add_pdown"
-                    do_move(lo + L, variant, cur, r)
-                    if Dm[r][pred]:
-                        raise SplitError("cascade failed to clear a parallel")
-                pred = cur
-
-        def do_split(alpha: int, beta: int) -> None:
-            e0 = D[beta][alpha]
-            phase_a(alpha, beta, e0)
-            sid = strand_of[(li - 1, beta)]
-            absorb_cascade(alpha, members[sid])
-            members[sid] = [(li, alpha)] + members[sid]
-            strand_of[(li, alpha)] = sid
-            assigned[alpha] = True
-
-        # -- step 1: disks ------------------------------------------------
+    def disks(self) -> None:
+        """Pair every source with an iso entry (H -> H by 1, then F -> F by
+        1 or t) into a disk with its target, clearing the rest of the
+        disk's row and column."""
+        D, li = self.D, self.li
         while True:
-            found = None
-            for c2 in range(nsrc):
-                if assigned[c2] or src_kinds[c2] != "H":
-                    continue
-                for r in range(ntgt):
-                    if tgt_kinds[r] == "H" and D[r][c2] == 1:
-                        found = (c2, r)
-                        break
-                if found:
-                    break
-            if not found:
-                for c2 in range(nsrc):
-                    if assigned[c2] or src_kinds[c2] != "F":
-                        continue
-                    for r in range(ntgt):
-                        if tgt_kinds[r] == "F" and D[r][c2] in (1, 2):
-                            found = (c2, r)
-                            break
-                    if found:
-                        break
-            if not found:
-                break
+            found = self._iso_entry()
+            if found is None:
+                return
             alpha, beta = found
-            sid = strand_of[(li - 1, beta)]
-            if members[sid] != [(li - 1, beta)] or sid in disk_sids:
+            sid = self.strand_of[(li - 1, beta)]
+            if self.members[sid] != [(li - 1, beta)] or sid in self.disk_sids:
                 raise SplitError("iso entry into a non-singleton generator")
             if D[beta][alpha] == 2:
-                do_move(lo + li, "twist_t", alpha, alpha)
+                self.move(li, "twist_t", alpha, alpha)
             if D[beta][alpha] != 1:
                 raise SplitError("disk entry failed to normalize")
-            phase_a(alpha, beta, 1)
-            phase_b_disk(alpha, beta)
-            for r in range(ntgt):
-                want = 1 if r == beta else 0
-                if D[r][alpha] != want:
-                    raise SplitError("disk column not clean")
-            members[sid] = [(li, alpha), (li - 1, beta)]
-            strand_of[(li, alpha)] = sid
-            disk_sids.add(sid)
-            assigned[alpha] = True
+            self._clear_row(alpha, beta, 1)
+            self._clear_column(alpha, beta)
+            if any(D[r][alpha] != (r == beta) for r in range(len(self.tgt))):
+                raise SplitError("disk column not clean")
+            self.members[sid] = [(li, alpha), (li - 1, beta)]
+            self.strand_of[(li, alpha)] = sid
+            self.disk_sids.add(sid)
+            self.assigned[alpha] = True
 
-        # -- steps 2..5: strand extensions ---------------------------------
-        def best_candidate(src_kind: str, tgt_types: tuple[str, ...],
-                           longest: bool):
-            best = None
-            for a in range(nsrc):
-                if assigned[a] or src_kinds[a] != src_kind:
+    def _iso_entry(self) -> tuple[int, int] | None:
+        D, tgt, assigned = self.D, self.tgt, self.assigned
+        for kind, isos in (("H", (1,)), ("F", (1, 2))):
+            for a in self.of_kind[kind]:
+                if assigned[a]:
                     continue
-                for r in range(ntgt):
+                for r, kr in enumerate(tgt):
+                    if kr == kind and D[r][a] in isos:
+                        return a, r
+        return None
+
+    # -- steps 2..5: strand extensions -----------------------------------
+
+    def b_strands(self) -> None:
+        """An H source closes an F..F H strand into a B strand."""
+        self._extend_all("H", ("HEND",), longest=False)
+
+    def h_minus(self) -> None:
+        """An H source closes an A strand into an H(-n), longest first."""
+        self._extend_all("H", ("A",), longest=True)
+
+    def h_plus(self) -> None:
+        """An F source extends an H(n) with n >= 0, shortest first."""
+        self._extend_all("F", ("HEND", "H0"), longest=False)
+
+    def a_strands(self) -> None:
+        """An F source extends an A strand, longest first."""
+        self._extend_all("F", ("A",), longest=True)
+
+    def _extend_all(self, src_kind: str, tgt_types: tuple[str, ...],
+                    longest: bool) -> None:
+        """Place sources of ``src_kind`` one at a time onto strands whose
+        top type is in ``tgt_types``: each time the (length, target,
+        source) least pair, with length negated when ``longest``."""
+        D, assigned, top_info = self.D, self.assigned, self._top_info
+        targets = range(len(self.tgt))
+        while True:
+            best = None
+            infos = {}    # top_info per target; no move happens in a scan
+            for a in self.of_kind[src_kind]:
+                if assigned[a]:
+                    continue
+                for r in targets:
                     if not D[r][a]:
                         continue
-                    info = top_info(r)
+                    if r not in infos:
+                        infos[r] = top_info(r)
+                    info = infos[r]
                     if info is None or info[0] not in tgt_types:
                         continue
                     key = ((-info[1] if longest else info[1]), r, a)
                     if best is None or key < best:
                         best = key
-            return best
+            if best is None:
+                return
+            _, r, a = best
+            self._extend(a, r)
 
-        for src_kind, tgt_types, longest in (
-                ("H", ("HEND",), False),        # step 2 -> B strands
-                ("H", ("A",), True),            # step 3 -> H(-n)
-                ("F", ("HEND", "H0"), False),   # step 4 -> H(n)
-                ("F", ("A",), True)):           # step 5 -> longer A
-            while True:
-                best = best_candidate(src_kind, tgt_types, longest)
-                if best is None:
-                    break
-                _, r, a = best
-                do_split(a, r)
+    def _top_info(self, r: int) -> tuple[str, int] | None:
+        """(type, length) of the strand whose top is target r, or None if r
+        cannot absorb a new element (disk / completed strand)."""
+        top = (self.li - 1, r)
+        sid = self.strand_of[top]
+        if sid in self.disk_sids:
+            return None
+        mem = self.members[sid]
+        if mem[0] != top:
+            raise SplitError("level generator is not a strand top")
+        gens = self.work.gens
+        shape = _shape([gens[L][g] for (L, g) in mem])
+        if shape is None or shape[0] == "B" or shape[1] < 0:
+            return None    # completed B / H(-n): never a target again
+        kind, n = shape
+        if kind == "A":
+            return shape
+        return ("HEND", n) if n else ("H0", 0)
 
-        for a in range(nsrc):
-            if assigned[a]:
+    def _extend(self, alpha: int, beta: int) -> None:
+        """Put source alpha on top of the strand whose top is target beta."""
+        li = self.li
+        self._clear_row(alpha, beta, self.D[beta][alpha])
+        sid = self.strand_of[(li - 1, beta)]
+        self._absorb_cascade(alpha, self.members[sid])
+        self.members[sid] = [(li, alpha)] + self.members[sid]
+        self.strand_of[(li, alpha)] = sid
+        self.assigned[alpha] = True
+
+    # -- the basis moves of one placement ---------------------------------
+
+    def _clear_row(self, alpha: int, beta: int, e0: int) -> None:
+        """Clear every other source entry into the pivot target beta,
+        by adding to it a phi-multiple of alpha with e0 . phi matching
+        the stray entry."""
+        D, src, li = self.D, self.src, self.li
+        ka, kb = src[alpha], self.tgt[beta]
+        for c2 in range(len(src)):
+            e2 = D[beta][c2]
+            if c2 == alpha or not e2:
                 continue
-            for r in range(ntgt):
-                if D[r][a]:
-                    raise SplitError("unassigned generator still has "
-                                     "differential entries")
-            new_strand([(li, a)])
+            kc = src[c2]
+            if kc == "H" and ka == "F" and not (kb == "F" and e0 == 1):
+                # only a literal F-F disk pivot can absorb an H source;
+                # in steps 4-5 the H pivots have already been exhausted
+                raise SplitError("H source entry survived past the "
+                                 "H-pivot steps")
+            phi = e2 if kc == ka == kb == "F" and e0 == 1 else 1
+            self.move(li, _variant_for(kc, ka, phi), c2, alpha)
+            if D[beta][c2]:
+                raise SplitError("phase A failed to clear a source")
 
-    strands = []
-    for sid, mem in members.items():
-        top = lo + mem[0][0]
-        if sid in disk_sids:
-            kind = "DiskF" if work.gens[mem[0][0]][mem[0][1]] == "F" else "DiskH"
-            strands.append(Strand(kind, 0, top - 1))
-            continue
-        seq = [work.gens[L][g] for (L, g) in mem]
-        strands.append(_strand_of_sequence(seq, top))
-    strands.sort()
-    log.debug("split: %d generators -> %d strands in %d moves",
-              c.num_gens(), len(strands), len(moves))
-    return Decomposition(strands, moves)
+    def _clear_column(self, alpha: int, beta: int) -> None:
+        """Clear every other target entry of the disk source alpha by
+        adding to its pivot target beta the stray arrow (alpha and beta
+        have one kind, and the pivot entry is 1)."""
+        D, tgt = self.D, self.tgt
+        kb = tgt[beta]
+        for r2 in range(len(tgt)):
+            e2 = D[r2][alpha]
+            if r2 == beta or not e2:
+                continue
+            self.move(self.li - 1, _variant_for(kb, tgt[r2], e2), beta, r2)
+            if D[r2][alpha]:
+                raise SplitError("disk phase B failed to clear a target")
 
+    def _absorb_cascade(self, alpha: int, mem: list[tuple[int, int]]) -> None:
+        """Walk down the strand that alpha now tops, clearing every entry
+        from each member's predecessor into a generator parallel to it."""
+        gens, diffs = self.work.gens, self.work.diffs
+        pred = alpha
+        for (L, cur) in mem:
+            Dm = diffs[L]
+            if not Dm[cur][pred]:
+                raise SplitError("cascade lost the strand entry")
+            kinds = gens[L]
+            k_cur = kinds[cur]
+            for r in range(len(Dm)):
+                if r == cur or not Dm[r][pred]:
+                    continue
+                if k_cur == "F" and kinds[r] != "F":
+                    raise SplitError("a parallel strand ends above "
+                                     "the selected one")
+                self.move(L, _variant_for(k_cur, kinds[r], 1), cur, r)
+                if Dm[r][pred]:
+                    raise SplitError("cascade failed to clear a parallel")
+            pred = cur
 
-def _strand_of_sequence(seq: list[str], top: int) -> Strand:
-    n = len(seq)
-    if all(k == "F" for k in seq):
-        return Strand("A", n - 1, top - (n - 1))
-    if seq == ["H"]:
-        return Strand("Hn", 0, top)
-    if seq[-1] == "H" and all(k == "F" for k in seq[:-1]):
-        return Strand("Hn", n - 1, top)
-    if seq[0] == "H" and all(k == "F" for k in seq[1:]):
-        return Strand("Hn", -(n - 1), top - (n - 1))
-    if (n >= 3 and seq[0] == "H" and seq[-1] == "H"
-            and all(k == "F" for k in seq[1:-1])):
-        return Strand("B", n - 3, top)
-    raise SplitError(f"generator path {seq} is not a strand shape")
+    # -- closing a level, and the sweep ---------------------------------------
+
+    def close_level(self) -> None:
+        """Start a new strand at every source that no step placed."""
+        D, li = self.D, self.li
+        for a, placed in enumerate(self.assigned):
+            if placed:
+                continue
+            if any(row[a] for row in D):
+                raise SplitError("unassigned generator still has "
+                                 "differential entries")
+            self.new_strand([(li, a)])
+
+    def strands(self) -> list[Strand]:
+        lo, gens = self.work.min_degree, self.work.gens
+        out = []
+        for sid, mem in self.members.items():
+            L, g = mem[0]
+            if sid in self.disk_sids:
+                kind = "DiskF" if gens[L][g] == "F" else "DiskH"
+                out.append(Strand(kind, 0, lo + L - 1))
+                continue
+            seq = [gens[L2][g2] for (L2, g2) in mem]
+            s = _path_strand(seq, lo + L)
+            if s is None:
+                raise SplitError(f"generator path {seq} is not a strand shape")
+            out.append(s)
+        out.sort()
+        return out
 
 
 # -- verification -----------------------------------------------------------
@@ -490,28 +525,11 @@ def components_of(c: FreeComplex) -> list[Strand] | None:
 def _parse_path(seq: list[str], edges: list[int], top: int) -> Strand | None:
     if len(seq) == 2 and edges == [1] and seq[0] == seq[1]:
         return Strand("DiskF" if seq[0] == "F" else "DiskH", 0, top - 1)
-    n = len(seq)
-    if all(k == "F" for k in seq):
-        if all(e == U for e in edges):
-            return Strand("A", n - 1, top - (n - 1))
+    # every canonical strand has 1+t on its F -> F edges and 1 elsewhere
+    if any(e != (U if a == b == "F" else 1)
+           for a, b, e in zip(seq, seq[1:], edges)):
         return None
-    if seq == ["H"]:
-        return Strand("Hn", 0, top)
-    if seq[-1] == "H" and all(k == "F" for k in seq[:-1]):
-        if all(e == U for e in edges[:-1]) and edges[-1] == 1:
-            return Strand("Hn", n - 1, top)
-        return None
-    if seq[0] == "H" and all(k == "F" for k in seq[1:]):
-        if edges[0] == 1 and all(e == U for e in edges[1:]):
-            return Strand("Hn", -(n - 1), top - (n - 1))
-        return None
-    if (n >= 3 and seq[0] == "H" and seq[-1] == "H"
-            and all(k == "F" for k in seq[1:-1])):
-        if (edges[0] == 1 and edges[-1] == 1
-                and all(e == U for e in edges[1:-1])):
-            return Strand("B", n - 3, top)
-        return None
-    return None
+    return _path_strand(seq, top)
 
 
 def verify_certificate(c: FreeComplex, dec: Decomposition) -> bool:
@@ -592,8 +610,11 @@ def random_strand(rng, max_param: int, shift_lo: int = -4,
 
 
 def random_legal_moves(c: FreeComplex, rng, count: int) -> list[BasisMove]:
-    """Generate and apply `count` random legal moves to a copy; returns the
-    moves (the caller replays them)."""
+    """Draw up to ``count`` random moves that are legal on ``c`` (kinds
+    never change under moves, so each stays legal after the ones before
+    it).  Nothing is applied; the caller replays the moves.  Fewer than
+    ``count`` come back when the draws run out, after 50 attempts per
+    requested move, for example when ``c`` has no legal move at all."""
     moves = []
     degrees = [d for d in c.degrees() if len(c.gens_at(d)) > 0]
     attempts = 0
@@ -601,7 +622,6 @@ def random_legal_moves(c: FreeComplex, rng, count: int) -> list[BasisMove]:
         attempts += 1
         d = rng.choice(degrees)
         kinds = c.gens_at(d)
-        n = len(kinds)
         variant = rng.choice(list(_VARIANTS) + ["twist_t"])
         if variant == "twist_t":
             fs = [i for i, k in enumerate(kinds) if k == "F"]
@@ -660,11 +680,8 @@ def split_odd_mackey(mods: list[MackeyModule], maps: list[MackeyMap],
     one point per homology summand, one disk per image summand."""
     strands: list[Strand] = []
     for i, mod in enumerate(mods):
-        h = _subquotient({
-            "module": mod,
-            "out": maps[i - 1] if i - 1 >= 0 else None,
-            "into": maps[i] if i < len(maps) else None,
-        }, ell)
+        h = _subquotient(mod, maps[i - 1] if i - 1 >= 0 else None,
+                         maps[i] if i < len(maps) else None, ell)
         counts = classify(h)
         d = min_degree + i
         strands.extend([Strand("PtH", 0, d)] * counts.get("H", 0))

@@ -135,6 +135,19 @@ def test_invertible_and_support(capsys, tmp_path, unit_file):
     assert json.loads(out)["support"] == ["<A>"]
 
 
+def test_empty_complex_splits_to_nothing(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"min_degree": 0, "generators": []}))
+    code, out = run(capsys, "split", str(path))
+    assert code == 0
+    assert json.loads(out) == {"strands": [], "certificate": []}
+    code, out = run(capsys, "invertible", str(path))
+    assert code == 0
+    assert json.loads(out)["invertible"] is False
+    code, out = run(capsys, "homology", "--format", "text", str(path))
+    assert (code, out) == (0, "0\n")
+
+
 def test_serre_exit_codes(capsys, tmp_path, unit_file):
     h = tmp_path / "h2.json"
     h.write_text(json.dumps(strand("Hn", 2).to_json()))

@@ -84,7 +84,7 @@ def test_hstack_vstack_kron():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2 ** 20),
-       st.sampled_from([2, 3, 5]))
+       st.sampled_from([2, 3, 5, 257]))
 def test_rank_plus_nullity(nrows, ncols, seed, ell):
     rng = random.Random(seed)
     m = FMatrix.zeros(nrows, ncols, ell)
@@ -99,7 +99,8 @@ def test_rank_plus_nullity(nrows, ncols, seed, ell):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 5), st.integers(0, 2 ** 20), st.sampled_from([2, 3]))
+@given(st.integers(1, 5), st.integers(0, 2 ** 20),
+       st.sampled_from([2, 3, 257]))
 def test_solve_many_roundtrip(n, seed, ell):
     rng = random.Random(seed)
     a = random_invertible(n, ell, rng)

@@ -134,3 +134,21 @@ def test_random_spacelike_scripts_conserve_cells_and_weight():
         _, report2 = kronholm_split(again)
         assert report2.output_cells == report.output_cells
     assert nontrivial >= 20, nontrivial
+
+
+def test_kronholm_split_splits_once_per_cell(monkeypatch):
+    rng = random.Random(4)
+    scripts = [random_spacelike_script(rng, max_cells=12, max_dim=5)
+               for _ in range(10)]
+    calls = []
+
+    def counting_split(c, validate=True):
+        calls.append(c)
+        return split(c, validate)
+
+    monkeypatch.setattr("c2mackey.kronholm.split", counting_split)
+    for script in scripts:
+        calls.clear()
+        kronholm_split(script)
+        assert len(calls) == len(script.cells)
+    assert max(len(s.cells) for s in scripts) >= 8

@@ -62,7 +62,7 @@ def test_scrambled_classification_roundtrip():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2 ** 30), st.sampled_from([3, 5]))
+@given(st.integers(0, 2 ** 30), st.sampled_from([3, 5, 257]))
 def test_odd_classification_by_dimensions(seed, ell):
     rng = random.Random(seed)
     counts = {k: rng.randint(0, 3) for k in ODD_KINDS}

@@ -138,6 +138,22 @@ def test_replay_matches_components():
     assert Counter(components_of(final)) == Counter(dec.strands)
 
 
+def test_components_of_rejects_one_altered_edge():
+    # a canonical strand has 1+t on each F -> F edge and 1 on every other
+    # edge; any other arrow on one edge leaves literal split form, except
+    # that F -> F by 1 is a disk and by 1+t an A strand
+    for kind, param in ALL_SHAPES:
+        base = strand(kind, param)
+        for li in range(len(base.diffs)):
+            for arrow in (1, 2, 3):
+                if arrow == base.diffs[li][0][0] or (
+                        base.gens == [["F"], ["F"]] and arrow in (1, 3)):
+                    continue
+                c = base.copy()
+                c.diffs[li][0][0] = arrow
+                assert components_of(c) is None, (kind, param, li, arrow)
+
+
 def test_apply_move_bounds_checking():
     c = strand("A", 1)
     with pytest.raises(ValueError):

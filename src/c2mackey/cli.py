@@ -92,7 +92,10 @@ def render_window(dims: list[list[int]], p0: int, p1: int,
 # -- input helpers -------------------------------------------------------------
 
 def _load_complex(path: str) -> FreeComplex:
-    c = complex_from_file(path)
+    try:
+        c = complex_from_file(path)
+    except ValueError as exc:
+        raise Failure([f"{path}: {exc}"]) from exc
     errs = validate_complex(c)
     if errs:
         raise Failure([f"{path}: {e}" for e in errs])
@@ -119,8 +122,10 @@ def cmd_validate(args):
     with open(args.file) as fh:
         data = json.load(fh)
     if isinstance(data, dict) and "generators" in data:
-        c = FreeComplex.from_json(data)
-        errs = validate_complex(c)
+        try:
+            errs = validate_complex(FreeComplex.from_json(data))
+        except ValueError as exc:
+            errs = [str(exc)]
     elif isinstance(data, dict) and "dim_theta" in data:
         m = MackeyModule.from_json(data)
         errs = validate_module(m)

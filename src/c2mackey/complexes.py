@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, field
 
 from .gf2core import FMatrix
-from .mackey import MackeyMap, MackeyModule
+from .mackey import MackeyMap, MackeyModule, classify, zero_module
 
 U = 3  # the arrow 1 + t
 
@@ -95,13 +95,26 @@ def theta_block(ka: str, kb: str, e: int, ell: int = 2) -> FMatrix:
     return FMatrix.from_rows([[e]], ell)
 
 
-def dot_block(ka: str, kb: str, e: int, ell: int = 2) -> FMatrix:
-    """The fixed-level matrix of an arrow, over GF(l)."""
-    if ka == "F" and kb == "F":
-        return FMatrix.from_rows([[((e & 1) + (e >> 1)) % ell]], ell)
-    if ka == "F":       # F -> H: fixed level is multiplication by 2
-        return FMatrix.from_rows([[(2 * e) % ell]], ell)
-    return FMatrix.from_rows([[e]], ell)
+# Per arrow (source kind, target kind, code): its free-orbit block as
+# bitset rows (bit j = column j) and its fixed-level entry before reduction
+# mod l.  These are the blocks of ``theta_block``; the fixed level of
+# F -> F is the sum of the two coefficients and that of F -> H (the
+# transfer) is 2.
+_ARROW_ROWS = {
+    ("F", "F", 1): ((0b01, 0b10), 1),
+    ("F", "F", 2): ((0b10, 0b01), 1),
+    ("F", "F", 3): ((0b11, 0b11), 2),
+    ("F", "H", 1): ((0b11,), 2),
+    ("H", "F", 1): ((0b1, 0b1), 1),
+    ("H", "H", 1): ((0b1,), 1),
+}
+
+# Per generator kind: t, p_up and p_down of one summand as bitset rows,
+# and the value of p_down's entries (the transfer of H is 2).
+_TERM_ROWS = {
+    "F": ((0b10, 0b01), (0b1, 0b1), (0b11,), 1),
+    "H": ((0b1,), (0b1,), (0b1,), 2),
+}
 
 
 def zero_matrix(nrows: int, ncols: int) -> list[list[int]]:
@@ -175,6 +188,12 @@ class FreeComplex:
 
     @classmethod
     def from_json(cls, data: dict) -> "FreeComplex":
+        if not isinstance(data, dict):
+            raise ValueError("a complex must be a JSON object")
+        min_degree = data.get("min_degree")
+        if type(min_degree) is not int:
+            raise ValueError(f"min_degree must be an integer, got "
+                             f"{min_degree!r}")
         if data.get("ell", 2) != 2:
             raise ValueError("symbol complexes are stored over l = 2")
         gens = [list(g) for g in data["generators"]]
@@ -193,7 +212,7 @@ class FreeComplex:
                 raise ValueError(f"differential {i} has the wrong shape")
             diffs.append([[entry_code(sk[c], tk[r], m[r][c])
                            for c in range(len(sk))] for r in range(len(tk))])
-        return cls(int(data["min_degree"]), gens, diffs)
+        return cls(min_degree, gens, diffs)
 
 
 def complex_from_file(path: str) -> FreeComplex:
@@ -224,35 +243,51 @@ def validate_complex(c: FreeComplex) -> list[str]:
         for k in g:
             if k not in ("F", "H"):
                 return [f"unknown generator kind {k!r}"]
+    # cols[i][s]: the nonzero entries of column s of diffs[i], as
+    # (target, arrow) in target order
+    cols = []
     for i, m in enumerate(c.diffs):
         tk, sk = c.gens[i], c.gens[i + 1]
         if len(m) != len(tk) or any(len(row) != len(sk) for row in m):
             out.append(f"differential into degree {c.min_degree + i} has the "
                        f"wrong shape")
             continue
-        for r in range(len(tk)):
-            for s in range(len(sk)):
-                if not entry_ok(sk[s], tk[r], m[r][s]):
+        nonzero = [[] for _ in sk]
+        for r, row in enumerate(m):
+            kt = tk[r]
+            for s, e in enumerate(row):
+                if e == 0 and type(e) is int:     # the common, legal case
+                    continue
+                if not entry_ok(sk[s], kt, e):
                     out.append(
-                        f"illegal arrow {m[r][s]!r} in slot "
-                        f"({sk[s]}->{tk[r]}) of the differential into degree "
+                        f"illegal arrow {e!r} in slot "
+                        f"({sk[s]}->{kt}) of the differential into degree "
                         f"{c.min_degree + i}")
+                elif e:
+                    nonzero[s].append((r, e))
+        cols.append(nonzero)
     if out:
         return out
+    # d*d from the nonzero entries only: source s, its arrows into q, then
+    # the arrows out of q; bad holds (degree offset, target, source)
+    bad = []
     for i in range(len(c.diffs) - 1):
         lowk, midk, topk = c.gens[i], c.gens[i + 1], c.gens[i + 2]
-        d1, d2 = c.diffs[i], c.diffs[i + 1]
-        for r in range(len(lowk)):
-            for s in range(len(topk)):
-                acc = 0
-                for q in range(len(midk)):
-                    acc ^= ecompose(topk[s], midk[q], lowk[r],
-                                    d2[q][s], d1[r][q])
-                if acc:
-                    out.append(f"d*d != 0 from degree {c.min_degree + i + 2} "
-                               f"generator {s} to degree {c.min_degree + i} "
-                               f"generator {r}")
-    return out
+        d1cols = cols[i]
+        for s, into in enumerate(cols[i + 1]):
+            if not into:
+                continue
+            ks, acc = topk[s], {}
+            for q, e2 in into:
+                kq = midk[q]
+                for r, e1 in d1cols[q]:
+                    acc[r] = acc.get(r, 0) ^ ecompose(ks, kq, lowk[r], e2, e1)
+            for r, v in acc.items():
+                if v:
+                    bad.append((i, r, s))
+    return [f"d*d != 0 from degree {c.min_degree + i + 2} generator {s} "
+            f"to degree {c.min_degree + i} generator {r}"
+            for i, r, s in sorted(bad)]
 
 
 # -- canonical construction helpers -------------------------------------
@@ -529,27 +564,33 @@ def realize(c: FreeComplex, ell: int = 2) -> tuple[list[MackeyModule], list[Mack
     return mods, maps
 
 
+def _put_block(rows: list, i0: int, j0: int, block: tuple[int, ...],
+               v: int, ell: int) -> None:
+    """Write v (nonzero mod l) at the set bits of the bitset rows ``block``,
+    placed with its corner at (i0, j0), into FMatrix rows over GF(l)."""
+    for i, bits in enumerate(block):
+        if ell == 2:
+            rows[i0 + i] |= bits << j0
+        else:
+            row = rows[i0 + i]
+            for j in range(bits.bit_length()):
+                if bits >> j & 1:
+                    row[j0 + j] = v
+
+
 def realize_term(kinds: list[str], ell: int = 2) -> MackeyModule:
+    offs = _theta_offsets(kinds)
     nt = sum(2 if k == "F" else 1 for k in kinds)
     nd = len(kinds)
     t = FMatrix.zeros(nt, nt, ell)
     p_up = FMatrix.zeros(nt, nd, ell)
     p_down = FMatrix.zeros(nd, nt, ell)
-    off = 0
-    for i, k in enumerate(kinds):
-        if k == "F":
-            t.set(off, off + 1, 1)
-            t.set(off + 1, off, 1)
-            p_up.set(off, i, 1)
-            p_up.set(off + 1, i, 1)
-            p_down.set(i, off, 1)
-            p_down.set(i, off + 1, 1)
-            off += 2
-        else:
-            t.set(off, off, 1)
-            p_up.set(off, i, 1)
-            p_down.set(i, off, 2)
-            off += 1
+    for i, (k, off) in enumerate(zip(kinds, offs)):
+        t_rows, up_rows, down_rows, down = _TERM_ROWS[k]
+        _put_block(t.rows, off, off, t_rows, 1, ell)
+        _put_block(p_up.rows, off, i, up_rows, 1, ell)
+        if down % ell:
+            _put_block(p_down.rows, i, off, down_rows, down % ell, ell)
     return MackeyModule(ell, t, p_up, p_down)
 
 
@@ -572,21 +613,16 @@ def realize_map(src_kinds: list[str], tgt_kinds: list[str],
     f_theta = FMatrix.zeros(tgt.dim_theta, src.dim_theta, ell)
     f_dot = FMatrix.zeros(tgt.dim_dot, src.dim_dot, ell)
     soffs, toffs = _theta_offsets(src_kinds), _theta_offsets(tgt_kinds)
-    for r, kt in enumerate(tgt_kinds):
-        for s, ks in enumerate(src_kinds):
-            e = entries[r][s]
+    ft, fd = f_theta.rows, f_dot.rows
+    for r, (kt, row) in enumerate(zip(tgt_kinds, entries)):
+        i0 = toffs[r]
+        for s, e in enumerate(row):
             if not e:
                 continue
-            tb = theta_block(ks, kt, e, ell)
-            for i in range(tb.nrows):
-                for j in range(tb.ncols):
-                    v = tb.get(i, j)
-                    if v:
-                        f_theta.set(toffs[r] + i, soffs[s] + j, v)
-            db = dot_block(ks, kt, e, ell)
-            v = db.get(0, 0)
-            if v:
-                f_dot.set(r, s, v)
+            theta, dot = _ARROW_ROWS[src_kinds[s], kt, e]
+            _put_block(ft, i0, soffs[s], theta, 1, ell)
+            if dot % ell:
+                _put_block(fd, r, s, (1,), dot % ell, ell)
     return MackeyMap(src, tgt, f_theta, f_dot)
 
 
@@ -633,24 +669,35 @@ def _subquotient(mod: MackeyModule, d_out: MackeyMap | None,
     return MackeyModule(ell, t_h, up_h, down_h)
 
 
-def homology(c: FreeComplex, d: int, ell: int = 2) -> MackeyModule:
-    from .mackey import zero_module
-    if not c.in_range(d) or not c.gens_at(d):
-        return zero_module(ell)
-    mods, maps = realize(c, ell)
-    i = d - c.min_degree
+def _homology_at(mods: list[MackeyModule], maps: list[MackeyMap], i: int,
+                 ell: int) -> MackeyModule:
+    """Homology at ``mods[i]`` of a realized complex, where ``maps[i]``
+    goes from ``mods[i + 1]`` to ``mods[i]``."""
     return _subquotient(mods[i], maps[i - 1] if i - 1 >= 0 else None,
                         maps[i] if i < len(maps) else None, ell)
 
 
-def homology_counts(c: FreeComplex, ell: int = 2) -> dict[int, dict[str, int]]:
-    from .mackey import classify
+def homology(c: FreeComplex, d: int, ell: int = 2) -> MackeyModule:
+    if not c.in_range(d) or not c.gens_at(d):
+        return zero_module(ell)
+    return _homology_at(*realize(c, ell), d - c.min_degree, ell)
+
+
+def _classified_homology(mods: list[MackeyModule], maps: list[MackeyMap],
+                         ell: int, min_degree: int) -> dict[int, dict[str, int]]:
+    """Classified homology of a realized complex, keyed by degree; zero
+    degrees omitted."""
     out = {}
-    for d in c.degrees():
-        counts = classify(homology(c, d, ell))
+    for i in range(len(mods)):
+        counts = classify(_homology_at(mods, maps, i, ell))
         if counts:
-            out[d] = counts
+            out[min_degree + i] = counts
     return out
+
+
+def homology_counts(c: FreeComplex, ell: int = 2) -> dict[int, dict[str, int]]:
+    mods, maps = realize(c, ell)
+    return _classified_homology(mods, maps, ell, c.min_degree)
 
 
 # -- box products ---------------------------------------------------------

@@ -10,14 +10,40 @@ No floats anywhere.
 from __future__ import annotations
 
 
+# The first twelve primes.  As Miller-Rabin bases they decide primality
+# exactly for every n < 318665857834031151167461 (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017), so
+# for every modulus below MODULUS_CAP, the largest one accepted.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MODULUS_CAP = 1 << 64
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality test for n < MODULUS_CAP (deterministic
+    Miller-Rabin); raises ValueError for larger n."""
+    if n >= MODULUS_CAP:
+        raise ValueError(f"modulus {n} is too large: moduli must be below "
+                         f"2^64")
     if n < 2:
         return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 41 * 41:         # a composite below 41^2 has a factor below 41
+        return True
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 1
     return True
 
 

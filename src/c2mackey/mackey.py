@@ -87,7 +87,11 @@ class MackeyMap:
 def validate_module(m: MackeyModule) -> list[str]:
     """All five relations (and shape sanity); returns human-readable violations."""
     out = []
-    if not is_prime(m.ell):
+    try:
+        prime = is_prime(m.ell)
+    except ValueError as exc:
+        return [str(exc)]
+    if not prime:
         return [f"modulus {m.ell} is not prime"]
     nt, nd = m.dim_theta, m.dim_dot
     if m.t.nrows != nt or m.t.ncols != nt:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .complexes import (U, ChainMap, FreeComplex, ecompose, shift_complex,
                         strand, direct_sum_complexes, realize,
-                        validate_complex, zero_matrix, _subquotient)
+                        validate_complex, zero_matrix, _classified_homology)
 from .gf2core import FMatrix, is_prime, random_invertible
 from .mackey import (MackeyMap, MackeyModule, classify, conjugate, direct_sum,
                      indecomposable, zero_module)
@@ -618,7 +618,7 @@ def random_legal_moves(c: FreeComplex, rng, count: int) -> list[BasisMove]:
     moves = []
     degrees = [d for d in c.degrees() if len(c.gens_at(d)) > 0]
     attempts = 0
-    while len(moves) < count and attempts < count * 50:
+    while degrees and len(moves) < count and attempts < count * 50:
         attempts += 1
         d = rng.choice(degrees)
         kinds = c.gens_at(d)
@@ -679,11 +679,7 @@ def split_odd_mackey(mods: list[MackeyModule], maps: list[MackeyMap],
     """Semisimple splitting of a Mackey chain complex over an odd prime:
     one point per homology summand, one disk per image summand."""
     strands: list[Strand] = []
-    for i, mod in enumerate(mods):
-        h = _subquotient(mod, maps[i - 1] if i - 1 >= 0 else None,
-                         maps[i] if i < len(maps) else None, ell)
-        counts = classify(h)
-        d = min_degree + i
+    for d, counts in _classified_homology(mods, maps, ell, min_degree).items():
         strands.extend([Strand("PtH", 0, d)] * counts.get("H", 0))
         strands.extend([Strand("PtSTheta", 0, d)] * counts.get("STheta", 0))
     for i, f in enumerate(maps):

@@ -3,6 +3,7 @@ and logging control."""
 
 import json
 import logging
+import time
 
 import pytest
 
@@ -146,6 +147,41 @@ def test_empty_complex_splits_to_nothing(capsys, tmp_path):
     assert json.loads(out)["invertible"] is False
     code, out = run(capsys, "homology", "--format", "text", str(path))
     assert (code, out) == (0, "0\n")
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"min_degree": 1.7, "generators": [["H"]]},
+    {"min_degree": "2", "generators": [["H"]]},
+    {"min_degree": True, "generators": [["H"]]},
+], ids=["not-an-object", "float-degree", "string-degree", "bool-degree"])
+def test_malformed_complex_is_a_violation(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for command in ("homology", "split", "validate"):
+        code, out = run(capsys, command, str(path))
+        payload = json.loads(out)
+        assert code == 1 and payload["ok"] is False, command
+        assert payload["violations"][0].startswith(f"{path}: "), command
+        assert "Error" not in payload["violations"][0], command
+
+
+def test_huge_modulus_is_answered_or_refused_quickly(capsys, tmp_path):
+    ell = 10 ** 18 + 3
+    path = tmp_path / "big.json"
+    data = {"ell": ell, "dim_theta": 1, "dim_dot": 1,
+            "t": [[1]], "p_up": [[1]], "p_down": [[2]]}
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out = run(capsys, "module", "classify", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["counts"] == {"H": 1}
+
+    data["ell"] = 2 ** 64 + 13
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "module", "classify", str(path))
+    assert code == 1
+    assert "2^64" in json.loads(out)["violations"][0]
 
 
 def test_serre_exit_codes(capsys, tmp_path, unit_file):

@@ -5,13 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import c2mackey.complexes as complexes_module
 from c2mackey.complexes import (U, ChainMap, FreeComplex, box_chain_map,
                                 box_complex, canonicalize, compose_chain_maps,
                                 cone, cotens_H, direct_sum_complexes,
-                                ecompose, hom_complex_dim, homology_counts,
-                                identity_chain_map, is_null_homotopic,
-                                null_homotopy, realize, shift_complex,
-                                strand, validate_chain_map, validate_complex)
+                                ecompose, entry_ok, hom_complex_dim,
+                                homology_counts, identity_chain_map,
+                                is_null_homotopic, null_homotopy, realize,
+                                realize_map, shift_complex,
+                                strand, theta_block, validate_chain_map,
+                                validate_complex)
+from c2mackey.gf2core import FMatrix
+from c2mackey.mackey import direct_sum, indecomposable
+from c2mackey.split import random_scrambled_complex
 
 
 # -- arrow algebra ---------------------------------------------------------
@@ -65,6 +71,46 @@ def test_validate_rejects_broken_differential():
     assert any("d*d" in e for e in errs)
 
 
+def dense_dd_violations(c):
+    """The d*d = 0 check as a dense triple loop over (target, source,
+    middle generator): the reference for the sparse check."""
+    out = []
+    for i in range(len(c.diffs) - 1):
+        lowk, midk, topk = c.gens[i], c.gens[i + 1], c.gens[i + 2]
+        d1, d2 = c.diffs[i], c.diffs[i + 1]
+        for r in range(len(lowk)):
+            for s in range(len(topk)):
+                acc = 0
+                for q in range(len(midk)):
+                    acc ^= ecompose(topk[s], midk[q], lowk[r],
+                                    d2[q][s], d1[r][q])
+                if acc:
+                    out.append(f"d*d != 0 from degree {c.min_degree + i + 2} "
+                               f"generator {s} to degree {c.min_degree + i} "
+                               f"generator {r}")
+    return out
+
+
+def test_validate_complex_matches_dense_dd_check():
+    rng = random.Random(5)
+    broken = 0
+    for i in range(150):
+        c, _ = random_scrambled_complex(random.Random(f"dd:{i}"),
+                                        max_strands=8)
+        for _ in range(rng.randint(0, 4)):
+            j = rng.randrange(len(c.diffs)) if c.diffs else None
+            if j is None or not c.diffs[j] or not c.diffs[j][0]:
+                break
+            m = c.diffs[j]
+            r, s = rng.randrange(len(m)), rng.randrange(len(m[0]))
+            both_f = c.gens[j][r] == c.gens[j + 1][s] == "F"
+            m[r][s] = rng.randrange(4 if both_f else 2)
+        want = dense_dd_violations(c)
+        broken += bool(want)
+        assert validate_complex(c) == want, i
+    assert broken > 50
+
+
 def test_shift_and_sum():
     c = direct_sum_complexes([shift_complex(strand("A", 1), 2), strand("B", 0)])
     assert validate_complex(c) == []
@@ -94,6 +140,78 @@ def test_realize_differentials_square_to_zero():
         for i in range(len(maps) - 1):
             comp = maps[i].compose(maps[i + 1])
             assert comp.f_theta.is_zero() and comp.f_dot.is_zero()
+
+
+def per_entry_realize_map(src_kinds, tgt_kinds, entries, ell):
+    """(f_theta, f_dot) of a symbol map, entry by entry from theta_block
+    and the fixed-level arrow: the reference for realize_map."""
+    def offsets(kinds):
+        offs, off = [], 0
+        for k in kinds:
+            offs.append(off)
+            off += 2 if k == "F" else 1
+        return offs, off
+    soffs, nts = offsets(src_kinds)
+    toffs, ntt = offsets(tgt_kinds)
+    f_theta = FMatrix.zeros(ntt, nts, ell)
+    f_dot = FMatrix.zeros(len(tgt_kinds), len(src_kinds), ell)
+    for r, kt in enumerate(tgt_kinds):
+        for s, ks in enumerate(src_kinds):
+            e = entries[r][s]
+            if not e:
+                continue
+            tb = theta_block(ks, kt, e, ell)
+            for i in range(tb.nrows):
+                for j in range(tb.ncols):
+                    f_theta.set(toffs[r] + i, soffs[s] + j, tb.get(i, j))
+            if ks == "F" and kt == "F":
+                dot = (e & 1) + (e >> 1)
+            elif ks == "F":             # the transfer: multiplication by 2
+                dot = 2 * e
+            else:
+                dot = e
+            f_dot.set(r, s, dot)
+    return f_theta, f_dot
+
+
+@pytest.mark.parametrize("ell", [2, 3, 257])
+def test_realize_map_matches_per_entry_reference(ell):
+    for ks in "FH":
+        for kt in "FH":
+            for e in range(1, 4):
+                if not entry_ok(ks, kt, e):
+                    continue
+                f = realize_map([ks], [kt], [[e]], ell)
+                assert (f.f_theta, f.f_dot) == per_entry_realize_map(
+                    [ks], [kt], [[e]], ell), (ks, kt, e)
+    for i in range(30):
+        c, _ = random_scrambled_complex(random.Random(f"rm:{i}"),
+                                        max_strands=8)
+        mods, maps = realize(c, ell)
+        for k, f in enumerate(maps):
+            want = per_entry_realize_map(c.gens[k + 1], c.gens[k],
+                                         c.diffs[k], ell)
+            assert (f.f_theta, f.f_dot) == want, (i, k)
+        for kinds, m in zip(c.gens, mods):
+            if kinds:
+                assert m == direct_sum(*[indecomposable(k, ell)
+                                         for k in kinds])
+            else:
+                assert (m.dim_theta, m.dim_dot) == (0, 0)
+
+
+def test_homology_counts_realizes_once(monkeypatch):
+    c, _ = random_scrambled_complex(random.Random(3), max_strands=8)
+    assert len(c.gens) > 2
+    want = homology_counts(c)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return realize(*args, **kwargs)
+    monkeypatch.setattr(complexes_module, "realize", counting)
+    assert homology_counts(c) == want
+    assert len(calls) == 1
 
 
 def a_homology(k):

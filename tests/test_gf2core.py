@@ -23,6 +23,32 @@ def test_is_prime():
     assert not is_prime(0)
 
 
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))
+    assert all(is_prime(n) == trial(n) for n in range(10 ** 5))
+
+
+def test_is_prime_rejects_pseudoprimes():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                  321197185, 5394826801, 232250619601, 9746347772161]
+    # strong pseudoprimes to the bases 2; 2, 3; ...; 2, 3, ..., 23
+    strong = [2047, 3277, 4033, 4681, 8321, 1373653, 25326001, 3215031751,
+              2152302898747, 3474749660383, 341550071728321,
+              3825123056546413051]
+    assert not any(is_prime(n) for n in carmichael + strong)
+    assert is_prime(2 ** 61 - 1) and is_prime(10 ** 18 + 3)
+    assert is_prime(2 ** 64 - 59)           # the largest prime below the cap
+    assert not is_prime(2 ** 64 - 1)
+
+
+def test_is_prime_refuses_moduli_past_the_cap():
+    with pytest.raises(ValueError, match="2\\^64"):
+        is_prime(2 ** 64)
+    with pytest.raises(ValueError):
+        PrimeField(2 ** 64 + 13)
+
+
 def test_basic_shapes_and_access():
     m = FMatrix.from_rows([[1, 0, 1], [0, 1, 1]], 2)
     assert (m.nrows, m.ncols) == (2, 3)

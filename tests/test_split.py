@@ -12,7 +12,8 @@ from c2mackey.complexes import (FreeComplex, compose_chain_maps,
 from c2mackey.split import (BasisMove, Decomposition, Strand, apply_move,
                             certificate_isos, components_of,
                             decomposition_sum, random_odd_complex,
-                            random_scrambled_complex, replay, split,
+                            random_legal_moves, random_scrambled_complex,
+                            replay, split,
                             split_odd, split_odd_mackey, verify_certificate)
 
 ALL_SHAPES = ([("A", k) for k in range(7)] + [("Hn", n) for n in range(-6, 7)]
@@ -152,6 +153,10 @@ def test_components_of_rejects_one_altered_edge():
                 c = base.copy()
                 c.diffs[li][0][0] = arrow
                 assert components_of(c) is None, (kind, param, li, arrow)
+
+
+def test_random_legal_moves_on_empty_complex():
+    assert random_legal_moves(FreeComplex(0, [[]], []), random.Random(1), 3) == []
 
 
 def test_apply_move_bounds_checking():

@@ -22,21 +22,19 @@ from .gf2core import FMatrix, PrimeField, is_prime
 from .mackey import (KINDS, MackeyMap, MackeyModule, box, classify,
                      conjugate, direct_sum, ext, indecomposable,
                      internal_hom, module_from_file, module_of_counts,
-                     op_dual, random_scrambled_module, tor, validate_map,
-                     validate_module, zero_module)
+                     op_dual, random_scrambled_module, tor, validate_module,
+                     zero_module)
 from .complexes import (ChainMap, FreeComplex, box_chain_map, box_complex,
                         canonicalize, complex_from_file, compose_chain_maps,
                         cone, cotens_H, direct_sum_complexes, ecompose,
                         hom_complex_dim, homology, homology_counts,
                         identity_chain_map, is_null_homotopic, null_homotopy,
-                        realize, shift_chain_map, shift_complex, strand,
-                        theta_restriction, validate_chain_map,
+                        realize, shift_complex, strand, validate_chain_map,
                         validate_complex)
 from .split import (BasisMove, Decomposition, SplitError, Strand, apply_move,
-                    certificate_isos, components_of, decomposition_from_file,
-                    decomposition_sum, random_odd_complex,
-                    random_scrambled_complex, replay, split, split_odd,
-                    split_odd_mackey, verify_certificate)
+                    certificate_isos, components_of, decomposition_sum,
+                    random_odd_complex, random_scrambled_complex, replay,
+                    split, split_odd, split_odd_mackey, verify_certificate)
 from .derived import (SUPPORT_POINTS, balmer_support, class_rep,
                       cohomology_formula, cohomology_window, dbox,
                       dbox_formula, dcotens, dcotens_formula,
@@ -46,9 +44,9 @@ from .derived import (SUPPORT_POINTS, balmer_support, class_rep,
                       serre_check, strand_cohomology_dim, sufficient_window,
                       toda_witness)
 from .kronholm import (RepBuildScript, RepCell, ScriptError, ShiftReport,
-                       attach_cell, classify_cell_map, is_spacelike,
-                       kronholm_split, random_spacelike_script,
-                       rep_cell_complex, script_from_file)
+                       classify_cell_map, is_spacelike, kronholm_split,
+                       random_spacelike_script, rep_cell_complex,
+                       script_from_file)
 
 __version__ = "0.1.0"
 

@@ -103,7 +103,10 @@ def _load_complex(path: str) -> FreeComplex:
 
 
 def _load_module(path: str, want_ell: int | None) -> MackeyModule:
-    m = module_from_file(path)
+    try:
+        m = module_from_file(path)
+    except ValueError as exc:
+        raise Failure([f"{path}: {exc}"]) from exc
     errs = validate_module(m)
     if errs:
         raise Failure([f"{path}: {e}" for e in errs])
@@ -127,8 +130,10 @@ def cmd_validate(args):
         except ValueError as exc:
             errs = [str(exc)]
     elif isinstance(data, dict) and "dim_theta" in data:
-        m = MackeyModule.from_json(data)
-        errs = validate_module(m)
+        try:
+            errs = validate_module(MackeyModule.from_json(data))
+        except ValueError as exc:
+            errs = [str(exc)]
     else:
         errs = ["unrecognized input: expected a complex or a module"]
     if errs:

@@ -22,7 +22,8 @@ import json
 from dataclasses import dataclass, field
 
 from .gf2core import FMatrix
-from .mackey import MackeyMap, MackeyModule, classify, zero_module
+from .mackey import (MackeyMap, MackeyModule, classify, direct_sum,
+                     indecomposable, zero_module)
 
 U = 3  # the arrow 1 + t
 
@@ -93,28 +94,6 @@ def theta_block(ka: str, kb: str, e: int, ell: int = 2) -> FMatrix:
     if kb == "F":       # H -> F
         return FMatrix.from_rows([[e], [e]], ell)
     return FMatrix.from_rows([[e]], ell)
-
-
-# Per arrow (source kind, target kind, code): its free-orbit block as
-# bitset rows (bit j = column j) and its fixed-level entry before reduction
-# mod l.  These are the blocks of ``theta_block``; the fixed level of
-# F -> F is the sum of the two coefficients and that of F -> H (the
-# transfer) is 2.
-_ARROW_ROWS = {
-    ("F", "F", 1): ((0b01, 0b10), 1),
-    ("F", "F", 2): ((0b10, 0b01), 1),
-    ("F", "F", 3): ((0b11, 0b11), 2),
-    ("F", "H", 1): ((0b11,), 2),
-    ("H", "F", 1): ((0b1, 0b1), 1),
-    ("H", "H", 1): ((0b1,), 1),
-}
-
-# Per generator kind: t, p_up and p_down of one summand as bitset rows,
-# and the value of p_down's entries (the transfer of H is 2).
-_TERM_ROWS = {
-    "F": ((0b10, 0b01), (0b1, 0b1), (0b11,), 1),
-    "H": ((0b1,), (0b1,), (0b1,), 2),
-}
 
 
 def zero_matrix(nrows: int, ncols: int) -> list[list[int]]:
@@ -420,9 +399,13 @@ class ChainMap:
 
     @classmethod
     def from_json(cls, data: dict) -> "ChainMap":
+        if not isinstance(data, dict):
+            raise ValueError("a chain map must be a JSON object")
+        deg = data.get("degree", 0)
+        if type(deg) is not int:
+            raise ValueError(f"degree must be an integer, got {deg!r}")
         src = FreeComplex.from_json(data["source"])
         tgt = FreeComplex.from_json(data["target"])
-        deg = int(data.get("degree", 0))
         comps = {}
         for key, m in data.get("components", {}).items():
             d = int(key)
@@ -510,13 +493,6 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
     return ChainMap(f.source, g.target, comps, f.degree + g.degree)
 
 
-def shift_chain_map(f: ChainMap, s: int) -> ChainMap:
-    return ChainMap(shift_complex(f.source, s), shift_complex(f.target, s),
-                    {d + s: [row[:] for row in m]
-                     for d, m in f.components.items()},
-                    f.degree)
-
-
 def cone(f: ChainMap) -> FreeComplex:
     """Mapping cone of a degree-0 chain map (generators reordered
     canonically: shifted-source generators first, then target, then the
@@ -564,34 +540,12 @@ def realize(c: FreeComplex, ell: int = 2) -> tuple[list[MackeyModule], list[Mack
     return mods, maps
 
 
-def _put_block(rows: list, i0: int, j0: int, block: tuple[int, ...],
-               v: int, ell: int) -> None:
-    """Write v (nonzero mod l) at the set bits of the bitset rows ``block``,
-    placed with its corner at (i0, j0), into FMatrix rows over GF(l)."""
-    for i, bits in enumerate(block):
-        if ell == 2:
-            rows[i0 + i] |= bits << j0
-        else:
-            row = rows[i0 + i]
-            for j in range(bits.bit_length()):
-                if bits >> j & 1:
-                    row[j0 + j] = v
-
-
 def realize_term(kinds: list[str], ell: int = 2) -> MackeyModule:
-    offs = _theta_offsets(kinds)
-    nt = sum(2 if k == "F" else 1 for k in kinds)
-    nd = len(kinds)
-    t = FMatrix.zeros(nt, nt, ell)
-    p_up = FMatrix.zeros(nt, nd, ell)
-    p_down = FMatrix.zeros(nd, nt, ell)
-    for i, (k, off) in enumerate(zip(kinds, offs)):
-        t_rows, up_rows, down_rows, down = _TERM_ROWS[k]
-        _put_block(t.rows, off, off, t_rows, 1, ell)
-        _put_block(p_up.rows, off, i, up_rows, 1, ell)
-        if down % ell:
-            _put_block(p_down.rows, i, off, down_rows, down % ell, ell)
-    return MackeyModule(ell, t, p_up, p_down)
+    """The direct sum of the free modules F and H named by ``kinds``."""
+    if not kinds:
+        return zero_module(ell)
+    summand = {k: indecomposable(k, ell) for k in set(kinds)}
+    return direct_sum(*[summand[k] for k in kinds])
 
 
 def _theta_offsets(kinds: list[str]) -> list[int]:
@@ -610,20 +564,34 @@ def realize_map(src_kinds: list[str], tgt_kinds: list[str],
         src = realize_term(src_kinds, ell)
     if tgt is None:
         tgt = realize_term(tgt_kinds, ell)
-    f_theta = FMatrix.zeros(tgt.dim_theta, src.dim_theta, ell)
-    f_dot = FMatrix.zeros(tgt.dim_dot, src.dim_dot, ell)
     soffs, toffs = _theta_offsets(src_kinds), _theta_offsets(tgt_kinds)
-    ft, fd = f_theta.rows, f_dot.rows
+    arrows: dict[tuple[str, str, int], tuple[FMatrix, FMatrix]] = {}
+    theta, dot = [], []
     for r, (kt, row) in enumerate(zip(tgt_kinds, entries)):
-        i0 = toffs[r]
         for s, e in enumerate(row):
             if not e:
                 continue
-            theta, dot = _ARROW_ROWS[src_kinds[s], kt, e]
-            _put_block(ft, i0, soffs[s], theta, 1, ell)
-            if dot % ell:
-                _put_block(fd, r, s, (1,), dot % ell, ell)
-    return MackeyMap(src, tgt, f_theta, f_dot)
+            key = (src_kinds[s], kt, e)
+            blocks = arrows.get(key)
+            if blocks is None:
+                blocks = arrows[key] = _arrow_blocks(*key, ell)
+            theta.append((toffs[r], soffs[s], blocks[0]))
+            dot.append((r, s, blocks[1]))
+    return MackeyMap(
+        src, tgt,
+        FMatrix.placed(ell, tgt.dim_theta, src.dim_theta, theta),
+        FMatrix.placed(ell, tgt.dim_dot, src.dim_dot, dot))
+
+
+def _arrow_blocks(ks: str, kt: str, e: int, ell: int) -> tuple[FMatrix, FMatrix]:
+    """An arrow's free-orbit block and its 1 x 1 fixed-level block: the
+    sum of the two coefficients for F -> F, the transfer 2 for F -> H,
+    and 1 otherwise."""
+    if ks == "F" and kt == "F":
+        v = (e & 1) + (e >> 1)
+    else:
+        v = 2 if ks == "F" else 1
+    return theta_block(ks, kt, e, ell), FMatrix.from_rows([[v]], ell)
 
 
 def _subquotient(mod: MackeyModule, d_out: MackeyMap | None,
@@ -894,18 +862,6 @@ def cotens_H(c: FreeComplex) -> FreeComplex:
                     m[cx][r] = dorig[r][cx]
         diffs.append(m)
     return canonicalize(FreeComplex(-hi, gens, diffs))
-
-
-def theta_restriction(c: FreeComplex) -> dict:
-    """The underlying free-orbit-level complex over GF(2), with the
-    involution recorded per degree (JSON-ready)."""
-    mods, maps = realize(c, 2)
-    return {
-        "min_degree": c.min_degree,
-        "dims": [m.dim_theta for m in mods],
-        "t": [m.t.to_rows() for m in mods],
-        "differentials": [f.f_theta.to_rows() for f in maps],
-    }
 
 
 # -- the hom complex -------------------------------------------------------

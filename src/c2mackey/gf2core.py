@@ -65,9 +65,11 @@ class PrimeField:
 class FMatrix:
     """A dense matrix over GF(l).
 
-    Rows are ints (bitsets) when l = 2 and lists of ints otherwise.  The
-    class only implements what the rest of the package needs: ring ops,
-    reduced row echelon form and the solvers built on top of it.
+    Rows are ints (bitsets) when l = 2 and lists of ints otherwise.  That
+    format is private to this module: other modules build block-structured
+    matrices with ``placed``.  The class only implements what the rest of
+    the package needs: ring ops, reduced row echelon form and the solvers
+    built on top of it.
     """
 
     __slots__ = ("ell", "nrows", "ncols", "rows")
@@ -177,11 +179,11 @@ class FMatrix:
 
     def scale(self, c: int) -> "FMatrix":
         c %= self.ell
-        out = FMatrix(self.ell, self.nrows, self.ncols)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                out.set(i, j, c * self.get(i, j))
-        return out
+        if self.ell == 2:
+            rows = list(self.rows) if c else [0] * self.nrows
+        else:
+            rows = [[c * v % self.ell for v in r] for r in self.rows]
+        return FMatrix(self.ell, self.nrows, self.ncols, rows)
 
     def mul(self, other: "FMatrix") -> "FMatrix":
         if self.ncols != other.nrows or self.ell != other.ell:
@@ -215,78 +217,118 @@ class FMatrix:
             out.append(s % self.ell)
         return out
 
+    def _entries(self):
+        """(i, j, v) for each nonzero entry v at (i, j), row by row."""
+        for i, r in enumerate(self.rows):
+            if self.ell == 2:
+                while r:
+                    low = r & -r
+                    yield i, low.bit_length() - 1, 1
+                    r ^= low
+            else:
+                for j, v in enumerate(r):
+                    if v:
+                        yield i, j, v
+
     def transpose(self) -> "FMatrix":
-        out = FMatrix(self.ell, self.ncols, self.nrows)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                out.set(j, i, self.get(i, j))
-        return out
+        if self.ell == 2:
+            rows = [0] * self.ncols
+            for i, j, _ in self._entries():
+                rows[j] |= 1 << i
+        elif self.nrows:
+            rows = [list(col) for col in zip(*self.rows)]
+        else:
+            rows = [[] for _ in range(self.ncols)]
+        return FMatrix(self.ell, self.ncols, self.nrows, rows)
 
     def kron(self, other: "FMatrix") -> "FMatrix":
         """Kronecker product (row-major convention)."""
         if self.ell != other.ell:
             raise ValueError("field mismatch in kron")
-        out = FMatrix(self.ell, self.nrows * other.nrows, self.ncols * other.ncols)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                a = self.get(i, j)
-                if a == 0:
-                    continue
-                for k in range(other.nrows):
-                    for m in range(other.ncols):
-                        v = a * other.get(k, m)
-                        if v % self.ell:
-                            out.set(i * other.nrows + k, j * other.ncols + m, v)
-        return out
+        p, q = other.nrows, other.ncols
+        scaled: dict[int, FMatrix] = {}
+        blocks = []
+        for i, j, a in self._entries():
+            blk = scaled.get(a)
+            if blk is None:
+                blk = scaled[a] = other.scale(a)
+            blocks.append((i * p, j * q, blk))
+        return FMatrix.placed(self.ell, self.nrows * p, self.ncols * q, blocks)
 
-    # -- stacking -----------------------------------------------------
+    # -- block structure ------------------------------------------------
+
+    @staticmethod
+    def placed(ell: int, nrows: int, ncols: int, blocks) -> "FMatrix":
+        """The nrows x ncols matrix over GF(l) that holds each block of
+        ``blocks``, an iterable of (i0, j0, FMatrix) triples, with its top
+        left corner at (i0, j0), and zeros elsewhere.  Blocks must not
+        overlap.  A block over another field, or one that does not fit,
+        raises ValueError."""
+        out = FMatrix(ell, nrows, ncols)
+        rows = out.rows
+        for i0, j0, b in blocks:
+            if b.ell != ell:
+                raise ValueError(f"a block over GF({b.ell}) placed in a "
+                                 f"matrix over GF({ell})")
+            if (i0 < 0 or j0 < 0 or i0 + b.nrows > nrows
+                    or j0 + b.ncols > ncols):
+                raise ValueError(f"a {b.nrows}x{b.ncols} block at ({i0}, "
+                                 f"{j0}) does not fit in {nrows}x{ncols}")
+            if ell == 2:
+                for i, r in enumerate(b.rows, i0):
+                    rows[i] |= r << j0
+            else:
+                j1 = j0 + b.ncols
+                for i, r in enumerate(b.rows, i0):
+                    rows[i][j0:j1] = r
+        return out
 
     @staticmethod
     def hstack(blocks: list["FMatrix"]) -> "FMatrix":
         if not blocks:
             raise ValueError("empty hstack")
-        nr, ell = blocks[0].nrows, blocks[0].ell
-        if any(b.nrows != nr or b.ell != ell for b in blocks):
+        nr = blocks[0].nrows
+        if any(b.nrows != nr for b in blocks):
             raise ValueError("hstack mismatch")
-        nc = sum(b.ncols for b in blocks)
-        out = FMatrix(ell, nr, nc)
-        off = 0
+        placed, off = [], 0
         for b in blocks:
-            for i in range(nr):
-                for j in range(b.ncols):
-                    v = b.get(i, j)
-                    if v:
-                        out.set(i, off + j, v)
+            placed.append((0, off, b))
             off += b.ncols
-        return out
+        return FMatrix.placed(blocks[0].ell, nr, off, placed)
 
     @staticmethod
     def vstack(blocks: list["FMatrix"]) -> "FMatrix":
         if not blocks:
             raise ValueError("empty vstack")
-        nc, ell = blocks[0].ncols, blocks[0].ell
-        if any(b.ncols != nc or b.ell != ell for b in blocks):
+        nc = blocks[0].ncols
+        if any(b.ncols != nc for b in blocks):
             raise ValueError("vstack mismatch")
-        nr = sum(b.nrows for b in blocks)
-        out = FMatrix(ell, nr, nc)
-        off = 0
+        placed, off = [], 0
         for b in blocks:
-            for i in range(b.nrows):
-                for j in range(nc):
-                    v = b.get(i, j)
-                    if v:
-                        out.set(off + i, j, v)
+            placed.append((off, 0, b))
             off += b.nrows
-        return out
+        return FMatrix.placed(blocks[0].ell, off, nc, placed)
 
     def submatrix(self, row_idx: list[int], col_idx: list[int]) -> "FMatrix":
-        out = FMatrix(self.ell, len(row_idx), len(col_idx))
-        for a, i in enumerate(row_idx):
+        if self.ell == 2:
+            # col_idx as runs of consecutive columns: (first column, mask
+            # of the run's width, position of the run in col_idx)
+            runs: list[list[int]] = []
             for b, j in enumerate(col_idx):
-                v = self.get(i, j)
-                if v:
-                    out.set(a, b, v)
-        return out
+                if runs and runs[-1][0] + runs[-1][1] == j:
+                    runs[-1][1] += 1
+                else:
+                    runs.append([j, 1, b])
+            masks = [(j, (1 << n) - 1, b) for j, n, b in runs]
+            rows = []
+            for i in row_idx:
+                r, v = self.rows[i], 0
+                for j, mask, b in masks:
+                    v |= (r >> j & mask) << b
+                rows.append(v)
+        else:
+            rows = [[self.rows[i][j] for j in col_idx] for i in row_idx]
+        return FMatrix(self.ell, len(row_idx), len(col_idx), rows)
 
     # -- echelon form and friends ---------------------------------------
 
@@ -366,17 +408,18 @@ class FMatrix:
         R, pivots = aug.rref()
         pivots = [p for p in pivots if p < self.ncols]
         # consistency: no pivot may fall in the augmented block
-        rk = len(pivots)
-        for i in range(rk, aug.nrows):
-            for j in range(self.ncols, aug.ncols):
-                if R.get(i, j):
-                    return None
-        X = FMatrix(self.ell, self.ncols, B.ncols)
-        for i, pc in enumerate(pivots):
-            for j in range(B.ncols):
-                v = R.get(i, self.ncols + j)
-                if v:
-                    X.set(pc, j, v)
+        n, tail = self.ncols, R.rows[len(pivots):]
+        X = FMatrix(self.ell, n, B.ncols)
+        if self.ell == 2:
+            if any(r >> n for r in tail):
+                return None
+            for i, pc in enumerate(pivots):
+                X.rows[pc] = R.rows[i] >> n
+        else:
+            if any(any(r[n:]) for r in tail):
+                return None
+            for i, pc in enumerate(pivots):
+                X.rows[pc] = R.rows[i][n:]
         return X
 
     def solve(self, b: list[int]):

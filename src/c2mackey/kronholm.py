@@ -154,14 +154,6 @@ def attach_map(y: FreeComplex, cell: RepCell,
     return f
 
 
-def attach_cell(y: FreeComplex, cell: RepCell,
-                attach: AttachData | None) -> FreeComplex:
-    """Cofiber of the attaching map; a null attachment adjoins the cell
-    as a summand."""
-    cell.check()
-    return cone(attach_map(y, cell, attach))
-
-
 def is_spacelike(f: ChainMap) -> bool:
     """Whether the cofiber of f splits without B-type strands."""
     errs = validate_chain_map(f)

@@ -58,9 +58,21 @@ class MackeyModule:
 
     @classmethod
     def from_json(cls, data: dict) -> "MackeyModule":
-        ell = int(data["ell"])
-        nt = int(data["dim_theta"])
-        nd = int(data["dim_dot"])
+        if not isinstance(data, dict):
+            raise ValueError("a module must be a JSON object")
+        for key in ("ell", "dim_theta", "dim_dot"):
+            if type(data.get(key)) is not int:
+                raise ValueError(f"{key} must be an integer, got "
+                                 f"{data.get(key)!r}")
+        ell, nt, nd = data["ell"], data["dim_theta"], data["dim_dot"]
+        if ell < 2:
+            raise ValueError(f"modulus {ell} is not prime")
+        for key in ("t", "p_up", "p_down"):
+            rows = data.get(key)
+            if not isinstance(rows, list) or not all(
+                    isinstance(r, list) and all(type(v) is int for v in r)
+                    for r in rows):
+                raise ValueError(f"{key} must be a list of rows of integers")
         t = FMatrix.from_rows(data["t"], ell, ncols=nt)
         p_up = FMatrix.from_rows(data["p_up"], ell, ncols=nd)
         p_down = FMatrix.from_rows(data["p_down"], ell, ncols=nt)
@@ -117,26 +129,6 @@ def validate_module(m: MackeyModule) -> list[str]:
     return out
 
 
-def validate_map(f: MackeyMap) -> list[str]:
-    out = []
-    m, n = f.source, f.target
-    if m.ell != n.ell:
-        return ["source and target moduli differ"]
-    if f.f_theta.nrows != n.dim_theta or f.f_theta.ncols != m.dim_theta:
-        out.append("theta component has wrong shape")
-    if f.f_dot.nrows != n.dim_dot or f.f_dot.ncols != m.dim_dot:
-        out.append("dot component has wrong shape")
-    if out:
-        return out
-    if f.f_theta.mul(m.t) != n.t.mul(f.f_theta):
-        out.append("theta component does not commute with t")
-    if f.f_theta.mul(m.p_up) != n.p_up.mul(f.f_dot):
-        out.append("components do not commute with p_up")
-    if f.f_dot.mul(m.p_down) != n.p_down.mul(f.f_theta):
-        out.append("components do not commute with p_down")
-    return out
-
-
 def indecomposable(kind: str, ell: int = 2) -> MackeyModule:
     """The standard small modules: H, F, Hop, SDot (l=2 only), STheta."""
     if not is_prime(ell):
@@ -179,17 +171,12 @@ def direct_sum(*mods: MackeyModule) -> MackeyModule:
         raise ValueError("mixed moduli in direct sum")
 
     def blockdiag(mats, nr, nc):
-        out = FMatrix.zeros(sum(nr), sum(nc), ell)
-        ro = co = 0
+        blocks, ro, co = [], 0, 0
         for mat, r, c in zip(mats, nr, nc):
-            for i in range(r):
-                for j in range(c):
-                    v = mat.get(i, j)
-                    if v:
-                        out.set(ro + i, co + j, v)
+            blocks.append((ro, co, mat))
             ro += r
             co += c
-        return out
+        return FMatrix.placed(ell, ro, co, blocks)
 
     nts = [m.dim_theta for m in mods]
     nds = [m.dim_dot for m in mods]

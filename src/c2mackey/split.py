@@ -26,7 +26,6 @@ image, which is what normalizes t-valued disk entries to literal 1's.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
@@ -152,42 +151,55 @@ def apply_move(c: FreeComplex, mv: BasisMove) -> None:
     n = len(kinds)
     if not (0 <= mv.i < n and 0 <= mv.j < n):
         raise ValueError("move indices out of range")
-    d_out = c.diffs[li - 1] if li - 1 >= 0 else None
-    d_in = c.diffs[li] if li < len(c.diffs) else None
     if mv.variant == "twist_t":
         if kinds[mv.i] != "F":
             raise ValueError("twist_t only applies to F generators")
-        i = mv.i
-        if d_out is not None:
-            low = c.gens[li - 1]
-            for r in range(len(d_out)):
-                d_out[r][i] = ecompose("F", "F", low[r], 2, d_out[r][i])
-        if d_in is not None:
-            up = c.gens[li + 1]
-            for s in range(len(up)):
-                d_in[i][s] = ecompose(up[s], "F", "F", d_in[i][s], 2)
-        return
-    rule = _VARIANTS.get(mv.variant)
+        rule = None
+    else:
+        rule = _VARIANTS.get(mv.variant)
+        if rule is None:
+            raise ValueError(f"unknown move variant {mv.variant!r}")
+        ki, kj, _ = rule
+        if mv.i == mv.j:
+            raise ValueError("add moves need distinct generators")
+        if kinds[mv.i] != ki or kinds[mv.j] != kj:
+            raise ValueError(f"{mv.variant} needs kinds ({ki}, {kj}) at "
+                             f"degree {mv.degree}")
+    d_in = c.diffs[li] if li < len(c.diffs) else None
+    d_out = c.diffs[li - 1] if li >= 1 else None
+    _move_arrows(rule, mv.i, mv.j,
+                 d_in, c.gens[li + 1] if d_in is not None else None,
+                 d_out, c.gens[li - 1] if d_out is not None else None)
+
+
+def _move_arrows(rule, i: int, j: int, rows, row_kinds, cols,
+                 col_kinds) -> None:
+    """The arrow updates of one basis move on generators i, j of a degree:
+    ``rows`` is an arrow matrix whose rows are that degree's generators
+    (its columns of kinds ``row_kinds``), ``cols`` one whose columns are
+    (its rows of kinds ``col_kinds``); either may be None.  ``rule`` is
+    the move's (kind_i, kind_j, arrow), or None for twist_t."""
     if rule is None:
-        raise ValueError(f"unknown move variant {mv.variant!r}")
+        if cols is not None:
+            for r in range(len(cols)):
+                cols[r][i] = ecompose("F", "F", col_kinds[r], 2, cols[r][i])
+        if rows is not None:
+            row = rows[i]
+            for s in range(len(row_kinds)):
+                row[s] = ecompose(row_kinds[s], "F", "F", row[s], 2)
+        return
     ki, kj, phi = rule
-    if mv.i == mv.j:
-        raise ValueError("add moves need distinct generators")
-    if kinds[mv.i] != ki or kinds[mv.j] != kj:
-        raise ValueError(f"{mv.variant} needs kinds ({ki}, {kj}) at "
-                         f"degree {mv.degree}")
-    if d_out is not None:
-        low = c.gens[li - 1]
-        for r in range(len(d_out)):
-            e = d_out[r][mv.j]
+    if cols is not None:
+        for r in range(len(cols)):
+            e = cols[r][j]
             if e:
-                d_out[r][mv.i] ^= ecompose(ki, kj, low[r], phi, e)
-    if d_in is not None:
-        up = c.gens[li + 1]
-        for s in range(len(up)):
-            e = d_in[mv.i][s]
+                cols[r][i] ^= ecompose(ki, kj, col_kinds[r], phi, e)
+    if rows is not None:
+        src, dst = rows[i], rows[j]
+        for s in range(len(row_kinds)):
+            e = src[s]
             if e:
-                d_in[mv.j][s] ^= ecompose(up[s], ki, kj, e, phi)
+                dst[s] ^= ecompose(row_kinds[s], ki, kj, e, phi)
 
 
 def replay(c: FreeComplex, certificate: list[BasisMove]) -> FreeComplex:
@@ -560,27 +572,10 @@ def certificate_isos(c: FreeComplex,
         V[d] = ident
         Umats[d] = [row[:] for row in ident]
     for mv in certificate:
-        kinds = c.gens_at(mv.degree)
-        vm, um = V[mv.degree], Umats[mv.degree]
-        n = len(kinds)
-        if mv.variant == "twist_t":
-            i = mv.i
-            for s in range(n):
-                vm[i][s] = ecompose(kinds[s], "F", "F", vm[i][s], 2)
-            for r in range(n):
-                um[r][i] = ecompose("F", "F", kinds[r], 2, um[r][i])
-        else:
-            ki, kj, phi = _VARIANTS[mv.variant]
-            i, j = mv.i, mv.j
-            for s in range(n):
-                e = vm[i][s]
-                if e:
-                    vm[j][s] ^= ecompose(kinds[s], ki, kj, e, phi)
-            for r in range(n):
-                e = um[r][j]
-                if e:
-                    um[r][i] ^= ecompose(ki, kj, kinds[r], phi, e)
         apply_move(work, mv)
+        kinds = c.gens_at(mv.degree)
+        _move_arrows(_VARIANTS.get(mv.variant), mv.i, mv.j,
+                     V[mv.degree], kinds, Umats[mv.degree], kinds)
     vmap = ChainMap(c, work, V, 0)
     umap = ChainMap(work, c, Umats, 0)
     return vmap, umap
@@ -779,8 +774,3 @@ def random_odd_complex(rng, ell: int, max_points: int = 6,
         fd = gds[i].mul(f.f_dot).mul(gds[i + 1].invert())
         new_maps.append(MackeyMap(new_mods[i + 1], new_mods[i], ft, fd))
     return new_mods, new_maps, planted, lo
-
-
-def decomposition_from_file(path: str) -> Decomposition:
-    with open(path) as fh:
-        return Decomposition.from_json(json.load(fh))

@@ -166,6 +166,32 @@ def test_malformed_complex_is_a_violation(capsys, tmp_path, doc):
         assert "Error" not in payload["violations"][0], command
 
 
+_H3 = {"ell": 3, "dim_theta": 1, "dim_dot": 1,
+       "t": [[1]], "p_up": [[1]], "p_down": [[2]]}
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {**_H3, "ell": 3.9},
+    {**_H3, "ell": True},
+    {**_H3, "ell": 0},
+    {**_H3, "dim_theta": "1"},
+    {**_H3, "dim_dot": 1.0},
+    {**_H3, "t": [[1.0]]},
+    {**_H3, "p_down": "2"},
+], ids=["not-an-object", "float-ell", "bool-ell", "zero-ell",
+        "string-dim-theta", "float-dim-dot", "float-entry", "string-matrix"])
+def test_malformed_module_is_a_violation(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("module", "classify"), ("validate",)):
+        code, out = run(capsys, *argv, str(path))
+        payload = json.loads(out)
+        assert code == 1 and payload["ok"] is False, argv
+        assert payload["violations"][0].startswith(f"{path}: "), argv
+        assert "Error" not in payload["violations"][0], argv
+
+
 def test_huge_modulus_is_answered_or_refused_quickly(capsys, tmp_path):
     ell = 10 ** 18 + 3
     path = tmp_path / "big.json"

@@ -289,6 +289,10 @@ def test_chain_map_json_roundtrip():
     again = ChainMap.from_json(json.loads(json.dumps(f.to_json())))
     assert again.components == f.components
     assert again.source == c and again.target == c
+    for bad in ([f.to_json()], {**f.to_json(), "degree": 0.0},
+                {**f.to_json(), "degree": "0"}, {**f.to_json(), "degree": False}):
+        with pytest.raises(ValueError):
+            ChainMap.from_json(bad)
 
 
 def test_null_homotopy_witness():

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 
 import pytest
@@ -110,7 +112,7 @@ def test_hstack_vstack_kron():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2 ** 20),
-       st.sampled_from([2, 3, 5, 257]))
+       st.sampled_from([2, 3, 5, 257, 65537]))
 def test_rank_plus_nullity(nrows, ncols, seed, ell):
     rng = random.Random(seed)
     m = FMatrix.zeros(nrows, ncols, ell)
@@ -126,7 +128,7 @@ def test_rank_plus_nullity(nrows, ncols, seed, ell):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 5), st.integers(0, 2 ** 20),
-       st.sampled_from([2, 3, 257]))
+       st.sampled_from([2, 3, 257, 65537]))
 def test_solve_many_roundtrip(n, seed, ell):
     rng = random.Random(seed)
     a = random_invertible(n, ell, rng)
@@ -136,3 +138,112 @@ def test_solve_many_roundtrip(n, seed, ell):
     sol = a.solve_many(b)
     assert sol is not None
     assert a.mul(sol).to_rows() == b.to_rows()
+
+
+def _random_matrix(rng, nrows, ncols, ell):
+    m = FMatrix.zeros(nrows, ncols, ell)
+    for i in range(nrows):
+        for j in range(ncols):
+            if rng.random() < 0.5:
+                m.set(i, j, rng.randrange(ell))
+    return m
+
+
+def _reference_placed(ell, nrows, ncols, blocks):
+    out = FMatrix.zeros(nrows, ncols, ell)
+    for i0, j0, b in blocks:
+        for i in range(b.nrows):
+            for j in range(b.ncols):
+                out.set(i0 + i, j0 + j, b.get(i, j))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 2 ** 20), st.sampled_from([2, 3, 257, 65537]))
+def test_block_and_row_ops_match_per_entry_reference(nrows, ncols, k, seed,
+                                                     ell):
+    rng = random.Random(seed)
+    a = _random_matrix(rng, nrows, ncols, ell)
+    b = _random_matrix(rng, k, ncols, ell)
+    c = _random_matrix(rng, nrows, k, ell)
+
+    # placed: a in the corner, c right of it and b below it, each one
+    # step off, in a frame one larger than needed
+    blocks = [(0, 0, a), (0, ncols + 1, c), (nrows + 1, 1, b)]
+    nr, nc = nrows + k + 2, ncols + k + 2
+    assert (FMatrix.placed(ell, nr, nc, blocks)
+            == _reference_placed(ell, nr, nc, blocks))
+    assert FMatrix.hstack([a, c]) == _reference_placed(
+        ell, nrows, ncols + k, [(0, 0, a), (0, ncols, c)])
+    assert FMatrix.vstack([a, b]) == _reference_placed(
+        ell, nrows + k, ncols, [(0, 0, a), (nrows, 0, b)])
+
+    # submatrix on arbitrary, repeated and unordered index lists
+    rows = [rng.randrange(nrows) for _ in range(rng.randint(0, 5))] \
+        if nrows else []
+    cols = [rng.randrange(ncols) for _ in range(rng.randint(0, 6))] \
+        if ncols else []
+    for cidx in (cols, list(range(ncols)), sorted(cols)):
+        want = FMatrix.zeros(len(rows), len(cidx), ell)
+        for x, i in enumerate(rows):
+            for y, j in enumerate(cidx):
+                want.set(x, y, a.get(i, j))
+        assert a.submatrix(rows, cidx) == want
+
+    want = FMatrix.zeros(ncols, nrows, ell)
+    for i in range(nrows):
+        for j in range(ncols):
+            want.set(j, i, a.get(i, j))
+    assert a.transpose() == want
+
+    s = rng.randrange(ell)
+    want = FMatrix.zeros(nrows, ncols, ell)
+    for i in range(nrows):
+        for j in range(ncols):
+            want.set(i, j, s * a.get(i, j))
+    assert a.scale(s) == want
+
+    want = FMatrix.zeros(nrows * k, ncols * nrows, ell)
+    for i in range(nrows):
+        for j in range(ncols):
+            for x in range(k):
+                for y in range(nrows):
+                    want.set(i * k + x, j * nrows + y,
+                             a.get(i, j) * c.get(y, x))
+    assert a.kron(c.transpose()) == want
+
+    # solve_many: a consistent right-hand side a @ x and a random one
+    x = _random_matrix(rng, ncols, k, ell)
+    for rhs in (a.mul(x), c):
+        got = a.solve_many(rhs)
+        solvable = a.rank() == FMatrix.hstack([a, rhs]).rank()
+        assert (got is not None) == solvable
+        if got is not None:
+            assert (got.nrows, got.ncols) == (ncols, k)
+            assert a.mul(got) == rhs
+
+
+def test_placed_refuses_misfit_and_foreign_blocks():
+    block = FMatrix.identity(2, 2)
+    for i0, j0 in ((0, 2), (2, 0), (-1, 0), (0, -1), (1, 2)):
+        with pytest.raises(ValueError, match="does not fit"):
+            FMatrix.placed(2, 3, 3, [(i0, j0, block)])
+    with pytest.raises(ValueError, match="GF\\(3\\)"):
+        FMatrix.placed(2, 3, 3, [(0, 0, FMatrix.identity(2, 3))])
+    with pytest.raises(ValueError):
+        FMatrix.hstack([block, FMatrix.identity(2, 3)])
+
+
+def test_row_format_stays_in_gf2core():
+    """Only gf2core reads or writes a matrix's ``.rows``: the row format
+    (bitsets mod 2, lists of residues otherwise) is its decision alone."""
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "src" / "c2mackey"
+    offenders = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "gf2core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "rows":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

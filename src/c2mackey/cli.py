@@ -254,7 +254,10 @@ def cmd_module(args):
 
 
 def cmd_kronholm(args):
-    script = script_from_file(args.file)
+    try:
+        script = script_from_file(args.file)
+    except ValueError as exc:
+        raise Failure([f"{args.file}: {exc}"]) from exc
     dec, report = kronholm_split(script)
     payload = dec.to_json()
     payload["report"] = report.to_json()
@@ -311,6 +314,21 @@ HANDLERS = {
 
 # -- argument parsing ------------------------------------------------------------
 
+def _int_at_least(lo: int):
+    """argparse type: an integer no smaller than ``lo``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, "
+                                             f"got {value}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default=None,
@@ -362,14 +380,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="expected modulus of the input modules")
     sp = add("kronholm", "run a cell build script and report weight shifts")
     sp.add_argument("file")
-    sp = add("gen", "emit random scrambled complexes")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=1)
-    sp.add_argument("--max-strands", type=int, default=8)
-    sp = add("fuzz", "construct-scramble-recover campaign")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=100)
-    sp.add_argument("--max-strands", type=int, default=8)
+    for name, help_, count in (
+            ("gen", "emit random scrambled complexes", 1),
+            ("fuzz", "construct-scramble-recover campaign", 100)):
+        sp = add(name, help_)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--count", type=_int_at_least(0), default=count)
+        sp.add_argument("--max-strands", type=_int_at_least(1), default=8)
     return p
 
 

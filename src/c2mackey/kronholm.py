@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -52,7 +53,13 @@ class RepCell:
 
     @classmethod
     def from_json(cls, data: dict) -> "RepCell":
-        return cls(int(data["m"]), int(data["q"]))
+        if not isinstance(data, dict):
+            raise ValueError("a cell must be a JSON object")
+        for key in ("m", "q"):
+            if type(data.get(key)) is not int:
+                raise ValueError(f"cell {key} must be an integer, got "
+                                 f"{data.get(key)!r}")
+        return cls(data["m"], data["q"])
 
 
 # attach data: components of the attaching map keyed by source degree,
@@ -79,14 +86,27 @@ class RepBuildScript:
 
     @classmethod
     def from_json(cls, data: dict) -> "RepBuildScript":
+        if not isinstance(data, dict):
+            raise ValueError("a build script must be a JSON object")
+        if not isinstance(data.get("cells"), list):
+            raise ValueError("cells must be a list")
         cells = []
         for entry in data["cells"]:
             cell = RepCell.from_json(entry)
             raw = entry.get("attach")
-            attach = None
-            if raw is not None:
-                attach = {int(d): [[str(e) for e in row] for row in mat]
-                          for d, mat in raw.items()}
+            if raw is not None and not isinstance(raw, dict):
+                raise ValueError("attach must be an object or null")
+            attach = None if raw is None else {}
+            for d, mat in (raw or {}).items():
+                if re.fullmatch(r"-?[0-9]+", d) is None:
+                    raise ValueError(f"attach key {d!r} is not an integer")
+                if not isinstance(mat, list) or not all(
+                        isinstance(row, list)
+                        and all(isinstance(e, str) for e in row)
+                        for row in mat):
+                    raise ValueError(f"attach at degree {d} must be a list "
+                                     f"of rows of arrow names")
+                attach[int(d)] = [list(row) for row in mat]
             cells.append((cell, attach))
         return cls(cells)
 

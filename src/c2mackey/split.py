@@ -604,33 +604,54 @@ def random_strand(rng, max_param: int, shift_lo: int = -4,
     return Strand(kind, param, rng.randint(shift_lo, shift_hi))
 
 
+_MOVE_NAMES = tuple(_VARIANTS) + ("twist_t",)
+
+
 def random_legal_moves(c: FreeComplex, rng, count: int) -> list[BasisMove]:
     """Draw up to ``count`` random moves that are legal on ``c`` (kinds
     never change under moves, so each stays legal after the ones before
     it).  Nothing is applied; the caller replays the moves.  Fewer than
     ``count`` come back when the draws run out, after 50 attempts per
-    requested move, for example when ``c`` has no legal move at all."""
+    requested move, for example when ``c`` has no legal move at all.
+
+    The draw order (degree, variant, i, j) is part of the contract.  Each
+    attempt makes one ``rng.choice`` for each of: a nonempty degree (in
+    increasing order), a variant (``_MOVE_NAMES``: the add variants, then
+    twist_t), i and then j among that degree's generators of the variant's
+    kinds, in generator order (twist_t draws only i).  When the degree has
+    no generator of a kind the variant needs, the attempt draws neither i
+    nor j.  So a seed gives the same moves, and leaves ``rng`` in the same
+    state, from one version to the next: ``gen`` output and every seeded
+    corpus depend on it."""
+    # kinds never change under moves: index each degree's F and H
+    # generators once, not on every attempt
+    degrees = []
+    index = {}
+    for d, kinds in zip(c.degrees(), c.gens):
+        if kinds:
+            degrees.append(d)
+            index[d] = {k: [i for i, ki in enumerate(kinds) if ki == k]
+                        for k in ("F", "H")}
+    choice = rng.choice
     moves = []
-    degrees = [d for d in c.degrees() if len(c.gens_at(d)) > 0]
     attempts = 0
     while degrees and len(moves) < count and attempts < count * 50:
         attempts += 1
-        d = rng.choice(degrees)
-        kinds = c.gens_at(d)
-        variant = rng.choice(list(_VARIANTS) + ["twist_t"])
+        d = choice(degrees)
+        by_kind = index[d]
+        variant = choice(_MOVE_NAMES)
         if variant == "twist_t":
-            fs = [i for i, k in enumerate(kinds) if k == "F"]
+            fs = by_kind["F"]
             if not fs:
                 continue
-            i = rng.choice(fs)
+            i = choice(fs)
             moves.append(BasisMove(d, variant, i, i))
             continue
         ki, kj, _ = _VARIANTS[variant]
-        si = [i for i, k in enumerate(kinds) if k == ki]
-        sj = [j for j, k in enumerate(kinds) if k == kj]
+        si, sj = by_kind[ki], by_kind[kj]
         if not si or not sj:
             continue
-        i, j = rng.choice(si), rng.choice(sj)
+        i, j = choice(si), choice(sj)
         if i == j:
             continue
         moves.append(BasisMove(d, variant, i, j))

@@ -289,6 +289,57 @@ def test_kronholm_rejects_non_spacelike(capsys, tmp_path):
     assert any("spacelike" in v for v in payload["violations"])
 
 
+_CELL = {"m": 1, "q": 0, "attach": None}
+
+
+@pytest.mark.parametrize("doc", [
+    [1],
+    {"cells": {"0": _CELL}},
+    {},
+    {"cells": [[1, 0]]},
+    {"cells": [{**_CELL, "m": 1.9}]},
+    {"cells": [{**_CELL, "q": "0"}]},
+    {"cells": [{**_CELL, "m": True}]},
+    {"cells": [{"q": 0}]},
+    {"cells": [_CELL, {"m": 2, "q": 2, "attach": {"x": [["p"]]}}]},
+    {"cells": [_CELL, {"m": 2, "q": 2, "attach": {"1.0": [["p"]]}}]},
+    {"cells": [_CELL, {"m": 2, "q": 2, "attach": {"1": [[1]]}}]},
+    {"cells": [_CELL, {"m": 2, "q": 2, "attach": {"1": "p"}}]},
+    {"cells": [_CELL, {"m": 2, "q": 2, "attach": [["p"]]}]},
+], ids=["not-an-object", "cells-not-a-list", "no-cells", "cell-not-an-object",
+        "float-m", "string-q", "bool-m", "missing-m", "word-key", "float-key",
+        "int-entry", "string-matrix", "attach-not-an-object"])
+def test_malformed_build_script_is_a_violation(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "kronholm", str(path))
+    payload = json.loads(out)
+    assert code == 1 and payload["ok"] is False
+    assert payload["violations"][0].startswith(f"{path}: ")
+    assert "Error" not in payload["violations"][0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("fuzz", "--count", "-1"),
+    ("gen", "--count", "-2"),
+    ("fuzz", "--max-strands", "0"),
+    ("gen", "--max-strands", "-3"),
+    ("gen", "--count", "two"),
+])
+def test_gen_and_fuzz_bounds_are_usage_errors(capsys, argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --" in captured.err
+
+
+def test_gen_and_fuzz_accept_their_bounds(capsys):
+    code, out = run(capsys, "gen", "--count", "0")
+    assert (code, json.loads(out)) == (0, {"instances": []})
+    code, out = run(capsys, "fuzz", "--count", "2", "--max-strands", "1")
+    assert (code, out) == (0, "2/2 recovered\n")
+
+
 def test_gen_is_deterministic(capsys):
     code1, out1 = run(capsys, "gen", "--seed", "5", "--count", "3",
                       "--max-strands", "4")

@@ -7,15 +7,17 @@ from collections import Counter
 
 import pytest
 
-from c2mackey.complexes import validate_chain_map
+from c2mackey.complexes import box_complex, cotens_H, validate_chain_map
 from c2mackey.derived import (
     balmer_support,
     class_rep,
     cohomology_formula,
     cohomology_window,
     dbox,
+    dbox_formula,
     dbox_formula_pair,
     dbox_pair,
+    dcotens_formula,
     dcotens_formula_pair,
     dcotens_pair,
     invertible_class,
@@ -29,7 +31,7 @@ from c2mackey.derived import (
     sufficient_window,
     toda_witness,
 )
-from c2mackey.split import Strand, decomposition_sum
+from c2mackey.split import DISK_KINDS, Strand, decomposition_sum, split
 
 PARAMS = 4
 
@@ -84,6 +86,27 @@ def test_dcotens_computed_matches_formula():
         got = dcotens_pair(sx, sy)
         want = sorted(dcotens_formula_pair(sx, sy))
         assert got == want, (sx, sy, got, want)
+
+
+def test_sum_formulas_match_pairs_and_split_products():
+    """dbox_formula and dcotens_formula on strand sums: the union of the
+    pair formulas, and the live strands of the split product complex."""
+    rng = random.Random(11)
+    pool = STRANDS + [Strand("DiskF", 0, 0), Strand("DiskH", 0, 1)]
+    for _ in range(6):
+        xs = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        ys = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        x, y = decomposition_sum(xs), decomposition_sum(ys)
+        for formula, pair, product in (
+                (dbox_formula, dbox_formula_pair, box_complex(x, y)),
+                (dcotens_formula, dcotens_formula_pair,
+                 box_complex(cotens_H(x), y))):
+            got = formula(xs, ys)
+            assert got == sorted(s for sx in xs for sy in ys
+                                 for s in pair(sx, sy)), (xs, ys)
+            live = sorted(s for s in split(product).strands
+                          if s.kind not in DISK_KINDS)
+            assert got == live, (formula.__name__, xs, ys)
 
 
 def test_op_dual_is_an_involution_on_strands():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -13,7 +15,7 @@ from c2mackey.split import (BasisMove, Decomposition, Strand, apply_move,
                             certificate_isos, components_of,
                             decomposition_sum, random_odd_complex,
                             random_legal_moves, random_scrambled_complex,
-                            replay, split,
+                            random_strand, replay, split,
                             split_odd, split_odd_mackey, verify_certificate)
 
 ALL_SHAPES = ([("A", k) for k in range(7)] + [("Hn", n) for n in range(-6, 7)]
@@ -157,6 +159,54 @@ def test_components_of_rejects_one_altered_edge():
 
 def test_random_legal_moves_on_empty_complex():
     assert random_legal_moves(FreeComplex(0, [[]], []), random.Random(1), 3) == []
+
+
+def _sha256(docs) -> str:
+    h = hashlib.sha256()
+    for doc in docs:
+        h.update(json.dumps(doc, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def _moves_json(moves) -> list:
+    return [m.to_json() for m in moves]
+
+
+def test_random_legal_moves_stream_is_pinned():
+    """The draws of a seed are part of the generator's contract: ``gen``
+    output, seeded corpora and scrambled inputs stay byte-identical across
+    versions, and a shared ``rng`` is left in the same state."""
+    # (a) the scrambles `gen --seed 0` and the fuzz corpus are made of
+    assert _sha256(
+        random_scrambled_complex(random.Random(f"0:{i}"), max_strands=8)[0]
+        .to_json() for i in range(200)) == (
+        "0d1f250764985a123f81bef29e36a4df8b1345121e81436d0b79b3c179933b90")
+    # (b) no legal move: every attempt is spent, nothing comes back
+    rng = random.Random("none")
+    assert random_legal_moves(strand("DiskH", 0), rng, 5) == []
+    assert rng.random() == 0.7743337803961441
+    # (c) one rng shared by many calls
+    design, rng = random.Random("design"), random.Random("shared")
+    calls = []
+    for _ in range(100):
+        base = decomposition_sum([random_strand(design, 6)
+                                  for _ in range(design.randint(1, 8))])
+        calls.append(_moves_json(
+            random_legal_moves(base, rng, rng.randint(0, 200))))
+    assert sum(map(len, calls)) == 9746
+    assert _sha256(calls) == (
+        "953ad9df12d376fc5158eca312349ee0a09455581197601500725e7cbd1a9bd6")
+    assert rng.random() == 0.5055896824359041
+    # (d) a large strand sum
+    design = random.Random("pin")
+    big = decomposition_sum([random_strand(design, 6) for _ in range(256)])
+    assert big.num_gens() == 992
+    rng = random.Random("pin:moves")
+    moves = random_legal_moves(big, rng, 25 * 256)
+    assert len(moves) == 25 * 256
+    assert _sha256([_moves_json(moves)]) == (
+        "fc29bd6e0247fde409b4fd58e41bf3bb582ed022cafc5a129c331b952bbd9ec5")
+    assert rng.random() == 0.9449849583801412
 
 
 def test_apply_move_bounds_checking():

@@ -21,11 +21,11 @@ The layers, bottom to top:
 from .gf2core import FMatrix, PrimeField, is_prime
 from .mackey import (KINDS, MackeyMap, MackeyModule, box, classify,
                      conjugate, direct_sum, ext, indecomposable,
-                     internal_hom, module_from_file, module_of_counts,
-                     op_dual, random_scrambled_module, tor, validate_module,
+                     internal_hom, module_of_counts, op_dual,
+                     random_scrambled_module, tor, validate_module,
                      zero_module)
 from .complexes import (ChainMap, FreeComplex, box_chain_map, box_complex,
-                        canonicalize, complex_from_file, compose_chain_maps,
+                        canonicalize, compose_chain_maps,
                         cone, cotens_H, direct_sum_complexes, ecompose,
                         hom_complex_dim, homology, homology_counts,
                         identity_chain_map, is_null_homotopic, null_homotopy,
@@ -45,9 +45,33 @@ from .derived import (SUPPORT_POINTS, balmer_support, class_rep,
                       toda_witness)
 from .kronholm import (RepBuildScript, RepCell, ScriptError, ShiftReport,
                        classify_cell_map, is_spacelike, kronholm_split,
-                       random_spacelike_script, rep_cell_complex,
-                       script_from_file)
+                       random_spacelike_script, rep_cell_complex)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "FMatrix", "PrimeField", "is_prime",
+    "KINDS", "MackeyMap", "MackeyModule", "box", "classify", "conjugate",
+    "direct_sum", "ext", "indecomposable", "internal_hom",
+    "module_of_counts", "op_dual", "random_scrambled_module", "tor",
+    "validate_module", "zero_module",
+    "ChainMap", "FreeComplex", "box_chain_map", "box_complex",
+    "canonicalize", "compose_chain_maps", "cone", "cotens_H",
+    "direct_sum_complexes", "ecompose", "hom_complex_dim", "homology",
+    "homology_counts", "identity_chain_map", "is_null_homotopic",
+    "null_homotopy", "realize", "shift_complex", "strand",
+    "validate_chain_map", "validate_complex",
+    "BasisMove", "Decomposition", "SplitError", "Strand", "apply_move",
+    "certificate_isos", "components_of", "decomposition_sum",
+    "random_odd_complex", "random_scrambled_complex", "replay", "split",
+    "split_odd", "split_odd_mackey", "verify_certificate",
+    "SUPPORT_POINTS", "balmer_support", "class_rep", "cohomology_formula",
+    "cohomology_window", "dbox", "dbox_formula", "dcotens",
+    "dcotens_formula", "invertible_class", "is_invertible", "m2_dim",
+    "m2_label", "m2_product_map", "m2_product_nonzero", "m2_product_rule",
+    "m2_ring_window", "op_dual_decomp", "op_dual_strand", "serre_check",
+    "strand_cohomology_dim", "sufficient_window", "toda_witness",
+    "RepBuildScript", "RepCell", "ScriptError", "ShiftReport",
+    "classify_cell_map", "is_spacelike", "kronholm_split",
+    "random_spacelike_script", "rep_cell_complex",
+]

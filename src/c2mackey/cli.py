@@ -17,14 +17,14 @@ import random
 import sys
 from collections import Counter
 
-from .complexes import (FreeComplex, complex_from_file, homology_counts,
-                        validate_complex)
+from . import _schema as schema
+from .complexes import FreeComplex, homology_counts, validate_complex
 from .derived import (balmer_support, cohomology_window, dbox, dcotens,
                       invertible_class, op_dual_decomp, serre_check,
                       sufficient_window, toda_witness)
-from .kronholm import kronholm_split, script_from_file
-from .mackey import (MackeyModule, box, classify, ext, internal_hom,
-                     module_from_file, tor, validate_module)
+from .kronholm import RepBuildScript, kronholm_split
+from .mackey import (MackeyModule, box, classify, ext, internal_hom, tor,
+                     validate_module)
 from .split import (DISK_KINDS, random_scrambled_complex, split,
                     verify_certificate)
 
@@ -91,53 +91,47 @@ def render_window(dims: list[list[int]], p0: int, p1: int,
 
 # -- input helpers -------------------------------------------------------------
 
-def _load_complex(path: str) -> FreeComplex:
+def _read(path: str, cls):
+    """``cls.from_json`` of the JSON file at ``path``; a malformed file is
+    a violation."""
     try:
-        c = complex_from_file(path)
+        with open(path) as fh:
+            return cls.from_json(json.load(fh))
     except ValueError as exc:
         raise Failure([f"{path}: {exc}"]) from exc
-    errs = validate_complex(c)
-    if errs:
-        raise Failure([f"{path}: {e}" for e in errs])
-    return c
 
 
-def _load_module(path: str, want_ell: int | None) -> MackeyModule:
-    try:
-        m = module_from_file(path)
-    except ValueError as exc:
-        raise Failure([f"{path}: {exc}"]) from exc
-    errs = validate_module(m)
+class _ComplexOrModule:
+    """What ``validate`` reads: a module when the object has ``dim_theta``,
+    a complex otherwise."""
+
+    @staticmethod
+    def from_json(data):
+        is_module = "dim_theta" in schema.obj(data, "a complex or a module")
+        return (MackeyModule if is_module else FreeComplex).from_json(data)
+
+
+def _load(path: str, cls, ell: int | None = None):
+    """A complex or module read from ``path`` that passes validation (and
+    has modulus ``ell`` when one is given)."""
+    x = _read(path, cls)
+    errs = (validate_module(x) if isinstance(x, MackeyModule)
+            else validate_complex(x))
+    if not errs and ell is not None and x.ell != ell:
+        errs = [f"modulus is {x.ell}, expected {ell}"]
     if errs:
         raise Failure([f"{path}: {e}" for e in errs])
-    if want_ell is not None and m.ell != want_ell:
-        raise Failure([f"{path}: modulus is {m.ell}, expected {want_ell}"])
-    return m
+    return x
 
 
 def _split_file(path: str):
-    return split(_load_complex(path))
+    return split(_load(path, FreeComplex))
 
 
 # -- subcommand handlers: each returns (payload, text, exit_code) ---------------
 
 def cmd_validate(args):
-    with open(args.file) as fh:
-        data = json.load(fh)
-    if isinstance(data, dict) and "generators" in data:
-        try:
-            errs = validate_complex(FreeComplex.from_json(data))
-        except ValueError as exc:
-            errs = [str(exc)]
-    elif isinstance(data, dict) and "dim_theta" in data:
-        try:
-            errs = validate_module(MackeyModule.from_json(data))
-        except ValueError as exc:
-            errs = [str(exc)]
-    else:
-        errs = ["unrecognized input: expected a complex or a module"]
-    if errs:
-        raise Failure([f"{args.file}: {e}" for e in errs])
+    _load(args.file, _ComplexOrModule)
     return {"ok": True, "violations": []}, "ok", 0
 
 
@@ -148,7 +142,7 @@ def cmd_split(args):
 
 
 def cmd_homology(args):
-    c = _load_complex(args.file)
+    c = _load(args.file, FreeComplex)
     hom = homology_counts(c)
     payload = {"homology": {str(d): hom[d] for d in sorted(hom)}}
     text = "\n".join(f"degree {d}: {counts_text(hom[d])}"
@@ -157,7 +151,7 @@ def cmd_homology(args):
 
 
 def cmd_cohomology(args):
-    c = _load_complex(args.file)
+    c = _load(args.file, FreeComplex)
     if args.window:
         p0, p1, q0, q1 = args.window
     else:
@@ -232,11 +226,11 @@ def cmd_toda(args):
 
 
 def cmd_module(args):
-    a = _load_module(args.file, args.ell)
+    a = _load(args.file, MackeyModule, args.ell)
     if args.mop == "classify":
         counts = classify(a)
         return {"counts": counts}, counts_text(counts), 0
-    b = _load_module(args.other, args.ell)
+    b = _load(args.other, MackeyModule, args.ell)
     if args.mop == "box":
         counts = classify(box(a, b))
         return {"counts": counts}, counts_text(counts), 0
@@ -254,11 +248,7 @@ def cmd_module(args):
 
 
 def cmd_kronholm(args):
-    try:
-        script = script_from_file(args.file)
-    except ValueError as exc:
-        raise Failure([f"{args.file}: {exc}"]) from exc
-    dec, report = kronholm_split(script)
+    dec, report = kronholm_split(_read(args.file, RepBuildScript))
     payload = dec.to_json()
     payload["report"] = report.to_json()
     cells = " ".join(f"({c.m},{c.q})" for c in report.output_cells)

@@ -18,48 +18,34 @@ odd-modulus splitter consumes).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
+from . import _schema as schema
 from .gf2core import FMatrix
 from .mackey import (MackeyMap, MackeyModule, classify, direct_sum,
                      indecomposable, zero_module)
 
 U = 3  # the arrow 1 + t
 
-_FF_NAMES = {0: "0", 1: "1", 2: "t", 3: "1+t"}
-_FF_CODES = {v: k for k, v in _FF_NAMES.items()}
+# the arrow names between two kinds, indexed by arrow code
+_ARROW_NAMES = {("F", "F"): ("0", "1", "t", "1+t"), ("F", "H"): ("0", "p"),
+                ("H", "F"): ("0", "p"), ("H", "H"): ("0", "1")}
 
 
 def entry_name(ka: str, kb: str, e: int) -> str:
-    if ka == "F" and kb == "F":
-        return _FF_NAMES[e]
-    if ka == kb:                      # H -> H
-        return "1" if e else "0"
-    return "p" if e else "0"
+    return _ARROW_NAMES[ka, kb][e]
 
 
 def entry_code(ka: str, kb: str, name: str) -> int:
-    name = name.strip()
-    if ka == "F" and kb == "F":
-        if name not in _FF_CODES:
-            raise ValueError(f"arrow {name!r} is not one of 0,1,t,1+t for F->F")
-        return _FF_CODES[name]
-    if ka == kb:
-        if name not in ("0", "1"):
-            raise ValueError(f"arrow {name!r} is not 0 or 1 for H->H")
-        return int(name)
-    if name not in ("0", "p"):
-        raise ValueError(f"arrow {name!r} is not 0 or p for {ka}->{kb}")
-    return 0 if name == "0" else 1
+    names = _ARROW_NAMES[ka, kb]
+    if name not in names:
+        raise ValueError(f"arrow {name!r} is not one of {', '.join(names)} "
+                         f"for {ka}->{kb}")
+    return names.index(name)
 
 
 def entry_ok(ka: str, kb: str, e: int) -> bool:
-    if not isinstance(e, int):
-        return False
-    if ka == "F" and kb == "F":
-        return 0 <= e <= 3
-    return e in (0, 1)
+    return isinstance(e, int) and 0 <= e < len(_ARROW_NAMES[ka, kb])
 
 
 def ecompose(ka: str, kb: str, kc: str, e_ab: int, e_bc: int) -> int:
@@ -156,47 +142,52 @@ class FreeComplex:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        mats = []
-        for i, m in enumerate(self.diffs):
-            tk, sk = self.gens[i], self.gens[i + 1]
-            mats.append([[entry_name(sk[c], tk[r], m[r][c])
-                          for c in range(len(sk))] for r in range(len(tk))])
         return {"ell": 2, "min_degree": self.min_degree,
                 "generators": [list(g) for g in self.gens],
-                "differentials": mats}
+                "differentials": [arrows_to_json(m, self.gens[i + 1],
+                                                 self.gens[i])
+                                  for i, m in enumerate(self.diffs)]}
 
     @classmethod
     def from_json(cls, data: dict) -> "FreeComplex":
-        if not isinstance(data, dict):
-            raise ValueError("a complex must be a JSON object")
-        min_degree = data.get("min_degree")
-        if type(min_degree) is not int:
-            raise ValueError(f"min_degree must be an integer, got "
-                             f"{min_degree!r}")
-        if data.get("ell", 2) != 2:
+        data = schema.obj(data, "a complex")
+        min_degree = schema.integer(data, "min_degree")
+        if schema.integer(data, "ell", 2) != 2:
             raise ValueError("symbol complexes are stored over l = 2")
-        gens = [list(g) for g in data["generators"]]
-        for g in gens:
-            for k in g:
-                if k not in ("F", "H"):
-                    raise ValueError(f"unknown generator kind {k!r}")
-        raw = data.get("differentials", [])
+        gens = [[schema.name(k, ("F", "H"), "generator kind") for k in g]
+                for g in schema.rows_of(data.get("generators"), str,
+                                     "generators")]
+        raw = schema.items(data.get("differentials", []), list,
+                           "differentials")
         if len(raw) != max(len(gens) - 1, 0):
             raise ValueError("need exactly one differential per adjacent pair "
                              "of degrees")
-        diffs = []
-        for i, m in enumerate(raw):
-            tk, sk = gens[i], gens[i + 1]
-            if len(m) != len(tk) or any(len(row) != len(sk) for row in m):
-                raise ValueError(f"differential {i} has the wrong shape")
-            diffs.append([[entry_code(sk[c], tk[r], m[r][c])
-                           for c in range(len(sk))] for r in range(len(tk))])
-        return cls(min_degree, gens, diffs)
+        return cls(min_degree, gens,
+                   [arrows_from_json(m, gens[i + 1], gens[i],
+                                     f"differential {i}")
+                    for i, m in enumerate(raw)])
 
 
-def complex_from_file(path: str) -> FreeComplex:
-    with open(path) as fh:
-        return FreeComplex.from_json(json.load(fh))
+def arrows_to_json(m: list[list[int]], sk: list[str],
+                   tk: list[str]) -> list[list[str]]:
+    """Arrow names of the arrow-code matrix ``m`` from generators of kinds
+    ``sk`` (columns) to ``tk`` (rows)."""
+    return [[entry_name(sk[c], tk[r], m[r][c]) for c in range(len(sk))]
+            for r in range(len(tk))]
+
+
+def arrows_from_json(names, sk: list[str], tk: list[str],
+                     what: str) -> list[list[int]]:
+    """Inverse of ``arrows_to_json``; raises ValueError for anything but a
+    ``len(tk) x len(sk)`` list of rows of legal arrow names."""
+    schema.rows_of(names, str, what)
+    if len(names) != len(tk) or any(len(row) != len(sk) for row in names):
+        raise ValueError(f"{what} must be {len(tk)} x {len(sk)}")
+    try:
+        return [[entry_code(sk[c], tk[r], names[r][c])
+                 for c in range(len(sk))] for r in range(len(tk))]
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _trimmed(c: FreeComplex) -> FreeComplex:
@@ -380,41 +371,26 @@ class ChainMap:
         return zero_matrix(len(self.target.gens_at(d + self.degree)),
                            len(self.source.gens_at(d)))
 
-    def entry(self, d: int, tgt: int, src: int) -> int:
-        m = self.components.get(d)
-        return m[tgt][src] if m is not None else 0
-
     def to_json(self) -> dict:
-        comp = {}
-        for d in sorted(self.components):
-            m = self.components[d]
-            sk = self.source.gens_at(d)
-            tk = self.target.gens_at(d + self.degree)
-            comp[str(d)] = [[entry_name(sk[c], tk[r], m[r][c])
-                             for c in range(len(sk))] for r in range(len(tk))]
         return {"source": self.source.to_json(),
                 "target": self.target.to_json(),
                 "degree": self.degree,
-                "components": comp}
+                "components": {
+                    str(d): arrows_to_json(self.components[d],
+                                           self.source.gens_at(d),
+                                           self.target.gens_at(d + self.degree))
+                    for d in sorted(self.components)}}
 
     @classmethod
     def from_json(cls, data: dict) -> "ChainMap":
-        if not isinstance(data, dict):
-            raise ValueError("a chain map must be a JSON object")
-        deg = data.get("degree", 0)
-        if type(deg) is not int:
-            raise ValueError(f"degree must be an integer, got {deg!r}")
-        src = FreeComplex.from_json(data["source"])
-        tgt = FreeComplex.from_json(data["target"])
-        comps = {}
-        for key, m in data.get("components", {}).items():
-            d = int(key)
-            sk = src.gens_at(d)
-            tk = tgt.gens_at(d + deg)
-            if len(m) != len(tk) or any(len(row) != len(sk) for row in m):
-                raise ValueError(f"component at degree {d} has the wrong shape")
-            comps[d] = [[entry_code(sk[c], tk[r], m[r][c])
-                         for c in range(len(sk))] for r in range(len(tk))]
+        data = schema.obj(data, "a chain map")
+        deg = schema.integer(data, "degree", 0)
+        src = FreeComplex.from_json(data.get("source"))
+        tgt = FreeComplex.from_json(data.get("target"))
+        comps = {d: arrows_from_json(m, src.gens_at(d), tgt.gens_at(d + deg),
+                                     f"component at degree {d}")
+                 for d, m in schema.degree_keyed(data.get("components", {}),
+                                                 "components").items()}
         return cls(src, tgt, comps, deg)
 
 

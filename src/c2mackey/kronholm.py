@@ -19,14 +19,14 @@ weight shifts.
 
 from __future__ import annotations
 
-import json
 import logging
-import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .complexes import (ChainMap, FreeComplex, cone, entry_code, entry_name,
-                        shift_complex, strand, validate_chain_map)
+from . import _schema as schema
+from .complexes import (ChainMap, FreeComplex, arrows_from_json,
+                        arrows_to_json, cone, shift_complex, strand,
+                        validate_chain_map)
 from .split import DISK_KINDS, Decomposition, split
 
 log = logging.getLogger("c2mackey.kronholm")
@@ -53,13 +53,8 @@ class RepCell:
 
     @classmethod
     def from_json(cls, data: dict) -> "RepCell":
-        if not isinstance(data, dict):
-            raise ValueError("a cell must be a JSON object")
-        for key in ("m", "q"):
-            if type(data.get(key)) is not int:
-                raise ValueError(f"cell {key} must be an integer, got "
-                                 f"{data.get(key)!r}")
-        return cls(data["m"], data["q"])
+        data = schema.obj(data, "a cell")
+        return cls(schema.integer(data, "m"), schema.integer(data, "q"))
 
 
 # attach data: components of the attaching map keyed by source degree,
@@ -73,47 +68,21 @@ class RepBuildScript:
     cells: list[tuple[RepCell, AttachData | None]]
 
     def to_json(self) -> dict:
-        out = []
-        for cell, attach in self.cells:
-            entry: dict = cell.to_json()
-            if attach is None:
-                entry["attach"] = None
-            else:
-                entry["attach"] = {str(d): [list(row) for row in mat]
-                                   for d, mat in attach.items()}
-            out.append(entry)
-        return {"cells": out}
+        return {"cells": [
+            {**cell.to_json(), "attach": None if attach is None else
+             {str(d): [list(row) for row in mat] for d, mat in attach.items()}}
+            for cell, attach in self.cells]}
 
     @classmethod
     def from_json(cls, data: dict) -> "RepBuildScript":
-        if not isinstance(data, dict):
-            raise ValueError("a build script must be a JSON object")
-        if not isinstance(data.get("cells"), list):
-            raise ValueError("cells must be a list")
+        data = schema.obj(data, "a build script")
         cells = []
-        for entry in data["cells"]:
-            cell = RepCell.from_json(entry)
-            raw = entry.get("attach")
-            if raw is not None and not isinstance(raw, dict):
-                raise ValueError("attach must be an object or null")
-            attach = None if raw is None else {}
-            for d, mat in (raw or {}).items():
-                if re.fullmatch(r"-?[0-9]+", d) is None:
-                    raise ValueError(f"attach key {d!r} is not an integer")
-                if not isinstance(mat, list) or not all(
-                        isinstance(row, list)
-                        and all(isinstance(e, str) for e in row)
-                        for row in mat):
-                    raise ValueError(f"attach at degree {d} must be a list "
-                                     f"of rows of arrow names")
-                attach[int(d)] = [list(row) for row in mat]
-            cells.append((cell, attach))
+        for entry in schema.items(data.get("cells"), dict, "cells"):
+            cell, raw = RepCell.from_json(entry), entry.get("attach")
+            cells.append((cell, None if raw is None else {
+                d: schema.rows_of(mat, str, f"attach at degree {d}")
+                for d, mat in schema.degree_keyed(raw, "attach").items()}))
         return cls(cells)
-
-
-def script_from_file(path: str) -> RepBuildScript:
-    with open(path) as fh:
-        return RepBuildScript.from_json(json.load(fh))
 
 
 def rep_cell_complex(cell: RepCell) -> FreeComplex:
@@ -153,20 +122,12 @@ def attach_map(y: FreeComplex, cell: RepCell,
     """The attaching map of a cell against the running complex (zero map
     for a null attachment), validated."""
     src = attach_source(cell)
-    comps: dict[int, list[list[int]]] = {}
-    if attach:
-        for d, mat in attach.items():
-            tk = y.gens_at(d)
-            sk = src.gens_at(d)
-            if len(mat) != len(tk) or any(len(r) != len(sk) for r in mat):
-                raise ScriptError(
-                    f"attach component at degree {d} must be "
-                    f"{len(tk)} x {len(sk)}")
-            try:
-                comps[d] = [[entry_code(sk[c], tk[r], mat[r][c])
-                             for c in range(len(sk))] for r in range(len(tk))]
-            except ValueError as exc:
-                raise ScriptError(f"attach component at degree {d}: {exc}")
+    try:
+        comps = {d: arrows_from_json(mat, src.gens_at(d), y.gens_at(d),
+                                     f"attach component at degree {d}")
+                 for d, mat in (attach or {}).items()}
+    except ValueError as exc:
+        raise ScriptError(str(exc)) from exc
     f = ChainMap(src, y, comps, 0)
     errs = validate_chain_map(f)
     if errs:
@@ -320,14 +281,9 @@ def random_spacelike_script(rng, max_cells: int = 8,
                 f = chain_map_from_vector(src, y, 0, vec)
                 if _verdict(f, seen + [cell])[3] is not None:
                     continue
-                attach = {}
-                for d, mat in f.components.items():
-                    sk, tk = src.gens_at(d), y.gens_at(d)
-                    if not sk or not tk:
-                        continue
-                    attach[d] = [[entry_name(sk[c], tk[r], mat[r][c])
-                                  for c in range(len(sk))]
-                                 for r in range(len(tk))]
+                attach = {d: arrows_to_json(mat, src.gens_at(d), y.gens_at(d))
+                          for d, mat in f.components.items()
+                          if src.gens_at(d) and y.gens_at(d)}
                 break
         script.append((cell, attach))
         seen.append(cell)

@@ -17,9 +17,9 @@ adjoint concretely (no lookup tables on this route; the tables live in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
+from . import _schema as schema
 from .gf2core import FMatrix, is_prime, random_invertible
 
 KINDS = ("H", "F", "Hop", "SDot", "STheta")
@@ -58,24 +58,16 @@ class MackeyModule:
 
     @classmethod
     def from_json(cls, data: dict) -> "MackeyModule":
-        if not isinstance(data, dict):
-            raise ValueError("a module must be a JSON object")
-        for key in ("ell", "dim_theta", "dim_dot"):
-            if type(data.get(key)) is not int:
-                raise ValueError(f"{key} must be an integer, got "
-                                 f"{data.get(key)!r}")
-        ell, nt, nd = data["ell"], data["dim_theta"], data["dim_dot"]
+        data = schema.obj(data, "a module")
+        ell, nt, nd = (schema.integer(data, key)
+                       for key in ("ell", "dim_theta", "dim_dot"))
         if ell < 2:
             raise ValueError(f"modulus {ell} is not prime")
-        for key in ("t", "p_up", "p_down"):
-            rows = data.get(key)
-            if not isinstance(rows, list) or not all(
-                    isinstance(r, list) and all(type(v) is int for v in r)
-                    for r in rows):
-                raise ValueError(f"{key} must be a list of rows of integers")
-        t = FMatrix.from_rows(data["t"], ell, ncols=nt)
-        p_up = FMatrix.from_rows(data["p_up"], ell, ncols=nd)
-        p_down = FMatrix.from_rows(data["p_down"], ell, ncols=nt)
+        t, p_up, p_down = (schema.rows_of(data.get(key), int, key)
+                           for key in ("t", "p_up", "p_down"))
+        t = FMatrix.from_rows(t, ell, ncols=nt)
+        p_up = FMatrix.from_rows(p_up, ell, ncols=nd)
+        p_down = FMatrix.from_rows(p_down, ell, ncols=nt)
         if t.nrows != nt or p_up.nrows != nt or p_down.nrows != nd:
             raise ValueError("matrix shapes disagree with stated dimensions")
         return cls(ell, t, p_up, p_down)
@@ -488,8 +480,3 @@ def tor(a: MackeyModule, b: MackeyModule, i: int) -> dict[str, int]:
     if a.ell != 2:
         return _counts_mul(ca, cb, _BOX0_ODD) if i == 0 else {}
     return _counts_mul(ca, cb, _TOR.get(i, {}))
-
-
-def module_from_file(path: str) -> MackeyModule:
-    with open(path) as fh:
-        return MackeyModule.from_json(json.load(fh))

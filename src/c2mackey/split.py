@@ -30,6 +30,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 
+from . import _schema as schema
 from .complexes import (U, ChainMap, FreeComplex, ecompose, shift_complex,
                         strand, direct_sum_complexes, realize,
                         validate_complex, zero_matrix, _classified_homology)
@@ -56,10 +57,14 @@ class Strand:
 
     @classmethod
     def from_json(cls, data: dict) -> "Strand":
-        return cls(str(data["kind"]), int(data["param"]), int(data["shift"]))
+        data = schema.obj(data, "a strand")
+        return cls(schema.name(data.get("kind"), _STRAND_KINDS, "strand kind"),
+                   schema.integer(data, "param"), schema.integer(data, "shift"))
 
 
 DISK_KINDS = ("DiskF", "DiskH", "DiskSTheta")
+# the mod 2 strands, the odd-modulus points, then the disks
+_STRAND_KINDS = ("A", "Hn", "B", "PtH", "PtSTheta") + DISK_KINDS
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,11 @@ class BasisMove:
 
     @classmethod
     def from_json(cls, data: dict) -> "BasisMove":
-        return cls(int(data["degree"]), str(data["variant"]),
-                   int(data["i"]), int(data["j"]))
+        data = schema.obj(data, "a basis move")
+        return cls(schema.integer(data, "degree"),
+                   schema.name(data.get("variant"), _MOVE_NAMES,
+                               "move variant"),
+                   schema.integer(data, "i"), schema.integer(data, "j"))
 
 
 # variant -> (kind_i, kind_j, arrow code)
@@ -129,17 +137,17 @@ class Decomposition:
     strands: list[Strand]
     certificate: list[BasisMove] = field(default_factory=list)
 
-    def counts(self) -> Counter:
-        return Counter(self.strands)
-
     def to_json(self) -> dict:
         return {"strands": [s.to_json() for s in self.strands],
                 "certificate": [m.to_json() for m in self.certificate]}
 
     @classmethod
     def from_json(cls, data: dict) -> "Decomposition":
-        return cls([Strand.from_json(s) for s in data["strands"]],
-                   [BasisMove.from_json(m) for m in data.get("certificate", [])])
+        data = schema.obj(data, "a decomposition")
+        strands = schema.items(data.get("strands"), dict, "strands")
+        moves = schema.items(data.get("certificate", []), dict, "certificate")
+        return cls([Strand.from_json(s) for s in strands],
+                   [BasisMove.from_json(m) for m in moves])
 
 
 def apply_move(c: FreeComplex, mv: BasisMove) -> None:

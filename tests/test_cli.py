@@ -154,7 +154,16 @@ def test_empty_complex_splits_to_nothing(capsys, tmp_path):
     {"min_degree": 1.7, "generators": [["H"]]},
     {"min_degree": "2", "generators": [["H"]]},
     {"min_degree": True, "generators": [["H"]]},
-], ids=["not-an-object", "float-degree", "string-degree", "bool-degree"])
+    {"min_degree": 0, "generators": [["F"], "FH"],
+     "differentials": [[["0", "0"]]]},
+    {"min_degree": 0, "generators": [["H"], ["H"]], "differentials": [["1"]]},
+    {"min_degree": 0, "generators": [["H"], ["H"]], "differentials": [[[1]]]},
+    {"min_degree": 0},
+    {"ell": 2.0, "min_degree": 0, "generators": [["H"]]},
+    {"min_degree": 0, "generators": [["H"], ["F"]], "differentials": [[[" p"]]]},
+], ids=["not-an-object", "float-degree", "string-degree", "bool-degree",
+        "string-generator-row", "string-differential-row", "int-arrow",
+        "no-generators", "float-ell", "padded-arrow"])
 def test_malformed_complex_is_a_violation(capsys, tmp_path, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

@@ -1,5 +1,8 @@
+import ast
 import json
+import pathlib
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -290,7 +293,10 @@ def test_chain_map_json_roundtrip():
     assert again.components == f.components
     assert again.source == c and again.target == c
     for bad in ([f.to_json()], {**f.to_json(), "degree": 0.0},
-                {**f.to_json(), "degree": "0"}, {**f.to_json(), "degree": False}):
+                {**f.to_json(), "degree": "0"}, {**f.to_json(), "degree": False},
+                {**f.to_json(), "components": [[["1"]]]},
+                {**f.to_json(), "components": {" 0 ": [["1"]]}},
+                {**f.to_json(), "components": {"0": [["1"]], "00": [["1"]]}}):
         with pytest.raises(ValueError):
             ChainMap.from_json(bad)
 
@@ -378,3 +384,39 @@ def test_cotens_is_an_involution_on_strands():
     for s, p in (("A", 3), ("Hn", 2), ("B", 1)):
         c = strand(s, p)
         assert cotens_H(cotens_H(c)) == c
+
+
+# -- file formats and the package surface ------------------------------------
+
+def test_file_formats_go_through_one_schema():
+    """Only ``_schema`` decides what a well-formed file is: no other
+    ``from_json`` checks a type itself, and one codec pair alone turns
+    arrow-code matrices into arrow names and back."""
+    pkg = pathlib.Path(complexes_module.__file__).resolve().parent
+    offenders, callers = [], {"entry_code": set(), "entry_name": set()}
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "_schema.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                called = getattr(node.func, "id", getattr(node.func, "attr",
+                                                          None))
+                if fn.name == "from_json" and called in ("isinstance", "type"):
+                    offenders.append(f"{path.name}:{node.lineno}")
+                if called in callers:
+                    callers[called].add(f"{path.stem}.{fn.name}")
+    assert offenders == []
+    assert callers == {"entry_code": {"complexes.arrows_from_json"},
+                       "entry_name": {"complexes.arrows_to_json"}}
+
+
+def test_public_names_resolve_and_none_is_a_module():
+    import c2mackey
+    assert len(set(c2mackey.__all__)) == len(c2mackey.__all__)
+    for public in c2mackey.__all__:
+        assert not isinstance(getattr(c2mackey, public), types.ModuleType), \
+            public

@@ -226,6 +226,20 @@ def test_decomposition_json_roundtrip():
     assert again.strands == dec.strands
     assert again.certificate == dec.certificate
     assert verify_certificate(FIXTURE, again)
+    strand_ = {"kind": "A", "param": 1, "shift": 0}
+    move = {"degree": 2, "variant": "add", "i": 0, "j": 1}
+    for bad_strand, bad_move in (({**strand_, "param": 1.9}, move),
+                                 ({**strand_, "shift": True}, move),
+                                 (strand_, {**move, "degree": "2"}),
+                                 (strand_, {**move, "variant": 5}),
+                                 (strand_, {**move, "i": 0.5}),
+                                 ({**strand_, "kind": "C"}, move)):
+        doc = {"strands": [bad_strand], "certificate": [move, bad_move]}
+        with pytest.raises(ValueError):
+            Decomposition.from_json(doc)
+    assert Decomposition.from_json(
+        {"strands": [strand_], "certificate": [move]}).strands == [
+            Strand("A", 1, 0)]
 
 
 # -- odd modulus ----------------------------------------------------------------

@@ -35,14 +35,12 @@ from .split import (BasisMove, Decomposition, SplitError, Strand, apply_move,
                     certificate_isos, components_of, decomposition_sum,
                     random_odd_complex, random_scrambled_complex, replay,
                     split, split_odd, split_odd_mackey, verify_certificate)
-from .derived import (SUPPORT_POINTS, balmer_support, class_rep,
-                      cohomology_formula, cohomology_window, dbox,
-                      dbox_formula, dcotens, dcotens_formula,
-                      invertible_class, is_invertible, m2_dim, m2_label,
-                      m2_product_map, m2_product_nonzero, m2_product_rule,
+from .derived import (balmer_support, class_rep, cohomology_formula,
+                      cohomology_window, dbox, dbox_formula, dcotens,
+                      dcotens_formula, invertible_class, is_invertible,
+                      m2_dim, m2_label, m2_product_nonzero, m2_product_rule,
                       m2_ring_window, op_dual_decomp, op_dual_strand,
-                      serre_check, strand_cohomology_dim, sufficient_window,
-                      toda_witness)
+                      serre_check, sufficient_window, toda_witness)
 from .kronholm import (RepBuildScript, RepCell, ScriptError, ShiftReport,
                        classify_cell_map, is_spacelike, kronholm_split,
                        random_spacelike_script, rep_cell_complex)
@@ -65,12 +63,12 @@ __all__ = [
     "certificate_isos", "components_of", "decomposition_sum",
     "random_odd_complex", "random_scrambled_complex", "replay", "split",
     "split_odd", "split_odd_mackey", "verify_certificate",
-    "SUPPORT_POINTS", "balmer_support", "class_rep", "cohomology_formula",
+    "balmer_support", "class_rep", "cohomology_formula",
     "cohomology_window", "dbox", "dbox_formula", "dcotens",
     "dcotens_formula", "invertible_class", "is_invertible", "m2_dim",
-    "m2_label", "m2_product_map", "m2_product_nonzero", "m2_product_rule",
+    "m2_label", "m2_product_nonzero", "m2_product_rule",
     "m2_ring_window", "op_dual_decomp", "op_dual_strand", "serre_check",
-    "strand_cohomology_dim", "sufficient_window", "toda_witness",
+    "sufficient_window", "toda_witness",
     "RepBuildScript", "RepCell", "ScriptError", "ShiftReport",
     "classify_cell_map", "is_spacelike", "kronholm_split",
     "random_spacelike_script", "rep_cell_complex",

@@ -22,7 +22,7 @@ from .complexes import FreeComplex, homology_counts, validate_complex
 from .derived import (balmer_support, cohomology_window, dbox, dcotens,
                       invertible_class, op_dual_decomp, serre_check,
                       sufficient_window, toda_witness)
-from .kronholm import RepBuildScript, kronholm_split
+from .kronholm import RepBuildScript, ScriptError, kronholm_split
 from .mackey import (MackeyModule, box, classify, ext, internal_hom, tor,
                      validate_module)
 from .split import (DISK_KINDS, random_scrambled_complex, split,
@@ -248,7 +248,10 @@ def cmd_module(args):
 
 
 def cmd_kronholm(args):
-    dec, report = kronholm_split(_read(args.file, RepBuildScript))
+    try:
+        dec, report = kronholm_split(_read(args.file, RepBuildScript))
+    except ScriptError as exc:
+        raise Failure([f"{args.file}: {exc}"]) from exc
     payload = dec.to_json()
     payload["report"] = report.to_json()
     cells = " ".join(f"({c.m},{c.q})" for c in report.output_cells)

@@ -19,6 +19,7 @@ odd-modulus splitter consumes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from . import _schema as schema
 from .gf2core import FMatrix
@@ -86,6 +87,17 @@ def zero_matrix(nrows: int, ncols: int) -> list[list[int]]:
     return [[0] * ncols for _ in range(nrows)]
 
 
+def _placed_arrows(nrows: int, ncols: int, blocks) -> list[list[int]]:
+    """The nrows x ncols arrow matrix that holds each arrow matrix of
+    ``blocks``, an iterable of (i0, j0, block) triples, with its top left
+    corner at (i0, j0), and zero arrows elsewhere."""
+    out = zero_matrix(nrows, ncols)
+    for i0, j0, b in blocks:
+        for i, row in enumerate(b, i0):
+            out[i][j0:j0 + len(row)] = row
+    return out
+
+
 @dataclass
 class FreeComplex:
     """A bounded complex of sums of F's and H's.
@@ -112,7 +124,8 @@ class FreeComplex:
         return self.min_degree <= d <= self.max_degree
 
     def gens_at(self, d: int) -> list[str]:
-        return self.gens[d - self.min_degree] if self.in_range(d) else []
+        i = d - self.min_degree
+        return self.gens[i] if 0 <= i < len(self.gens) else []
 
     def diff(self, d: int):
         """Matrix of d : degree d -> d - 1, or None when either end is empty."""
@@ -204,6 +217,25 @@ def _trimmed(c: FreeComplex) -> FreeComplex:
     return FreeComplex(c.min_degree + lo, gens, diffs)
 
 
+def arrow_mul(later: list[list[int]], earlier: list[list[int]],
+              src_kinds: list[str], mid_kinds: list[str],
+              tgt_kinds: list[str]) -> list[list[int]]:
+    """The arrow matrix of ``later`` after ``earlier``, where ``earlier``
+    goes from generators of kinds ``src_kinds`` to ``mid_kinds`` and
+    ``later`` from ``mid_kinds`` to ``tgt_kinds``.  Only pairs of nonzero
+    arrows are composed."""
+    out = zero_matrix(len(tgt_kinds), len(src_kinds))
+    # into[q]: the nonzero arrows (source, arrow) of earlier into q
+    into = [[(s, e) for s, e in enumerate(row) if e] for row in earlier]
+    for kt, row, acc in zip(tgt_kinds, later, out):
+        for q, e2 in enumerate(row):
+            if e2:
+                kq = mid_kinds[q]
+                for s, e1 in into[q]:
+                    acc[s] ^= ecompose(src_kinds[s], kq, kt, e1, e2)
+    return out
+
+
 def validate_complex(c: FreeComplex) -> list[str]:
     """Arrow legality, matrix shapes, and d*d = 0; returns violations."""
     out = []
@@ -213,16 +245,12 @@ def validate_complex(c: FreeComplex) -> list[str]:
         for k in g:
             if k not in ("F", "H"):
                 return [f"unknown generator kind {k!r}"]
-    # cols[i][s]: the nonzero entries of column s of diffs[i], as
-    # (target, arrow) in target order
-    cols = []
     for i, m in enumerate(c.diffs):
         tk, sk = c.gens[i], c.gens[i + 1]
         if len(m) != len(tk) or any(len(row) != len(sk) for row in m):
             out.append(f"differential into degree {c.min_degree + i} has the "
                        f"wrong shape")
             continue
-        nonzero = [[] for _ in sk]
         for r, row in enumerate(m):
             kt = tk[r]
             for s, e in enumerate(row):
@@ -233,31 +261,15 @@ def validate_complex(c: FreeComplex) -> list[str]:
                         f"illegal arrow {e!r} in slot "
                         f"({sk[s]}->{kt}) of the differential into degree "
                         f"{c.min_degree + i}")
-                elif e:
-                    nonzero[s].append((r, e))
-        cols.append(nonzero)
     if out:
         return out
-    # d*d from the nonzero entries only: source s, its arrows into q, then
-    # the arrows out of q; bad holds (degree offset, target, source)
-    bad = []
     for i in range(len(c.diffs) - 1):
-        lowk, midk, topk = c.gens[i], c.gens[i + 1], c.gens[i + 2]
-        d1cols = cols[i]
-        for s, into in enumerate(cols[i + 1]):
-            if not into:
-                continue
-            ks, acc = topk[s], {}
-            for q, e2 in into:
-                kq = midk[q]
-                for r, e1 in d1cols[q]:
-                    acc[r] = acc.get(r, 0) ^ ecompose(ks, kq, lowk[r], e2, e1)
-            for r, v in acc.items():
-                if v:
-                    bad.append((i, r, s))
-    return [f"d*d != 0 from degree {c.min_degree + i + 2} generator {s} "
-            f"to degree {c.min_degree + i} generator {r}"
-            for i, r, s in sorted(bad)]
+        dd = arrow_mul(c.diffs[i], c.diffs[i + 1], c.gens[i + 2],
+                       c.gens[i + 1], c.gens[i])
+        out += [f"d*d != 0 from degree {c.min_degree + i + 2} generator {s} "
+                f"to degree {c.min_degree + i} generator {r}"
+                for r, row in enumerate(dd) for s, v in enumerate(row) if v]
+    return out
 
 
 # -- canonical construction helpers -------------------------------------
@@ -333,19 +345,11 @@ def direct_sum_complexes(parts: list[FreeComplex]) -> FreeComplex:
             offs[d] = len(gens[d - lo])
             gens[d - lo].extend(p.gens_at(d))
         offsets.append(offs)
-    diffs = [zero_matrix(len(gens[i]), len(gens[i + 1]))
-             for i in range(len(gens) - 1)]
-    for p, offs in zip(parts, offsets):
-        for d in p.degrees():
-            m = p.diff(d)
-            if m is None:
-                continue
-            ro, co = offs[d - 1], offs[d]
-            big = diffs[d - 1 - lo]
-            for r in range(len(m)):
-                for cidx in range(len(m[0]) if m else 0):
-                    if m[r][cidx]:
-                        big[ro + r][co + cidx] = m[r][cidx]
+    diffs = [_placed_arrows(len(gens[d - 1 - lo]), len(gens[d - lo]),
+                            [(offs[d - 1], offs[d], p.diff(d))
+                             for p, offs in zip(parts, offsets)
+                             if p.diff(d) is not None])
+             for d in range(lo + 1, hi + 1)]
     return canonicalize(FreeComplex(lo, gens, diffs))
 
 
@@ -411,28 +415,16 @@ def validate_chain_map(f: ChainMap) -> list[str]:
     lo = min(f.source.min_degree, f.target.min_degree - f.degree) - 1
     hi = max(f.source.max_degree, f.target.max_degree - f.degree) + 1
     for d in range(lo, hi + 1):
-        # d_target . f_d vs f_{d-1} . d_source  (no signs over GF(2))
+        # d_target . f_d vs f_{d-1} . d_source  (no signs over GF(2)); a
+        # missing differential has an empty end
         sk, sk1 = f.source.gens_at(d), f.source.gens_at(d - 1)
-        tk, tk1 = f.target.gens_at(d + f.degree), f.target.gens_at(d + f.degree - 1)
-        for s in range(len(sk)):
-            for r in range(len(tk1)):
-                acc = 0
-                dt = f.target.diff(d + f.degree)
-                if dt is not None:
-                    fm = f.component(d)
-                    for q in range(len(tk)):
-                        acc ^= ecompose(sk[s], tk[q], tk1[r], fm[q][s], dt[r][q])
-                ds = f.source.diff(d)
-                if ds is not None:
-                    fm1 = f.component(d - 1)
-                    for q in range(len(sk1)):
-                        acc ^= ecompose(sk[s], sk1[q], tk1[r], ds[q][s], fm1[r][q])
-                if acc:
-                    out.append(f"does not commute with d at source degree {d}")
-                    break
-            else:
-                continue
-            break
+        tk, tk1 = (f.target.gens_at(d + f.degree),
+                   f.target.gens_at(d + f.degree - 1))
+        dt = f.target.diff(d + f.degree) or zero_matrix(len(tk1), len(tk))
+        ds = f.source.diff(d) or zero_matrix(len(sk1), len(sk))
+        if (arrow_mul(dt, f.component(d), sk, tk, tk1)
+                != arrow_mul(f.component(d - 1), ds, sk, sk1, tk1)):
+            out.append(f"does not commute with d at source degree {d}")
     return out
 
 
@@ -454,18 +446,9 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
         sk = f.source.gens_at(d)
         mk = f.target.gens_at(d + f.degree)
         tk = g.target.gens_at(d + f.degree + g.degree)
-        if not sk or not tk:
-            continue
-        fm = f.component(d)
-        gm = g.component(d + f.degree)
-        out = zero_matrix(len(tk), len(sk))
-        for s in range(len(sk)):
-            for r in range(len(tk)):
-                acc = 0
-                for q in range(len(mk)):
-                    acc ^= ecompose(sk[s], mk[q], tk[r], fm[q][s], gm[r][q])
-                out[r][s] = acc
-        comps[d] = out
+        if sk and tk:
+            comps[d] = arrow_mul(g.component(d + f.degree), f.component(d),
+                                 sk, mk, tk)
     return ChainMap(f.source, g.target, comps, f.degree + g.degree)
 
 
@@ -483,24 +466,11 @@ def cone(f: ChainMap) -> FreeComplex:
         gens.append(list(X.gens_at(d - 1)) + list(Y.gens_at(d)))
     diffs = []
     for d in range(lo + 1, hi + 1):
-        xs, ys = X.gens_at(d - 1), Y.gens_at(d)
-        xt, yt = X.gens_at(d - 2), Y.gens_at(d - 1)
-        m = zero_matrix(len(xt) + len(yt), len(xs) + len(ys))
-        dx = X.diff(d - 1)
-        if dx is not None:
-            for r in range(len(xt)):
-                for c in range(len(xs)):
-                    m[r][c] = dx[r][c]
-        fm = f.component(d - 1)
-        for r in range(len(yt)):
-            for c in range(len(xs)):
-                m[len(xt) + r][c] = fm[r][c]
-        dy = Y.diff(d)
-        if dy is not None:
-            for r in range(len(yt)):
-                for c in range(len(ys)):
-                    m[len(xt) + r][len(xs) + c] = dy[r][c]
-        diffs.append(m)
+        nxs, nxt = len(X.gens_at(d - 1)), len(X.gens_at(d - 2))
+        blocks = [(0, 0, X.diff(d - 1)), (nxt, 0, f.component(d - 1)),
+                  (nxt, nxs, Y.diff(d))]
+        diffs.append(_placed_arrows(len(gens[d - lo - 1]), len(gens[d - lo]),
+                                    [b for b in blocks if b[2] is not None]))
     return canonicalize(FreeComplex(lo, gens, diffs))
 
 
@@ -671,7 +641,8 @@ _BLOCK_CACHE: dict = {}
 
 
 def _pair_block(ka: str, ka2: str, ea: int, kb: str, kb2: str, eb: int):
-    """Arrow matrix of (map ea (x) map eb) between product generators."""
+    """The nonzero arrows (target, source, arrow) of (map ea (x) map eb)
+    between product generators."""
     key = (ka, ka2, ea, kb, kb2, eb)
     hit = _BLOCK_CACHE.get(key)
     if hit is not None:
@@ -684,34 +655,30 @@ def _pair_block(ka: str, ka2: str, ea: int, kb: str, kb2: str, eb: int):
     tg = _pair_gens(ka2, kb2)
     sslots = _theta_offsets(sg)
     tslots = _theta_offsets(tg)
-    out = zero_matrix(len(tg), len(sg))
+    out = []
     for r, kt in enumerate(tg):
         for s, ks in enumerate(sg):
             i0, j0 = tslots[r], sslots[s]
+            e = N.get(i0, j0)
             if ks == "F" and kt == "F":
-                a, b = N.get(i0, j0), N.get(i0 + 1, j0)
-                if N.get(i0, j0 + 1) != b or N.get(i0 + 1, j0 + 1) != a:
+                b = N.get(i0 + 1, j0)
+                if N.get(i0, j0 + 1) != b or N.get(i0 + 1, j0 + 1) != e:
                     raise AssertionError("non-equivariant block in box product")
-                out[r][s] = a | (b << 1)
-            elif ks == "F":
-                a = N.get(i0, j0)
-                if N.get(i0, j0 + 1) != a:
-                    raise AssertionError("non-equivariant block in box product")
-                out[r][s] = a
-            elif kt == "F":
-                a = N.get(i0, j0)
-                if N.get(i0 + 1, j0) != a:
-                    raise AssertionError("non-equivariant block in box product")
-                out[r][s] = a
-            else:
-                out[r][s] = N.get(i0, j0)
+                e |= b << 1
+            elif (ks == "F" and N.get(i0, j0 + 1) != e
+                  or kt == "F" and N.get(i0 + 1, j0) != e):
+                raise AssertionError("non-equivariant block in box product")
+            if e:
+                out.append((r, s, e))
     _BLOCK_CACHE[key] = out
     return out
 
 
 def _box_layout(x: FreeComplex, y: FreeComplex):
-    """Per total degree: list of product generators (i, a, b, s, kind)."""
-    layout: dict[int, list[tuple]] = {}
+    """Per total degree: the kinds of the product generators (i, a, b, s),
+    the s-th generator of x_i[a] (x) y_j[b], in canonical F-before-H
+    order, and a dict from (i, a, b, s) to position."""
+    raw: dict[int, list[tuple]] = {}
     for i in x.degrees():
         xg = x.gens_at(i)
         if not xg:
@@ -720,100 +687,83 @@ def _box_layout(x: FreeComplex, y: FreeComplex):
             yg = y.gens_at(j)
             if not yg:
                 continue
-            bucket = layout.setdefault(i + j, [])
+            bucket = raw.setdefault(i + j, [])
             for a, ka in enumerate(xg):
                 for b, kb in enumerate(yg):
                     for s, kind in enumerate(_pair_gens(ka, kb)):
-                        bucket.append((i, a, b, s, kind))
+                        bucket.append((kind, (i, a, b, s)))
+    layout = {}
+    for d, bucket in raw.items():
+        order = [bucket[p] for p in _canonical_perm([k for k, _ in bucket])]
+        layout[d] = ([k for k, _ in order],
+                     {key: pos for pos, (_, key) in enumerate(order)})
     return layout
 
 
+def _nonzero_columns(m: list[list[int]], ncols: int) -> list[list[tuple]]:
+    """Per column of the arrow matrix ``m``: its nonzero (row, arrow)."""
+    return [[(r, row[c]) for r, row in enumerate(m) if row[c]]
+            for c in range(ncols)]
+
+
+def _box_components(pairs: list[tuple[ChainMap, ChainMap]], slayout,
+                    tlayout, deg: int) -> dict[int, list[list[int]]]:
+    """Per source degree, the arrow matrix of the sum of f (x) g over the
+    (f, g) of ``pairs``, each of total degree ``deg``, from the product
+    generators of ``slayout`` to those of ``tlayout``."""
+    comps = {d: zero_matrix(len(tlayout[d + deg][0]), len(skinds))
+             for d, (skinds, _) in slayout.items() if d + deg in tlayout}
+    for f, g in pairs:
+        fcols = {i: _nonzero_columns(m, len(f.source.gens_at(i)))
+                 for i, m in f.components.items()}
+        gcols = {j: _nonzero_columns(m, len(g.source.gens_at(j)))
+                 for j, m in g.components.items()}
+        for i, j in product(fcols, gcols):
+            m = comps.get(i + j)
+            if m is None or not fcols[i] or not gcols[j]:
+                continue
+            sindex, tindex = slayout[i + j][1], tlayout[i + j + deg][1]
+            xk, yk = f.source.gens_at(i), g.source.gens_at(j)
+            i2, j2 = i + f.degree, j + g.degree
+            xk2, yk2 = f.target.gens_at(i2), g.target.gens_at(j2)
+            for a, b in product(range(len(xk)), range(len(yk))):
+                for (a2, ea), (b2, eb) in product(fcols[i][a], gcols[j][b]):
+                    for s2, s, e in _pair_block(xk[a], xk2[a2], ea,
+                                                yk[b], yk2[b2], eb):
+                        m[tindex[i2, a2, b2, s2]][sindex[i, a, b, s]] ^= e
+    return comps
+
+
+def _diff_map(c: FreeComplex) -> ChainMap:
+    """The differential of ``c`` as a degree -1 map from ``c`` to itself."""
+    return ChainMap(c, c, {d: c.diff(d) for d in c.degrees()
+                           if c.diff(d) is not None}, -1)
+
+
 def box_complex(x: FreeComplex, y: FreeComplex) -> FreeComplex:
-    """The monoidal product of two symbol complexes."""
+    """The monoidal product of two symbol complexes: its differential is
+    d_x (x) 1 + 1 (x) d_y."""
     layout = _box_layout(x, y)
     if not layout:
         return FreeComplex(0, [[]], [])
     lo, hi = min(layout), max(layout)
-    gens = [[g[4] for g in layout.get(d, [])] for d in range(lo, hi + 1)]
-    diffs = []
-    for d in range(lo + 1, hi + 1):
-        srcs = layout.get(d, [])
-        tgts = layout.get(d - 1, [])
-        m = zero_matrix(len(tgts), len(srcs))
-        for ci, (i, a, b, s, ks) in enumerate(srcs):
-            xg, yg = x.gens_at(i), y.gens_at(d - i)
-            dx = x.diff(i)
-            if dx is not None:
-                xg2 = x.gens_at(i - 1)
-                for a2 in range(len(xg2)):
-                    e = dx[a2][a]
-                    if not e:
-                        continue
-                    blk = _pair_block(xg[a], xg2[a2], e, yg[b], yg[b], 1)
-                    for ri, (i2, a3, b3, s2, kt) in enumerate(tgts):
-                        if i2 == i - 1 and a3 == a2 and b3 == b:
-                            m[ri][ci] ^= blk[s2][s]
-            dy = y.diff(d - i)
-            if dy is not None:
-                yg2 = y.gens_at(d - i - 1)
-                for b2 in range(len(yg2)):
-                    e = dy[b2][b]
-                    if not e:
-                        continue
-                    blk = _pair_block(xg[a], xg[a], 1, yg[b], yg2[b2], e)
-                    for ri, (i2, a3, b3, s2, kt) in enumerate(tgts):
-                        if i2 == i and a3 == a and b3 == b2:
-                            m[ri][ci] ^= blk[s2][s]
-        diffs.append(m)
-    return canonicalize(FreeComplex(lo, gens, diffs))
+    gens = [layout[d][0] if d in layout else [] for d in range(lo, hi + 1)]
+    comps = _box_components([(_diff_map(x), identity_chain_map(y)),
+                             (identity_chain_map(x), _diff_map(y))],
+                            layout, layout, -1)
+    return FreeComplex(lo, gens, [
+        comps[d] if d in comps
+        else zero_matrix(len(gens[d - lo - 1]), len(gens[d - lo]))
+        for d in range(lo + 1, hi + 1)])
 
 
 def box_chain_map(f: ChainMap, g: ChainMap) -> ChainMap:
     """f (x) g on box products (all degrees; GF(2) kills the signs)."""
-    src = box_complex(f.source, g.source)
-    tgt = box_complex(f.target, g.target)
-    slayout = _box_layout(f.source, g.source)
-    tlayout = _box_layout(f.target, g.target)
     deg = f.degree + g.degree
-    comps = {}
-    for d, srcs in slayout.items():
-        tgts = tlayout.get(d + deg, [])
-        if not srcs or not tgts:
-            continue
-        m = zero_matrix(len(tgts), len(srcs))
-        for ci, (i, a, b, s, ks) in enumerate(srcs):
-            xg = f.source.gens_at(i)
-            yg = g.source.gens_at(d - i)
-            fx = f.component(i)
-            gyd = g.component(d - i)
-            xg2 = f.target.gens_at(i + f.degree)
-            yg2 = g.target.gens_at(d - i + g.degree)
-            for a2 in range(len(xg2)):
-                ea = fx[a2][a]
-                if not ea:
-                    continue
-                for b2 in range(len(yg2)):
-                    eb = gyd[b2][b]
-                    if not eb:
-                        continue
-                    blk = _pair_block(xg[a], xg2[a2], ea, yg[b], yg2[b2], eb)
-                    for ri, (i2, a3, b3, s2, kt) in enumerate(tgts):
-                        if i2 == i + f.degree and a3 == a2 and b3 == b2:
-                            m[ri][ci] ^= blk[s2][s]
-        comps[d] = m
-    # rewrite through the canonical generator order of the two box complexes
-    return _relayout_map(src, tgt, slayout, tlayout, comps, deg)
-
-
-def _relayout_map(src, tgt, slayout, tlayout, comps, deg) -> ChainMap:
-    """Map matrices above are in raw layout order; permute them into the
-    canonical order used by box_complex."""
-    out = {}
-    for d, m in comps.items():
-        sperm = _canonical_perm([g[4] for g in slayout.get(d, [])])
-        tperm = _canonical_perm([g[4] for g in tlayout.get(d + deg, [])])
-        out[d] = [[m[tr][sc] for sc in sperm] for tr in tperm]
-    return ChainMap(src, tgt, out, deg)
+    comps = _box_components([(f, g)], _box_layout(f.source, g.source),
+                            _box_layout(f.target, g.target), deg)
+    return ChainMap(box_complex(f.source, g.source),
+                    box_complex(f.target, g.target), comps, deg)
 
 
 # -- duality ----------------------------------------------------------------
@@ -842,66 +792,59 @@ def cotens_H(c: FreeComplex) -> FreeComplex:
 
 # -- the hom complex -------------------------------------------------------
 
+def _bits(e: int) -> tuple[int, ...]:
+    """The Hom-basis coordinates w of the arrow code ``e``."""
+    return ((), (0,), (1,), (0, 1))[e]
+
+
 def hom_basis(x: FreeComplex, y: FreeComplex, n: int) -> list[tuple]:
-    """Basis of Hom(x, y)_n: elements (i, src, tgt, w) with w indexing the
-    arrow basis (F->F has the two-element basis {1, t})."""
+    """Basis of Hom(x, y)_n: elements (i, src, tgt, w) whose arrow is
+    1 << w, so that an arrow's coordinates are the bits of its code (F->F
+    has the two-element basis {1, t})."""
     out = []
-    for i in x.degrees():
-        xg = x.gens_at(i)
-        yg = y.gens_at(i + n)
-        for s, ks in enumerate(xg):
-            for t_, kt in enumerate(yg):
-                if ks == "F" and kt == "F":
-                    out.append((i, s, t_, 0))
-                    out.append((i, s, t_, 1))
-                else:
-                    out.append((i, s, t_, 0))
+    for i in _hom_degrees(x, y, n):
+        for s, ks in enumerate(x.gens_at(i)):
+            for t_, kt in enumerate(y.gens_at(i + n)):
+                out += [(i, s, t_, w)
+                        for w in range(2 if ks == kt == "F" else 1)]
     return out
 
 
-def _arrow_of_basis(ks: str, kt: str, w: int) -> int:
-    if ks == "F" and kt == "F":
-        return 1 if w == 0 else 2
-    return 1
-
-
-def _coords_of_arrow(ks: str, kt: str, e: int):
-    """Yield (w, coeff) pairs expressing an arrow in the hom basis."""
-    if ks == "F" and kt == "F":
-        if e & 1:
-            yield (0, 1)
-        if e & 2:
-            yield (1, 1)
-    elif e:
-        yield (0, 1)
+def _hom_degrees(x: FreeComplex, y: FreeComplex, n: int) -> range:
+    """The degrees i in which both x_i and y_(i+n) may have generators."""
+    return range(max(x.min_degree, y.min_degree - n),
+                 min(x.max_degree, y.max_degree - n) + 1)
 
 
 def hom_delta(x: FreeComplex, y: FreeComplex, n: int) -> FMatrix:
-    """The differential Hom(x, y)_n -> Hom(x, y)_{n-1}."""
-    src_basis = hom_basis(x, y, n)
-    tgt_basis = hom_basis(x, y, n - 1)
-    tindex = {b: k for k, b in enumerate(tgt_basis)}
-    delta = FMatrix.zeros(len(tgt_basis), len(src_basis), 2)
-    for col, (i, s, t_, w) in enumerate(src_basis):
-        ks = x.gens_at(i)[s]
-        kt = y.gens_at(i + n)[t_]
-        e = _arrow_of_basis(ks, kt, w)
-        dy = y.diff(i + n)
-        if dy is not None:
-            yk2 = y.gens_at(i + n - 1)
-            for t2 in range(len(yk2)):
-                comp = ecompose(ks, kt, yk2[t2], e, dy[t2][t_])
-                for w2, cf in _coords_of_arrow(ks, yk2[t2], comp):
-                    r = tindex[(i, s, t2, w2)]
-                    delta.set(r, col, delta.get(r, col) ^ cf)
-        dx = x.diff(i + 1)
-        if dx is not None:
-            xk2 = x.gens_at(i + 1)
-            for s2 in range(len(xk2)):
-                comp = ecompose(xk2[s2], ks, kt, dx[s][s2], e)
-                for w2, cf in _coords_of_arrow(xk2[s2], kt, comp):
-                    r = tindex[(i + 1, s2, t_, w2)]
-                    delta.set(r, col, delta.get(r, col) ^ cf)
+    """The differential Hom(x, y)_n -> Hom(x, y)_{n-1}, f |-> d f + f d."""
+    tindex = {b: k for k, b in enumerate(hom_basis(x, y, n - 1))}
+    delta = FMatrix.zeros(len(tindex), len(hom_basis(x, y, n)), 2)
+    col = 0
+    for i in _hom_degrees(x, y, n):
+        xk, yk = x.gens_at(i), y.gens_at(i + n)
+        if not xk or not yk:
+            continue
+        xk2, yk2 = x.gens_at(i + 1), y.gens_at(i + n - 1)
+        dy = y.diff(i + n) or zero_matrix(len(yk2), len(yk))
+        dx = x.diff(i + 1) or zero_matrix(len(xk), len(xk2))
+        # the nonzero arrows of d out of each yk, and into each xk
+        dyc = _nonzero_columns(dy, len(yk))
+        dxr = [[(s2, e) for s2, e in enumerate(row) if e] for row in dx]
+        for s, ks in enumerate(xk):
+            for t_, kt in enumerate(yk):
+                for w in range(2 if ks == kt == "F" else 1):
+                    # the two parts write to different degrees i and i + 1,
+                    # so every entry is written once
+                    for t2, e in dyc[t_]:
+                        v = ecompose(ks, kt, yk2[t2], 1 << w, e)
+                        for w2 in _bits(v):
+                            delta.set(tindex[i, s, t2, w2], col, 1)
+                    for s2, e in dxr[s]:
+                        v = ecompose(xk2[s2], ks, kt, e, 1 << w)
+                        for w2 in _bits(v):
+                            delta.set(tindex[i + 1, s2, t_, w2], col, 1)
+                    col += 1
     return delta
 
 
@@ -922,8 +865,8 @@ def chain_map_vector(f: ChainMap) -> tuple[list[tuple], list[int]]:
         tk = f.target.gens_at(d + f.degree)
         for t_ in range(len(tk)):
             for s in range(len(sk)):
-                for w, cf in _coords_of_arrow(sk[s], tk[t_], m[t_][s]):
-                    vec[index[(d, s, t_, w)]] ^= cf
+                for w in _bits(m[t_][s]):
+                    vec[index[(d, s, t_, w)]] ^= 1
     return basis, vec
 
 
@@ -936,9 +879,7 @@ def chain_map_from_vector(x: FreeComplex, y: FreeComplex, n: int,
             continue
         m = comps.setdefault(i, zero_matrix(len(y.gens_at(i + n)),
                                             len(x.gens_at(i))))
-        ks = x.gens_at(i)[s]
-        kt = y.gens_at(i + n)[t_]
-        m[t_][s] ^= _arrow_of_basis(ks, kt, w)
+        m[t_][s] ^= 1 << w
     return ChainMap(x, y, comps, n)
 
 

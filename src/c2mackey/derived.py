@@ -191,7 +191,7 @@ def m2_label(p: int, q: int) -> str | None:
     return None
 
 
-def strand_cohomology_dim(s: Strand, p: int, q: int) -> int:
+def _strand_cohomology_dim(s: Strand, p: int, q: int) -> int:
     """Closed-form bigraded cohomology of one strand."""
     if s.kind in DISK_KINDS:
         return 0
@@ -207,7 +207,7 @@ def strand_cohomology_dim(s: Strand, p: int, q: int) -> int:
 def cohomology_formula(strands: list[Strand], p0: int, p1: int,
                        q0: int, q1: int) -> list[list[int]]:
     """dims[i][j] = total dimension at (p0 + i, q0 + j)."""
-    return [[sum(strand_cohomology_dim(s, p, q) for s in strands)
+    return [[sum(_strand_cohomology_dim(s, p, q) for s in strands)
              for q in range(q0, q1 + 1)]
             for p in range(p0, p1 + 1)]
 
@@ -279,7 +279,7 @@ def _project_onto(final: FreeComplex, target: Strand) -> ChainMap:
     return ChainMap(final, cn, comps, 0)
 
 
-def m2_product_map(p1: int, q1: int, p2: int, q2: int) -> ChainMap:
+def _m2_product_map(p1: int, q1: int, p2: int, q2: int) -> ChainMap:
     """The composite witness for the product of the classes at (p1, q1)
     and (p2, q2): a chain map from the unit to the (p1+p2, q1+q2) twist."""
     f = class_rep(p1, q1)                      # unit -> S1
@@ -301,7 +301,7 @@ def m2_product_map(p1: int, q1: int, p2: int, q2: int) -> ChainMap:
 def m2_product_nonzero(p1: int, q1: int, p2: int, q2: int) -> bool:
     """Honest product: nonzero iff the composite witness is not a
     boundary."""
-    return not is_null_homotopic(m2_product_map(p1, q1, p2, q2))
+    return not is_null_homotopic(_m2_product_map(p1, q1, p2, q2))
 
 
 def m2_product_rule(p1: int, q1: int, p2: int, q2: int) -> bool:
@@ -395,9 +395,6 @@ def invertible_class(strands: list[Strand]) -> tuple[int, int] | None:
 
 def is_invertible(strands: list[Strand]) -> bool:
     return invertible_class(strands) is not None
-
-
-SUPPORT_POINTS = ("<A>", "<B>", "<A,B>")
 
 
 def balmer_support(strands: list[Strand]) -> list[str]:

@@ -31,9 +31,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import _schema as schema
-from .complexes import (U, ChainMap, FreeComplex, ecompose, shift_complex,
-                        strand, direct_sum_complexes, realize,
-                        validate_complex, zero_matrix, _classified_homology)
+from .complexes import (U, ChainMap, FreeComplex, ecompose,
+                        identity_chain_map, shift_complex, strand,
+                        direct_sum_complexes, realize, validate_complex,
+                        _classified_homology)
 from .gf2core import FMatrix, is_prime, random_invertible
 from .mackey import (MackeyMap, MackeyModule, classify, conjugate, direct_sum,
                      indecomposable, zero_module)
@@ -58,8 +59,14 @@ class Strand:
     @classmethod
     def from_json(cls, data: dict) -> "Strand":
         data = schema.obj(data, "a strand")
-        return cls(schema.name(data.get("kind"), _STRAND_KINDS, "strand kind"),
-                   schema.integer(data, "param"), schema.integer(data, "shift"))
+        kind = schema.name(data.get("kind"), _STRAND_KINDS, "strand kind")
+        param = schema.integer(data, "param")
+        # A and B have a length, Hn a weight of either sign, the rest none
+        if kind in ("A", "B") and param < 0:
+            raise ValueError(f"a {kind} strand needs param >= 0, not {param}")
+        if kind not in ("A", "B", "Hn") and param != 0:
+            raise ValueError(f"a {kind} strand needs param 0, not {param}")
+        return cls(kind, param, schema.integer(data, "shift"))
 
 
 DISK_KINDS = ("DiskF", "DiskH", "DiskSTheta")
@@ -570,15 +577,8 @@ def certificate_isos(c: FreeComplex,
     """The inverse isomorphisms (V : c -> replayed, U : replayed -> c)
     realized by a certificate, as degree-0 chain maps."""
     work = c.copy()
-    V = {}
-    Umats = {}
-    for d in c.degrees():
-        ks = c.gens_at(d)
-        ident = zero_matrix(len(ks), len(ks))
-        for i in range(len(ks)):
-            ident[i][i] = 1
-        V[d] = ident
-        Umats[d] = [row[:] for row in ident]
+    V = identity_chain_map(c).components
+    Umats = identity_chain_map(c).components
     for mv in certificate:
         apply_move(work, mv)
         kinds = c.gens_at(mv.degree)

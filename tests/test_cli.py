@@ -3,6 +3,7 @@ and logging control."""
 
 import json
 import logging
+import pathlib
 import time
 
 import pytest
@@ -315,9 +316,11 @@ _CELL = {"m": 1, "q": 0, "attach": None}
     {"cells": [_CELL, {"m": 2, "q": 2, "attach": {"1": [[1]]}}]},
     {"cells": [_CELL, {"m": 2, "q": 2, "attach": {"1": "p"}}]},
     {"cells": [_CELL, {"m": 2, "q": 2, "attach": [["p"]]}]},
+    {"cells": [_CELL, {"m": 2, "q": 2, "attach": {"1": [["p", "p"]]}}]},
 ], ids=["not-an-object", "cells-not-a-list", "no-cells", "cell-not-an-object",
         "float-m", "string-q", "bool-m", "missing-m", "word-key", "float-key",
-        "int-entry", "string-matrix", "attach-not-an-object"])
+        "int-entry", "string-matrix", "attach-not-an-object",
+        "attach-wrong-shape"])
 def test_malformed_build_script_is_a_violation(capsys, tmp_path, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -425,3 +428,22 @@ def test_log_env_controls_logger(capsys, unit_file, monkeypatch, caplog):
         code, _ = run(capsys, "split", unit_file)
     assert code == 0
     assert any(r.name.startswith("c2mackey") for r in caplog.records)
+
+
+def test_readme_examples_match_the_cli(capsys):
+    """Each README example on a file under ``examples/`` prints exactly
+    the output the README shows."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    chunks = [chunk.splitlines()
+              for block in readme.split("```sh\n")[1:]
+              for chunk in block.split("```")[0].strip().split("\n\n")]
+    examples = [c for c in chunks
+                if c[0].startswith("$ c2mackey") and "examples/" in c[0]]
+    assert len(examples) == 2
+    for command, *expected in examples:
+        argv = [str(root / a) if a.startswith("examples/") else a
+                for a in command.split()[2:]]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines() == expected, command

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import pathlib
 import random
@@ -9,18 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import c2mackey.complexes as complexes_module
-from c2mackey.complexes import (U, ChainMap, FreeComplex, box_chain_map,
-                                box_complex, canonicalize, compose_chain_maps,
-                                cone, cotens_H, direct_sum_complexes,
-                                ecompose, entry_ok, hom_complex_dim,
-                                homology_counts, identity_chain_map,
-                                is_null_homotopic, null_homotopy, realize,
-                                realize_map, shift_complex,
-                                strand, theta_block, validate_chain_map,
-                                validate_complex)
+from c2mackey.complexes import (U, ChainMap, FreeComplex, arrow_mul,
+                                box_chain_map, box_complex, canonicalize,
+                                compose_chain_maps, cone, cotens_H,
+                                direct_sum_complexes, ecompose, entry_ok,
+                                hom_complex_dim, hom_delta, homology_counts,
+                                identity_chain_map, is_null_homotopic,
+                                null_homotopy, realize, realize_map,
+                                shift_complex, strand, theta_block,
+                                validate_chain_map, validate_complex)
 from c2mackey.gf2core import FMatrix
 from c2mackey.mackey import direct_sum, indecomposable
-from c2mackey.split import random_scrambled_complex
+from c2mackey.split import certificate_isos, random_scrambled_complex
+from c2mackey.split import split as split_complex
 
 
 # -- arrow algebra ---------------------------------------------------------
@@ -50,6 +52,67 @@ def test_arrow_composition_associative(ka, kb, kc, kd, e1, e2, e3):
     left = ecompose(ka, kc, kd, ecompose(ka, kb, kc, e1, e2), e3)
     right = ecompose(ka, kb, kd, e1, ecompose(kb, kc, kd, e2, e3))
     assert left == right
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_arrow_mul_realizes_as_the_product(data):
+    """Both levels of the realization are multiplicative: composing arrow
+    matrices and then realizing equals realizing and then multiplying."""
+    kinds = st.lists(st.sampled_from("FH"), max_size=4)
+    sk, mk, tk = data.draw(kinds), data.draw(kinds), data.draw(kinds)
+
+    def arrows(src, tgt):
+        return [[data.draw(st.integers(0, 3 if a == b == "F" else 1))
+                 for a in src] for b in tgt]
+
+    earlier, later = arrows(sk, mk), arrows(mk, tk)
+    prod = realize_map(sk, tk, arrow_mul(later, earlier, sk, mk, tk), 2)
+    comp = realize_map(mk, tk, later, 2).compose(
+        realize_map(sk, mk, earlier, 2))
+    assert prod.f_theta == comp.f_theta
+    assert prod.f_dot == comp.f_dot
+
+
+def test_arrow_products_go_through_arrow_mul():
+    """One sparse product composes arrow matrices; only the hom-complex
+    differential and the basis moves compose single arrows themselves."""
+    pkg = pathlib.Path(complexes_module.__file__).resolve().parent
+
+    def callers(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "ecompose" in (
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None)):
+                yield where
+            inner = (child.name if isinstance(child, ast.FunctionDef)
+                     else where)
+            yield from callers(child, inner)
+
+    found = {f"{path.stem}.{fn}" for path in sorted(pkg.glob("*.py"))
+             for fn in callers(ast.parse(path.read_text()), "<module>")}
+    assert found == {"complexes.arrow_mul", "complexes.hom_delta",
+                     "split._move_arrows"}
+
+
+def test_box_and_hom_outputs_are_pinned():
+    """Box complexes, box chain maps, the box with a cotensor dual and
+    hom-complex differentials on a fixed seeded set, digested: the
+    placement of product generators and the Hom-basis order are part of
+    every output built on them."""
+    digest = hashlib.sha256()
+    for i in range(60):
+        rng = random.Random(f"pin:{i}")
+        x, _ = random_scrambled_complex(rng, max_strands=3)
+        y, _ = random_scrambled_complex(rng, max_strands=3)
+        v, _ = certificate_isos(y, split_complex(y).certificate)
+        outs = [box_complex(x, y).to_json(),
+                box_complex(cotens_H(x), y).to_json(),
+                box_chain_map(identity_chain_map(x), v).to_json()]
+        outs += [hom_delta(x, y, n).to_rows() for n in (-1, 0, 1)]
+        digest.update(json.dumps(outs, sort_keys=True).encode())
+    assert digest.hexdigest() == ("c74df9422e1bc9bbcbbd0f0731c3be10"
+                                  "31e19f38669fa543fc00f840fe8c44d6")
 
 
 # -- canonical strands -------------------------------------------------------

@@ -233,7 +233,12 @@ def test_decomposition_json_roundtrip():
                                  (strand_, {**move, "degree": "2"}),
                                  (strand_, {**move, "variant": 5}),
                                  (strand_, {**move, "i": 0.5}),
-                                 ({**strand_, "kind": "C"}, move)):
+                                 ({**strand_, "kind": "C"}, move),
+                                 ({**strand_, "param": -1}, move),
+                                 ({**strand_, "kind": "B", "param": -1}, move),
+                                 ({**strand_, "kind": "DiskF"}, move),
+                                 ({**strand_, "kind": "PtH", "param": 2},
+                                  move)):
         doc = {"strands": [bad_strand], "certificate": [move, bad_move]}
         with pytest.raises(ValueError):
             Decomposition.from_json(doc)

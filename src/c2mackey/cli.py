@@ -225,26 +225,27 @@ def cmd_toda(args):
     return payload, text, 0
 
 
+# module subcommand -> the function it applies to the two modules
+_MODULE_OPS = {"box": box, "hom": internal_hom, "ext": ext, "tor": tor}
+
+
 def cmd_module(args):
     a = _load(args.file, MackeyModule, args.ell)
     if args.mop == "classify":
         counts = classify(a)
-        return {"counts": counts}, counts_text(counts), 0
-    b = _load(args.other, MackeyModule, args.ell)
-    if args.mop == "box":
-        counts = classify(box(a, b))
-        return {"counts": counts}, counts_text(counts), 0
-    if args.mop == "hom":
-        counts = classify(internal_hom(a, b))
-        return {"counts": counts}, counts_text(counts), 0
-    fn = ext if args.mop == "ext" else tor
-    if args.degree is not None:
-        counts = fn(a, b, args.degree)
-        return {"counts": counts}, counts_text(counts), 0
-    table = {str(i): fn(a, b, i) for i in range(3)}
-    text = "\n".join(f"{args.mop}^{i}: {counts_text(table[str(i)])}"
-                     for i in ("0", "1", "2"))
-    return {args.mop: table}, text, 0
+    else:
+        b = _load(args.other, MackeyModule, args.ell)
+        fn = _MODULE_OPS[args.mop]
+        if args.mop in ("box", "hom"):
+            counts = classify(fn(a, b))
+        elif args.degree is not None:
+            counts = fn(a, b, args.degree)
+        else:
+            table = {str(i): fn(a, b, i) for i in range(3)}
+            text = "\n".join(f"{args.mop}^{i}: {counts_text(table[str(i)])}"
+                             for i in ("0", "1", "2"))
+            return {args.mop: table}, text, 0
+    return {"counts": counts}, counts_text(counts), 0
 
 
 def cmd_kronholm(args):

@@ -857,6 +857,11 @@ def hom_complex_dim(x: FreeComplex, y: FreeComplex, n: int) -> int:
 
 
 def chain_map_vector(f: ChainMap) -> tuple[list[tuple], list[int]]:
+    """The Hom basis and f's coordinates in it; a map that fails
+    ``validate_chain_map`` raises ValueError listing its violations."""
+    errs = validate_chain_map(f)
+    if errs:
+        raise ValueError("not a chain map: " + "; ".join(errs))
     basis = hom_basis(f.source, f.target, f.degree)
     vec = [0] * len(basis)
     index = {b: k for k, b in enumerate(basis)}

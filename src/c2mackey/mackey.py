@@ -11,8 +11,12 @@ p_up : M_dot -> M_theta subject to
 Everything is matrix-level and exact: ``validate_module`` checks all five
 relations, ``classify`` returns the multiset of indecomposable summands,
 and ``box`` / ``internal_hom`` construct the monoidal product and its
-adjoint concretely (no lookup tables on this route; the tables live in
-``ext``/``tor`` where the spectral answer is a finite dictionary).
+adjoint concretely.  Each writes its linear system whole, as block rows
+of Kronecker products of the structure maps (I (x) p_down^T, t^T (x) t^T,
+...): a box's dot level is the quotient by its Frobenius relations, a
+hom's dot level the kernel of the Mackey-map equations.  No lookup
+tables on this route; the tables live in ``ext``/``tor``, where the
+spectral answer is a finite dictionary.
 """
 
 from __future__ import annotations
@@ -39,12 +43,6 @@ class MackeyModule:
     @property
     def dim_dot(self) -> int:
         return self.p_down.nrows
-
-    def __eq__(self, other):
-        if not isinstance(other, MackeyModule):
-            return NotImplemented
-        return (self.ell == other.ell and self.t == other.t
-                and self.p_up == other.p_up and self.p_down == other.p_down)
 
     def to_json(self) -> dict:
         return {
@@ -121,38 +119,29 @@ def validate_module(m: MackeyModule) -> list[str]:
     return out
 
 
+# kind -> rows of (t, p_up, p_down) over the integers, read mod l
+_SMALL = {
+    "H": ([[1]], [[1]], [[2]]),
+    "F": ([[0, 1], [1, 0]], [[1], [1]], [[1, 1]]),
+    "Hop": ([[1]], [[2]], [[1]]),
+    "SDot": ([], [], [[]]),
+    "STheta": ([[-1]], [[]], []),
+}
+
+
 def indecomposable(kind: str, ell: int = 2) -> MackeyModule:
     """The standard small modules: H, F, Hop, SDot (l=2 only), STheta."""
     if not is_prime(ell):
         raise ValueError(f"modulus must be prime, got {ell}")
-    if kind == "H":
-        return MackeyModule(ell,
-                            FMatrix.from_rows([[1]], ell),
-                            FMatrix.from_rows([[1]], ell),
-                            FMatrix.from_rows([[2 % ell]], ell))
-    if kind == "F":
-        return MackeyModule(ell,
-                            FMatrix.from_rows([[0, 1], [1, 0]], ell),
-                            FMatrix.from_rows([[1], [1]], ell),
-                            FMatrix.from_rows([[1, 1]], ell))
-    if kind == "Hop":
-        return MackeyModule(ell,
-                            FMatrix.from_rows([[1]], ell),
-                            FMatrix.from_rows([[2 % ell]], ell),
-                            FMatrix.from_rows([[1]], ell))
-    if kind == "SDot":
-        if ell != 2:
-            raise ValueError("SDot only exists for l = 2")
-        return MackeyModule(ell,
-                            FMatrix.zeros(0, 0, ell),
-                            FMatrix.zeros(0, 1, ell),
-                            FMatrix.zeros(1, 0, ell))
-    if kind == "STheta":
-        return MackeyModule(ell,
-                            FMatrix.from_rows([[(-1) % ell]], ell),
-                            FMatrix.zeros(1, 0, ell),
-                            FMatrix.zeros(0, 1, ell))
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind not in _SMALL:
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind == "SDot" and ell != 2:
+        raise ValueError("SDot only exists for l = 2")
+    t, p_up, p_down = _SMALL[kind]
+    nt, nd = len(t), len(p_down)
+    return MackeyModule(ell, FMatrix.from_rows(t, ell, ncols=nt),
+                        FMatrix.from_rows(p_up, ell, ncols=nd),
+                        FMatrix.from_rows(p_down, ell, ncols=nt))
 
 
 def direct_sum(*mods: MackeyModule) -> MackeyModule:
@@ -263,83 +252,43 @@ def box(m: MackeyModule, n: MackeyModule) -> MackeyModule:
     nt, nd = n.dim_theta, n.dim_dot
     dd = md * nd            # dot-dot block, index i*nd + j
     tt = mt * nt            # theta-theta block, index a*nt + b
-    V = dd + tt
-
-    rels: list[list[int]] = []
-    for i in range(md):
-        for j in range(nt):
-            v = [0] * V
-            for b in range(nd):
-                c = n.p_down.get(b, j)
-                if c:
-                    v[i * nd + b] = (v[i * nd + b] + c) % ell
-            for a in range(mt):
-                c = m.p_up.get(a, i)
-                if c:
-                    k = dd + a * nt + j
-                    v[k] = (v[k] - c) % ell
-            rels.append(v)
-    for i in range(mt):
-        for j in range(nd):
-            v = [0] * V
-            for b in range(md):
-                c = m.p_down.get(b, i)
-                if c:
-                    v[b * nd + j] = (v[b * nd + j] + c) % ell
-            for a in range(nt):
-                c = n.p_up.get(a, j)
-                if c:
-                    k = dd + i * nt + a
-                    v[k] = (v[k] - c) % ell
-            rels.append(v)
-    for i in range(mt):
-        for j in range(nt):
-            v = [0] * V
-            for a in range(mt):
-                ca = m.t.get(a, i)
-                if not ca:
-                    continue
-                for b in range(nt):
-                    cb = n.t.get(b, j)
-                    if cb:
-                        k = dd + a * nt + b
-                        v[k] = (v[k] + ca * cb) % ell
-            k = dd + i * nt + j
-            v[k] = (v[k] - 1) % ell
-            rels.append(v)
-
-    proj, sec = _quotient_maps(rels, V, ell)
     t_box = m.t.kron(n.t)
-    p_down_box = proj.submatrix(list(range(proj.nrows)),
-                                list(range(dd, V)))
-    a_up = FMatrix.hstack([
-        m.p_up.kron(n.p_up),
-        FMatrix.identity(tt, ell).add(t_box),
+
+    def eye(k: int) -> FMatrix:
+        return FMatrix.identity(k, ell)
+
+    # one relation per row: [dot-dot part | theta-theta part]
+    rels = FMatrix.vstack([
+        FMatrix.hstack([eye(md).kron(n.p_down.transpose()),
+                        m.p_up.transpose().kron(eye(nt)).scale(-1)]),
+        FMatrix.hstack([m.p_down.transpose().kron(eye(nd)),
+                        eye(mt).kron(n.p_up.transpose()).scale(-1)]),
+        FMatrix.hstack([FMatrix.zeros(tt, dd, ell),
+                        t_box.transpose().add(eye(tt).scale(-1))]),
     ])
-    p_up_box = a_up.mul(sec)
-    return MackeyModule(ell, t_box, p_up_box, p_down_box)
+    proj, free = _quotient(rels)
+    a_up = FMatrix.hstack([m.p_up.kron(n.p_up), eye(tt).add(t_box)])
+    return MackeyModule(ell, t_box,
+                        a_up.submatrix(list(range(tt)), free),
+                        proj.submatrix(list(range(proj.nrows)),
+                                       list(range(dd, dd + tt))))
 
 
-def _quotient_maps(rels: list[list[int]], V: int, ell: int) -> tuple[FMatrix, FMatrix]:
-    """Projection V -> V/span(rels) and a section, in explicit coordinates."""
-    if rels:
-        R = FMatrix.from_rows(rels, ell, ncols=V)
-    else:
-        R = FMatrix.zeros(0, V, ell)
+def _quotient(R: FMatrix) -> tuple[FMatrix, list[int]]:
+    """The projection onto the quotient by the row space of R, in the
+    basis of the non-pivot columns of R's echelon form, and those
+    columns (the quotient's basis vectors, lifted)."""
     red, pivots = R.rref()
     pivset = set(pivots)
-    free = [c for c in range(V) if c not in pivset]
-    proj = FMatrix.zeros(len(free), V, ell)
-    for fi, f in enumerate(free):
-        proj.set(fi, f, 1)
-        for ri, p in enumerate(pivots):
-            c = red.get(ri, f)
-            if c:
-                proj.set(fi, p, -c)
-    sec = FMatrix.zeros(V, len(free), ell)
-    for fi, f in enumerate(free):
-        sec.set(f, fi, 1)
-    return proj, sec
+    free = [c for c in range(R.ncols) if c not in pivset]
+    # in the column order free + pivots the projection is [1 | -C^T]
+    C = red.submatrix(list(range(len(pivots))), free)
+    wide = FMatrix.hstack([FMatrix.identity(len(free), R.ell),
+                           C.transpose().scale(-1)])
+    order = free + pivots
+    return (wide.submatrix(list(range(len(free))),
+                           sorted(range(R.ncols), key=order.__getitem__)),
+            free)
 
 
 def internal_hom(m: MackeyModule, n: MackeyModule) -> MackeyModule:
@@ -447,36 +396,30 @@ _TOR = {
              ("SDot", "SDot"): {"SDot": 1}}),
 }
 
-_HOM0_ODD = {
+# at odd l both degree-0 tables agree, and everything above degree 0 vanishes
+_ODD = {0: {
     ("H", "H"): {"H": 1}, ("H", "STheta"): {"STheta": 1},
     ("STheta", "H"): {"STheta": 1}, ("STheta", "STheta"): {"H": 1},
-}
+}}
 
-_BOX0_ODD = {
-    ("H", "H"): {"H": 1}, ("H", "STheta"): {"STheta": 1},
-    ("STheta", "H"): {"STheta": 1}, ("STheta", "STheta"): {"H": 1},
-}
+
+def _derived(name: str, tables: dict, a: MackeyModule, b: MackeyModule,
+             i: int) -> dict[str, int]:
+    """The classification dict of a derived functor from its table for
+    degree i (``tables`` at l = 2, ``_ODD`` otherwise)."""
+    if i < 0:
+        raise ValueError(f"{name} degree must be >= 0")
+    ca, cb = classify(a), classify(b)
+    if a.ell != b.ell:
+        raise ValueError(f"mixed moduli in {name}")
+    return _counts_mul(ca, cb, (tables if a.ell == 2 else _ODD).get(i, {}))
 
 
 def ext(a: MackeyModule, b: MackeyModule, i: int) -> dict[str, int]:
     """uExt^i(a, b) as a classification dict (vanishes for i >= 3)."""
-    if i < 0:
-        raise ValueError("ext degree must be >= 0")
-    ca, cb = classify(a), classify(b)
-    if a.ell != b.ell:
-        raise ValueError("mixed moduli in ext")
-    if a.ell != 2:
-        return _counts_mul(ca, cb, _HOM0_ODD) if i == 0 else {}
-    return _counts_mul(ca, cb, _EXT.get(i, {}))
+    return _derived("ext", _EXT, a, b, i)
 
 
 def tor(a: MackeyModule, b: MackeyModule, i: int) -> dict[str, int]:
     """uTor_i(a, b) as a classification dict (vanishes for i >= 3)."""
-    if i < 0:
-        raise ValueError("tor degree must be >= 0")
-    ca, cb = classify(a), classify(b)
-    if a.ell != b.ell:
-        raise ValueError("mixed moduli in tor")
-    if a.ell != 2:
-        return _counts_mul(ca, cb, _BOX0_ODD) if i == 0 else {}
-    return _counts_mul(ca, cb, _TOR.get(i, {}))
+    return _derived("tor", _TOR, a, b, i)

@@ -88,10 +88,15 @@ class BasisMove:
     @classmethod
     def from_json(cls, data: dict) -> "BasisMove":
         data = schema.obj(data, "a basis move")
-        return cls(schema.integer(data, "degree"),
-                   schema.name(data.get("variant"), _MOVE_NAMES,
-                               "move variant"),
-                   schema.integer(data, "i"), schema.integer(data, "j"))
+        mv = cls(schema.integer(data, "degree"),
+                 schema.name(data.get("variant"), _MOVE_NAMES,
+                             "move variant"),
+                 schema.integer(data, "i"), schema.integer(data, "j"))
+        if mv.i < 0 or mv.j < 0:
+            raise ValueError("move indices must be >= 0")
+        if mv.variant == "twist_t" and mv.j != mv.i:
+            raise ValueError("a twist_t move has j = i")
+        return mv
 
 
 # variant -> (kind_i, kind_j, arrow code)

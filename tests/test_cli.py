@@ -440,7 +440,7 @@ def test_readme_examples_match_the_cli(capsys):
               for chunk in block.split("```")[0].strip().split("\n\n")]
     examples = [c for c in chunks
                 if c[0].startswith("$ c2mackey") and "examples/" in c[0]]
-    assert len(examples) == 2
+    assert len(examples) == 3
     for command, *expected in examples:
         argv = [str(root / a) if a.startswith("examples/") else a
                 for a in command.split()[2:]]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import c2mackey.complexes as complexes_module
 from c2mackey.complexes import (U, ChainMap, FreeComplex, arrow_mul,
                                 box_chain_map, box_complex, canonicalize,
-                                compose_chain_maps, cone, cotens_H,
+                                chain_map_vector, compose_chain_maps, cone, cotens_H,
                                 direct_sum_complexes, ecompose, entry_ok,
                                 hom_complex_dim, hom_delta, homology_counts,
                                 identity_chain_map, is_null_homotopic,
@@ -395,6 +395,17 @@ def test_null_homotopy_witness():
     assert is_null_homotopic(f)
     assert not is_null_homotopic(identity_chain_map(strand("Hn", 0)))
     assert null_homotopy(identity_chain_map(strand("Hn", 0))) is None
+
+
+def test_homotopy_functions_refuse_invalid_maps():
+    # an illegal arrow code and a wrong-shape component are violations,
+    # not an IndexError or a silent answer
+    a = strand("A", 0)
+    for bad, violation in ((ChainMap(a, a, {0: [[5]]}, 0), "illegal arrow"),
+                           (ChainMap(a, a, {0: [[1, 1]]}, 0), "wrong shape")):
+        for fn in (null_homotopy, is_null_homotopic, chain_map_vector):
+            with pytest.raises(ValueError, match=violation):
+                fn(bad)
 
 
 def test_hom_group_dimensions():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -198,11 +200,35 @@ def test_op_dual_swaps_transfer_roles():
 
 
 def test_json_roundtrip():
-    import json
     m = module_of_counts({"F": 1, "SDot": 2}, 2)
     again = MackeyModule.from_json(json.loads(json.dumps(m.to_json())))
     assert classify(again) == {"F": 1, "SDot": 2}
     assert validate_module(again) == []
+
+
+def test_box_and_hom_outputs_are_pinned():
+    """box and internal_hom on seeded scrambled pairs at l = 2, 3, 5 and
+    on every pair of the zero module and the indecomposables at l = 2, 3,
+    digested: the quotient basis of a box and the kernel basis of a hom
+    are part of every module output built on them."""
+    pairs = []
+    for ell in (2, 3, 5):
+        rng = random.Random(f"module-pin:{ell}")
+        kinds = KINDS if ell == 2 else ODD_KINDS
+        for _ in range(10):
+            pairs.append([random_scrambled_module(
+                {k: rng.randint(0, 2) for k in kinds}, ell, rng)
+                for _ in "ab"])
+    for ell in (2, 3):
+        small = [zero_module(ell)] + [indecomposable(k, ell) for k in KINDS
+                                      if ell == 2 or k != "SDot"]
+        pairs += [(a, b) for a in small for b in small]
+    digest = hashlib.sha256()
+    for a, b in pairs:
+        outs = [box(a, b).to_json(), internal_hom(a, b).to_json()]
+        digest.update(json.dumps(outs, sort_keys=True).encode())
+    assert digest.hexdigest() == ("4b3747535e92601ce74c352a1f016a85"
+                                  "78ba07ac1c90a0885869048057f7044e")
 
 
 def test_box_rejects_mixed_moduli():

@@ -233,6 +233,10 @@ def test_decomposition_json_roundtrip():
                                  (strand_, {**move, "degree": "2"}),
                                  (strand_, {**move, "variant": 5}),
                                  (strand_, {**move, "i": 0.5}),
+                                 (strand_, {**move, "i": -1}),
+                                 (strand_, {**move, "j": -2}),
+                                 (strand_, {**move, "variant": "twist_t",
+                                            "i": 0, "j": 1}),
                                  ({**strand_, "kind": "C"}, move),
                                  ({**strand_, "param": -1}, move),
                                  ({**strand_, "kind": "B", "param": -1}, move),

@@ -23,8 +23,8 @@ from .derived import (balmer_support, cohomology_window, dbox, dcotens,
                       invertible_class, op_dual_decomp, serre_check,
                       sufficient_window, toda_witness)
 from .kronholm import RepBuildScript, ScriptError, kronholm_split
-from .mackey import (MackeyModule, box, classify, ext, internal_hom, tor,
-                     validate_module)
+from .mackey import (KINDS, MackeyModule, box, classify, ext, internal_hom,
+                     tor, validate_module)
 from .split import (DISK_KINDS, random_scrambled_complex, split,
                     verify_certificate)
 
@@ -54,16 +54,12 @@ def strands_text(strands) -> str:
 
 def counts_text(counts: dict) -> str:
     parts = []
-    for kind in ("H", "F", "Hop", "SDot", "STheta", "PtH", "PtSTheta"):
+    for kind in KINDS:
         n = counts.get(kind, 0)
         if n == 1:
             parts.append(kind)
         elif n > 1:
             parts.append(f"{n}{kind}")
-    for kind, n in sorted(counts.items()):
-        if kind not in ("H", "F", "Hop", "SDot", "STheta", "PtH", "PtSTheta") \
-                and n:
-            parts.append(f"{n}{kind}" if n > 1 else kind)
     return " + ".join(parts) if parts else "0"
 
 

@@ -291,38 +291,43 @@ def canonicalize(c: FreeComplex) -> FreeComplex:
     return FreeComplex(c.min_degree, gens, diffs)
 
 
+# the generator kinds of each strand and disk, top first; A and B need
+# param >= 0, and a disk ignores it
+STRAND_SHAPES = {
+    "A": lambda k: "F" * (k + 1),
+    "Hn": lambda n: "F" * n + "H" if n >= 0 else "H" + "F" * -n,
+    "B": lambda r: "H" + "F" * (r + 1) + "H",
+    "DiskF": lambda _: "FF",
+    "DiskH": lambda _: "HH",
+}
+
+
+def strand_edge(ka: str, kb: str, disk: bool) -> int:
+    """The arrow between adjacent generators of a canonical strand."""
+    return U if ka == kb == "F" and not disk else 1
+
+
+def strand_top(seq: str, disk: bool) -> int:
+    """The top degree of the canonical strand with generator kinds ``seq``
+    (top first): a strand ending in an H has its top in degree 0, a disk
+    or any other strand has its bottom there."""
+    return 0 if seq[-1] == "H" and not disk else len(seq) - 1
+
+
 def strand(kind: str, param: int = 0) -> FreeComplex:
     """The fundamental strands and disks in their canonical positions."""
-    if kind == "A":
-        if param < 0:
-            raise ValueError("A-strands need a length >= 0")
-        gens = [["F"] for _ in range(param + 1)]
-        diffs = [[[U]] for _ in range(param)]
-        return FreeComplex(0, gens, diffs)
-    if kind == "Hn":
-        n = param
-        if n == 0:
-            return FreeComplex(0, [["H"]], [])
-        if n > 0:
-            gens = [["H"]] + [["F"] for _ in range(n)]
-            diffs = [[[1]]] + [[[U]] for _ in range(n - 1)]
-            return FreeComplex(-n, gens, diffs)
-        j = -n
-        gens = [["F"] for _ in range(j)] + [["H"]]
-        diffs = [[[U]] for _ in range(j - 1)] + [[[1]]]
-        return FreeComplex(0, gens, diffs)
-    if kind == "B":
-        r = param
-        if r < 0:
-            raise ValueError("B-strands need a width >= 0")
-        gens = [["H"]] + [["F"] for _ in range(r + 1)] + [["H"]]
-        diffs = [[[1]]] + [[[U]] for _ in range(r)] + [[[1]]]
-        return FreeComplex(-(r + 2), gens, diffs)
-    if kind == "DiskF":
-        return FreeComplex(0, [["F"], ["F"]], [[[1]]])
-    if kind == "DiskH":
-        return FreeComplex(0, [["H"], ["H"]], [[[1]]])
-    raise ValueError(f"unknown strand kind {kind!r}")
+    shape = STRAND_SHAPES.get(kind)
+    if shape is None:
+        raise ValueError(f"unknown strand kind {kind!r}")
+    if kind == "A" and param < 0:
+        raise ValueError("A-strands need a length >= 0")
+    if kind == "B" and param < 0:
+        raise ValueError("B-strands need a width >= 0")
+    seq, disk = shape(param), kind.startswith("Disk")
+    up = seq[::-1]
+    return FreeComplex(strand_top(seq, disk) - (len(seq) - 1),
+                       [[k] for k in up],
+                       [[[strand_edge(a, b, disk)]] for a, b in zip(up, up[1:])])
 
 
 def shift_complex(c: FreeComplex, s: int) -> FreeComplex:
@@ -771,23 +776,13 @@ def box_chain_map(f: ChainMap, g: ChainMap) -> ChainMap:
 def cotens_H(c: FreeComplex) -> FreeComplex:
     """The arrow-reversal dual: degrees negate, differentials transpose,
     restriction and transfer arrows trade roles."""
-    gens = []
-    diffs = []
-    lo, hi = c.min_degree, c.max_degree
-    for e in range(-hi, -lo + 1):
-        gens.append(list(c.gens_at(-e)))
-    for e in range(-hi + 1, -lo + 1):
-        dorig = c.diff(-e + 1)      # original map -e+1 -> -e
-        sk = c.gens_at(-e)          # new sources in degree e
-        tk = c.gens_at(-e + 1)      # new targets in degree e-1
-        m = zero_matrix(len(tk), len(sk))
-        if dorig is not None:
-            for r in range(len(sk)):
-                for cx in range(len(tk)):
-                    # every arrow is its own dual (the two p's trade places)
-                    m[cx][r] = dorig[r][cx]
-        diffs.append(m)
-    return canonicalize(FreeComplex(-hi, gens, diffs))
+    # every arrow is its own dual (the two p's trade places), so each
+    # differential is the transpose of the one it reverses
+    gens = c.gens
+    diffs = [[[m[r][j] for r in range(len(gens[i]))]
+              for j in range(len(gens[i + 1]))]
+             for i, m in enumerate(c.diffs)]
+    return canonicalize(FreeComplex(-c.max_degree, gens[::-1], diffs[::-1]))
 
 
 # -- the hom complex -------------------------------------------------------
@@ -816,10 +811,19 @@ def _hom_degrees(x: FreeComplex, y: FreeComplex, n: int) -> range:
                  min(x.max_degree, y.max_degree - n) + 1)
 
 
+def _hom_size(x: FreeComplex, y: FreeComplex, n: int) -> int:
+    """len(hom_basis(x, y, n)), counted without building the basis."""
+    size = 0
+    for i in _hom_degrees(x, y, n):
+        xk, yk = x.gens_at(i), y.gens_at(i + n)
+        size += len(xk) * len(yk) + xk.count("F") * yk.count("F")
+    return size
+
+
 def hom_delta(x: FreeComplex, y: FreeComplex, n: int) -> FMatrix:
     """The differential Hom(x, y)_n -> Hom(x, y)_{n-1}, f |-> d f + f d."""
     tindex = {b: k for k, b in enumerate(hom_basis(x, y, n - 1))}
-    delta = FMatrix.zeros(len(tindex), len(hom_basis(x, y, n)), 2)
+    delta = FMatrix.zeros(len(tindex), _hom_size(x, y, n), 2)
     col = 0
     for i in _hom_degrees(x, y, n):
         xk, yk = x.gens_at(i), y.gens_at(i + n)

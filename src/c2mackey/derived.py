@@ -10,6 +10,11 @@ operation comes in two flavors that the tests play against each other:
   drop the contractible disks), and
 * a closed-form route (the strand-pair multiplication tables).
 
+The closed forms rest on one box table and one dual, ``_dual``, the strand
+of ``cotens_H``.  Every perfect complex X is dualizable, F(X, Z) = DX box
+Z, so the cotensor closed form is the box closed form on the dual; the
+opposite dual is the dual boxed with H(-2).
+
 On top of these sit the bigraded cohomology windows, the closed model
 of the cohomology ring of the unit with honest chain-map products, the
 three-fold bracket witness, invertibility/Picard bookkeeping, support,
@@ -23,24 +28,33 @@ from collections import Counter
 from .complexes import (ChainMap, FreeComplex, box_chain_map, box_complex,
                         compose_chain_maps, cotens_H, hom_complex_dim,
                         hom_delta, chain_map_from_vector, identity_chain_map,
-                        is_null_homotopic, null_homotopy, shift_complex,
-                        strand, zero_matrix)
-from .split import DISK_KINDS, Strand, certificate_isos, split, strand_paths
+                        is_null_homotopic, null_homotopy, zero_matrix)
+from .split import (DISK_KINDS, Strand, certificate_isos, split,
+                    strand_complex, strand_paths)
 
 
 # -- duality -----------------------------------------------------------------
 
-def op_dual_strand(s: Strand) -> Strand:
-    """The opposite dual, strandwise."""
+TWIST = Strand("Hn", -2, 0)
+
+
+def _dual(s: Strand) -> Strand:
+    """The strand of ``cotens_H`` of the strand ``s``."""
     if s.kind == "A":
         return Strand("A", s.param, -s.shift - s.param)
     if s.kind == "Hn":
-        return Strand("Hn", -(s.param + 2), -s.shift)
+        return Strand("Hn", -s.param, -s.shift)
     if s.kind == "B":
-        return Strand("B", s.param, s.param + 4 - s.shift)
+        return Strand("B", s.param, s.param + 2 - s.shift)
     if s.kind in ("DiskF", "DiskH"):
         return Strand(s.kind, 0, -s.shift - 1)
     raise ValueError(f"no dual for strand kind {s.kind!r}")
+
+
+def op_dual_strand(s: Strand) -> Strand:
+    """The opposite dual, strandwise: the dual boxed with the twist."""
+    d = _dual(s)
+    return d if d.kind in DISK_KINDS else dbox_formula_pair(d, TWIST)[0]
 
 
 def op_dual_decomp(strands: list[Strand]) -> list[Strand]:
@@ -48,10 +62,6 @@ def op_dual_decomp(strands: list[Strand]) -> list[Strand]:
 
 
 # -- box and cotensor: computed routes ----------------------------------------
-
-def _canon(s: Strand) -> FreeComplex:
-    return shift_complex(strand(s.kind, s.param), s.shift)
-
 
 def _pairwise(pair, xs: list[Strand], ys: list[Strand]) -> list[Strand]:
     """The sorted union of ``pair(x, y)`` over every pair of summands."""
@@ -65,7 +75,8 @@ def _split_drop_disks(c: FreeComplex) -> list[Strand]:
 
 def dbox_pair(sx: Strand, sy: Strand) -> list[Strand]:
     """Derived box of two strands, via an explicit box complex."""
-    return sorted(_split_drop_disks(box_complex(_canon(sx), _canon(sy))))
+    return sorted(_split_drop_disks(
+        box_complex(strand_complex(sx), strand_complex(sy))))
 
 
 def dbox(xs: list[Strand], ys: list[Strand]) -> list[Strand]:
@@ -76,7 +87,7 @@ def dcotens_pair(sx: Strand, sz: Strand) -> list[Strand]:
     """Derived cotensor (maps-out variable first), via the arrow-reversal
     dual on the first argument."""
     return sorted(_split_drop_disks(
-        box_complex(cotens_H(_canon(sx)), _canon(sz))))
+        box_complex(cotens_H(strand_complex(sx)), strand_complex(sz))))
 
 
 def dcotens(xs: list[Strand], zs: list[Strand]) -> list[Strand]:
@@ -88,26 +99,25 @@ def dcotens(xs: list[Strand], zs: list[Strand]) -> list[Strand]:
 def dbox_formula_pair(sx: Strand, sy: Strand) -> list[Strand]:
     if sx.kind in DISK_KINDS or sy.kind in DISK_KINDS:
         return []
-    a, b = sx.shift, sy.shift
     kx, ky = sx.kind, sy.kind
-    if (kx, ky) in (("B", "A"), ("A", "B")):
+    # the table is symmetric: read it with the kinds in sorted order
+    sx, sy = sorted((sx, sy))
+    a, b = sx.shift, sy.shift
+    kinds = (sx.kind, sy.kind)
+    if kinds == ("A", "B"):
         return []
-    if kx == "Hn" and ky == "Hn":
-        return [Strand("Hn", sx.param + sy.param, a + b)]
-    if kx == "A" and ky == "Hn":
-        return [Strand("A", sx.param, a + b)]
-    if kx == "Hn" and ky == "A":
-        return [Strand("A", sy.param, a + b)]
-    if kx == "A" and ky == "A":
+    if kinds == ("A", "A"):
         k, l = sorted((sx.param, sy.param))
         return sorted([Strand("A", k, a + b), Strand("A", k, a + b + l)])
-    if kx == "Hn" and ky == "B":
-        return [Strand("B", sy.param, a + b - sx.param)]
-    if kx == "B" and ky == "Hn":
-        return [Strand("B", sx.param, a + b - sy.param)]
-    if kx == "B" and ky == "B":
+    if kinds == ("A", "Hn"):
+        return [Strand("A", sx.param, a + b)]
+    if kinds == ("B", "B"):
         r, l = sorted((sx.param, sy.param))
         return sorted([Strand("B", r, a + b - l - 2), Strand("B", r, a + b)])
+    if kinds == ("B", "Hn"):
+        return [Strand("B", sx.param, a + b - sy.param)]
+    if kinds == ("Hn", "Hn"):
+        return [Strand("Hn", sx.param + sy.param, a + b)]
     raise ValueError(f"no box rule for {kx}, {ky}")
 
 
@@ -116,31 +126,10 @@ def dbox_formula(xs: list[Strand], ys: list[Strand]) -> list[Strand]:
 
 
 def dcotens_formula_pair(sx: Strand, sz: Strand) -> list[Strand]:
+    """F(X, Z) = DX box Z, strandwise."""
     if sx.kind in DISK_KINDS or sz.kind in DISK_KINDS:
         return []
-    s = sz.shift - sx.shift
-    kx, kz = sx.kind, sz.kind
-    if (kx, kz) in (("A", "B"), ("B", "A")):
-        return []
-    if kx == "Hn" and kz == "Hn":
-        return [Strand("Hn", sz.param - sx.param, s)]
-    if kx == "Hn" and kz == "B":
-        return [Strand("B", sz.param, s + sx.param)]
-    if kx == "Hn" and kz == "A":
-        return [Strand("A", sz.param, s)]
-    if kx == "A" and kz == "Hn":
-        return [Strand("A", sx.param, s - sx.param)]
-    if kx == "B" and kz == "Hn":
-        return [Strand("B", sx.param, s + sx.param - sz.param + 2)]
-    if kx == "A" and kz == "A":
-        k, l = sx.param, sz.param
-        m, hi = min(k, l), max(k, l)
-        return sorted([Strand("A", m, s - k), Strand("A", m, s + hi - k)])
-    if kx == "B" and kz == "B":
-        r, l = sx.param, sz.param
-        m, hi = min(r, l), max(r, l)
-        return sorted([Strand("B", m, s + r - hi), Strand("B", m, s + r + 2)])
-    raise ValueError(f"no cotensor rule for {kx}, {kz}")
+    return dbox_formula_pair(_dual(sx), sz)
 
 
 def dcotens_formula(xs: list[Strand], zs: list[Strand]) -> list[Strand]:
@@ -148,9 +137,6 @@ def dcotens_formula(xs: list[Strand], zs: list[Strand]) -> list[Strand]:
 
 
 # -- twisted duality -----------------------------------------------------------
-
-TWIST = Strand("Hn", -2, 0)
-
 
 def serre_check(xs: list[Strand], ys: list[Strand]) -> dict:
     """Natural equivalence: maps X -> Y twisted by Hn(-2) against the
@@ -172,22 +158,20 @@ def m2_dim(p: int, q: int) -> int:
     return 0
 
 
+def _monomial(a: int, b: int) -> str:
+    """tau^a rho^b, leaving out zero powers and writing first powers bare;
+    empty for a = b = 0."""
+    return " ".join(f"{name}^{e}" if e > 1 else name
+                    for name, e in (("tau", a), ("rho", b)) if e)
+
+
 def m2_label(p: int, q: int) -> str | None:
     """Monomial name of the (at most one) basis class at (p, q)."""
     if 0 <= p <= q:
-        a, b = q - p, p
-        if a == 0 and b == 0:
-            return "1"
-        parts = [f"tau^{a}" if a > 1 else "tau" if a == 1 else "",
-                 f"rho^{b}" if b > 1 else "rho" if b == 1 else ""]
-        return " ".join(x for x in parts if x)
+        return _monomial(q - p, p) or "1"
     if p <= 0 and q <= p - 2:
-        a, b = p - q - 2, -p
-        if a == 0 and b == 0:
-            return "theta"
-        denom = [f"tau^{a}" if a > 1 else "tau" if a == 1 else "",
-                 f"rho^{b}" if b > 1 else "rho" if b == 1 else ""]
-        return "theta/(" + " ".join(x for x in denom if x) + ")"
+        denom = _monomial(p - q - 2, -p)
+        return f"theta/({denom})" if denom else "theta"
     return None
 
 
@@ -216,14 +200,9 @@ def cohomology_window(c: FreeComplex, p0: int, p1: int,
                       q0: int, q1: int) -> list[list[int]]:
     """dims[i][j] = dim of maps from the complex into the (p, q) twist of
     the unit, computed from mapping complexes."""
-    out = []
-    for p in range(p0, p1 + 1):
-        row = []
-        for q in range(q0, q1 + 1):
-            tw = shift_complex(strand("Hn", q), p)
-            row.append(hom_complex_dim(c, tw, 0))
-        out.append(row)
-    return out
+    return [[hom_complex_dim(c, strand_complex(Strand("Hn", q, p)), 0)
+             for q in range(q0, q1 + 1)]
+            for p in range(p0, p1 + 1)]
 
 
 def sufficient_window(strands: list[Strand]) -> tuple[int, int, int, int]:
@@ -250,8 +229,8 @@ def class_rep(p: int, q: int) -> ChainMap:
     map from the unit to its (p, q) twist.  Raises if the group is zero."""
     if not m2_dim(p, q):
         raise ValueError(f"the cohomology of the unit vanishes at ({p}, {q})")
-    unit = strand("Hn", 0)
-    tw = shift_complex(strand("Hn", q), p)
+    unit = strand_complex(Strand("Hn", 0, 0))
+    tw = strand_complex(Strand("Hn", q, p))
     return _transported_class(unit, tw)
 
 
@@ -261,14 +240,10 @@ def _project_onto(final: FreeComplex, target: Strand) -> ChainMap:
     pieces = strand_paths(final)
     if pieces is None:
         raise ValueError("complex is not in literal split form")
-    path = None
-    for s, nodes in pieces:
-        if s == target:
-            path = nodes
-            break
+    path = next((nodes for s, nodes in pieces if s == target), None)
     if path is None:
         raise ValueError(f"no summand {target} present")
-    cn = _canon(target)
+    cn = strand_complex(target)
     comps: dict[int, list[list[int]]] = {}
     for d in final.degrees():
         rows = len(cn.gens_at(d))
@@ -333,10 +308,10 @@ def toda_witness() -> dict:
     """The bracket < tau, theta, rho > on the unit: strict vanishing of
     theta.rho, an explicit homotopy for tau.theta, and the resulting
     composite, which is the identity class with zero indeterminacy."""
-    unit = strand("Hn", 0)
-    s_up = shift_complex(strand("Hn", 1), 1)      # (1,1) twist
-    s_dn = shift_complex(strand("Hn", -1), 1)     # (1,-1) twist
-    s_unit1 = shift_complex(unit, 1)
+    unit = strand_complex(Strand("Hn", 0, 0))
+    s_up = strand_complex(Strand("Hn", 1, 1))      # (1,1) twist
+    s_dn = strand_complex(Strand("Hn", -1, 1))     # (1,-1) twist
+    s_unit1 = strand_complex(Strand("Hn", 0, 1))
 
     rho = class_rep(1, 1)                          # unit -> s_up
     # theta as a map s_up -> s_dn: the (0,-2) class acting at weight 1

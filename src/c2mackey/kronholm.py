@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 from . import _schema as schema
 from .complexes import (ChainMap, FreeComplex, arrows_from_json,
-                        arrows_to_json, cone, shift_complex, strand,
-                        validate_chain_map)
-from .split import DISK_KINDS, Decomposition, split
+                        arrows_to_json, chain_map_from_vector, cone,
+                        hom_delta, validate_chain_map)
+from .split import DISK_KINDS, Decomposition, Strand, split, strand_complex
 
 log = logging.getLogger("c2mackey.kronholm")
 
@@ -87,7 +87,7 @@ class RepBuildScript:
 
 def rep_cell_complex(cell: RepCell) -> FreeComplex:
     cell.check()
-    return shift_complex(strand("Hn", cell.q), cell.m)
+    return strand_complex(Strand("Hn", cell.q, cell.m))
 
 
 def classify_cell_map(v: RepCell, target: tuple[int, int]) -> int:
@@ -114,7 +114,7 @@ _ZERO = FreeComplex(0, [[]], [])
 
 
 def attach_source(cell: RepCell) -> FreeComplex:
-    return shift_complex(strand("Hn", cell.q), cell.m - 1)
+    return strand_complex(Strand("Hn", cell.q, cell.m - 1))
 
 
 def attach_map(y: FreeComplex, cell: RepCell,
@@ -254,8 +254,6 @@ def random_spacelike_script(rng, max_cells: int = 8,
                             max_dim: int = 5) -> RepBuildScript:
     """A random sorted script whose attachments are random spacelike,
     non-annihilating mapping-complex cocycles (null when none is found)."""
-    from .complexes import hom_delta, chain_map_from_vector
-
     n = rng.randint(1, max_cells)
     cells = sorted(RepCell(m, rng.randint(0, m))
                    for m in (rng.randint(0, max_dim) for _ in range(n)))
@@ -267,15 +265,11 @@ def random_spacelike_script(rng, max_cells: int = 8,
         if seen and rng.random() < 0.7:
             src = attach_source(cell)
             kern = hom_delta(src, y, 0).kernel_basis()
-            cols = list(range(kern.ncols))
             for _ in range(6):
-                if not cols:
+                if not kern.ncols:
                     break
-                vec = [0] * kern.nrows
-                for j in cols:
-                    if rng.random() < 0.5:
-                        for i in range(kern.nrows):
-                            vec[i] ^= kern.get(i, j)
+                vec = kern.mul_vec([int(rng.random() < 0.5)
+                                    for _ in range(kern.ncols)])
                 if not any(vec):
                     continue
                 f = chain_map_from_vector(src, y, 0, vec)

@@ -31,10 +31,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import _schema as schema
-from .complexes import (U, ChainMap, FreeComplex, ecompose,
+from .complexes import (STRAND_SHAPES, ChainMap, FreeComplex, ecompose,
                         identity_chain_map, shift_complex, strand,
-                        direct_sum_complexes, realize, validate_complex,
-                        _classified_homology)
+                        strand_edge, strand_top, direct_sum_complexes,
+                        realize, validate_complex, _classified_homology)
 from .gf2core import FMatrix, is_prime, random_invertible
 from .mackey import (MackeyMap, MackeyModule, classify, conjugate, direct_sum,
                      indecomposable, zero_module)
@@ -118,30 +118,31 @@ def _variant_for(ki: str, kj: str, phi: int) -> str:
     return variant
 
 
-def _shape(seq: list[str]) -> tuple[str, int] | None:
+def _shape(seq: str) -> tuple[str, int] | None:
     """(kind, param) of the strand whose generator kinds, top first, are
-    ``seq``; None if no strand has that shape (disks aside)."""
+    ``seq``; None if no strand has that shape (disks aside).  The inverse
+    of ``STRAND_SHAPES`` over the four strands with ``len(seq)`` kinds."""
     n = len(seq)
-    if all(k == "F" for k in seq):
-        return ("A", n - 1)
-    if seq[-1] == "H" and all(k == "F" for k in seq[:-1]):
-        return ("Hn", n - 1)
-    if seq[0] == "H" and all(k == "F" for k in seq[1:]):
-        return ("Hn", -(n - 1))
-    if (n >= 3 and seq[0] == "H" and seq[-1] == "H"
-            and all(k == "F" for k in seq[1:-1])):
-        return ("B", n - 3)
+    for kind, param in (("A", n - 1), ("Hn", n - 1), ("Hn", 1 - n),
+                        ("B", n - 3)):
+        if (param >= 0 or kind == "Hn") and STRAND_SHAPES[kind](param) == seq:
+            return kind, param
     return None
 
 
-def _path_strand(seq: list[str], top: int) -> Strand | None:
-    """The strand with generator kinds ``seq`` (top first) and top degree
-    ``top``, or None if the kinds form no strand."""
-    shape = _shape(seq)
+def _path_strand(seq: str, top: int, disk: bool) -> Strand | None:
+    """The strand (or, if ``disk``, the disk) with generator kinds ``seq``
+    (top first) and top degree ``top``, or None if the kinds form no
+    strand."""
+    shape = ("Disk" + seq[0], 0) if disk else _shape(seq)
     if shape is None:
         return None
-    # canonical A and H(-n) strands start in degree 0, the rest end there
-    return Strand(*shape, top if seq[-1] == "H" else top - (len(seq) - 1))
+    return Strand(*shape, top - strand_top(seq, disk))
+
+
+def strand_complex(s: Strand) -> FreeComplex:
+    """The canonical complex of one strand or disk, in its place."""
+    return shift_complex(strand(s.kind, s.param), s.shift)
 
 
 @dataclass
@@ -390,7 +391,7 @@ class _Sweep:
         if mem[0] != top:
             raise SplitError("level generator is not a strand top")
         gens = self.work.gens
-        shape = _shape([gens[L][g] for (L, g) in mem])
+        shape = _shape("".join(gens[L][g] for (L, g) in mem))
         if shape is None or shape[0] == "B" or shape[1] < 0:
             return None    # completed B / H(-n): never a target again
         kind, n = shape
@@ -484,13 +485,8 @@ class _Sweep:
         lo, gens = self.work.min_degree, self.work.gens
         out = []
         for sid, mem in self.members.items():
-            L, g = mem[0]
-            if sid in self.disk_sids:
-                kind = "DiskF" if gens[L][g] == "F" else "DiskH"
-                out.append(Strand(kind, 0, lo + L - 1))
-                continue
-            seq = [gens[L2][g2] for (L2, g2) in mem]
-            s = _path_strand(seq, lo + L)
+            seq = "".join(gens[L][g] for (L, g) in mem)
+            s = _path_strand(seq, lo + mem[0][0], sid in self.disk_sids)
             if s is None:
                 raise SplitError(f"generator path {seq} is not a strand shape")
             out.append(s)
@@ -525,18 +521,13 @@ def strand_paths(c: FreeComplex) -> list[tuple[Strand, list[tuple[int, int]]]] |
             node = (li, g)
             if in_deg.get(node):
                 continue            # not a path top
-            seq = [c.gens[li][g]]
-            edges = []
-            nodes = [node]
-            cur = node
-            while cur in out_edge:
-                l2, g2, e = out_edge[cur]
+            nodes, edges = [node], []
+            while nodes[-1] in out_edge:
+                l2, g2, e = out_edge[nodes[-1]]
+                nodes.append((l2, g2))
                 edges.append(e)
-                seq.append(c.gens[l2][g2])
-                cur = (l2, g2)
-                nodes.append(cur)
-            top = c.min_degree + li
-            s = _parse_path(seq, edges, top)
+            seq = "".join(c.gens[L][k] for L, k in nodes)
+            s = _parse_path(seq, edges, c.min_degree + li)
             if s is None:
                 return None
             pieces.append((s, nodes))
@@ -547,21 +538,16 @@ def components_of(c: FreeComplex) -> list[Strand] | None:
     """The strand multiset of a complex in literal split form (sorted),
     or None if it is not such a sum."""
     pieces = strand_paths(c)
-    if pieces is None:
-        return None
-    strands = [s for s, _ in pieces]
-    strands.sort()
-    return strands
+    return None if pieces is None else sorted(s for s, _ in pieces)
 
 
-def _parse_path(seq: list[str], edges: list[int], top: int) -> Strand | None:
-    if len(seq) == 2 and edges == [1] and seq[0] == seq[1]:
-        return Strand("DiskF" if seq[0] == "F" else "DiskH", 0, top - 1)
-    # every canonical strand has 1+t on its F -> F edges and 1 elsewhere
-    if any(e != (U if a == b == "F" else 1)
+def _parse_path(seq: str, edges: list[int], top: int) -> Strand | None:
+    # two generators of one kind joined by 1 form a disk
+    disk = len(seq) == 2 and edges == [1] and seq[0] == seq[1]
+    if any(e != strand_edge(a, b, disk)
            for a, b, e in zip(seq, seq[1:], edges)):
         return None
-    return _path_strand(seq, top)
+    return _path_strand(seq, top, disk)
 
 
 def verify_certificate(c: FreeComplex, dec: Decomposition) -> bool:
@@ -596,8 +582,7 @@ def certificate_isos(c: FreeComplex,
 
 def decomposition_sum(strands: list[Strand]) -> FreeComplex:
     """The canonical complex realizing a strand multiset."""
-    return direct_sum_complexes(
-        [shift_complex(strand(s.kind, s.param), s.shift) for s in strands])
+    return direct_sum_complexes([strand_complex(s) for s in strands])
 
 
 # -- random generation -------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import itertools
 import json
 import pathlib
 import random
@@ -21,7 +22,9 @@ from c2mackey.complexes import (U, ChainMap, FreeComplex, arrow_mul,
                                 validate_chain_map, validate_complex)
 from c2mackey.gf2core import FMatrix
 from c2mackey.mackey import direct_sum, indecomposable
-from c2mackey.split import certificate_isos, random_scrambled_complex
+from c2mackey.derived import dcotens_formula_pair, op_dual_strand
+from c2mackey.split import (Strand, _shape, certificate_isos,
+                            random_scrambled_complex)
 from c2mackey.split import split as split_complex
 
 
@@ -129,6 +132,26 @@ def test_strand_shapes():
     assert b0.min_degree == -2 and b0.gens == [["H"], ["F"], ["H"]]
     for c in (a2, h2, hm2, b0):
         assert validate_complex(c) == []
+
+
+def test_strand_facts_are_pinned():
+    """The canonical strands, the inverse of their shape table on every
+    F/H sequence, and the cotensor and opposite-dual closed forms,
+    digested: each is stated once and the others derived from it."""
+    grid = ([("A", k) for k in range(8)] + [("B", r) for r in range(8)]
+            + [("Hn", n) for n in range(-8, 9)] + [("DiskF", 0), ("DiskH", 0)])
+    strands = ([Strand("A", k, s) for k in range(5) for s in (-2, 0, 1)]
+               + [Strand("Hn", n, s) for n in range(-4, 5) for s in (-1, 0, 2)]
+               + [Strand("B", r, s) for r in range(5) for s in (0, -3)])
+    outs = [strand(kind, param).to_json() for kind, param in grid]
+    outs += [_shape("".join(seq)) for n in range(1, 9)
+             for seq in itertools.product("FH", repeat=n)]
+    outs += [op_dual_strand(s).to_json() for s in strands]
+    outs += [[t.to_json() for t in dcotens_formula_pair(x, z)]
+             for x in strands for z in strands]
+    digest = hashlib.sha256(json.dumps(outs).encode()).hexdigest()
+    assert digest == ("24cd8be7dcdad12c4a79712fb36d9c76"
+                      "9494ce4e6b6f9b0040148d1f96734b27")
 
 
 def test_validate_rejects_broken_differential():

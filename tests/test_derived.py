@@ -9,6 +9,7 @@ import pytest
 
 from c2mackey.complexes import box_complex, cotens_H, validate_chain_map
 from c2mackey.derived import (
+    _dual,
     balmer_support,
     class_rep,
     cohomology_formula,
@@ -31,7 +32,8 @@ from c2mackey.derived import (
     sufficient_window,
     toda_witness,
 )
-from c2mackey.split import DISK_KINDS, Strand, decomposition_sum, split
+from c2mackey.split import (DISK_KINDS, Strand, decomposition_sum, split,
+                            strand_complex)
 
 PARAMS = 4
 
@@ -107,6 +109,12 @@ def test_sum_formulas_match_pairs_and_split_products():
             live = sorted(s for s in split(product).strands
                           if s.kind not in DISK_KINDS)
             assert got == live, (formula.__name__, xs, ys)
+
+
+def test_dual_is_the_strand_of_the_cotensor_dual():
+    disks = [Strand(k, 0, s) for k in ("DiskF", "DiskH") for s in (-1, 0, 2)]
+    for s in STRANDS + disks:
+        assert cotens_H(strand_complex(s)) == strand_complex(_dual(s)), s
 
 
 def test_op_dual_is_an_involution_on_strands():

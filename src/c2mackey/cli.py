@@ -10,6 +10,7 @@ level name (or number) for diagnostics on standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -319,7 +320,11 @@ def _int_at_least(lo: int):
     return parse
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after:
+    parsing keeps no state in it, and building it costs more than most
+    commands."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default=None,
                         help="output rendering (default json; fuzz: text)")

@@ -291,8 +291,8 @@ def canonicalize(c: FreeComplex) -> FreeComplex:
     return FreeComplex(c.min_degree, gens, diffs)
 
 
-# the generator kinds of each strand and disk, top first; A and B need
-# param >= 0, and a disk ignores it
+# the generator kinds of each strand and disk, top first, for a param
+# that ``strand_param_ok`` accepts
 STRAND_SHAPES = {
     "A": lambda k: "F" * (k + 1),
     "Hn": lambda n: "F" * n + "H" if n >= 0 else "H" + "F" * -n,
@@ -300,6 +300,21 @@ STRAND_SHAPES = {
     "DiskF": lambda _: "FF",
     "DiskH": lambda _: "HH",
 }
+
+
+def strand_param_ok(kind: str, param: int) -> bool:
+    """Whether a strand of ``kind`` takes ``param``: A and B a length
+    >= 0, Hn a weight of either sign, the points and disks only 0."""
+    if kind in ("A", "B"):
+        return param >= 0
+    return kind == "Hn" or param == 0
+
+
+def check_strand_param(kind: str, param: int) -> None:
+    """Raise ValueError unless a strand of ``kind`` takes ``param``."""
+    if not strand_param_ok(kind, param):
+        need = ">= 0" if kind in ("A", "B") else "0"
+        raise ValueError(f"a {kind} strand needs param {need}, not {param}")
 
 
 def strand_edge(ka: str, kb: str, disk: bool) -> int:
@@ -319,10 +334,7 @@ def strand(kind: str, param: int = 0) -> FreeComplex:
     shape = STRAND_SHAPES.get(kind)
     if shape is None:
         raise ValueError(f"unknown strand kind {kind!r}")
-    if kind == "A" and param < 0:
-        raise ValueError("A-strands need a length >= 0")
-    if kind == "B" and param < 0:
-        raise ValueError("B-strands need a width >= 0")
+    check_strand_param(kind, param)
     seq, disk = shape(param), kind.startswith("Disk")
     up = seq[::-1]
     return FreeComplex(strand_top(seq, disk) - (len(seq) - 1),

@@ -94,26 +94,27 @@ class FMatrix:
 
     @classmethod
     def identity(cls, n: int, ell: int = 2) -> "FMatrix":
+        if ell == 2:
+            return cls(2, n, n, [1 << i for i in range(n)])
         m = cls(ell, n, n)
-        for i in range(n):
-            m.set(i, i, 1)
+        for i, r in enumerate(m.rows):
+            r[i] = 1
         return m
 
     @classmethod
     def from_rows(cls, rows, ell: int = 2, ncols: int | None = None) -> "FMatrix":
         """Build from a list of lists of ints (reduced mod l)."""
         rows = [list(r) for r in rows]
-        nr = len(rows)
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        m = cls(ell, nr, ncols)
-        for i, r in enumerate(rows):
-            for j, v in enumerate(r):
-                m.set(i, j, v)
-        return m
+        if ell == 2:
+            rows = [_bits(r) for r in rows]
+        else:
+            rows = [[v % ell for v in r] for r in rows]
+        return cls(ell, len(rows), ncols, rows)
 
     def copy(self) -> "FMatrix":
         if self.ell == 2:
@@ -139,20 +140,27 @@ class FMatrix:
             self.rows[i][j] = v
 
     def row(self, i: int) -> list[int]:
-        return [self.get(i, j) for j in range(self.ncols)]
+        r = self.rows[i]
+        if self.ell == 2:
+            return [r >> j & 1 for j in range(self.ncols)]
+        return list(r)
 
     def col(self, j: int) -> list[int]:
-        return [self.get(i, j) for i in range(self.nrows)]
+        if self.ell == 2:
+            return [r >> j & 1 for r in self.rows]
+        return [r[j] for r in self.rows]
 
     def to_rows(self) -> list[list[int]]:
         return [self.row(i) for i in range(self.nrows)]
 
     def __eq__(self, other) -> bool:
+        # every operation leaves its rows canonical (no bit at or past
+        # ncols mod 2, residues in [0, l) otherwise), so equal matrices
+        # have equal rows
         if not isinstance(other, FMatrix):
             return NotImplemented
         return (self.ell == other.ell and self.nrows == other.nrows
-                and self.ncols == other.ncols
-                and self.to_rows() == other.to_rows())
+                and self.ncols == other.ncols and self.rows == other.rows)
 
     def __repr__(self):
         return f"FMatrix(GF({self.ell}), {self.nrows}x{self.ncols}, {self.to_rows()})"
@@ -167,15 +175,13 @@ class FMatrix:
     def add(self, other: "FMatrix") -> "FMatrix":
         if (self.nrows, self.ncols, self.ell) != (other.nrows, other.ncols, other.ell):
             raise ValueError("shape/field mismatch in add")
-        out = self.copy()
         if self.ell == 2:
-            for i in range(self.nrows):
-                out.rows[i] ^= other.rows[i]
+            rows = [r ^ s for r, s in zip(self.rows, other.rows)]
         else:
-            for i in range(self.nrows):
-                for j in range(self.ncols):
-                    out.rows[i][j] = (out.rows[i][j] + other.rows[i][j]) % self.ell
-        return out
+            ell = self.ell
+            rows = [[(a + b) % ell for a, b in zip(r, s)]
+                    for r, s in zip(self.rows, other.rows)]
+        return FMatrix(self.ell, self.nrows, self.ncols, rows)
 
     def scale(self, c: int) -> "FMatrix":
         c %= self.ell
@@ -209,13 +215,11 @@ class FMatrix:
     def mul_vec(self, v: list[int]) -> list[int]:
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.nrows):
-            s = 0
-            for k in range(self.ncols):
-                s += self.get(i, k) * v[k]
-            out.append(s % self.ell)
-        return out
+        if self.ell == 2:
+            bits = _bits(v)
+            return [(r & bits).bit_count() & 1 for r in self.rows]
+        ell = self.ell
+        return [sum(a * b for a, b in zip(r, v)) % ell for r in self.rows]
 
     def _entries(self):
         """(i, j, v) for each nonzero entry v at (i, j), row by row."""
@@ -355,27 +359,27 @@ class FMatrix:
                 pivots.append(c)
                 r += 1
         else:
-            ff = PrimeField(self.ell)
+            ell, rows = self.ell, R.rows
             for c in range(self.ncols):
                 if r >= self.nrows:
                     break
                 sel = -1
                 for i in range(r, self.nrows):
-                    if R.rows[i][c]:
+                    if rows[i][c]:
                         sel = i
                         break
                 if sel < 0:
                     continue
-                R.rows[r], R.rows[sel] = R.rows[sel], R.rows[r]
-                inv = ff.inv(R.rows[r][c])
-                if inv != 1:
-                    R.rows[r] = [(v * inv) % self.ell for v in R.rows[r]]
+                rows[r], rows[sel] = rows[sel], rows[r]
+                piv = rows[r]
+                if piv[c] != 1:
+                    inv = pow(piv[c], -1, ell)
+                    piv = rows[r] = [v * inv % ell for v in piv]
                 for i in range(self.nrows):
-                    if i != r and R.rows[i][c]:
-                        f = R.rows[i][c]
-                        R.rows[i] = [
-                            (R.rows[i][j] - f * R.rows[r][j]) % self.ell
-                            for j in range(self.ncols)]
+                    f = rows[i][c]
+                    if f and i != r:
+                        rows[i] = [(a - f * b) % ell
+                                   for a, b in zip(rows[i], piv)]
                 pivots.append(c)
                 r += 1
         return R, pivots
@@ -446,6 +450,15 @@ class FMatrix:
     def column_space_pivots(self) -> list[int]:
         """Indices of a maximal independent set of columns."""
         return self.rref()[1]
+
+
+def _bits(values) -> int:
+    """The GF(2) row with bit j set where ``values[j]`` is odd."""
+    bits = 0
+    for j, v in enumerate(values):
+        if v & 1:
+            bits |= 1 << j
+    return bits
 
 
 def random_invertible(n: int, ell: int, rng) -> FMatrix:

@@ -31,10 +31,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import _schema as schema
-from .complexes import (STRAND_SHAPES, ChainMap, FreeComplex, ecompose,
-                        identity_chain_map, shift_complex, strand,
-                        strand_edge, strand_top, direct_sum_complexes,
-                        realize, validate_complex, _classified_homology)
+from .complexes import (STRAND_SHAPES, ChainMap, FreeComplex,
+                        check_strand_param, ecompose, identity_chain_map,
+                        shift_complex, strand, strand_edge, strand_param_ok,
+                        strand_top, direct_sum_complexes, realize,
+                        validate_complex, _classified_homology)
 from .gf2core import FMatrix, is_prime, random_invertible
 from .mackey import (MackeyMap, MackeyModule, classify, conjugate, direct_sum,
                      indecomposable, zero_module)
@@ -61,11 +62,7 @@ class Strand:
         data = schema.obj(data, "a strand")
         kind = schema.name(data.get("kind"), _STRAND_KINDS, "strand kind")
         param = schema.integer(data, "param")
-        # A and B have a length, Hn a weight of either sign, the rest none
-        if kind in ("A", "B") and param < 0:
-            raise ValueError(f"a {kind} strand needs param >= 0, not {param}")
-        if kind not in ("A", "B", "Hn") and param != 0:
-            raise ValueError(f"a {kind} strand needs param 0, not {param}")
+        check_strand_param(kind, param)
         return cls(kind, param, schema.integer(data, "shift"))
 
 
@@ -125,7 +122,7 @@ def _shape(seq: str) -> tuple[str, int] | None:
     n = len(seq)
     for kind, param in (("A", n - 1), ("Hn", n - 1), ("Hn", 1 - n),
                         ("B", n - 3)):
-        if (param >= 0 or kind == "Hn") and STRAND_SHAPES[kind](param) == seq:
+        if strand_param_ok(kind, param) and STRAND_SHAPES[kind](param) == seq:
             return kind, param
     return None
 

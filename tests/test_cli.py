@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, JSON/text output, determinism,
 and logging control."""
 
+import argparse
 import json
 import logging
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -412,6 +416,63 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_repeated_calls_leak_no_state(capsys, tmp_path, unit_file,
+                                      monkeypatch):
+    """``main`` called again and again in one process answers each call
+    exactly as a fresh process does, and builds its parser at most once."""
+    hop = tmp_path / "hop.json"
+    hop.write_text(json.dumps(indecomposable("Hop", 2).to_json()))
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps(indecomposable("H", 2).to_json()))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        FreeComplex(0, [["F"], ["F"], ["F"]], [[[1]], [[1]]]).to_json()))
+    calls = [
+        ("module", "classify"),                  # missing file: usage error
+        ("module", "classify", "--format", "text", str(hop)),
+        ("module", "classify", str(hop)),
+        ("module", "ext", "-i", "1", str(hop), str(h)),
+        ("module", "ext", str(hop), str(h)),
+        ("gen", "--count", "3"),
+        ("gen",),
+        ("validate", str(bad)),
+        ("validate", unit_file),
+    ]
+    monkeypatch.delenv("MACKEY_LOG", raising=False)
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "c2mackey":
+            builds.append(kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    got = []
+    for argv in calls:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        got.append((code, captured.out, captured.err))
+    assert len(builds) <= 1
+
+    codes = [code for code, _, _ in got]
+    assert codes == [2, 0, 0, 0, 0, 0, 0, 1, 0]
+    assert got[1][1] == "Hop\n"
+    assert json.loads(got[2][1]) == {"counts": {"Hop": 1}}
+    assert json.loads(got[4][1])["ext"].keys() == {"0", "1", "2"}
+    assert len(json.loads(got[5][1])["instances"]) == 3
+    assert "complex" in json.loads(got[6][1])
+
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "MACKEY_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    for argv, answer in zip(calls, got):
+        fresh = subprocess.run([sys.executable, "-m", "c2mackey.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert answer == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_missing_file_is_reported_not_raised(capsys):

@@ -134,6 +134,18 @@ def test_strand_shapes():
         assert validate_complex(c) == []
 
 
+@pytest.mark.parametrize("kind,param", [("DiskF", 3), ("DiskH", -1),
+                                        ("A", -1), ("B", -1)])
+def test_strand_refuses_params_outside_its_domain(kind, param):
+    """``strand`` and ``Strand.from_json`` refuse the same params, with
+    the same message."""
+    with pytest.raises(ValueError) as built:
+        strand(kind, param)
+    with pytest.raises(ValueError) as loaded:
+        Strand.from_json({"kind": kind, "param": param, "shift": 0})
+    assert str(built.value) == str(loaded.value)
+
+
 def test_strand_facts_are_pinned():
     """The canonical strands, the inverse of their shape table on every
     F/H sequence, and the cotensor and opposite-dual closed forms,

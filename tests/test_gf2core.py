@@ -247,3 +247,97 @@ def test_row_format_stays_in_gf2core():
             if isinstance(node, ast.Attribute) and node.attr == "rows":
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _is_canonical(m):
+    """The row format ``__eq__`` relies on: one row per row of ``m``, an
+    int below 2^ncols mod 2, a list of ncols residues in [0, l) otherwise."""
+    if len(m.rows) != m.nrows:
+        return False
+    if m.ell == 2:
+        return all(type(r) is int and 0 <= r < 1 << m.ncols for r in m.rows)
+    return all(type(r) is list and len(r) == m.ncols
+               and all(type(v) is int and 0 <= v < m.ell for v in r)
+               for r in m.rows)
+
+
+def _gauss_jordan(rows, ncols, ell):
+    """Reduced row echelon form of a list of residue rows, by the book."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = pow(rows[r][c], ell - 2, ell)
+        rows[r] = [v * inv % ell for v in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [(rows[i][j] - f * rows[r][j]) % ell
+                           for j in range(ncols)]
+        pivots.append(c)
+    return rows, pivots
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),
+       st.integers(0, 2 ** 20), st.sampled_from([2, 3, 257, 65537]))
+def test_whole_row_ops_match_per_entry_reference(nrows, ncols, k, seed, ell):
+    rng = random.Random(seed)
+    # from_rows reduces entries of any sign and size, as set does
+    raw = [[rng.randrange(-3 * ell, 3 * ell) for _ in range(ncols)]
+           for _ in range(nrows)]
+    a = FMatrix.from_rows(raw, ell, ncols=ncols)
+    want = FMatrix.zeros(nrows, ncols, ell)
+    for i, r in enumerate(raw):
+        for j, v in enumerate(r):
+            want.set(i, j, v)
+    assert _is_canonical(a) and _is_canonical(want)
+    assert a == want
+    entries = [[v % ell for v in r] for r in raw]
+    assert a.to_rows() == entries
+    assert [a.row(i) for i in range(nrows)] == entries
+    assert [a.col(j) for j in range(ncols)] == [
+        [r[j] for r in entries] for j in range(ncols)]
+
+    # __eq__ tells apart one changed entry, another shape, another field
+    if nrows and ncols:
+        i, j = rng.randrange(nrows), rng.randrange(ncols)
+        other = a.copy()
+        other.set(i, j, a.get(i, j) + 1)
+        assert other != a
+    for shape in ((nrows + 1, ncols), (nrows, ncols + 1)):
+        assert FMatrix.zeros(*shape, ell) != FMatrix.zeros(nrows, ncols, ell)
+    assert (FMatrix.zeros(nrows, ncols, 2 if ell != 2 else 3)
+            != FMatrix.zeros(nrows, ncols, ell))
+
+    v = [rng.randrange(-3 * ell, 3 * ell) for _ in range(ncols)]
+    assert a.mul_vec(v) == [
+        sum(a.get(i, j) * v[j] for j in range(ncols)) % ell
+        for i in range(nrows)]
+
+    R, pivots = a.rref()
+    assert (R.to_rows(), pivots) == _gauss_jordan(entries, ncols, ell)
+
+    # every public operation leaves its rows canonical
+    b = _random_matrix(rng, nrows, ncols, ell)
+    c = _random_matrix(rng, ncols, k, ell)
+    n = rng.randint(1, 5)
+    square = random_invertible(n, ell, rng)
+    rows = [rng.randrange(nrows) for _ in range(3)] if nrows else []
+    cols = [rng.randrange(ncols) for _ in range(4)] if ncols else []
+    outputs = [
+        a, FMatrix.identity(k, ell), a.add(b), a.scale(rng.randrange(ell)),
+        a.mul(c), a.transpose(), a.kron(c),
+        FMatrix.placed(ell, nrows + ncols + 1, ncols + k + 1,
+                       [(1, 0, a), (0, ncols + 1, c)]),
+        FMatrix.hstack([a, b]), FMatrix.vstack([a, b]),
+        a.submatrix(rows, cols), R, a.kernel_basis(), square.invert(),
+    ]
+    solved = a.solve_many(a.mul(c))
+    assert solved is not None
+    outputs.append(solved)
+    assert all(_is_canonical(m) for m in outputs)

@@ -1,6 +1,7 @@
 """Freeness pipeline: representation cells, attachment classification,
 build scripts, spacelike guards, and weight-shift reports."""
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -152,3 +153,18 @@ def test_kronholm_split_splits_once_per_cell(monkeypatch):
         kronholm_split(script)
         assert len(calls) == len(script.cells)
     assert max(len(s.cells) for s in scripts) >= 8
+
+
+def test_random_spacelike_scripts_are_pinned():
+    """The scripts drawn through ``mul_vec`` on a hom-complex kernel,
+    digested; the digest was computed before ``mul_vec`` read whole rows."""
+    digest = hashlib.sha256()
+    attached = 0
+    for i in range(80):
+        script = random_spacelike_script(random.Random(f"ms:{i}"),
+                                         max_cells=12, max_dim=5)
+        attached += sum(att is not None for _, att in script.cells)
+        digest.update(json.dumps(script.to_json(), sort_keys=True).encode())
+    assert attached >= 100, attached
+    assert digest.hexdigest() == ("d0225c27ccdde899ab70ffa70625312f"
+                                  "ceee90fea754d9616077805a26d289f0")

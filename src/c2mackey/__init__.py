@@ -18,7 +18,7 @@ The layers, bottom to top:
 - ``cli``: the ``c2mackey`` command.
 """
 
-from .gf2core import FMatrix, PrimeField, is_prime
+from .gf2core import FMatrix, is_prime
 from .mackey import (KINDS, MackeyMap, MackeyModule, box, classify,
                      conjugate, direct_sum, ext, indecomposable,
                      internal_hom, module_of_counts, op_dual,
@@ -48,7 +48,7 @@ from .kronholm import (RepBuildScript, RepCell, ScriptError, ShiftReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "FMatrix", "PrimeField", "is_prime",
+    "FMatrix", "is_prime",
     "KINDS", "MackeyMap", "MackeyModule", "box", "classify", "conjugate",
     "direct_sum", "ext", "indecomposable", "internal_hom",
     "module_of_counts", "op_dual", "random_scrambled_module", "tor",

@@ -147,6 +147,11 @@ def cmd_homology(args):
     return payload, text, 0
 
 
+# each lattice point of a cohomology window costs two Hom complexes of the
+# input, so larger windows are refused rather than left to run for hours
+MAX_WINDOW_POINTS = 10_000
+
+
 def cmd_cohomology(args):
     c = _load(args.file, FreeComplex)
     if args.window:
@@ -155,6 +160,11 @@ def cmd_cohomology(args):
         p0, p1, q0, q1 = sufficient_window(split(c).strands)
     if p0 > p1 or q0 > q1:
         raise Failure([f"empty window ({p0}..{p1}) x ({q0}..{q1})"])
+    points = (p1 - p0 + 1) * (q1 - q0 + 1)
+    if points > MAX_WINDOW_POINTS:
+        raise Failure([f"window ({p0}..{p1}) x ({q0}..{q1}) has {points} "
+                       f"lattice points, more than the cap of "
+                       f"{MAX_WINDOW_POINTS}; pass a smaller --window"])
     dims = cohomology_window(c, p0, p1, q0, q1)
     payload = {"p0": p0, "p1": p1, "q0": q0, "q1": q1, "dims": dims}
     return payload, render_window(dims, p0, p1, q0, q1), 0

@@ -10,15 +10,21 @@ adjacent degrees, a matrix of *arrow codes*.  The possible arrows are
     H -> H : 0, 1             (codes 0, 1)
 
 which are exactly the maps that exist between the two free module types.
-Differentials decrease degree.  ``realize`` expands a symbol complex into
-honest Mackey modules and maps over GF(l) (the arrow alphabet is the
-l = 2 one, but every arrow has a canonical lift mod l, which is what the
-odd-modulus splitter consumes).
+An arrow is its free-orbit block (``theta_block``), a GF(2) matrix that
+no other arrow between the same kinds shares, and every other arrow
+table is read off the blocks: a composite is the arrow whose block is
+the product of the blocks, a box product's arrows come from their
+Kronecker product, and the fixed level of ``realize`` from the block's
+first row.  Differentials decrease degree.  ``realize`` expands a symbol
+complex into honest Mackey modules and maps over GF(l) (the arrow
+alphabet is the l = 2 one, but every arrow has a canonical lift mod l,
+which is what the odd-modulus splitter consumes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 from . import _schema as schema
@@ -49,28 +55,6 @@ def entry_ok(ka: str, kb: str, e: int) -> bool:
     return isinstance(e, int) and 0 <= e < len(_ARROW_NAMES[ka, kb])
 
 
-def ecompose(ka: str, kb: str, kc: str, e_ab: int, e_bc: int) -> int:
-    """Arrow code of (b->c) composed after (a->b)."""
-    if e_ab == 0 or e_bc == 0:
-        return 0
-    if kb == "F":
-        if ka == "F":
-            a1, b1 = e_ab & 1, e_ab >> 1
-            if kc == "F":
-                a2, b2 = e_bc & 1, e_bc >> 1
-                return ((a1 & a2) ^ (b1 & b2)) | ((((a1 & b2) ^ (b1 & a2)) & 1) << 1)
-            return (a1 ^ b1) & e_bc            # F -> F -> H
-        # ka == "H"
-        if kc == "F":
-            a2, b2 = e_bc & 1, e_bc >> 1
-            return e_ab & (a2 ^ b2)            # H -> F -> F, result code for p
-        return 0                               # H -> F -> H is 2 = 0 mod 2
-    # kb == "H"
-    if ka == "F" and kc == "F":
-        return U if (e_ab & e_bc) else 0       # p then p is 1 + t
-    return e_ab & e_bc
-
-
 def theta_block(ka: str, kb: str, e: int, ell: int = 2) -> FMatrix:
     """The free-orbit-level matrix of an arrow, over GF(l)."""
     if ka == "F" and kb == "F":
@@ -81,6 +65,32 @@ def theta_block(ka: str, kb: str, e: int, ell: int = 2) -> FMatrix:
     if kb == "F":       # H -> F
         return FMatrix.from_rows([[e], [e]], ell)
     return FMatrix.from_rows([[e]], ell)
+
+
+def _arrow_code(ka: str, kb: str, block: FMatrix) -> int:
+    """The arrow from ``ka`` to ``kb`` whose free-orbit block over GF(2)
+    is ``block``; raises AssertionError when no arrow has that block (it
+    is not C2-equivariant)."""
+    for e in range(len(_ARROW_NAMES[ka, kb])):
+        if theta_block(ka, kb, e) == block:
+            return e
+    raise AssertionError(f"no {ka}->{kb} arrow has the free-orbit block "
+                         f"{block.to_rows()}")
+
+
+# (ka, kb, kc, e_ab, e_bc) -> the arrow whose block is the product of the
+# blocks of e_bc and e_ab
+_COMPOSITES = {
+    (ka, kb, kc, e1, e2): _arrow_code(
+        ka, kc, theta_block(kb, kc, e2).mul(theta_block(ka, kb, e1)))
+    for ka, kb, kc in product("FH", repeat=3)
+    for e1 in range(len(_ARROW_NAMES[ka, kb]))
+    for e2 in range(len(_ARROW_NAMES[kb, kc]))}
+
+
+def ecompose(ka: str, kb: str, kc: str, e_ab: int, e_bc: int) -> int:
+    """Arrow code of (b->c) composed after (a->b)."""
+    return _COMPOSITES[ka, kb, kc, e_ab, e_bc]
 
 
 def zero_matrix(nrows: int, ncols: int) -> list[list[int]]:
@@ -511,12 +521,13 @@ def realize_term(kinds: list[str], ell: int = 2) -> MackeyModule:
     return direct_sum(*[summand[k] for k in kinds])
 
 
-def _theta_offsets(kinds: list[str]) -> list[int]:
-    offs, off = [], 0
+def _orbit_slots(kinds: list[str]) -> list[range]:
+    """Per generator, its free-orbit coordinates in a sum of ``kinds``."""
+    slots, off = [], 0
     for k in kinds:
-        offs.append(off)
-        off += 2 if k == "F" else 1
-    return offs
+        slots.append(range(off, off + (2 if k == "F" else 1)))
+        off = slots[-1].stop
+    return slots
 
 
 def realize_map(src_kinds: list[str], tgt_kinds: list[str],
@@ -527,7 +538,7 @@ def realize_map(src_kinds: list[str], tgt_kinds: list[str],
         src = realize_term(src_kinds, ell)
     if tgt is None:
         tgt = realize_term(tgt_kinds, ell)
-    soffs, toffs = _theta_offsets(src_kinds), _theta_offsets(tgt_kinds)
+    sslots, tslots = _orbit_slots(src_kinds), _orbit_slots(tgt_kinds)
     arrows: dict[tuple[str, str, int], tuple[FMatrix, FMatrix]] = {}
     theta, dot = [], []
     for r, (kt, row) in enumerate(zip(tgt_kinds, entries)):
@@ -538,7 +549,7 @@ def realize_map(src_kinds: list[str], tgt_kinds: list[str],
             blocks = arrows.get(key)
             if blocks is None:
                 blocks = arrows[key] = _arrow_blocks(*key, ell)
-            theta.append((toffs[r], soffs[s], blocks[0]))
+            theta.append((tslots[r].start, sslots[s].start, blocks[0]))
             dot.append((r, s, blocks[1]))
     return MackeyMap(
         src, tgt,
@@ -547,14 +558,12 @@ def realize_map(src_kinds: list[str], tgt_kinds: list[str],
 
 
 def _arrow_blocks(ks: str, kt: str, e: int, ell: int) -> tuple[FMatrix, FMatrix]:
-    """An arrow's free-orbit block and its 1 x 1 fixed-level block: the
-    sum of the two coefficients for F -> F, the transfer 2 for F -> H,
-    and 1 otherwise."""
-    if ks == "F" and kt == "F":
-        v = (e & 1) + (e >> 1)
-    else:
-        v = 2 if ks == "F" else 1
-    return theta_block(ks, kt, e, ell), FMatrix.from_rows([[v]], ell)
+    """An arrow's free-orbit block and its 1 x 1 fixed-level block.  The
+    source's fixed generator restricts to the all-ones orbit vector and
+    the target's to a vector with first coordinate 1, so the fixed-level
+    entry is the sum of the block's first row."""
+    theta = theta_block(ks, kt, e, ell)
+    return theta, FMatrix.from_rows([[sum(theta.row(0))]], ell)
 
 
 def _subquotient(mod: MackeyModule, d_out: MackeyMap | None,
@@ -654,41 +663,21 @@ def _pair_basis(ka: str, kb: str) -> FMatrix:
     return FMatrix.identity(n, 2)
 
 
-_BLOCK_CACHE: dict = {}
-
-
+@cache
 def _pair_block(ka: str, ka2: str, ea: int, kb: str, kb2: str, eb: int):
     """The nonzero arrows (target, source, arrow) of (map ea (x) map eb)
     between product generators."""
-    key = (ka, ka2, ea, kb, kb2, eb)
-    hit = _BLOCK_CACHE.get(key)
-    if hit is not None:
-        return hit
     K = theta_block(ka, ka2, ea).kron(theta_block(kb, kb2, eb))
-    Ps = _pair_basis(ka, kb)
-    Pt = _pair_basis(ka2, kb2)
-    N = Pt.invert().mul(K).mul(Ps)
-    sg = _pair_gens(ka, kb)
-    tg = _pair_gens(ka2, kb2)
-    sslots = _theta_offsets(sg)
-    tslots = _theta_offsets(tg)
+    N = _pair_basis(ka2, kb2).invert().mul(K).mul(_pair_basis(ka, kb))
+    sg, tg = _pair_gens(ka, kb), _pair_gens(ka2, kb2)
+    sslots, tslots = _orbit_slots(sg), _orbit_slots(tg)
     out = []
     for r, kt in enumerate(tg):
         for s, ks in enumerate(sg):
-            i0, j0 = tslots[r], sslots[s]
-            e = N.get(i0, j0)
-            if ks == "F" and kt == "F":
-                b = N.get(i0 + 1, j0)
-                if N.get(i0, j0 + 1) != b or N.get(i0 + 1, j0 + 1) != e:
-                    raise AssertionError("non-equivariant block in box product")
-                e |= b << 1
-            elif (ks == "F" and N.get(i0, j0 + 1) != e
-                  or kt == "F" and N.get(i0 + 1, j0) != e):
-                raise AssertionError("non-equivariant block in box product")
+            e = _arrow_code(ks, kt, N.submatrix(tslots[r], sslots[s]))
             if e:
                 out.append((r, s, e))
-    _BLOCK_CACHE[key] = out
-    return out
+    return tuple(out)
 
 
 def _box_layout(x: FreeComplex, y: FreeComplex):

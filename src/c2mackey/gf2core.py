@@ -47,21 +47,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """Arithmetic in GF(l) for a prime l."""
-
-    def __init__(self, ell: int):
-        if not is_prime(ell):
-            raise ValueError(f"modulus must be prime, got {ell}")
-        self.ell = ell
-
-    def inv(self, a: int) -> int:
-        a %= self.ell
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(%d)" % self.ell)
-        return pow(a, self.ell - 2, self.ell)
-
-
 class FMatrix:
     """A dense matrix over GF(l).
 
@@ -314,25 +299,9 @@ class FMatrix:
         return FMatrix.placed(blocks[0].ell, off, nc, placed)
 
     def submatrix(self, row_idx: list[int], col_idx: list[int]) -> "FMatrix":
-        if self.ell == 2:
-            # col_idx as runs of consecutive columns: (first column, mask
-            # of the run's width, position of the run in col_idx)
-            runs: list[list[int]] = []
-            for b, j in enumerate(col_idx):
-                if runs and runs[-1][0] + runs[-1][1] == j:
-                    runs[-1][1] += 1
-                else:
-                    runs.append([j, 1, b])
-            masks = [(j, (1 << n) - 1, b) for j, n, b in runs]
-            rows = []
-            for i in row_idx:
-                r, v = self.rows[i], 0
-                for j, mask, b in masks:
-                    v |= (r >> j & mask) << b
-                rows.append(v)
-        else:
-            rows = [[self.rows[i][j] for j in col_idx] for i in row_idx]
-        return FMatrix(self.ell, len(row_idx), len(col_idx), rows)
+        return FMatrix(self.ell, len(row_idx), len(col_idx),
+                       _columns(self.ell, [self.rows[i] for i in row_idx],
+                                col_idx))
 
     # -- echelon form and friends ---------------------------------------
 
@@ -391,18 +360,21 @@ class FMatrix:
         return self.ncols - self.rank()
 
     def kernel_basis(self) -> "FMatrix":
-        """Basis of the right kernel, returned as columns of a matrix."""
+        """Basis of the right kernel, returned as columns of a matrix: one
+        per free column of the rref, with a 1 in that column's row and
+        minus that column of the rref's pivot rows in the pivot rows."""
         R, pivots = self.rref()
         pivset = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivset]
-        out = FMatrix(self.ell, self.ncols, len(free))
-        for k, fc in enumerate(free):
-            out.set(fc, k, 1)
-            for i, pc in enumerate(pivots):
-                v = R.get(i, fc)
-                if v:
-                    out.set(pc, k, -v)
-        return out
+        ell, rows = self.ell, [None] * self.ncols
+        for fc, unit in zip(free, FMatrix.identity(len(free), ell).rows):
+            rows[fc] = unit
+        prows = R.rows[:len(pivots)]
+        minus = (_columns(2, prows, free) if ell == 2 else
+                 [[-r[fc] % ell for fc in free] for r in prows])
+        for pc, r in zip(pivots, minus):
+            rows[pc] = r
+        return FMatrix(ell, self.ncols, len(free), rows)
 
     def solve_many(self, B: "FMatrix"):
         """Solve self @ X = B columnwise; returns X or None if inconsistent."""
@@ -428,9 +400,9 @@ class FMatrix:
 
     def solve(self, b: list[int]):
         """Solve self @ x = b; returns a list or None."""
-        B = FMatrix(self.ell, self.nrows, 1)
-        for i, v in enumerate(b):
-            B.set(i, 0, v)
+        ell = self.ell
+        B = FMatrix(ell, len(b), 1,
+                    [v & 1 for v in b] if ell == 2 else [[v % ell] for v in b])
         X = self.solve_many(B)
         if X is None:
             return None
@@ -461,14 +433,36 @@ def _bits(values) -> int:
     return bits
 
 
+def _columns(ell: int, rows: list, col_idx: list[int]) -> list:
+    """The rows ``rows`` of a matrix over GF(l), cut down to the columns
+    ``col_idx`` in that order."""
+    if ell != 2:
+        return [[r[j] for j in col_idx] for r in rows]
+    # col_idx as runs of consecutive columns: (first column, mask of the
+    # run's width, position of the run in col_idx)
+    runs: list[list[int]] = []
+    for b, j in enumerate(col_idx):
+        if runs and runs[-1][0] + runs[-1][1] == j:
+            runs[-1][1] += 1
+        else:
+            runs.append([j, 1, b])
+    masks = [(j, (1 << n) - 1, b) for j, n, b in runs]
+    out = []
+    for r in rows:
+        v = 0
+        for j, mask, b in masks:
+            v |= (r >> j & mask) << b
+        out.append(v)
+    return out
+
+
 def random_invertible(n: int, ell: int, rng) -> FMatrix:
-    """A uniformly-ish random invertible n x n matrix over GF(l)."""
+    """A uniformly-ish random invertible n x n matrix over GF(l): entries
+    drawn row by row until the matrix is invertible."""
     if n == 0:
         return FMatrix(ell, 0, 0)
     while True:
-        m = FMatrix(ell, n, n)
-        for i in range(n):
-            for j in range(n):
-                m.set(i, j, rng.randrange(ell))
+        rows = [[rng.randrange(ell) for _ in range(n)] for _ in range(n)]
+        m = FMatrix(ell, n, n, [_bits(r) for r in rows] if ell == 2 else rows)
         if m.is_invertible():
             return m

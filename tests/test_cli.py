@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+import c2mackey.cli as cli_module
 from c2mackey.cli import main
 from c2mackey.complexes import FreeComplex, shift_complex, strand
 from c2mackey.mackey import indecomposable
@@ -97,6 +98,38 @@ def test_cohomology_json_dims(capsys, unit_file):
     assert payload["p0"] == 0 and payload["q1"] == 1
     # dims[i][j] holds the rank at (p0 + i, q0 + j)
     assert payload["dims"] == [[1, 1], [0, 1]]
+
+
+@pytest.mark.parametrize("window", [
+    [],                                     # the default, about 900k points
+    ["--window", "0", "3000", "0", "3000"],
+])
+def test_cohomology_refuses_windows_past_the_cap(capsys, monkeypatch,
+                                                 tmp_path, window):
+    """A window above MAX_WINDOW_POINTS, given or default, is a violation
+    raised before any Hom complex is built; one at the cap is computed."""
+    def no_window(*args):
+        raise AssertionError("cohomology_window was called")
+
+    monkeypatch.setattr(cli_module, "cohomology_window", no_window)
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(shift_complex(strand("Hn", 0), 100000)
+                               .to_json()))
+    start = time.perf_counter()
+    code, out = run(capsys, "cohomology", *window, str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    (violation,) = json.loads(out)["violations"]
+    assert "lattice points" in violation
+    assert str(cli_module.MAX_WINDOW_POINTS) in violation
+
+    monkeypatch.setattr(cli_module, "cohomology_window",
+                        lambda c, p0, p1, q0, q1:
+                        [[0] * (q1 - q0 + 1)] * (p1 - p0 + 1))
+    code, out = run(capsys, "cohomology", "--window", "1", "100", "1",
+                    str(cli_module.MAX_WINDOW_POINTS // 100), str(path))
+    assert code == 0
+    assert len(json.loads(out)["dims"]) == 100
 
 
 def test_box_cotens_dual_subcommands(capsys, tmp_path):

@@ -57,6 +57,26 @@ def test_arrow_composition_associative(ka, kb, kc, kd, e1, e2, e3):
     assert left == right
 
 
+def test_arrow_tables_are_pinned():
+    """Every composite and every box-product block, for all kinds and
+    arrow codes, digested: both tables are read off ``theta_block`` and
+    must equal the hand-derived bit formulas they replaced."""
+    def codes(ks, kt):
+        return range(4 if ks == kt == "F" else 2)
+
+    comps = [[ka, kb, kc, e1, e2, ecompose(ka, kb, kc, e1, e2)]
+             for ka, kb, kc in itertools.product("FH", repeat=3)
+             for e1 in codes(ka, kb) for e2 in codes(kb, kc)]
+    boxes = [[ka, ka2, ea, kb, kb2, eb,
+              [list(t) for t in complexes_module._pair_block(
+                  ka, ka2, ea, kb, kb2, eb)]]
+             for ka, ka2, kb, kb2 in itertools.product("FH", repeat=4)
+             for ea in codes(ka, ka2) for eb in codes(kb, kb2)]
+    assert (len(comps), len(boxes)) == (52, 100)
+    assert hashlib.sha256(json.dumps([comps, boxes]).encode()).hexdigest() == (
+        "b41d770bbe137feaab48fd69f1d1e8dcef9db94a993a7288b5bff19ee11fbe9d")
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_arrow_mul_realizes_as_the_product(data):

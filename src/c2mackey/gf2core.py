@@ -9,6 +9,8 @@ No floats anywhere.
 
 from __future__ import annotations
 
+import operator
+
 
 # The first twelve primes.  As Miller-Rabin bases they decide primality
 # exactly for every n < 318665857834031151167461 (Sorenson and Webster,
@@ -179,23 +181,23 @@ class FMatrix:
     def mul(self, other: "FMatrix") -> "FMatrix":
         if self.ncols != other.nrows or self.ell != other.ell:
             raise ValueError("shape/field mismatch in mul")
-        out = FMatrix(self.ell, self.nrows, other.ncols)
         if self.ell == 2:
-            for i in range(self.nrows):
+            # row i: the XOR of other's rows at the set bits of row i
+            rows = []
+            for r in self.rows:
                 acc = 0
-                r = self.rows[i]
                 for k in range(self.ncols):
                     if (r >> k) & 1:
                         acc ^= other.rows[k]
-                out.rows[i] = acc
+                rows.append(acc)
         else:
-            for i in range(self.nrows):
-                for j in range(other.ncols):
-                    s = 0
-                    for k in range(self.ncols):
-                        s += self.rows[i][k] * other.rows[k][j]
-                    out.rows[i][j] = s % self.ell
-        return out
+            # entry (i, j): one dot product of row i and column j of other
+            ell, times = self.ell, operator.mul
+            cols = (list(zip(*other.rows)) if other.nrows
+                    else [()] * other.ncols)
+            rows = [[sum(map(times, r, c)) % ell for c in cols]
+                    for r in self.rows]
+        return FMatrix(self.ell, self.nrows, other.ncols, rows)
 
     def mul_vec(self, v: list[int]) -> list[int]:
         if len(v) != self.ncols:

@@ -12,6 +12,10 @@ strand of each generator path.  Each basis change is recorded as a
 ``BasisMove``; replaying the certificate on the input complex reproduces
 the literal direct sum, which is what ``verify_certificate`` checks.
 
+Over an odd prime the category is semisimple: ``split_odd_mackey`` reads
+points and disks off two ranks per differential, after refusing any
+differential that is not a Mackey map and any d*d != 0.
+
 The move vocabulary: for generators i, j in one degree, ``add*`` moves
 replace the inclusion of generator i by (iota_i + iota_j . phi) for an
 arrow phi: kind_i -> kind_j, namely
@@ -35,9 +39,9 @@ from .complexes import (STRAND_SHAPES, ChainMap, FreeComplex,
                         check_strand_param, ecompose, identity_chain_map,
                         shift_complex, strand, strand_edge, strand_param_ok,
                         strand_top, direct_sum_complexes, realize,
-                        validate_complex, _classified_homology)
+                        validate_complex)
 from .gf2core import FMatrix, is_prime, random_invertible
-from .mackey import (MackeyMap, MackeyModule, classify, conjugate, direct_sum,
+from .mackey import (MackeyMap, MackeyModule, conjugate, direct_sum,
                      indecomposable, zero_module)
 
 log = logging.getLogger("c2mackey.split")
@@ -670,56 +674,68 @@ def random_scrambled_complex(rng, max_strands: int = 8, max_param: int = 6,
 def split_odd(c: FreeComplex, ell: int) -> list[Strand]:
     """Decompose a symbol complex mod an odd prime: points and disks.
 
-    The symbol arrows lift canonically mod l; d*d = 0 is re-checked there
-    (it can fail mod l even when the mod-2 complex is valid), and a
-    failure raises ValueError.
+    ``split_odd_mackey`` splits the canonical lift of the symbol arrows,
+    refusing it with ValueError where d*d != 0 mod l (which can happen
+    even when the mod-2 complex is valid).
     """
     if ell == 2 or not is_prime(ell):
         raise ValueError("split_odd needs an odd prime modulus")
-    mods, maps = realize(c, ell)
-    for i in range(len(maps) - 1):
-        comp = maps[i].compose(maps[i + 1])
-        if not (comp.f_theta.is_zero() and comp.f_dot.is_zero()):
-            raise ValueError(f"d*d != 0 mod {ell} between degrees "
-                             f"{c.min_degree + i + 2} and {c.min_degree + i}")
-    return split_odd_mackey(mods, maps, ell, c.min_degree)
+    return split_odd_mackey(*realize(c, ell), ell, c.min_degree)
 
 
 def split_odd_mackey(mods: list[MackeyModule], maps: list[MackeyMap],
                      ell: int, min_degree: int) -> list[Strand]:
     """Semisimple splitting of a Mackey chain complex over an odd prime:
-    one point per homology summand, one disk per image summand."""
-    strands: list[Strand] = []
-    for d, counts in _classified_homology(mods, maps, ell, min_degree).items():
-        strands.extend([Strand("PtH", 0, d)] * counts.get("H", 0))
-        strands.extend([Strand("PtSTheta", 0, d)] * counts.get("STheta", 0))
+    ``mods[i]`` sits in degree ``min_degree + i``, and ``maps[i]`` goes
+    from ``mods[i + 1]`` to ``mods[i]``.
+
+    Away from 2 a module is a sum of H and STheta, told apart by the
+    dimensions of its two levels, so two ranks per differential give the
+    answer: its image is one DiskH per unit of dot rank and one DiskSTheta
+    per further unit of theta rank, and the homology at each degree (on
+    each level, dim - rank out - rank in) gives PtH and PtSTheta points
+    alike.  A differential that is not a map of Mackey modules, or
+    d*d != 0, raises ValueError naming the degree.
+    """
+    if len(maps) != max(len(mods) - 1, 0):
+        raise ValueError(f"{len(mods)} modules need {len(mods) - 1} "
+                         f"differentials, not {len(maps)}")
+    ranks = [(0, 0)]        # ranks[i + 1]: (theta, dot) rank of maps[i]
     for i, f in enumerate(maps):
-        img = _image_module(f, ell)
-        counts = classify(img)
-        shift = min_degree + i
-        strands.extend([Strand("DiskH", 0, shift)] * counts.get("H", 0))
-        strands.extend([Strand("DiskSTheta", 0, shift)] * counts.get("STheta", 0))
+        src, tgt, ft, fd = mods[i + 1], mods[i], f.f_theta, f.f_dot
+        d = min_degree + i
+        if not ((ft.nrows, ft.ncols, fd.nrows, fd.ncols)
+                == (tgt.dim_theta, src.dim_theta, tgt.dim_dot, src.dim_dot)
+                and ft.mul(src.t) == tgt.t.mul(ft)
+                and ft.mul(src.p_up) == tgt.p_up.mul(fd)
+                and fd.mul(src.p_down) == tgt.p_down.mul(ft)):
+            raise ValueError(f"the differential from degree {d + 1} to {d} "
+                             f"is not a map of Mackey modules")
+        if i + 1 < len(maps):
+            comp = f.compose(maps[i + 1])
+            if not (comp.f_theta.is_zero() and comp.f_dot.is_zero()):
+                raise ValueError(f"d*d != 0 mod {ell} between degrees "
+                                 f"{d + 2} and {d}")
+        ranks.append((ft.rank(), fd.rank()))
+    ranks.append((0, 0))
+    strands: list[Strand] = []
+    for i, m in enumerate(mods):
+        (out_t, out_d), (in_t, in_d) = ranks[i], ranks[i + 1]
+        strands += _odd_summands("Pt", m.dim_theta - out_t - in_t,
+                                 m.dim_dot - out_d - in_d, min_degree + i)
+        strands += _odd_summands("Disk", in_t, in_d, min_degree + i)
     strands.sort()
     return strands
 
 
-def _image_module(f: MackeyMap, ell: int) -> MackeyModule:
-    tgt = f.target
-    piv_t = f.f_theta.column_space_pivots()
-    piv_d = f.f_dot.column_space_pivots()
-    Bt = f.f_theta.submatrix(list(range(tgt.dim_theta)), piv_t)
-    Bd = f.f_dot.submatrix(list(range(tgt.dim_dot)), piv_d)
-
-    def restrict(mat, src_basis, tgt_basis):
-        X = tgt_basis.solve_many(mat.mul(src_basis))
-        if X is None:
-            raise SplitError("image is not closed under the structure maps")
-        return X
-
-    return MackeyModule(ell,
-                        restrict(tgt.t, Bt, Bt),
-                        restrict(tgt.p_up, Bd, Bt),
-                        restrict(tgt.p_down, Bt, Bd))
+def _odd_summands(prefix: str, theta: int, dot: int,
+                  shift: int) -> list[Strand]:
+    """The points or disks at ``shift`` of levels of these dimensions."""
+    if not 0 <= dot <= theta:
+        raise ValueError("rank data is not consistent with any module "
+                         "(is the input a valid Mackey module?)")
+    return ([Strand(prefix + "H", 0, shift)] * dot
+            + [Strand(prefix + "STheta", 0, shift)] * (theta - dot))
 
 
 def random_odd_complex(rng, ell: int, max_points: int = 6,
@@ -736,57 +752,37 @@ def random_odd_complex(rng, ell: int, max_points: int = 6,
     lo = min([d for _, d in pts] + [s for _, s in disks])
     hi = max([d for _, d in pts] + [s + 1 for _, s in disks])
 
-    slots: list[list[tuple[str, int]]] = [[] for _ in range(hi - lo + 1)]
-    # (module kind, disk partner tag): tag pairs disk tops with bottoms
-    pair_tag = 0
+    # the module kinds at each degree, and the (theta, dot) identity blocks
+    # of each differential: a disk at s joins its top in degree s + 1 to its
+    # bottom in degree s, at their offsets within the two levels
+    slots: list[list[str]] = [[] for _ in range(hi - lo + 1)]
     for kind, d in pts:
-        slots[d - lo].append(("H" if kind == "PtH" else "STheta", -1))
-    disk_pairs = []
+        slots[d - lo].append(kind.removeprefix("Pt"))
+    one = FMatrix.identity(1, ell)
+    blocks: list[tuple[list, list]] = [([], []) for _ in range(hi - lo)]
     for kind, s in disks:
-        mk = "H" if kind == "DiskH" else "STheta"
-        slots[s + 1 - lo].append((mk, pair_tag))
-        slots[s - lo].append((mk, pair_tag))
-        disk_pairs.append(pair_tag)
-        pair_tag += 1
+        mk = kind.removeprefix("Disk")
+        top, bot = slots[s + 1 - lo], slots[s - lo]
+        blocks[s - lo][0].append((len(bot), len(top), one))
+        if mk == "H":
+            blocks[s - lo][1].append((bot.count("H"), top.count("H"), one))
+        top.append(mk)
+        bot.append(mk)
 
-    mods = []
-    for level in slots:
-        if level:
-            mods.append(direct_sum(*[indecomposable(mk, ell)
-                                     for mk, _ in level]))
-        else:
-            mods.append(zero_module(ell))
-    maps = []
-    for i in range(len(slots) - 1):
-        src_level, tgt_level = slots[i + 1], slots[i]
-        src, tgt = mods[i + 1], mods[i]
-        f_theta = FMatrix.zeros(tgt.dim_theta, src.dim_theta, ell)
-        f_dot = FMatrix.zeros(tgt.dim_dot, src.dim_dot, ell)
-
-        def offsets(level):
-            td, dd, out = 0, 0, []
-            for mk, tag in level:
-                out.append((td, dd))
-                td += 1
-                dd += 1 if mk == "H" else 0
-            return out
-        soff, toff = offsets(src_level), offsets(tgt_level)
-        for si, (mk_s, tag_s) in enumerate(src_level):
-            if tag_s < 0:
-                continue
-            for ti, (mk_t, tag_t) in enumerate(tgt_level):
-                if tag_t == tag_s:
-                    f_theta.set(toff[ti][0], soff[si][0], 1)
-                    if mk_s == "H":
-                        f_dot.set(toff[ti][1], soff[si][1], 1)
-        maps.append(MackeyMap(src, tgt, f_theta, f_dot))
-
+    mods = [direct_sum(*[indecomposable(mk, ell) for mk in level])
+            if level else zero_module(ell) for level in slots]
     gts = [random_invertible(m.dim_theta, ell, rng) for m in mods]
     gds = [random_invertible(m.dim_dot, ell, rng) for m in mods]
     new_mods = [conjugate(m, gt, gd) for m, gt, gd in zip(mods, gts, gds)]
-    new_maps = []
-    for i, f in enumerate(maps):
-        ft = gts[i].mul(f.f_theta).mul(gts[i + 1].invert())
-        fd = gds[i].mul(f.f_dot).mul(gds[i + 1].invert())
-        new_maps.append(MackeyMap(new_mods[i + 1], new_mods[i], ft, fd))
+
+    def moved(g, i, level_blocks):
+        """A level B of the planted differential out of degree lo + i + 1,
+        in the changed bases: g[i] . B . g[i + 1]^-1."""
+        planted_map = FMatrix.placed(ell, g[i].nrows, g[i + 1].nrows,
+                                     level_blocks)
+        return g[i].mul(planted_map).mul(g[i + 1].invert())
+
+    new_maps = [MackeyMap(new_mods[i + 1], new_mods[i], moved(gts, i, bt),
+                          moved(gds, i, bd))
+                for i, (bt, bd) in enumerate(blocks)]
     return new_mods, new_maps, planted, lo

@@ -517,6 +517,29 @@ def test_cotens_is_an_involution_on_strands():
 
 # -- file formats and the package surface ------------------------------------
 
+def test_every_import_is_used():
+    """A module of the package uses each name it imports (the package's
+    ``__init__`` imports only to re-export)."""
+    pkg = pathlib.Path(complexes_module.__file__).resolve().parent
+    unused = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module == "__future__"):
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name}:{node.lineno} {name}"
+                           for name in (a.asname or a.name.split(".")[0]
+                                        for a in node.names)
+                           if name not in used]
+    assert unused == []
+
+
 def test_file_formats_go_through_one_schema():
     """Only ``_schema`` decides what a well-formed file is: no other
     ``from_json`` checks a type itself, and one codec pair alone turns

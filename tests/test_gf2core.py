@@ -307,6 +307,12 @@ def test_whole_row_ops_match_per_entry_reference(nrows, ncols, k, seed, ell):
         sum(a.get(i, j) * v[j] for j in range(ncols)) % ell
         for i in range(nrows)]
 
+    # the product, entry by entry
+    c = _random_matrix(rng, ncols, k, ell)
+    assert a.mul(c).to_rows() == [
+        [sum(a.get(i, m) * c.get(m, j) for m in range(ncols)) % ell
+         for j in range(k)] for i in range(nrows)]
+
     R, pivots = a.rref()
     assert (R.to_rows(), pivots) == _gauss_jordan(entries, ncols, ell)
 
@@ -325,7 +331,6 @@ def test_whole_row_ops_match_per_entry_reference(nrows, ncols, k, seed, ell):
 
     # every public operation leaves its rows canonical
     b = _random_matrix(rng, nrows, ncols, ell)
-    c = _random_matrix(rng, ncols, k, ell)
     n = rng.randint(1, 5)
     square = random_invertible(n, ell, rng)
     rows = [rng.randrange(nrows) for _ in range(3)] if nrows else []

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from c2mackey.complexes import (FreeComplex, compose_chain_maps,
-                                direct_sum_complexes, homology_counts,
-                                shift_complex, strand, validate_chain_map,
-                                validate_complex)
+from c2mackey.complexes import (FreeComplex, _classified_homology,
+                                chain_map_from_vector, compose_chain_maps,
+                                cone, direct_sum_complexes, hom_delta,
+                                homology_counts, realize, shift_complex,
+                                strand, validate_chain_map, validate_complex)
+from c2mackey.derived import balmer_support
+from c2mackey.gf2core import FMatrix
+from c2mackey.mackey import MackeyMap, direct_sum, indecomposable
 from c2mackey.split import (BasisMove, Decomposition, Strand, apply_move,
                             certificate_isos, components_of,
                             decomposition_sum, random_odd_complex,
@@ -124,6 +128,27 @@ def test_scramble_roundtrip_property(seed):
     dec = split(c)
     assert Counter(dec.strands) == planted
     assert verify_certificate(c, dec)
+
+
+def test_split_cones_of_random_cocycles():
+    """Cones of chain maps between strand sums: inputs the scramble
+    generator never makes."""
+    rng = random.Random("cones")
+    for trial in range(150):
+        x, y = ([random_strand(rng, 3, -2, 2)
+                 for _ in range(rng.randint(1, 3))] for _ in range(2))
+        cx, cy = decomposition_sum(x), decomposition_sum(y)
+        cycles = hom_delta(cx, cy, 0).kernel_basis()
+        vec = cycles.mul_vec([rng.randrange(2) for _ in range(cycles.ncols)])
+        c = cone(chain_map_from_vector(cx, cy, 0, vec))
+        dec = split(c)
+        assert verify_certificate(c, dec), trial
+        assert homology_counts(c) == homology_counts(
+            decomposition_sum(dec.strands)), trial
+        v, u = certificate_isos(c, dec.certificate)
+        _assert_identity(compose_chain_maps(u, v), c)
+        assert set(balmer_support(dec.strands)) <= set(
+            balmer_support(x) + balmer_support(y)), trial
 
 
 def test_verify_rejects_wrong_answers():
@@ -262,6 +287,29 @@ def test_odd_mackey_fuzz():
         assert got == planted, (trial, ell)
 
 
+def _odd_complex_json(rng, ell) -> dict:
+    mods, maps, planted, lo = random_odd_complex(rng, ell)
+    return {"mods": [m.to_json() for m in mods],
+            "maps": [[f.f_theta.to_rows(), f.f_dot.to_rows()] for f in maps],
+            "lo": lo,
+            "planted": [[s.to_json(), n] for s, n in sorted(planted.items())],
+            "after": rng.random()}
+
+
+def test_random_odd_complex_stream_is_pinned():
+    """The odd generator's draws are part of its contract: the odd fuzz
+    and the odd bench inputs are made of them, and the caller's ``rng``
+    is left in the same state."""
+    pins = {
+        3: "731bb1bc0150e5eb7e519fb03df80d9b3b9c726b71fecea6a384ee428bf569f7",
+        5: "2ea55e6e22ce3d23e2eb304b320d94c1fde285eb83be69d261cf5b4e349ca0e7",
+        257: "d015f0d763c3fd9681fc90922d11c32cfc5293f908a076a7e4ad60d7466c5e7d",
+    }
+    for ell, digest in pins.items():
+        assert _sha256(_odd_complex_json(random.Random(f"odd:{ell}:{i}"), ell)
+                       for i in range(100)) == digest, ell
+
+
 def test_odd_symbol_splits():
     # the free orbit splits into a fixed point and a sign point
     assert Counter(split_odd(strand("A", 0), 3)) == Counter(
@@ -276,6 +324,73 @@ def test_odd_symbol_splits():
         [Strand("DiskH", 0, -1), Strand("PtSTheta", 0, 0)])
 
 
+def _assert_odd_split(strands, mods, maps, ell, lo):
+    """The points are the classified homology, and at each degree the
+    points and disks there fill the module's two levels."""
+    points: dict[int, Counter] = {}
+    dims: Counter = Counter()
+    for s in strands:
+        is_point = s.kind.startswith("Pt")
+        kind = s.kind.removeprefix("Pt" if is_point else "Disk")
+        if is_point:
+            points.setdefault(s.shift, Counter())[kind] += 1
+        for d in (s.shift,) if is_point else (s.shift, s.shift + 1):
+            dims[d, "theta"] += 1
+            dims[d, "dot"] += kind == "H"
+    assert {d: dict(c) for d, c in points.items()} == _classified_homology(
+        mods, maps, ell, lo)
+    want = Counter()
+    for d, m in enumerate(mods, lo):
+        want[d, "theta"], want[d, "dot"] = m.dim_theta, m.dim_dot
+    assert +dims == +want
+
+
+# the strands whose symbol arrows square to zero mod 3
+_LIFT_AT_3 = [("A", 0), ("A", 1), ("Hn", -1), ("Hn", 0), ("Hn", 1),
+              ("DiskF", 0), ("DiskH", 0)]
+
+
+def test_odd_splitter_matches_homology_oracle():
+    rng = random.Random("odd-oracle")
+    for ell in (3, 5, 257):
+        for trial in range(40):
+            mods, maps, _, lo = random_odd_complex(rng, ell)
+            _assert_odd_split(split_odd_mackey(mods, maps, ell, lo),
+                              mods, maps, ell, lo)
+    for trial in range(60):
+        c = decomposition_sum([Strand(*rng.choice(_LIFT_AT_3),
+                                      rng.randint(-2, 2))
+                               for _ in range(rng.randint(1, 4))])
+        _assert_odd_split(split_odd(c, 3), *realize(c, 3), 3, c.min_degree)
+
+
+def _odd_map(src, tgt, f_theta, f_dot):
+    return MackeyMap(src, tgt,
+                     FMatrix.from_rows(f_theta, 3, ncols=src.dim_theta),
+                     FMatrix.from_rows(f_dot, 3, ncols=src.dim_dot))
+
+
+_H, _S = indecomposable("H", 3), indecomposable("STheta", 3)
+_HS = direct_sum(_H, _S)
+
+
+@pytest.mark.parametrize("mods, maps", [
+    # d*d = 1
+    ([_H, _H, _H], [_odd_map(_H, _H, [[1]], [[1]])] * 2),
+    # f_theta does not commute with t
+    ([_S, _H], [_odd_map(_H, _S, [[1]], [])]),
+    ([_H, _S], [_odd_map(_S, _H, [[1]], [[]])]),
+    # theta lands in the STheta slot, dot in the H slot
+    ([_HS, _H], [_odd_map(_H, _HS, [[0], [1]], [[1]])]),
+    # f_theta p_up != p_up f_dot
+    ([_H, _H], [_odd_map(_H, _H, [[1]], [[0]])]),
+], ids=["d-squared", "H-to-STheta", "STheta-to-H", "H-to-H+STheta",
+        "dot-dropped"])
+def test_odd_splitter_refuses_non_complexes(mods, maps):
+    with pytest.raises(ValueError, match="degree"):
+        split_odd_mackey(mods, maps, 3, 0)
+
+
 def test_odd_rejects_unliftable_differentials():
     # composable nonzero arrows never square to zero mod an odd prime
     for kind, param in (("A", 2), ("Hn", 2), ("B", 0)):
@@ -283,3 +398,5 @@ def test_odd_rejects_unliftable_differentials():
             split_odd(strand(kind, param), 3)
     with pytest.raises(ValueError):
         split_odd(strand("A", 1), 4)   # modulus must be an odd prime
+    with pytest.raises(ValueError, match="differentials"):
+        split_odd_mackey([_H, _H], [], 3, 0)

@@ -268,7 +268,20 @@ def cmd_kronholm(args):
     return payload, text, 0
 
 
+# gen holds its whole corpus in memory (about 20 kB an instance at the
+# default --max-strands) and fuzz runs one split per instance, so larger
+# counts are refused rather than left to run out of memory or time
+MAX_COUNT = 10_000
+
+
+def _check_count(count: int) -> None:
+    if count > MAX_COUNT:
+        raise Failure([f"--count {count} is more than the cap of "
+                       f"{MAX_COUNT}; run several seeds instead"])
+
+
 def cmd_gen(args):
+    _check_count(args.count)
     instances = []
     for i in range(args.count):
         rng = random.Random(f"{args.seed}:{i}")
@@ -282,6 +295,7 @@ def cmd_gen(args):
 
 
 def cmd_fuzz(args):
+    _check_count(args.count)
     recovered, failures = 0, []
     for i in range(args.count):
         rng = random.Random(f"{args.seed}:{i}")

@@ -15,16 +15,18 @@ no other arrow between the same kinds shares, and every other arrow
 table is read off the blocks: a composite is the arrow whose block is
 the product of the blocks, a box product's arrows come from their
 Kronecker product, and the fixed level of ``realize`` from the block's
-first row.  Differentials decrease degree.  ``realize`` expands a symbol
-complex into honest Mackey modules and maps over GF(l) (the arrow
-alphabet is the l = 2 one, but every arrow has a canonical lift mod l,
-which is what the odd-modulus splitter consumes).
+first row.  So an arrow matrix is its free-orbit level: ``orbit_matrix``
+writes it as one GF(2) matrix over the free-orbit coordinates, and
+``arrow_matrix`` reads it back.  Differentials decrease degree.
+``realize`` expands a symbol complex into honest Mackey modules and maps
+over GF(l) (the arrow alphabet is the l = 2 one, but every arrow has a
+canonical lift mod l, which is what the odd-modulus splitter consumes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 
 from . import _schema as schema
@@ -255,12 +257,15 @@ def validate_complex(c: FreeComplex) -> list[str]:
         for k in g:
             if k not in ("F", "H"):
                 return [f"unknown generator kind {k!r}"]
+    starts = [orbit_starts(kinds) for kinds in c.gens]
+    theta = []      # the free-orbit level of each differential
     for i, m in enumerate(c.diffs):
         tk, sk = c.gens[i], c.gens[i + 1]
         if len(m) != len(tk) or any(len(row) != len(sk) for row in m):
             out.append(f"differential into degree {c.min_degree + i} has the "
                        f"wrong shape")
             continue
+        arrows = []     # as _nonzero_arrows lists them
         for r, row in enumerate(m):
             kt = tk[r]
             for s, e in enumerate(row):
@@ -271,11 +276,17 @@ def validate_complex(c: FreeComplex) -> list[str]:
                         f"illegal arrow {e!r} in slot "
                         f"({sk[s]}->{kt}) of the differential into degree "
                         f"{c.min_degree + i}")
+                elif e:
+                    arrows.append((r, s, (sk[s], kt, e)))
+        theta.append(_orbit_level(arrows, starts[i + 1], starts[i], 2))
     if out:
         return out
+    # d*d = 0 exactly when the product of the free-orbit levels is zero
     for i in range(len(c.diffs) - 1):
-        dd = arrow_mul(c.diffs[i], c.diffs[i + 1], c.gens[i + 2],
-                       c.gens[i + 1], c.gens[i])
+        dd = theta[i].mul(theta[i + 1])
+        if dd.is_zero():
+            continue
+        dd = arrow_matrix(dd, c.gens[i + 2], c.gens[i])
         out += [f"d*d != 0 from degree {c.min_degree + i + 2} generator {s} "
                 f"to degree {c.min_degree + i} generator {r}"
                 for r, row in enumerate(dd) for s, v in enumerate(row) if v]
@@ -521,13 +532,14 @@ def realize_term(kinds: list[str], ell: int = 2) -> MackeyModule:
     return direct_sum(*[summand[k] for k in kinds])
 
 
-def _orbit_slots(kinds: list[str]) -> list[range]:
-    """Per generator, its free-orbit coordinates in a sum of ``kinds``."""
-    slots, off = [], 0
+def orbit_starts(kinds: list[str]) -> list[int]:
+    """The first free-orbit coordinate of each generator of a sum of
+    ``kinds`` (two for an F, one for an H), then the number of
+    coordinates."""
+    out = [0]
     for k in kinds:
-        slots.append(range(off, off + (2 if k == "F" else 1)))
-        off = slots[-1].stop
-    return slots
+        out.append(out[-1] + (2 if k == "F" else 1))
+    return out
 
 
 def realize_map(src_kinds: list[str], tgt_kinds: list[str],
@@ -538,32 +550,87 @@ def realize_map(src_kinds: list[str], tgt_kinds: list[str],
         src = realize_term(src_kinds, ell)
     if tgt is None:
         tgt = realize_term(tgt_kinds, ell)
-    sslots, tslots = _orbit_slots(src_kinds), _orbit_slots(tgt_kinds)
-    arrows: dict[tuple[str, str, int], tuple[FMatrix, FMatrix]] = {}
-    theta, dot = [], []
-    for r, (kt, row) in enumerate(zip(tgt_kinds, entries)):
-        for s, e in enumerate(row):
-            if not e:
-                continue
-            key = (src_kinds[s], kt, e)
-            blocks = arrows.get(key)
-            if blocks is None:
-                blocks = arrows[key] = _arrow_blocks(*key, ell)
-            theta.append((tslots[r].start, sslots[s].start, blocks[0]))
-            dot.append((r, s, blocks[1]))
+    arrows = _nonzero_arrows(entries, src_kinds, tgt_kinds)
+    blocks = _block_table(ell)
     return MackeyMap(
-        src, tgt,
-        FMatrix.placed(ell, tgt.dim_theta, src.dim_theta, theta),
-        FMatrix.placed(ell, tgt.dim_dot, src.dim_dot, dot))
+        src, tgt, _orbit_level(arrows, orbit_starts(src_kinds),
+                               orbit_starts(tgt_kinds), ell),
+        FMatrix.placed(ell, tgt.dim_dot, src.dim_dot,
+                       [(r, s, blocks[arrow][1]) for r, s, arrow in arrows]))
 
 
-def _arrow_blocks(ks: str, kt: str, e: int, ell: int) -> tuple[FMatrix, FMatrix]:
-    """An arrow's free-orbit block and its 1 x 1 fixed-level block.  The
-    source's fixed generator restricts to the all-ones orbit vector and
-    the target's to a vector with first coordinate 1, so the fixed-level
-    entry is the sum of the block's first row."""
-    theta = theta_block(ks, kt, e, ell)
-    return theta, FMatrix.from_rows([[sum(theta.row(0))]], ell)
+# -- the free-orbit codec ---------------------------------------------------
+
+def _nonzero_arrows(m: list[list[int]], src_kinds: list[str],
+                    tgt_kinds: list[str]) -> list[tuple[int, int, tuple]]:
+    """(target, source, (source kind, target kind, code)) for each nonzero
+    arrow of the arrow matrix ``m``, row by row."""
+    return [(r, s, (src_kinds[s], kt, e))
+            for r, (kt, row) in enumerate(zip(tgt_kinds, m))
+            for s, e in enumerate(row) if e]
+
+
+@lru_cache(maxsize=8)
+def _block_table(ell: int) -> dict[tuple, tuple[FMatrix, FMatrix]]:
+    """(source kind, target kind, code) -> (free-orbit block, 1 x 1
+    fixed-level block) over GF(l), for every nonzero arrow; callers place
+    the blocks and never change them.  The source's
+    fixed generator restricts to the all-ones orbit vector and the
+    target's to a vector with first coordinate 1, so the fixed-level
+    entry is the sum of the free-orbit block's first row."""
+    out = {}
+    for (ks, kt), names in _ARROW_NAMES.items():
+        for e in range(1, len(names)):
+            theta = theta_block(ks, kt, e, ell)
+            out[ks, kt, e] = theta, FMatrix.from_rows([[sum(theta.row(0))]],
+                                                      ell)
+    return out
+
+
+def _orbit_level(arrows, sstarts: list[int], tstarts: list[int],
+                 ell: int) -> FMatrix:
+    """The free-orbit matrix holding the block of each of ``arrows`` (from
+    ``_nonzero_arrows``) at its generators' slots, which start at
+    ``sstarts`` and ``tstarts`` (from ``orbit_starts``)."""
+    blocks = _block_table(ell)
+    return FMatrix.placed(ell, tstarts[-1], sstarts[-1],
+                          [(tstarts[r], sstarts[s], blocks[arrow][0])
+                           for r, s, arrow in arrows])
+
+
+def orbit_matrix(m: list[list[int]], src_kinds: list[str],
+                 tgt_kinds: list[str], ell: int = 2) -> FMatrix:
+    """The free-orbit level over GF(l) of the arrow matrix ``m`` from
+    generators of kinds ``src_kinds`` to ``tgt_kinds``: its rows and
+    columns are the free-orbit coordinates (``orbit_starts``), and each
+    arrow sits there as its ``theta_block``.  Over GF(2) ``arrow_matrix``
+    reads it back."""
+    return _orbit_level(_nonzero_arrows(m, src_kinds, tgt_kinds),
+                        orbit_starts(src_kinds), orbit_starts(tgt_kinds), ell)
+
+
+def arrow_matrix(theta: FMatrix, src_kinds: list[str],
+                 tgt_kinds: list[str]) -> list[list[int]]:
+    """The arrow matrix whose free-orbit level over GF(2) is ``theta``,
+    which must be C2-equivariant, as ``orbit_matrix`` and every basis
+    move keep it.  Each arrow is read off the first row of its block:
+    from an F to an F the bits of the code are the coefficients of 1 and
+    t, and every other block's first row is zero or all ones."""
+    # per free-orbit column, its source and the code bit it holds from an F
+    cols = []
+    for s, k in enumerate(src_kinds):
+        cols.append((s, 1))
+        if k == "F":
+            cols.append((s, 2))
+    out, start, n = [], 0, len(src_kinds)
+    for kt in tgt_kinds:
+        row = [0] * n
+        for j in theta.row_support(start):
+            s, bit = cols[j]
+            row[s] |= bit if kt == "F" else 1
+        out.append(row)
+        start += 2 if kt == "F" else 1
+    return out
 
 
 def _subquotient(mod: MackeyModule, d_out: MackeyMap | None,
@@ -669,15 +736,9 @@ def _pair_block(ka: str, ka2: str, ea: int, kb: str, kb2: str, eb: int):
     between product generators."""
     K = theta_block(ka, ka2, ea).kron(theta_block(kb, kb2, eb))
     N = _pair_basis(ka2, kb2).invert().mul(K).mul(_pair_basis(ka, kb))
-    sg, tg = _pair_gens(ka, kb), _pair_gens(ka2, kb2)
-    sslots, tslots = _orbit_slots(sg), _orbit_slots(tg)
-    out = []
-    for r, kt in enumerate(tg):
-        for s, ks in enumerate(sg):
-            e = _arrow_code(ks, kt, N.submatrix(tslots[r], sslots[s]))
-            if e:
-                out.append((r, s, e))
-    return tuple(out)
+    arrows = arrow_matrix(N, _pair_gens(ka, kb), _pair_gens(ka2, kb2))
+    return tuple((r, s, e) for r, row in enumerate(arrows)
+                 for s, e in enumerate(row) if e)
 
 
 def _box_layout(x: FreeComplex, y: FreeComplex):

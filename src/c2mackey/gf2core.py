@@ -182,13 +182,16 @@ class FMatrix:
         if self.ncols != other.nrows or self.ell != other.ell:
             raise ValueError("shape/field mismatch in mul")
         if self.ell == 2:
-            # row i: the XOR of other's rows at the set bits of row i
-            rows = []
+            # row i: the XOR of other's rows at the set bits of row i, taken
+            # lowest first (as fast as a scan of every column on dense rows,
+            # far faster on sparse ones)
+            rows, orows = [], other.rows
             for r in self.rows:
                 acc = 0
-                for k in range(self.ncols):
-                    if (r >> k) & 1:
-                        acc ^= other.rows[k]
+                while r:
+                    low = r & -r
+                    acc ^= orows[low.bit_length() - 1]
+                    r ^= low
                 rows.append(acc)
         else:
             # entry (i, j): one dot product of row i and column j of other
@@ -208,6 +211,19 @@ class FMatrix:
         ell = self.ell
         return [sum(a * b for a, b in zip(r, v)) % ell for r in self.rows]
 
+    def row_support(self, i: int) -> list[int]:
+        """The columns of the nonzero entries of row i, in increasing
+        order."""
+        r = self.rows[i]
+        if self.ell != 2:
+            return [j for j, v in enumerate(r) if v]
+        out = []
+        while r:
+            low = r & -r
+            out.append(low.bit_length() - 1)
+            r ^= low
+        return out
+
     def _entries(self):
         """(i, j, v) for each nonzero entry v at (i, j), row by row."""
         for i, r in enumerate(self.rows):
@@ -224,8 +240,10 @@ class FMatrix:
     def transpose(self) -> "FMatrix":
         if self.ell == 2:
             rows = [0] * self.ncols
-            for i, j, _ in self._entries():
-                rows[j] |= 1 << i
+            for i in range(self.nrows):
+                bit = 1 << i
+                for j in self.row_support(i):
+                    rows[j] |= bit
         elif self.nrows:
             rows = [list(col) for col in zip(*self.rows)]
         else:
@@ -245,6 +263,20 @@ class FMatrix:
                 blk = scaled[a] = other.scale(a)
             blocks.append((i * p, j * q, blk))
         return FMatrix.placed(self.ell, self.nrows * p, self.ncols * q, blocks)
+
+    # -- elementary row operations ----------------------------------------
+
+    def add_rows(self, pairs) -> None:
+        """For each (i, j) of ``pairs`` in turn, add row j to row i (i != j),
+        in place."""
+        rows = self.rows
+        if self.ell == 2:
+            for i, j in pairs:
+                rows[i] ^= rows[j]
+        else:
+            ell = self.ell
+            for i, j in pairs:
+                rows[i] = [(a + b) % ell for a, b in zip(rows[i], rows[j])]
 
     # -- block structure ------------------------------------------------
 
@@ -266,12 +298,14 @@ class FMatrix:
                 raise ValueError(f"a {b.nrows}x{b.ncols} block at ({i0}, "
                                  f"{j0}) does not fit in {nrows}x{ncols}")
             if ell == 2:
-                for i, r in enumerate(b.rows, i0):
-                    rows[i] |= r << j0
+                for r in b.rows:
+                    rows[i0] |= r << j0
+                    i0 += 1
             else:
                 j1 = j0 + b.ncols
-                for i, r in enumerate(b.rows, i0):
-                    rows[i][j0:j1] = r
+                for r in b.rows:
+                    rows[i0][j0:j1] = r
+                    i0 += 1
         return out
 
     @staticmethod

@@ -14,7 +14,8 @@ the literal direct sum, which is what ``verify_certificate`` checks.
 
 Over an odd prime the category is semisimple: ``split_odd_mackey`` reads
 points and disks off two ranks per differential, after refusing any
-differential that is not a Mackey map and any d*d != 0.
+module that breaks the Mackey relations, any differential that is not a
+Mackey map and any d*d != 0.
 
 The move vocabulary: for generators i, j in one degree, ``add*`` moves
 replace the inclusion of generator i by (iota_i + iota_j . phi) for an
@@ -35,14 +36,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import _schema as schema
-from .complexes import (STRAND_SHAPES, ChainMap, FreeComplex,
-                        check_strand_param, ecompose, identity_chain_map,
-                        shift_complex, strand, strand_edge, strand_param_ok,
-                        strand_top, direct_sum_complexes, realize,
-                        validate_complex)
+from .complexes import (STRAND_SHAPES, ChainMap, FreeComplex, arrow_matrix,
+                        check_strand_param, direct_sum_complexes, ecompose,
+                        orbit_matrix, orbit_starts, realize, shift_complex,
+                        strand, strand_edge, strand_param_ok, strand_top,
+                        theta_block, validate_complex)
 from .gf2core import FMatrix, is_prime, random_invertible
 from .mackey import (MackeyMap, MackeyModule, conjugate, direct_sum,
-                     indecomposable, zero_module)
+                     indecomposable, validate_module, zero_module)
 
 log = logging.getLogger("c2mackey.split")
 
@@ -164,32 +165,39 @@ class Decomposition:
                    [BasisMove.from_json(m) for m in moves])
 
 
-def apply_move(c: FreeComplex, mv: BasisMove) -> None:
-    """Apply one basis move in place (differential bookkeeping only)."""
-    if not c.in_range(mv.degree):
-        raise ValueError(f"move degree {mv.degree} outside the complex")
+def _move_level(c: FreeComplex, mv: BasisMove) -> int:
+    """The level of ``c`` that ``mv`` acts on; raises ValueError if the
+    move is not legal there."""
+    variant, i, j = mv.variant, mv.i, mv.j
     li = mv.degree - c.min_degree
+    if not 0 <= li < len(c.gens):
+        raise ValueError(f"move degree {mv.degree} outside the complex")
     kinds = c.gens[li]
     n = len(kinds)
-    if not (0 <= mv.i < n and 0 <= mv.j < n):
+    if not (0 <= i < n and 0 <= j < n):
         raise ValueError("move indices out of range")
-    if mv.variant == "twist_t":
-        if kinds[mv.i] != "F":
+    if variant == "twist_t":
+        if kinds[i] != "F":
             raise ValueError("twist_t only applies to F generators")
-        rule = None
-    else:
-        rule = _VARIANTS.get(mv.variant)
-        if rule is None:
-            raise ValueError(f"unknown move variant {mv.variant!r}")
-        ki, kj, _ = rule
-        if mv.i == mv.j:
-            raise ValueError("add moves need distinct generators")
-        if kinds[mv.i] != ki or kinds[mv.j] != kj:
-            raise ValueError(f"{mv.variant} needs kinds ({ki}, {kj}) at "
-                             f"degree {mv.degree}")
+        return li
+    rule = _VARIANTS.get(variant)
+    if rule is None:
+        raise ValueError(f"unknown move variant {variant!r}")
+    ki, kj, _ = rule
+    if i == j:
+        raise ValueError("add moves need distinct generators")
+    if kinds[i] != ki or kinds[j] != kj:
+        raise ValueError(f"{variant} needs kinds ({ki}, {kj}) at "
+                         f"degree {mv.degree}")
+    return li
+
+
+def apply_move(c: FreeComplex, mv: BasisMove) -> None:
+    """Apply one basis move in place (differential bookkeeping only)."""
+    li = _move_level(c, mv)
     d_in = c.diffs[li] if li < len(c.diffs) else None
     d_out = c.diffs[li - 1] if li >= 1 else None
-    _move_arrows(rule, mv.i, mv.j,
+    _move_arrows(_VARIANTS.get(mv.variant), mv.i, mv.j,
                  d_in, c.gens[li + 1] if d_in is not None else None,
                  d_out, c.gens[li - 1] if d_out is not None else None)
 
@@ -224,11 +232,84 @@ def _move_arrows(rule, i: int, j: int, rows, row_kinds, cols,
                 dst[s] ^= ecompose(row_kinds[s], ki, kj, e, phi)
 
 
+# variant -> the (row, column) of each nonzero entry of its arrow's
+# free-orbit block: rows index generator j's slots, columns generator i's
+_MOVE_BLOCKS = {
+    name: tuple((a, b)
+                for a, row in enumerate(theta_block(ki, kj, phi).to_rows())
+                for b, v in enumerate(row) if v)
+    for name, (ki, kj, phi) in _VARIANTS.items()}
+# twist_t's swap of an F's two slots x, x + 1, as three row additions
+_SWAP = ((0, 1), (1, 0), (0, 1))
+
+
+def _replay_orbits(c: FreeComplex, certificate: list[BasisMove],
+                   with_isos: bool = False):
+    """Replay ``certificate`` on the free-orbit levels of ``c`` (see
+    ``orbit_matrix``), refusing its first illegal move as ``apply_move``
+    does.
+
+    A move on generators i, j at level L is the basis change P = 1 + N,
+    where N holds its arrow's block at (slots of j, slots of i), or for
+    twist_t the swap of i's two slots; either way P = P^-1 (N^2 = 0).  It
+    sends the differential D_L into L to P D_L, a row operation: each row
+    of j's slots gains the rows of i's slots its block names, or two rows
+    swap.  It sends D_(L-1) out of L to D_(L-1) P, a column operation,
+    which is not applied but gathered into U_L, the product of the
+    level's P's in move order: the same row operations, applied to the
+    identity in reverse order.  Row and column operations commute, so the
+    replayed differential out of L is the row-operated D_(L-1) times U_L:
+    one product per differential.  A differential between levels no move
+    acts on is copied as it is.
+
+    Returns (replayed complex, vs, us): when ``with_isos``, per level L,
+    ``us[L]`` is U_L and ``vs[L]`` its inverse, the row operations applied
+    to the identity in move order, both free-orbit matrices; otherwise
+    both are None."""
+    gens = c.gens
+    levels = [_move_level(c, mv) for mv in certificate]
+    starts = {li: orbit_starts(gens[li]) for li in set(levels)}
+    # per level, the row additions (target row, added row) of its moves
+    ops: list[list[tuple[int, int]]] = [[] for _ in gens]
+    for li, mv in zip(levels, certificate):
+        level_starts = starts[li]
+        si = level_starts[mv.i]
+        if mv.variant == "twist_t":
+            sj, block = si, _SWAP
+        else:
+            sj, block = level_starts[mv.j], _MOVE_BLOCKS[mv.variant]
+        append = ops[li].append
+        for a, b in block:
+            append((sj + a, si + b))
+
+    def on_identity(li, level_ops):
+        m = FMatrix.identity(orbit_starts(gens[li])[-1])
+        m.add_rows(level_ops)
+        return m
+
+    us = [on_identity(li, reversed(level_ops)) if level_ops or with_isos
+          else None for li, level_ops in enumerate(ops)]
+    diffs = []
+    for li, m in enumerate(c.diffs):
+        if not ops[li] and not ops[li + 1]:
+            diffs.append([row[:] for row in m])
+            continue
+        d = orbit_matrix(m, gens[li + 1], gens[li])
+        d.add_rows(ops[li])
+        if ops[li + 1]:
+            d = d.mul(us[li + 1])
+        diffs.append(arrow_matrix(d, gens[li + 1], gens[li]))
+    out = FreeComplex(c.min_degree, [list(k) for k in gens], diffs)
+    if not with_isos:
+        return out, None, None
+    return out, [on_identity(li, level_ops)
+                 for li, level_ops in enumerate(ops)], us
+
+
 def replay(c: FreeComplex, certificate: list[BasisMove]) -> FreeComplex:
-    out = c.copy()
-    for mv in certificate:
-        apply_move(out, mv)
-    return out
+    """The complex a certificate's moves turn ``c`` into (``c`` itself is
+    left alone); the first illegal move raises ValueError."""
+    return _replay_orbits(c, certificate)[0]
 
 
 # -- the sweep -----------------------------------------------------------
@@ -567,18 +648,15 @@ def verify_certificate(c: FreeComplex, dec: Decomposition) -> bool:
 def certificate_isos(c: FreeComplex,
                      certificate: list[BasisMove]) -> tuple[ChainMap, ChainMap]:
     """The inverse isomorphisms (V : c -> replayed, U : replayed -> c)
-    realized by a certificate, as degree-0 chain maps."""
-    work = c.copy()
-    V = identity_chain_map(c).components
-    Umats = identity_chain_map(c).components
-    for mv in certificate:
-        apply_move(work, mv)
-        kinds = c.gens_at(mv.degree)
-        _move_arrows(_VARIANTS.get(mv.variant), mv.i, mv.j,
-                     V[mv.degree], kinds, Umats[mv.degree], kinds)
-    vmap = ChainMap(c, work, V, 0)
-    umap = ChainMap(work, c, Umats, 0)
-    return vmap, umap
+    realized by a certificate, as degree-0 chain maps: per degree, V is
+    the product of its moves' row operations and U that of their column
+    operations (see ``_replay_orbits``)."""
+    work, vs, us = _replay_orbits(c, certificate, with_isos=True)
+    V, U = {}, {}
+    for d, kinds, v, u in zip(c.degrees(), c.gens, vs, us):
+        V[d] = arrow_matrix(v, kinds, kinds)
+        U[d] = arrow_matrix(u, kinds, kinds)
+    return ChainMap(c, work, V, 0), ChainMap(work, c, U, 0)
 
 
 def decomposition_sum(strands: list[Strand]) -> FreeComplex:
@@ -694,12 +772,18 @@ def split_odd_mackey(mods: list[MackeyModule], maps: list[MackeyMap],
     answer: its image is one DiskH per unit of dot rank and one DiskSTheta
     per further unit of theta rank, and the homology at each degree (on
     each level, dim - rank out - rank in) gives PtH and PtSTheta points
-    alike.  A differential that is not a map of Mackey modules, or
-    d*d != 0, raises ValueError naming the degree.
+    alike.  A module that breaks the Mackey relations, a differential that
+    is not a map of Mackey modules, or d*d != 0, raises ValueError naming
+    the degree.
     """
     if len(maps) != max(len(mods) - 1, 0):
         raise ValueError(f"{len(mods)} modules need {len(mods) - 1} "
                          f"differentials, not {len(maps)}")
+    for i, m in enumerate(mods):
+        bad = validate_module(m)
+        if bad:
+            raise ValueError(f"the module in degree {min_degree + i} is not "
+                             f"a Mackey module: {bad[0]}")
     ranks = [(0, 0)]        # ranks[i + 1]: (theta, dot) rank of maps[i]
     for i, f in enumerate(maps):
         src, tgt, ft, fd = mods[i + 1], mods[i], f.f_theta, f.f_dot

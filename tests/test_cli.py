@@ -389,6 +389,31 @@ def test_gen_and_fuzz_accept_their_bounds(capsys):
     assert (code, out) == (0, "2/2 recovered\n")
 
 
+@pytest.mark.parametrize("command", ["gen", "fuzz"])
+def test_gen_and_fuzz_refuse_counts_past_the_cap(capsys, monkeypatch,
+                                                 command):
+    """A --count above MAX_COUNT is a violation raised before any instance
+    is drawn; one at the cap runs.  The cap keeps the documented corpora
+    (gen --count 200, fuzz --count 1000) legal."""
+    assert cli_module.MAX_COUNT >= 1000
+    monkeypatch.setattr(cli_module, "MAX_COUNT", 3)
+    code, out = run(capsys, command, "--count", "3", "--max-strands", "2",
+                    "--format", "json")
+    payload = json.loads(out)
+    assert code == 0
+    assert (len(payload["instances"]) if command == "gen"
+            else payload["recovered"]) == 3
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr(cli_module, "random_scrambled_complex", no_draw)
+    code, out = run(capsys, command, "--count", "4", "--format", "json")
+    assert code == 1
+    (violation,) = json.loads(out)["violations"]
+    assert violation.startswith("--count 4 is more than the cap of 3")
+
+
 def test_gen_is_deterministic(capsys):
     code1, out1 = run(capsys, "gen", "--seed", "5", "--count", "3",
                       "--max-strands", "4")

@@ -346,4 +346,17 @@ def test_whole_row_ops_match_per_entry_reference(nrows, ncols, k, seed, ell):
     solved = a.solve_many(a.mul(c))
     assert solved is not None
     outputs.append(solved)
+
+    # row supports, and row additions against sums taken entry by entry
+    assert [a.row_support(i) for i in range(nrows)] == [
+        [j for j, v in enumerate(r) if v] for r in entries]
+    pairs = [(i, j) for i, j in ((rng.randrange(nrows), rng.randrange(nrows))
+                                 for _ in range(4 if nrows else 0)) if i != j]
+    added, want_rows = a.copy(), [list(r) for r in entries]
+    added.add_rows(pairs)
+    for i, j in pairs:
+        want_rows[i] = [(x + y) % ell for x, y in zip(want_rows[i],
+                                                       want_rows[j])]
+    assert added.to_rows() == want_rows
+    outputs.append(added)
     assert all(_is_canonical(m) for m in outputs)

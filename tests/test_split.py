@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -14,7 +15,8 @@ from c2mackey.complexes import (FreeComplex, _classified_homology,
                                 strand, validate_chain_map, validate_complex)
 from c2mackey.derived import balmer_support
 from c2mackey.gf2core import FMatrix
-from c2mackey.mackey import MackeyMap, direct_sum, indecomposable
+from c2mackey.mackey import (MackeyMap, MackeyModule, direct_sum,
+                             indecomposable)
 from c2mackey.split import (BasisMove, Decomposition, Strand, apply_move,
                             certificate_isos, components_of,
                             decomposition_sum, random_odd_complex,
@@ -234,6 +236,140 @@ def test_random_legal_moves_stream_is_pinned():
     assert rng.random() == 0.9449849583801412
 
 
+def _large_scramble(tag: str, strands: int = 64):
+    """A scramble made the way the large-complex benchmark makes its
+    inputs: ``strands`` strands of ``random_strand(rng, 6)`` and 25 legal
+    moves per strand, replayed."""
+    rng = random.Random(tag)
+    base = decomposition_sum([random_strand(rng, 6) for _ in range(strands)])
+    return replay(base, random_legal_moves(base, rng, 25 * strands))
+
+
+# violations of small broken complexes, in the order validate_complex
+# reports them
+_BROKEN = [
+    # an F -> F slot holding a code past 1+t, and an H -> H slot holding t
+    (FreeComplex(0, [["F", "H"], ["F", "H"]], [[[4, 0], [0, 2]]]),
+     ["illegal arrow 4 in slot (F->F) of the differential into degree 0",
+      "illegal arrow 2 in slot (H->H) of the differential into degree 0"]),
+    # d*d != 0 out of degree 2 (into both generators of degree 0) and out
+    # of degree 3 (into the F of degree 1)
+    (FreeComplex(0, [["F", "H"], ["F"], ["F"], ["H"]],
+                 [[[1], [1]], [[1]], [[1]]]),
+     ["d*d != 0 from degree 2 generator 0 to degree 0 generator 0",
+      "d*d != 0 from degree 2 generator 0 to degree 0 generator 1",
+      "d*d != 0 from degree 3 generator 0 to degree 1 generator 0"]),
+]
+
+
+def test_certificates_replays_and_isos_are_pinned():
+    """``split``'s certificates, ``replay``'s complexes, both
+    ``certificate_isos`` maps and ``validate_complex``'s verdicts, digested
+    over seeded scrambles (100 small ones and three of 64 strands) and over
+    broken complexes: any route that replays certificates must reproduce
+    them byte for byte."""
+    docs = []
+    inputs = [random_scrambled_complex(random.Random(f"pin:{i}"))[0]
+              for i in range(100)]
+    inputs += [_large_scramble(f"pin:large:{k}") for k in range(3)]
+    for c in inputs:
+        dec = split(c)
+        v, u = certificate_isos(c, dec.certificate)
+        docs += [dec.to_json(), replay(c, dec.certificate).to_json(),
+                 v.to_json(), u.to_json(), validate_complex(c)]
+    rng = random.Random("pin:broken")
+    for c in inputs:
+        # one arrow changed to another legal one: mostly d*d != 0
+        c = c.copy()
+        j = rng.randrange(len(c.diffs)) if c.diffs else None
+        if j is not None and c.diffs[j] and c.diffs[j][0]:
+            m = c.diffs[j]
+            r, s = rng.randrange(len(m)), rng.randrange(len(m[0]))
+            both_f = c.gens[j][r] == c.gens[j + 1][s] == "F"
+            m[r][s] = (m[r][s] + 1) % (4 if both_f else 2)
+        docs.append(validate_complex(c))
+    for c, want in _BROKEN:
+        assert validate_complex(c) == want
+        docs.append(validate_complex(c))
+    assert _sha256(docs) == (
+        "985cc6a64d6c0e806405538c491b960d1efa54ef9ca45e68fc39c96ce1790e18")
+
+
+def _replay_by_moves(c, moves):
+    """Replay move by move with ``apply_move``: the reference for the
+    batch kernel behind ``replay``."""
+    out = c.copy()
+    for mv in moves:
+        apply_move(out, mv)
+    return out
+
+
+def _outcome(fn, c, moves):
+    try:
+        return "ok", fn(c, moves).to_json()
+    except ValueError as exc:
+        return "refused", str(exc)
+
+
+def _corrupt(c, mv, how):
+    """``mv`` made illegal on ``c`` in the way ``how`` names."""
+    kinds = c.gens_at(mv.degree)
+    n = len(kinds)
+    if how == "degree":
+        return BasisMove(c.max_degree + 1 + mv.i, mv.variant, mv.i, mv.j)
+    if how == "index":
+        return BasisMove(mv.degree, mv.variant, mv.i, n + mv.j)
+    if how == "same":
+        variant = "add" if kinds[mv.i] == "F" else "add_dot"
+        return BasisMove(mv.degree, variant, mv.i, mv.i)
+    if how == "kinds":
+        # an add variant whose source kind is not generator i's
+        variant = "add_dot" if kinds[mv.i] == "F" else "add"
+        return BasisMove(mv.degree, variant, mv.i, (mv.i + 1) % n)
+    if how == "twist_h":
+        h = kinds.index("H")
+        return BasisMove(mv.degree, "twist_t", h, h)
+    return BasisMove(mv.degree, "spin", mv.i, mv.j)
+
+
+def test_replay_matches_move_by_move_reference():
+    """``replay`` (row operations, with the column operations gathered
+    into one product per differential) against one ``apply_move`` after
+    another: the same complex on legal certificates, and on a certificate
+    with one illegal move the same ValueError, which also makes
+    ``certificate_isos`` refuse it and ``verify_certificate`` say False."""
+    rng = random.Random("batch-replay")
+    refused = Counter()
+    for trial in range(200):
+        c, _ = random_scrambled_complex(rng, max_strands=rng.choice((3, 8)))
+        moves = random_legal_moves(c, rng, rng.randint(0, 60))
+        assert _outcome(replay, c, moves) == _outcome(_replay_by_moves, c,
+                                                      moves), trial
+        if not moves:
+            continue
+        v, u = certificate_isos(c, moves)
+        assert v.target.to_json() == replay(c, moves).to_json(), trial
+        _assert_identity(compose_chain_maps(u, v), c)
+        k = rng.randrange(len(moves))
+        kinds = c.gens_at(moves[k].degree)
+        hows = ["degree", "index", "kinds", "variant"]
+        if len(kinds) > 1:
+            hows.append("same")
+        if "H" in kinds:
+            hows.append("twist_h")
+        how = rng.choice(hows)
+        bad = moves[:k] + [_corrupt(c, moves[k], how)] + moves[k + 1:]
+        got = _outcome(replay, c, bad)
+        assert got[0] == "refused" and got == _outcome(_replay_by_moves, c,
+                                                       bad), (trial, how)
+        with pytest.raises(ValueError, match=re.escape(got[1])):
+            certificate_isos(c, bad)
+        assert not verify_certificate(c, Decomposition([], bad)), trial
+        refused[how] += 1
+    assert set(refused) == {"degree", "index", "same", "kinds", "twist_h",
+                            "variant"}
+
+
 def test_apply_move_bounds_checking():
     c = strand("A", 1)
     with pytest.raises(ValueError):
@@ -384,8 +520,12 @@ _HS = direct_sum(_H, _S)
     ([_HS, _H], [_odd_map(_H, _HS, [[0], [1]], [[1]])]),
     # f_theta p_up != p_up f_dot
     ([_H, _H], [_odd_map(_H, _H, [[1]], [[0]])]),
+    # a lone module with p_up p_down != 1 + t and p_down p_up != 2
+    ([MackeyModule(3, FMatrix.from_rows([[1]], 3),
+                   FMatrix.from_rows([[1]], 3),
+                   FMatrix.from_rows([[0]], 3))], []),
 ], ids=["d-squared", "H-to-STheta", "STheta-to-H", "H-to-H+STheta",
-        "dot-dropped"])
+        "dot-dropped", "not-a-module"])
 def test_odd_splitter_refuses_non_complexes(mods, maps):
     with pytest.raises(ValueError, match="degree"):
         split_odd_mackey(mods, maps, 3, 0)

@@ -69,22 +69,35 @@ def theta_block(ka: str, kb: str, e: int, ell: int = 2) -> FMatrix:
     return FMatrix.from_rows([[e]], ell)
 
 
-def _arrow_code(ka: str, kb: str, block: FMatrix) -> int:
-    """The arrow from ``ka`` to ``kb`` whose free-orbit block over GF(2)
-    is ``block``; raises AssertionError when no arrow has that block (it
-    is not C2-equivariant)."""
-    for e in range(len(_ARROW_NAMES[ka, kb])):
-        if theta_block(ka, kb, e) == block:
-            return e
-    raise AssertionError(f"no {ka}->{kb} arrow has the free-orbit block "
-                         f"{block.to_rows()}")
+def arrow_matrix(theta: FMatrix, src_kinds: list[str],
+                 tgt_kinds: list[str]) -> list[list[int]]:
+    """The arrow matrix whose free-orbit level over GF(2) is ``theta``,
+    which must be C2-equivariant, as ``orbit_matrix`` and every basis
+    move keep it.  Each arrow is read off the first row of its block:
+    from an F to an F the bits of the code are the coefficients of 1 and
+    t, and every other block's first row is zero or all ones."""
+    # per free-orbit column, its source and the code bit it holds from an F
+    cols = []
+    for s, k in enumerate(src_kinds):
+        cols.append((s, 1))
+        if k == "F":
+            cols.append((s, 2))
+    out, start, n = [], 0, len(src_kinds)
+    for kt in tgt_kinds:
+        row = [0] * n
+        for j in theta.row_support(start):
+            s, bit = cols[j]
+            row[s] |= bit if kt == "F" else 1
+        out.append(row)
+        start += 2 if kt == "F" else 1
+    return out
 
 
 # (ka, kb, kc, e_ab, e_bc) -> the arrow whose block is the product of the
 # blocks of e_bc and e_ab
 _COMPOSITES = {
-    (ka, kb, kc, e1, e2): _arrow_code(
-        ka, kc, theta_block(kb, kc, e2).mul(theta_block(ka, kb, e1)))
+    (ka, kb, kc, e1, e2): arrow_matrix(
+        theta_block(kb, kc, e2).mul(theta_block(ka, kb, e1)), [ka], [kc])[0][0]
     for ka, kb, kc in product("FH", repeat=3)
     for e1 in range(len(_ARROW_NAMES[ka, kb]))
     for e2 in range(len(_ARROW_NAMES[kb, kc]))}
@@ -559,7 +572,7 @@ def realize_map(src_kinds: list[str], tgt_kinds: list[str],
                        [(r, s, blocks[arrow][1]) for r, s, arrow in arrows]))
 
 
-# -- the free-orbit codec ---------------------------------------------------
+# -- the free-orbit codec (its reader, ``arrow_matrix``, sits by theta_block)
 
 def _nonzero_arrows(m: list[list[int]], src_kinds: list[str],
                     tgt_kinds: list[str]) -> list[tuple[int, int, tuple]]:
@@ -599,38 +612,14 @@ def _orbit_level(arrows, sstarts: list[int], tstarts: list[int],
 
 
 def orbit_matrix(m: list[list[int]], src_kinds: list[str],
-                 tgt_kinds: list[str], ell: int = 2) -> FMatrix:
-    """The free-orbit level over GF(l) of the arrow matrix ``m`` from
+                 tgt_kinds: list[str]) -> FMatrix:
+    """The free-orbit level over GF(2) of the arrow matrix ``m`` from
     generators of kinds ``src_kinds`` to ``tgt_kinds``: its rows and
     columns are the free-orbit coordinates (``orbit_starts``), and each
-    arrow sits there as its ``theta_block``.  Over GF(2) ``arrow_matrix``
-    reads it back."""
+    arrow sits there as its ``theta_block``.  ``arrow_matrix`` reads it
+    back."""
     return _orbit_level(_nonzero_arrows(m, src_kinds, tgt_kinds),
-                        orbit_starts(src_kinds), orbit_starts(tgt_kinds), ell)
-
-
-def arrow_matrix(theta: FMatrix, src_kinds: list[str],
-                 tgt_kinds: list[str]) -> list[list[int]]:
-    """The arrow matrix whose free-orbit level over GF(2) is ``theta``,
-    which must be C2-equivariant, as ``orbit_matrix`` and every basis
-    move keep it.  Each arrow is read off the first row of its block:
-    from an F to an F the bits of the code are the coefficients of 1 and
-    t, and every other block's first row is zero or all ones."""
-    # per free-orbit column, its source and the code bit it holds from an F
-    cols = []
-    for s, k in enumerate(src_kinds):
-        cols.append((s, 1))
-        if k == "F":
-            cols.append((s, 2))
-    out, start, n = [], 0, len(src_kinds)
-    for kt in tgt_kinds:
-        row = [0] * n
-        for j in theta.row_support(start):
-            s, bit = cols[j]
-            row[s] |= bit if kt == "F" else 1
-        out.append(row)
-        start += 2 if kt == "F" else 1
-    return out
+                        orbit_starts(src_kinds), orbit_starts(tgt_kinds), 2)
 
 
 def _subquotient(mod: MackeyModule, d_out: MackeyMap | None,

@@ -334,53 +334,57 @@ class FMatrix:
 
     def rref(self) -> tuple["FMatrix", list[int]]:
         """Reduced row echelon form; returns (R, pivot_columns)."""
+        if self.ell == 2:
+            # the forward pass, then back-substitution from the highest
+            # pivot down: each pivot row is cleared at the pivot columns it
+            # carries by the rows already reduced, which carry no pivot
+            # column but their own
+            done: dict[int, int] = {}
+            mask = 0
+            for c, v in sorted(_lowbit_pivots(self.rows).items(),
+                               reverse=True):
+                hits = v & mask
+                while hits:
+                    low = hits & -hits
+                    v ^= done[low.bit_length() - 1]
+                    hits ^= low
+                done[c] = v
+                mask |= 1 << c
+            pivots = sorted(done)
+            rows = [done[c] for c in pivots]
+            rows += [0] * (self.nrows - len(rows))
+            return FMatrix(2, self.nrows, self.ncols, rows), pivots
         R = self.copy()
         pivots: list[int] = []
         r = 0
-        if self.ell == 2:
-            for c in range(self.ncols):
-                if r >= self.nrows:
+        ell, rows = self.ell, R.rows
+        for c in range(self.ncols):
+            if r >= self.nrows:
+                break
+            sel = -1
+            for i in range(r, self.nrows):
+                if rows[i][c]:
+                    sel = i
                     break
-                sel = -1
-                for i in range(r, self.nrows):
-                    if (R.rows[i] >> c) & 1:
-                        sel = i
-                        break
-                if sel < 0:
-                    continue
-                R.rows[r], R.rows[sel] = R.rows[sel], R.rows[r]
-                for i in range(self.nrows):
-                    if i != r and (R.rows[i] >> c) & 1:
-                        R.rows[i] ^= R.rows[r]
-                pivots.append(c)
-                r += 1
-        else:
-            ell, rows = self.ell, R.rows
-            for c in range(self.ncols):
-                if r >= self.nrows:
-                    break
-                sel = -1
-                for i in range(r, self.nrows):
-                    if rows[i][c]:
-                        sel = i
-                        break
-                if sel < 0:
-                    continue
-                rows[r], rows[sel] = rows[sel], rows[r]
-                piv = rows[r]
-                if piv[c] != 1:
-                    inv = pow(piv[c], -1, ell)
-                    piv = rows[r] = [v * inv % ell for v in piv]
-                for i in range(self.nrows):
-                    f = rows[i][c]
-                    if f and i != r:
-                        rows[i] = [(a - f * b) % ell
-                                   for a, b in zip(rows[i], piv)]
-                pivots.append(c)
-                r += 1
+            if sel < 0:
+                continue
+            rows[r], rows[sel] = rows[sel], rows[r]
+            piv = rows[r]
+            if piv[c] != 1:
+                inv = pow(piv[c], -1, ell)
+                piv = rows[r] = [v * inv % ell for v in piv]
+            for i in range(self.nrows):
+                f = rows[i][c]
+                if f and i != r:
+                    rows[i] = [(a - f * b) % ell
+                               for a, b in zip(rows[i], piv)]
+            pivots.append(c)
+            r += 1
         return R, pivots
 
     def rank(self) -> int:
+        if self.ell == 2:
+            return len(_lowbit_pivots(self.rows))
         return len(self.rref()[1])
 
     def nullity(self) -> int:
@@ -447,8 +451,29 @@ class FMatrix:
         return self.nrows == self.ncols and self.rank() == self.nrows
 
     def column_space_pivots(self) -> list[int]:
-        """Indices of a maximal independent set of columns."""
+        """Indices of a maximal independent set of columns (the pivot
+        columns of the rref)."""
+        if self.ell == 2:
+            return sorted(_lowbit_pivots(self.rows))
         return self.rref()[1]
+
+
+def _lowbit_pivots(rows) -> dict[int, int]:
+    """Forward elimination over GF(2): each row of ``rows`` is reduced by
+    the pivot rows found so far until its lowest set bit is a new pivot
+    column or the row vanishes.  Returns {pivot column: pivot row}; the
+    pivot columns are those of the rref, and each pivot row has no bit
+    below its pivot column."""
+    pivots: dict[int, int] = {}
+    for r in rows:
+        while r:
+            c = (r & -r).bit_length() - 1
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = r
+                break
+            r ^= p
+    return pivots
 
 
 def _set_bits(r: int) -> list[int]:

@@ -184,11 +184,23 @@ def classify(m: MackeyModule) -> dict[str, int]:
     """
     nt, nd = m.dim_theta, m.dim_dot
     if m.ell != 2:
+        return counts_of_ranks(m.ell, nt, nd)
+    return counts_of_ranks(2, nt, nd,
+                           m.t.add(FMatrix.identity(nt, 2)).rank(),
+                           m.p_down.nullity(), m.p_up.nullity())
+
+
+def counts_of_ranks(ell: int, dim_theta: int, dim_dot: int,
+                    rank_1t: int = 0, ker_down: int = 0,
+                    ker_up: int = 0) -> dict[str, int]:
+    """The kind -> count dict (zero counts omitted) of the module with
+    these level dimensions and, at l = 2, rank(1 + t), dim ker p_down and
+    dim ker p_up (unused at odd l).  Numbers that no module has raise
+    ValueError."""
+    nt, nd, f, kd, ku = dim_theta, dim_dot, rank_1t, ker_down, ker_up
+    if ell != 2:
         counts = {"H": nd, "STheta": nt - nd}
     else:
-        f = m.t.add(FMatrix.identity(nt, 2)).rank()
-        kd = m.p_down.nullity()
-        ku = m.p_up.nullity()
         counts = {
             "F": f,
             "Hop": nt - f - kd,

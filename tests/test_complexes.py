@@ -335,6 +335,19 @@ def test_homology_counts_realizes_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_homology_counts_refuses_non_complexes():
+    # F -> F -> F by 1 and 1: d*d is the identity
+    ff = FreeComplex(0, [["F"], ["F"], ["F"]], [[[1]], [[1]]])
+    with pytest.raises(ValueError, match="mod 2 between degrees 2 and 0"):
+        homology_counts(ff)
+    # the unsigned lifts of these strands square to nonzero mod 3
+    for kind, param in (("A", 2), ("B", 0), ("Hn", 2)):
+        c = strand(kind, param)
+        with pytest.raises(ValueError, match="d\\*d != 0 mod 3"):
+            homology_counts(c, 3)
+        assert homology_counts(c, 2)
+
+
 def a_homology(k):
     if k == 0:
         return {0: {"F": 1}}

@@ -360,3 +360,83 @@ def test_whole_row_ops_match_per_entry_reference(nrows, ncols, k, seed, ell):
     assert added.to_rows() == want_rows
     outputs.append(added)
     assert all(_is_canonical(m) for m in outputs)
+
+
+def _column_scan_rref(rows, ncols):
+    """GF(2) rref of bitset rows by the book: for each column in turn, the
+    first row at or below the next pivot row with a 1 there becomes the
+    pivot row and clears that column in every other row."""
+    rows, pivots = list(rows), []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i] >> c & 1), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i] >> c & 1:
+                rows[i] ^= rows[r]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _random_gf2(rng, nrows, ncols, fill):
+    """A random bitset matrix, at the given fill or, one time in three,
+    the product of two such matrices through a narrow middle (low rank,
+    so dense rows that depend on each other)."""
+    def draw(n, m):
+        return FMatrix(2, n, m, [sum(1 << j for j in range(m)
+                                     if rng.random() < fill)
+                                 for _ in range(n)])
+    if rng.random() < 1 / 3:
+        k = rng.randint(0, max(1, min(nrows, ncols) // 2))
+        return draw(nrows, k).mul(draw(k, ncols))
+    return draw(nrows, ncols)
+
+
+def test_lowbit_elimination_matches_column_scan_reference():
+    rng = random.Random("lowbit")
+    sizes = [(0, 0), (0, 5), (5, 0), (0, 70), (70, 0)]
+    for _ in range(520):
+        nrows, ncols = rng.choice([
+            (rng.randint(1, 6), rng.randint(1, 6)),         # small
+            (rng.randint(20, 60), rng.randint(1, 12)),      # tall
+            (rng.randint(1, 12), rng.randint(20, 60)),      # wide
+            (rng.randint(1, 90), rng.randint(65, 140)),     # past one word
+        ])
+        sizes.append((nrows, ncols))
+    for trial, (nrows, ncols) in enumerate(sizes):
+        fill = rng.choice([0.02, 0.1, 0.3, 0.5, 0.75, 0.9])
+        a = _random_gf2(rng, nrows, ncols, fill)
+        ref_rows, ref_piv = _column_scan_rref(a.rows, ncols)
+        R, pivots = a.rref()
+        assert (R.rows, pivots) == (ref_rows, ref_piv), trial
+        assert a.rank() == len(ref_piv), trial
+        assert a.nullity() == ncols - len(ref_piv), trial
+        assert a.column_space_pivots() == ref_piv, trial
+        assert a.is_invertible() == (nrows == ncols == len(ref_piv)), trial
+
+        # the kernel basis, written from the reference rref
+        free = [c for c in range(ncols) if c not in ref_piv]
+        want = FMatrix.zeros(ncols, len(free))
+        for j, fc in enumerate(free):
+            want.set(fc, j, 1)
+            for i, pc in enumerate(ref_piv):
+                want.set(pc, j, ref_rows[i] >> fc & 1)
+        assert a.kernel_basis() == want, trial
+
+        # solve_many: X is read off the reference rref of [A | B] at the
+        # pivot rows; a pivot in B's block means no solution
+        k = rng.randint(1, 4)
+        for b in (a.mul(_random_gf2(rng, ncols, k, 0.5)),
+                  _random_gf2(rng, nrows, k, 0.5)):
+            aug_rows, aug_piv = _column_scan_rref(
+                FMatrix.hstack([a, b]).rows, ncols + k)
+            x = a.solve_many(b)
+            if aug_piv and aug_piv[-1] >= ncols:
+                assert x is None, trial
+                continue
+            want = FMatrix.zeros(ncols, k)
+            for i, pc in enumerate(aug_piv):
+                want.rows[pc] = aug_rows[i] >> ncols
+            assert x == want, trial

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c2mackey.complexes import (FreeComplex, _classified_homology,
-                                chain_map_from_vector, compose_chain_maps,
-                                cone, direct_sum_complexes, hom_delta,
+                                box_complex, chain_map_from_vector,
+                                compose_chain_maps, cone, cotens_H,
+                                direct_sum_complexes, hom_delta,
                                 homology_counts, realize, shift_complex,
                                 strand, validate_chain_map, validate_complex)
 from c2mackey.derived import balmer_support
@@ -132,17 +133,28 @@ def test_scramble_roundtrip_property(seed):
     assert verify_certificate(c, dec)
 
 
+def _strand_sums(rng, count):
+    """``count`` lists of 1-3 random strands."""
+    return [[random_strand(rng, 3, -2, 2) for _ in range(rng.randint(1, 3))]
+            for _ in range(count)]
+
+
+def _random_cone(rng):
+    """(cone of a random cocycle from x to y, x, y) for x and y random
+    sums of 1-3 strands."""
+    x, y = _strand_sums(rng, 2)
+    cx, cy = decomposition_sum(x), decomposition_sum(y)
+    cycles = hom_delta(cx, cy, 0).kernel_basis()
+    vec = cycles.mul_vec([rng.randrange(2) for _ in range(cycles.ncols)])
+    return cone(chain_map_from_vector(cx, cy, 0, vec)), x, y
+
+
 def test_split_cones_of_random_cocycles():
     """Cones of chain maps between strand sums: inputs the scramble
     generator never makes."""
     rng = random.Random("cones")
     for trial in range(150):
-        x, y = ([random_strand(rng, 3, -2, 2)
-                 for _ in range(rng.randint(1, 3))] for _ in range(2))
-        cx, cy = decomposition_sum(x), decomposition_sum(y)
-        cycles = hom_delta(cx, cy, 0).kernel_basis()
-        vec = cycles.mul_vec([rng.randrange(2) for _ in range(cycles.ncols)])
-        c = cone(chain_map_from_vector(cx, cy, 0, vec))
+        c, x, y = _random_cone(rng)
         dec = split(c)
         assert verify_certificate(c, dec), trial
         assert homology_counts(c) == homology_counts(
@@ -151,6 +163,31 @@ def test_split_cones_of_random_cocycles():
         _assert_identity(compose_chain_maps(u, v), c)
         assert set(balmer_support(dec.strands)) <= set(
             balmer_support(x) + balmer_support(y)), trial
+
+
+def _module_route(c, ell=2):
+    return _classified_homology(*realize(c, ell), ell, c.min_degree)
+
+
+def test_homology_counts_match_module_route():
+    """The counts read off ranks equal the classified homology modules."""
+    rng = random.Random("rank-route")
+    inputs = [random_scrambled_complex(rng, max_strands=5, max_param=4,
+                                       max_moves=40)[0] for _ in range(200)]
+    inputs += [_random_cone(rng)[0] for _ in range(60)]
+    for _ in range(30):
+        x, y = (decomposition_sum(s) for s in _strand_sums(rng, 2))
+        inputs += [box_complex(x, y), cotens_H(x),
+                   box_complex(cotens_H(x), y)]
+    for trial, c in enumerate(inputs):
+        assert homology_counts(c) == _module_route(c), trial
+    for ell in (3, 257):
+        for trial in range(40):
+            c = decomposition_sum([Strand(*rng.choice(_LIFT_AT_3),
+                                          rng.randint(-2, 2))
+                                   for _ in range(rng.randint(1, 4))])
+            assert homology_counts(c, ell) == _module_route(c, ell), (ell,
+                                                                      trial)
 
 
 def test_verify_rejects_wrong_answers():

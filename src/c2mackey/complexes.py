@@ -673,10 +673,24 @@ def _homology_at(mods: list[MackeyModule], maps: list[MackeyMap], i: int,
                         maps[i] if i < len(maps) else None, ell)
 
 
+def _check_dd(maps: list[MackeyMap], i: int, ell: int, lo: int) -> None:
+    """Raise ValueError unless d*d = 0 through degree ``lo + i`` of a
+    realized complex (``maps[i]`` goes from degree lo+i+1 to lo+i).  The
+    theta level decides the arrows, so it decides d*d = 0 too."""
+    if 0 < i < len(maps) and not maps[i - 1].f_theta.mul(
+            maps[i].f_theta).is_zero():
+        raise ValueError(f"d*d != 0 mod {ell} between degrees "
+                         f"{lo + i + 1} and {lo + i - 1}")
+
+
 def homology(c: FreeComplex, d: int, ell: int = 2) -> MackeyModule:
+    """The homology module of ``c`` at degree ``d`` over GF(l).  A
+    d*d != 0 through ``d`` raises ValueError naming the degrees."""
     if not c.in_range(d) or not c.gens_at(d):
         return zero_module(ell)
-    return _homology_at(*realize(c, ell), d - c.min_degree, ell)
+    mods, maps = realize(c, ell)
+    _check_dd(maps, d - c.min_degree, ell, c.min_degree)
+    return _homology_at(mods, maps, d - c.min_degree, ell)
 
 
 def _classified_homology(mods: list[MackeyModule], maps: list[MackeyMap],
@@ -713,11 +727,7 @@ def homology_counts(c: FreeComplex, ell: int = 2) -> dict[int, dict[str, int]]:
         nt, nd = mod.dim_theta, mod.dim_dot
         d_out = maps[i - 1] if i else None
         d_in = maps[i] if i < len(maps) else None
-        # theta decides the arrows, so it decides d*d = 0 too
-        if (d_out is not None and d_in is not None
-                and not d_out.f_theta.mul(d_in.f_theta).is_zero()):
-            raise ValueError(f"d*d != 0 mod {ell} between degrees "
-                             f"{lo + i + 1} and {lo + i - 1}")
+        _check_dd(maps, i, ell, lo)
         if d_in is None:
             bt, bd = FMatrix.zeros(nt, 0, ell), FMatrix.zeros(nd, 0, ell)
         else:

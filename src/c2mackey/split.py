@@ -32,6 +32,7 @@ image, which is what normalizes t-valued disk entries to literal 1's.
 from __future__ import annotations
 
 import logging
+import random
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -692,46 +693,79 @@ def random_legal_moves(c: FreeComplex, rng, count: int) -> list[BasisMove]:
     requested move, for example when ``c`` has no legal move at all.
 
     The draw order (degree, variant, i, j) is part of the contract.  Each
-    attempt makes one ``rng.choice`` for each of: a nonempty degree (in
+    attempt picks, as ``rng.choice`` would: a nonempty degree (in
     increasing order), a variant (``_MOVE_NAMES``: the add variants, then
     twist_t), i and then j among that degree's generators of the variant's
     kinds, in generator order (twist_t draws only i).  When the degree has
     no generator of a kind the variant needs, the attempt draws neither i
-    nor j.  So a seed gives the same moves, and leaves ``rng`` in the same
-    state, from one version to the next: ``gen`` output and every seeded
-    corpus depend on it."""
-    # kinds never change under moves: index each degree's F and H
-    # generators once, not on every attempt
-    degrees = []
-    index = {}
+    nor j.  Each pick among n items is the loop ``Random.choice`` runs
+    (``Random._randbelow_with_getrandbits``): ``getrandbits(n.bit_length())``
+    until the result is below n, written inline here.  So a seed gives the
+    same moves, and leaves ``rng`` in the same state, from one version to
+    the next: ``gen`` output and every seeded corpus depend on it.  An
+    ``rng`` whose class picks another way (a ``random.Random`` subclass
+    that overrides only ``random()``, say) raises TypeError before any
+    draw."""
+    cls = type(rng)
+    if (getattr(cls, "_randbelow", None)
+            is not random.Random._randbelow_with_getrandbits
+            or getattr(cls, "choice", None) is not random.Random.choice):
+        raise TypeError(
+            "random_legal_moves needs a random.Random whose choice() draws "
+            f"by getrandbits rejection; {cls.__name__} does not")
+    # one row per nonempty degree, one slot per move name: None where the
+    # degree lacks a kind the variant needs, else what its draws need
+    table = []
     for d, kinds in zip(c.degrees(), c.gens):
-        if kinds:
-            degrees.append(d)
-            index[d] = {k: [i for i, ki in enumerate(kinds) if ki == k]
-                        for k in ("F", "H")}
-    choice = rng.choice
+        if not kinds:
+            continue
+        by_kind = {k: [i for i, ki in enumerate(kinds) if ki == k]
+                   for k in ("F", "H")}
+        row = []
+        for variant in _MOVE_NAMES:
+            if variant == "twist_t":  # draws only i
+                si, sj = by_kind["F"], None
+            else:
+                ki, kj, _ = _VARIANTS[variant]
+                si, sj = by_kind[ki], by_kind[kj]
+            if si and sj != []:
+                nj = len(sj) if sj else 0
+                row.append((d, variant, si, len(si), len(si).bit_length(),
+                            sj, nj, nj.bit_length()))
+            else:
+                row.append(None)
+        table.append(row)
+    nd, nv = len(table), len(_MOVE_NAMES)
+    kd, kv = nd.bit_length(), nv.bit_length()
+    getrandbits = rng.getrandbits
     moves = []
     attempts = 0
-    while degrees and len(moves) < count and attempts < count * 50:
+    while table and len(moves) < count and attempts < count * 50:
         attempts += 1
-        d = choice(degrees)
-        by_kind = index[d]
-        variant = choice(_MOVE_NAMES)
-        if variant == "twist_t":
-            fs = by_kind["F"]
-            if not fs:
-                continue
-            i = choice(fs)
+        r = getrandbits(kd)
+        while r >= nd:
+            r = getrandbits(kd)
+        row = table[r]
+        r = getrandbits(kv)
+        while r >= nv:
+            r = getrandbits(kv)
+        slot = row[r]
+        if slot is None:
+            continue
+        d, variant, si, ni, bi, sj, nj, bj = slot
+        r = getrandbits(bi)
+        while r >= ni:
+            r = getrandbits(bi)
+        i = si[r]
+        if sj is None:  # twist_t
             moves.append(BasisMove(d, variant, i, i))
             continue
-        ki, kj, _ = _VARIANTS[variant]
-        si, sj = by_kind[ki], by_kind[kj]
-        if not si or not sj:
-            continue
-        i, j = choice(si), choice(sj)
-        if i == j:
-            continue
-        moves.append(BasisMove(d, variant, i, j))
+        r = getrandbits(bj)
+        while r >= nj:
+            r = getrandbits(bj)
+        j = sj[r]
+        if i != j:
+            moves.append(BasisMove(d, variant, i, j))
     return moves
 
 

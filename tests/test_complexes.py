@@ -15,13 +15,14 @@ from c2mackey.complexes import (U, ChainMap, FreeComplex, arrow_mul,
                                 box_chain_map, box_complex, canonicalize,
                                 chain_map_vector, compose_chain_maps, cone, cotens_H,
                                 direct_sum_complexes, ecompose, entry_ok,
-                                hom_complex_dim, hom_delta, homology_counts,
+                                hom_complex_dim, hom_delta, homology,
+                                homology_counts,
                                 identity_chain_map, is_null_homotopic,
                                 null_homotopy, realize, realize_map,
                                 shift_complex, strand, theta_block,
                                 validate_chain_map, validate_complex)
 from c2mackey.gf2core import FMatrix
-from c2mackey.mackey import direct_sum, indecomposable
+from c2mackey.mackey import classify, direct_sum, indecomposable
 from c2mackey.derived import dcotens_formula_pair, op_dual_strand
 from c2mackey.split import (Strand, _shape, certificate_isos,
                             random_scrambled_complex)
@@ -347,6 +348,20 @@ def test_homology_counts_refuses_non_complexes():
             homology_counts(c, 3)
         assert homology_counts(c, 2)
 
+
+
+def test_homology_refuses_non_complexes():
+    """``homology`` checks d*d = 0 through its degree with the check, and
+    the message, of ``homology_counts``."""
+    ff = FreeComplex(0, [["F"], ["F"], ["F"]], [[[1]], [[1]]])
+    with pytest.raises(ValueError, match="mod 2 between degrees 2 and 0"):
+        homology(ff, 1)
+    a2 = strand("A", 2)
+    with pytest.raises(ValueError, match="mod 3 between degrees 2 and 0"):
+        homology(a2, 1, 3)
+    # the ends of the F chain have no composite through them
+    assert homology(ff, 0).dim_theta == 0
+    assert classify(homology(a2, 1)) == {"SDot": 1}
 
 def a_homology(k):
     if k == 0:

@@ -18,7 +18,8 @@ from c2mackey.derived import balmer_support
 from c2mackey.gf2core import FMatrix
 from c2mackey.mackey import (MackeyMap, MackeyModule, direct_sum,
                              indecomposable)
-from c2mackey.split import (BasisMove, Decomposition, Strand, apply_move,
+from c2mackey.split import (_MOVE_NAMES, _VARIANTS, BasisMove,
+                            Decomposition, Strand, apply_move,
                             certificate_isos, components_of,
                             decomposition_sum, random_odd_complex,
                             random_legal_moves, random_scrambled_complex,
@@ -271,6 +272,111 @@ def test_random_legal_moves_stream_is_pinned():
     assert _sha256([_moves_json(moves)]) == (
         "fc29bd6e0247fde409b4fd58e41bf3bb582ed022cafc5a129c331b952bbd9ec5")
     assert rng.random() == 0.9449849583801412
+
+
+def _reference_random_legal_moves(c, rng, count):
+    """The generator as it stood before its draws were written inline:
+    one ``rng.choice`` per pick.  Kept verbatim as the reference the
+    library's generator must match move for move and state for state."""
+    # kinds never change under moves: index each degree's F and H
+    # generators once, not on every attempt
+    degrees = []
+    index = {}
+    for d, kinds in zip(c.degrees(), c.gens):
+        if kinds:
+            degrees.append(d)
+            index[d] = {k: [i for i, ki in enumerate(kinds) if ki == k]
+                        for k in ("F", "H")}
+    choice = rng.choice
+    moves = []
+    attempts = 0
+    while degrees and len(moves) < count and attempts < count * 50:
+        attempts += 1
+        d = choice(degrees)
+        by_kind = index[d]
+        variant = choice(_MOVE_NAMES)
+        if variant == "twist_t":
+            fs = by_kind["F"]
+            if not fs:
+                continue
+            i = choice(fs)
+            moves.append(BasisMove(d, variant, i, i))
+            continue
+        ki, kj, _ = _VARIANTS[variant]
+        si, sj = by_kind[ki], by_kind[kj]
+        if not si or not sj:
+            continue
+        i, j = choice(si), choice(sj)
+        if i == j:
+            continue
+        moves.append(BasisMove(d, variant, i, j))
+    return moves
+
+
+def _discrete(min_degree, gens):
+    """The complex with generators ``gens`` and every differential zero."""
+    return FreeComplex(min_degree, gens,
+                       [[[0] * len(src) for _ in tgt]
+                        for tgt, src in zip(gens, gens[1:])])
+
+
+def _generator_cases():
+    """(complex, count) pairs: the edge cases, then 2,000 strand sums."""
+    design = random.Random("pin")
+    big = decomposition_sum([random_strand(design, 6) for _ in range(256)])
+    assert big.num_gens() == 992
+    # one degree in 21 has a legal move (add_dot, i != j): the 50-attempt
+    # budget ends the draw long before 100 moves
+    starved = _discrete(0, [["H"]] * 20 + [["H", "H"]])
+    cases = [
+        (FreeComplex(0, [[]], []), 5),                       # no generators
+        (_discrete(-2, [["F", "H"], [], [], ["H", "F", "F"]]), 40),
+        (strand("DiskH", 0), 5),                             # no legal move
+        (_discrete(0, [["H"]]), 10),                         # one H
+        (_discrete(3, [["H", "H", "H"]]), 10),               # H's only
+        (decomposition_sum([Strand("A", 3, 0)]), 0),         # count 0
+        (starved, 100),
+        (big, 25 * 256),
+    ]
+    design, counts = random.Random("reference"), random.Random("counts")
+    for _ in range(2000):
+        c = decomposition_sum([random_strand(design, 6)
+                               for _ in range(design.randint(1, 8))])
+        cases.append((c, counts.randint(0, 60)))
+    return cases
+
+
+def test_random_legal_moves_matches_choice_reference():
+    """The inline getrandbits draws against the ``rng.choice`` generator
+    they replace: equal moves, and an ``rng`` left in the same state,
+    call after call on one shared stream."""
+    ref_rng, rng = random.Random("shared"), random.Random("shared")
+    short = 0
+    for trial, (c, count) in enumerate(_generator_cases()):
+        want = _reference_random_legal_moves(c, ref_rng, count)
+        assert random_legal_moves(c, rng, count) == want, trial
+        assert rng.getstate() == ref_rng.getstate(), trial
+        short += len(want) < count
+    assert short >= 3  # the empty complex, DiskH and the starved one
+
+
+def test_random_legal_moves_refuses_other_draws():
+    """An rng class whose ``choice`` does not draw by getrandbits
+    rejection is refused before any draw; SystemRandom draws that way."""
+
+    class OnlyRandom(random.Random):
+        def random(self):
+            return super().random()
+
+    c = decomposition_sum([Strand("A", 2, 0), Strand("B", 1, 1)])
+    rng = OnlyRandom("guard")
+    state = rng.getstate()
+    with pytest.raises(TypeError, match="getrandbits rejection"):
+        random_legal_moves(c, rng, 10)
+    assert rng.getstate() == state
+    moves = random_legal_moves(c, random.SystemRandom(), 10)
+    assert len(moves) == 10
+    assert replay(c, moves).gens == c.gens
 
 
 def _large_scramble(tag: str, strands: int = 64):

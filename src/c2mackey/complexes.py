@@ -689,8 +689,9 @@ def homology(c: FreeComplex, d: int, ell: int = 2) -> MackeyModule:
     if not c.in_range(d) or not c.gens_at(d):
         return zero_module(ell)
     mods, maps = realize(c, ell)
-    _check_dd(maps, d - c.min_degree, ell, c.min_degree)
-    return _homology_at(mods, maps, d - c.min_degree, ell)
+    i = d - c.min_degree
+    _check_dd(maps, i, ell, c.min_degree)
+    return _homology_at(mods, maps, i, ell)
 
 
 def _classified_homology(mods: list[MackeyModule], maps: list[MackeyMap],

@@ -357,7 +357,7 @@ def test_random_legal_moves_matches_choice_reference():
         assert random_legal_moves(c, rng, count) == want, trial
         assert rng.getstate() == ref_rng.getstate(), trial
         short += len(want) < count
-    assert short >= 3  # the empty complex, DiskH and the starved one
+    assert short >= 4  # no generators, DiskH, one H and the starved one
 
 
 def test_random_legal_moves_refuses_other_draws():

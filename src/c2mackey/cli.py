@@ -122,7 +122,7 @@ def _load(path: str, cls, ell: int | None = None):
 
 
 def _split_file(path: str):
-    return split(_load(path, FreeComplex))
+    return split(_load(path, FreeComplex), validate=False)
 
 
 # -- subcommand handlers: each returns (payload, text, exit_code) ---------------
@@ -157,7 +157,7 @@ def cmd_cohomology(args):
     if args.window:
         p0, p1, q0, q1 = args.window
     else:
-        p0, p1, q0, q1 = sufficient_window(split(c).strands)
+        p0, p1, q0, q1 = sufficient_window(split(c, validate=False).strands)
     if p0 > p1 or q0 > q1:
         raise Failure([f"empty window ({p0}..{p1}) x ({q0}..{q1})"])
     points = (p1 - p0 + 1) * (q1 - q0 + 1)
@@ -270,18 +270,24 @@ def cmd_kronholm(args):
 
 # gen holds its whole corpus in memory (about 20 kB an instance at the
 # default --max-strands) and fuzz runs one split per instance, so larger
-# counts are refused rather than left to run out of memory or time
+# counts are refused rather than left to run out of memory or time; an
+# instance holds up to --max-strands strands, so that is capped too
 MAX_COUNT = 10_000
+MAX_STRANDS = 1_000
 
 
-def _check_count(count: int) -> None:
-    if count > MAX_COUNT:
-        raise Failure([f"--count {count} is more than the cap of "
+def _check_caps(args) -> None:
+    """Refuse a --count or --max-strands above its cap, before any draw."""
+    if args.count > MAX_COUNT:
+        raise Failure([f"--count {args.count} is more than the cap of "
                        f"{MAX_COUNT}; run several seeds instead"])
+    if args.max_strands > MAX_STRANDS:
+        raise Failure([f"--max-strands {args.max_strands} is more than the "
+                       f"cap of {MAX_STRANDS}"])
 
 
 def cmd_gen(args):
-    _check_count(args.count)
+    _check_caps(args)
     instances = []
     for i in range(args.count):
         rng = random.Random(f"{args.seed}:{i}")
@@ -295,7 +301,7 @@ def cmd_gen(args):
 
 
 def cmd_fuzz(args):
-    _check_count(args.count)
+    _check_caps(args)
     recovered, failures = 0, []
     for i in range(args.count):
         rng = random.Random(f"{args.seed}:{i}")

@@ -31,8 +31,8 @@ from itertools import product
 
 from . import _schema as schema
 from .gf2core import FMatrix
-from .mackey import (MackeyMap, MackeyModule, classify, counts_of_ranks,
-                     direct_sum, indecomposable, zero_module)
+from .mackey import (MackeyMap, MackeyModule, counts_of_ranks, direct_sum,
+                     indecomposable, zero_module)
 
 U = 3  # the arrow 1 + t
 
@@ -144,9 +144,6 @@ class FreeComplex:
 
     def degrees(self) -> range:
         return range(self.min_degree, self.max_degree + 1)
-
-    def in_range(self, d: int) -> bool:
-        return self.min_degree <= d <= self.max_degree
 
     def gens_at(self, d: int) -> list[str]:
         i = d - self.min_degree
@@ -314,7 +311,7 @@ def _canonical_perm(kinds: list[str]) -> list[int]:
             + [i for i, k in enumerate(kinds) if k == "H"])
 
 
-def canonicalize(c: FreeComplex) -> FreeComplex:
+def _canonicalize(c: FreeComplex) -> FreeComplex:
     c = _trimmed(c)
     perms = [_canonical_perm(g) for g in c.gens]
     gens = [[g[p] for p in perm] for g, perm in zip(c.gens, perms)]
@@ -401,7 +398,7 @@ def direct_sum_complexes(parts: list[FreeComplex]) -> FreeComplex:
                              for p, offs in zip(parts, offsets)
                              if p.diff(d) is not None])
              for d in range(lo + 1, hi + 1)]
-    return canonicalize(FreeComplex(lo, gens, diffs))
+    return _canonicalize(FreeComplex(lo, gens, diffs))
 
 
 # -- chain maps ----------------------------------------------------------
@@ -522,7 +519,7 @@ def cone(f: ChainMap) -> FreeComplex:
                   (nxt, nxs, Y.diff(d))]
         diffs.append(_placed_arrows(len(gens[d - lo - 1]), len(gens[d - lo]),
                                     [b for b in blocks if b[2] is not None]))
-    return canonicalize(FreeComplex(lo, gens, diffs))
+    return _canonicalize(FreeComplex(lo, gens, diffs))
 
 
 # -- realization and homology --------------------------------------------
@@ -665,14 +662,6 @@ def _subquotient(mod: MackeyModule, d_out: MackeyMap | None,
     return MackeyModule(ell, t_h, up_h, down_h)
 
 
-def _homology_at(mods: list[MackeyModule], maps: list[MackeyMap], i: int,
-                 ell: int) -> MackeyModule:
-    """Homology at ``mods[i]`` of a realized complex, where ``maps[i]``
-    goes from ``mods[i + 1]`` to ``mods[i]``."""
-    return _subquotient(mods[i], maps[i - 1] if i - 1 >= 0 else None,
-                        maps[i] if i < len(maps) else None, ell)
-
-
 def _check_dd(maps: list[MackeyMap], i: int, ell: int, lo: int) -> None:
     """Raise ValueError unless d*d = 0 through degree ``lo + i`` of a
     realized complex (``maps[i]`` goes from degree lo+i+1 to lo+i).  The
@@ -684,29 +673,17 @@ def _check_dd(maps: list[MackeyMap], i: int, ell: int, lo: int) -> None:
 
 
 def homology(c: FreeComplex, d: int, ell: int = 2) -> MackeyModule:
-    """The homology module of ``c`` at degree ``d`` over GF(l).  A
-    d*d != 0 through ``d`` raises ValueError naming the degrees."""
-    if not c.in_range(d) or not c.gens_at(d):
+    """The homology module of ``c`` at degree ``d`` over GF(l), with its
+    structure maps on chosen representatives; ``homology_counts`` gives
+    only its classification.  A d*d != 0 through ``d`` raises ValueError
+    naming the degrees."""
+    if not c.gens_at(d):
         return zero_module(ell)
     mods, maps = realize(c, ell)
     i = d - c.min_degree
     _check_dd(maps, i, ell, c.min_degree)
-    return _homology_at(mods, maps, i, ell)
-
-
-def _classified_homology(mods: list[MackeyModule], maps: list[MackeyMap],
-                         ell: int, min_degree: int) -> dict[int, dict[str, int]]:
-    """Classified homology of a realized complex, keyed by degree; zero
-    degrees omitted.  This is the module route: it builds each homology
-    module (``_subquotient``) and classifies it.  The library reads the
-    same counts off ranks (``homology_counts``); tests keep this route as
-    the oracle for that one."""
-    out = {}
-    for i in range(len(mods)):
-        counts = classify(_homology_at(mods, maps, i, ell))
-        if counts:
-            out[min_degree + i] = counts
-    return out
+    return _subquotient(mods[i], maps[i - 1] if i else None,
+                        maps[i] if i < len(maps) else None, ell)
 
 
 def homology_counts(c: FreeComplex, ell: int = 2) -> dict[int, dict[str, int]]:
@@ -892,7 +869,7 @@ def cotens_H(c: FreeComplex) -> FreeComplex:
     diffs = [[[m[r][j] for r in range(len(gens[i]))]
               for j in range(len(gens[i + 1]))]
              for i, m in enumerate(c.diffs)]
-    return canonicalize(FreeComplex(-c.max_degree, gens[::-1], diffs[::-1]))
+    return _canonicalize(FreeComplex(-c.max_degree, gens[::-1], diffs[::-1]))
 
 
 # -- the hom complex -------------------------------------------------------

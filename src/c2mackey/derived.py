@@ -51,14 +51,14 @@ def _dual(s: Strand) -> Strand:
     raise ValueError(f"no dual for strand kind {s.kind!r}")
 
 
-def op_dual_strand(s: Strand) -> Strand:
+def _op_dual_strand(s: Strand) -> Strand:
     """The opposite dual, strandwise: the dual boxed with the twist."""
     d = _dual(s)
     return d if d.kind in DISK_KINDS else dbox_formula_pair(d, TWIST)[0]
 
 
 def op_dual_decomp(strands: list[Strand]) -> list[Strand]:
-    return sorted(op_dual_strand(s) for s in strands)
+    return sorted(_op_dual_strand(s) for s in strands)
 
 
 # -- box and cotensor: computed routes ----------------------------------------
@@ -165,7 +165,7 @@ def _monomial(a: int, b: int) -> str:
                     for name, e in (("tau", a), ("rho", b)) if e)
 
 
-def m2_label(p: int, q: int) -> str | None:
+def _m2_label(p: int, q: int) -> str | None:
     """Monomial name of the (at most one) basis class at (p, q)."""
     if 0 <= p <= q:
         return _monomial(q - p, p) or "1"
@@ -224,7 +224,7 @@ def sufficient_window(strands: list[Strand]) -> tuple[int, int, int, int]:
 
 # -- the cohomology ring of the unit, with witnesses ---------------------------
 
-def class_rep(p: int, q: int) -> ChainMap:
+def _class_rep(p: int, q: int) -> ChainMap:
     """An explicit cocycle representing the basis class at (p, q): a chain
     map from the unit to its (p, q) twist.  Raises if the group is zero."""
     if not m2_dim(p, q):
@@ -257,8 +257,8 @@ def _project_onto(final: FreeComplex, target: Strand) -> ChainMap:
 def _m2_product_map(p1: int, q1: int, p2: int, q2: int) -> ChainMap:
     """The composite witness for the product of the classes at (p1, q1)
     and (p2, q2): a chain map from the unit to the (p1+p2, q1+q2) twist."""
-    f = class_rep(p1, q1)                      # unit -> S1
-    g = class_rep(p2, q2)                      # unit -> S2
+    f = _class_rep(p1, q1)                     # unit -> S1
+    g = _class_rep(p2, q2)                     # unit -> S2
     s1 = f.target
     bg = box_chain_map(g, identity_chain_map(s1))   # unit x S1 -> S2 x S1
     if bg.source != s1:
@@ -292,16 +292,6 @@ def m2_product_rule(p1: int, q1: int, p2: int, q2: int) -> bool:
     return m2_dim(p1 + p2, q1 + q2) == 1
 
 
-def m2_ring_window(p0: int, p1: int, q0: int, q1: int) -> dict:
-    dims = [[m2_dim(p, q) for q in range(q0, q1 + 1)]
-            for p in range(p0, p1 + 1)]
-    labels = {f"{p},{q}": m2_label(p, q)
-              for p in range(p0, p1 + 1) for q in range(q0, q1 + 1)
-              if m2_dim(p, q)}
-    return {"p0": p0, "p1": p1, "q0": q0, "q1": q1,
-            "dims": dims, "labels": labels}
-
-
 # -- the three-fold bracket witness --------------------------------------------
 
 def toda_witness() -> dict:
@@ -313,7 +303,7 @@ def toda_witness() -> dict:
     s_dn = strand_complex(Strand("Hn", -1, 1))     # (1,-1) twist
     s_unit1 = strand_complex(Strand("Hn", 0, 1))
 
-    rho = class_rep(1, 1)                          # unit -> s_up
+    rho = _class_rep(1, 1)                         # unit -> s_up
     # theta as a map s_up -> s_dn: the (0,-2) class acting at weight 1
     theta = _transported_class(s_up, s_dn)
     # tau as a map s_dn -> shifted unit: the (0,1) class acting at weight -1

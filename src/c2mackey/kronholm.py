@@ -85,12 +85,12 @@ class RepBuildScript:
         return cls(cells)
 
 
-def rep_cell_complex(cell: RepCell) -> FreeComplex:
+def _rep_cell_complex(cell: RepCell) -> FreeComplex:
     cell.check()
     return strand_complex(Strand("Hn", cell.q, cell.m))
 
 
-def classify_cell_map(v: RepCell, target: tuple[int, int]) -> int:
+def _classify_cell_map(v: RepCell, target: tuple[int, int]) -> int:
     """Homotopy class of maps Sigma^{m-1}H(q) -> Sigma^s H(t), by the
     band inequalities: 1 = the identity class (dimension and coweight
     both match), 2 = the upper band (weight raise), 3 = the lower band

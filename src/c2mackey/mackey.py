@@ -342,7 +342,7 @@ def internal_hom(m: MackeyModule, n: MackeyModule) -> MackeyModule:
     return MackeyModule(ell, t_h, p_up_h, p_down_h)
 
 
-def op_dual(m: MackeyModule) -> MackeyModule:
+def _op_dual(m: MackeyModule) -> MackeyModule:
     """Levelwise dual with restriction and transfer swapped."""
     return MackeyModule(m.ell, m.t.transpose(),
                         m.p_down.transpose(), m.p_up.transpose())

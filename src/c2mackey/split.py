@@ -43,8 +43,8 @@ from .complexes import (STRAND_SHAPES, ChainMap, FreeComplex, arrow_matrix,
                         strand, strand_edge, strand_param_ok, strand_top,
                         theta_block, validate_complex)
 from .gf2core import FMatrix, is_prime, random_invertible
-from .mackey import (MackeyMap, MackeyModule, conjugate, direct_sum,
-                     indecomposable, validate_module, zero_module)
+from .mackey import (MackeyMap, MackeyModule, conjugate, counts_of_ranks,
+                     direct_sum, indecomposable, validate_module, zero_module)
 
 log = logging.getLogger("c2mackey.split")
 
@@ -617,7 +617,7 @@ def strand_paths(c: FreeComplex) -> list[tuple[Strand, list[tuple[int, int]]]] |
     return pieces
 
 
-def components_of(c: FreeComplex) -> list[Strand] | None:
+def _components_of(c: FreeComplex) -> list[Strand] | None:
     """The strand multiset of a complex in literal split form (sorted),
     or None if it is not such a sum."""
     pieces = strand_paths(c)
@@ -640,7 +640,7 @@ def verify_certificate(c: FreeComplex, dec: Decomposition) -> bool:
         final = replay(c, dec.certificate)
     except ValueError:
         return False
-    got = components_of(final)
+    got = _components_of(final)
     if got is None:
         return False
     return Counter(got) == Counter(dec.strands)
@@ -839,21 +839,13 @@ def split_odd_mackey(mods: list[MackeyModule], maps: list[MackeyMap],
     strands: list[Strand] = []
     for i, m in enumerate(mods):
         (out_t, out_d), (in_t, in_d) = ranks[i], ranks[i + 1]
-        strands += _odd_summands("Pt", m.dim_theta - out_t - in_t,
-                                 m.dim_dot - out_d - in_d, min_degree + i)
-        strands += _odd_summands("Disk", in_t, in_d, min_degree + i)
+        for prefix, theta, dot in (("Pt", m.dim_theta - out_t - in_t,
+                                    m.dim_dot - out_d - in_d),
+                                   ("Disk", in_t, in_d)):
+            for kind, n in counts_of_ranks(ell, theta, dot).items():
+                strands += [Strand(prefix + kind, 0, min_degree + i)] * n
     strands.sort()
     return strands
-
-
-def _odd_summands(prefix: str, theta: int, dot: int,
-                  shift: int) -> list[Strand]:
-    """The points or disks at ``shift`` of levels of these dimensions."""
-    if not 0 <= dot <= theta:
-        raise ValueError("rank data is not consistent with any module "
-                         "(is the input a valid Mackey module?)")
-    return ([Strand(prefix + "H", 0, shift)] * dot
-            + [Strand(prefix + "STheta", 0, shift)] * (theta - dot))
 
 
 def random_odd_complex(rng, ell: int, max_points: int = 6,

@@ -14,7 +14,8 @@ import pytest
 
 import c2mackey.cli as cli_module
 from c2mackey.cli import main
-from c2mackey.complexes import FreeComplex, shift_complex, strand
+from c2mackey.complexes import (FreeComplex, shift_complex, strand,
+                                validate_complex)
 from c2mackey.mackey import indecomposable
 from c2mackey.split import Strand, decomposition_sum
 
@@ -412,6 +413,61 @@ def test_gen_and_fuzz_refuse_counts_past_the_cap(capsys, monkeypatch,
     assert code == 1
     (violation,) = json.loads(out)["violations"]
     assert violation.startswith("--count 4 is more than the cap of 3")
+
+
+@pytest.mark.parametrize("command", ["gen", "fuzz"])
+def test_gen_and_fuzz_refuse_max_strands_past_the_cap(capsys, monkeypatch,
+                                                      command):
+    """A --max-strands above MAX_STRANDS is a violation raised before any
+    instance is drawn; one at the cap runs.  CI fuzzes at 32."""
+    cap = cli_module.MAX_STRANDS
+    assert cap >= 32
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr(cli_module, "random_scrambled_complex", no_draw)
+    code, out = run(capsys, command, "--count", "1", "--max-strands",
+                    "100000000", "--format", "json")
+    assert code == 1
+    (violation,) = json.loads(out)["violations"]
+    assert violation.startswith(f"--max-strands 100000000 is more than the "
+                                f"cap of {cap}")
+    monkeypatch.undo()
+    monkeypatch.setattr(cli_module, "MAX_STRANDS", 2)
+    code, out = run(capsys, command, "--count", "2", "--max-strands", "2",
+                    "--format", "json")
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "X"), ("split", "X"), ("homology", "X"), ("cohomology", "X"),
+    ("cohomology", "--window", "0", "1", "0", "1", "X"), ("box", "X", "Y"),
+    ("cotens", "X", "Y"), ("dual", "X"), ("invertible", "X"),
+    ("support", "X"), ("serre", "X", "Y"),
+], ids=["validate", "split", "homology", "cohomology", "cohomology-window",
+        "box", "cotens", "dual", "invertible", "support", "serre"])
+def test_each_input_file_is_validated_once(capsys, monkeypatch, tmp_path,
+                                           argv):
+    """A command validates a complex once, when it reads the file; the
+    split it runs after that does not validate again."""
+    paths = {}
+    for name, s in (("X", Strand("Hn", 2, 0)), ("Y", Strand("A", 1, -1))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(
+            decomposition_sum([s, Strand("B", 1, 1)]).to_json()))
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return validate_complex(c)
+
+    monkeypatch.setattr(cli_module, "validate_complex", counted)
+    monkeypatch.setattr(sys.modules["c2mackey.split"], "validate_complex",
+                        counted)
+    code, _ = run(capsys, *(str(paths.get(a, a)) for a in argv))
+    assert code == 0
+    assert len(calls) == len([a for a in argv if a in paths])
 
 
 def test_gen_is_deterministic(capsys):

@@ -4,6 +4,7 @@ import itertools
 import json
 import pathlib
 import random
+import re
 import types
 
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import c2mackey.complexes as complexes_module
-from c2mackey.complexes import (U, ChainMap, FreeComplex, arrow_mul,
-                                box_chain_map, box_complex, canonicalize,
+from c2mackey.complexes import (U, ChainMap, FreeComplex, _canonicalize,
+                                arrow_mul, box_chain_map, box_complex,
                                 chain_map_vector, compose_chain_maps, cone, cotens_H,
                                 direct_sum_complexes, ecompose, entry_ok,
                                 hom_complex_dim, hom_delta, homology,
@@ -23,7 +24,7 @@ from c2mackey.complexes import (U, ChainMap, FreeComplex, arrow_mul,
                                 validate_chain_map, validate_complex)
 from c2mackey.gf2core import FMatrix
 from c2mackey.mackey import classify, direct_sum, indecomposable
-from c2mackey.derived import dcotens_formula_pair, op_dual_strand
+from c2mackey.derived import _op_dual_strand, dcotens_formula_pair
 from c2mackey.split import (Strand, _shape, certificate_isos,
                             random_scrambled_complex)
 from c2mackey.split import split as split_complex
@@ -179,7 +180,7 @@ def test_strand_facts_are_pinned():
     outs = [strand(kind, param).to_json() for kind, param in grid]
     outs += [_shape("".join(seq)) for n in range(1, 9)
              for seq in itertools.product("FH", repeat=n)]
-    outs += [op_dual_strand(s).to_json() for s in strands]
+    outs += [_op_dual_strand(s).to_json() for s in strands]
     outs += [[t.to_json() for t in dcotens_formula_pair(x, z)]
              for x in strands for z in strands]
     digest = hashlib.sha256(json.dumps(outs).encode()).hexdigest()
@@ -242,7 +243,7 @@ def test_shift_and_sum():
 
 def test_canonicalize_orders_f_before_h():
     c = FreeComplex(0, [["H", "F"]], [])
-    assert canonicalize(c).gens == [["F", "H"]]
+    assert _canonicalize(c).gens == [["F", "H"]]
 
 
 def test_complex_json_roundtrip():
@@ -595,8 +596,14 @@ def test_file_formats_go_through_one_schema():
 
 
 def test_public_names_resolve_and_none_is_a_module():
+    """Every public name resolves to a non-module, and the README's
+    "Public API" section lists exactly ``__all__``, in its order."""
     import c2mackey
     assert len(set(c2mackey.__all__)) == len(c2mackey.__all__)
     for public in c2mackey.__all__:
         assert not isinstance(getattr(c2mackey, public), types.ModuleType), \
             public
+    readme = (pathlib.Path(__file__).resolve().parents[1]
+              / "README.md").read_text()
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^- `(\w+)` — ", section, re.M) == c2mackey.__all__

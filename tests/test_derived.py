@@ -9,9 +9,11 @@ import pytest
 
 from c2mackey.complexes import box_complex, cotens_H, validate_chain_map
 from c2mackey.derived import (
+    _class_rep,
     _dual,
+    _m2_label,
+    _op_dual_strand,
     balmer_support,
-    class_rep,
     cohomology_formula,
     cohomology_window,
     dbox,
@@ -26,8 +28,6 @@ from c2mackey.derived import (
     m2_dim,
     m2_product_nonzero,
     m2_product_rule,
-    m2_ring_window,
-    op_dual_strand,
     serre_check,
     sufficient_window,
     toda_witness,
@@ -119,7 +119,7 @@ def test_dual_is_the_strand_of_the_cotensor_dual():
 
 def test_op_dual_is_an_involution_on_strands():
     for s in STRANDS:
-        assert op_dual_strand(op_dual_strand(s)) == s
+        assert _op_dual_strand(_op_dual_strand(s)) == s
 
 
 def test_serre_twist_relation_holds_on_pairs():
@@ -147,14 +147,17 @@ def test_cohomology_window_is_additive_over_strands():
 
 
 def test_unit_ring_labels():
-    w = m2_ring_window(-3, 3, -4, 4)
-    assert w["labels"]["0,0"] == "1"
-    assert w["labels"]["0,1"] == "tau"
-    assert w["labels"]["1,1"] == "rho"
-    assert w["labels"]["0,-2"] == "theta"
-    assert w["labels"]["0,-3"] == "theta/(tau)"
-    assert w["labels"]["-1,-3"] == "theta/(rho)"
-    assert "1,0" not in w["labels"]
+    assert _m2_label(0, 0) == "1"
+    assert _m2_label(0, 1) == "tau"
+    assert _m2_label(1, 1) == "rho"
+    assert _m2_label(0, -2) == "theta"
+    assert _m2_label(0, -3) == "theta/(tau)"
+    assert _m2_label(-1, -3) == "theta/(rho)"
+    assert _m2_label(1, 0) is None
+    # a label names exactly the bidegrees where the ring is nonzero
+    for p in range(-3, 4):
+        for q in range(-4, 5):
+            assert (_m2_label(p, q) is None) == (m2_dim(p, q) == 0), (p, q)
 
 
 def test_unit_ring_products_match_rule():
@@ -182,7 +185,7 @@ def test_unit_ring_product_edge_cases():
 
 def test_class_representatives_are_chain_maps():
     for p, q in [(0, 0), (0, 1), (1, 1), (2, 5), (0, -2), (-2, -5)]:
-        f = class_rep(p, q)
+        f = _class_rep(p, q)
         assert validate_chain_map(f) == [], (p, q)
 
 

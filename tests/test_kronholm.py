@@ -13,34 +13,34 @@ from c2mackey.kronholm import (
     RepBuildScript,
     RepCell,
     ScriptError,
-    classify_cell_map,
+    _classify_cell_map,
+    _rep_cell_complex,
     is_spacelike,
     kronholm_split,
     random_spacelike_script,
-    rep_cell_complex,
 )
 from c2mackey.split import split
 
 
 def test_cell_complexes():
-    assert rep_cell_complex(RepCell(0, 0)) == strand("Hn", 0)
-    assert rep_cell_complex(RepCell(1, 0)) == shift_complex(strand("Hn", 0), 1)
-    c32 = rep_cell_complex(RepCell(3, 2))
+    assert _rep_cell_complex(RepCell(0, 0)) == strand("Hn", 0)
+    assert _rep_cell_complex(RepCell(1, 0)) == shift_complex(strand("Hn", 0), 1)
+    c32 = _rep_cell_complex(RepCell(3, 2))
     assert c32.min_degree == 1
     assert c32.gens == [["H"], ["F"], ["F"]]
 
 
 def test_invalid_cell_rejected():
     with pytest.raises(ScriptError):
-        rep_cell_complex(RepCell(2, 3))
+        _rep_cell_complex(RepCell(2, 3))
 
 
 def test_classify_worked_examples():
-    assert classify_cell_map(RepCell(2, 1), (1, 1)) == 1
-    assert classify_cell_map(RepCell(5, 5), (3, 2)) == 3
-    assert classify_cell_map(RepCell(1, 0), (3, 2)) == 4
-    assert classify_cell_map(RepCell(2, 2), (1, 0)) == 3
-    assert classify_cell_map(RepCell(2, 0), (1, 1)) == 2
+    assert _classify_cell_map(RepCell(2, 1), (1, 1)) == 1
+    assert _classify_cell_map(RepCell(5, 5), (3, 2)) == 3
+    assert _classify_cell_map(RepCell(1, 0), (3, 2)) == 4
+    assert _classify_cell_map(RepCell(2, 2), (1, 0)) == 3
+    assert _classify_cell_map(RepCell(2, 0), (1, 1)) == 2
 
 
 def test_classify_bands_match_mapping_group_dimensions():
@@ -50,7 +50,7 @@ def test_classify_bands_match_mapping_group_dimensions():
         for b in range(0, a + 1):
             for s in range(0, 6):
                 for t in range(0, s + 1):
-                    case = classify_cell_map(RepCell(a, b), (s, t))
+                    case = _classify_cell_map(RepCell(a, b), (s, t))
                     src = shift_complex(strand("Hn", b), a - 1)
                     tgt = shift_complex(strand("Hn", t), s)
                     dim = hom_complex_dim(src, tgt, 0)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from c2mackey.mackey import (KINDS, MackeyModule, box, classify, conjugate,
-                             direct_sum, ext, indecomposable, internal_hom,
-                             module_of_counts, op_dual,
+from c2mackey.mackey import (KINDS, MackeyModule, _op_dual, box, classify,
+                             conjugate, direct_sum, ext, indecomposable,
+                             internal_hom, module_of_counts,
                              random_scrambled_module, tor, validate_module,
                              zero_module)
 
@@ -192,11 +192,11 @@ def test_odd_hom_and_box():
 
 def test_op_dual_swaps_transfer_roles():
     h = indecomposable("H", 2)
-    assert classify(op_dual(h)) == {"Hop": 1}
-    assert classify(op_dual(op_dual(h))) == {"H": 1}
+    assert classify(_op_dual(h)) == {"Hop": 1}
+    assert classify(_op_dual(_op_dual(h))) == {"H": 1}
     for kind in ("F", "SDot", "STheta"):
         m = indecomposable(kind, 2)
-        assert classify(op_dual(m)) == {kind: 1}, kind
+        assert classify(_op_dual(m)) == {kind: 1}, kind
 
 
 def test_json_roundtrip():

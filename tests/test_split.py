@@ -8,20 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from c2mackey.complexes import (FreeComplex, _classified_homology,
-                                box_complex, chain_map_from_vector,
-                                compose_chain_maps, cone, cotens_H,
+from c2mackey.complexes import (FreeComplex, _subquotient, box_complex,
+                                chain_map_from_vector, compose_chain_maps,
+                                cone, cotens_H,
                                 direct_sum_complexes, hom_delta,
                                 homology_counts, realize, shift_complex,
                                 strand, validate_chain_map, validate_complex)
 from c2mackey.derived import balmer_support
 from c2mackey.gf2core import FMatrix
-from c2mackey.mackey import (MackeyMap, MackeyModule, direct_sum,
+from c2mackey.mackey import (MackeyMap, MackeyModule, classify, direct_sum,
                              indecomposable)
 from c2mackey.split import (_MOVE_NAMES, _VARIANTS, BasisMove,
-                            Decomposition, Strand, apply_move,
-                            certificate_isos, components_of,
-                            decomposition_sum, random_odd_complex,
+                            Decomposition, Strand, _components_of,
+                            apply_move, certificate_isos, decomposition_sum, random_odd_complex,
                             random_legal_moves, random_scrambled_complex,
                             random_strand, replay, split,
                             split_odd, split_odd_mackey, verify_certificate)
@@ -166,6 +165,21 @@ def test_split_cones_of_random_cocycles():
             balmer_support(x) + balmer_support(y)), trial
 
 
+def _classified_homology(mods, maps, ell, min_degree):
+    """Classified homology of a realized complex, keyed by degree; zero
+    degrees omitted.  This is the module route: it builds each homology
+    module (``_subquotient``) and classifies it, the oracle for the counts
+    that ``homology_counts`` reads off ranks."""
+    out = {}
+    for i, mod in enumerate(mods):
+        counts = classify(_subquotient(mod, maps[i - 1] if i else None,
+                                       maps[i] if i < len(maps) else None,
+                                       ell))
+        if counts:
+            out[min_degree + i] = counts
+    return out
+
+
 def _module_route(c, ell=2):
     return _classified_homology(*realize(c, ell), ell, c.min_degree)
 
@@ -203,7 +217,7 @@ def test_verify_rejects_wrong_answers():
 def test_replay_matches_components():
     dec = split(FIXTURE)
     final = replay(FIXTURE, dec.certificate)
-    assert Counter(components_of(final)) == Counter(dec.strands)
+    assert Counter(_components_of(final)) == Counter(dec.strands)
 
 
 def test_components_of_rejects_one_altered_edge():
@@ -219,7 +233,7 @@ def test_components_of_rejects_one_altered_edge():
                     continue
                 c = base.copy()
                 c.diffs[li][0][0] = arrow
-                assert components_of(c) is None, (kind, param, li, arrow)
+                assert _components_of(c) is None, (kind, param, li, arrow)
 
 
 def test_random_legal_moves_on_empty_complex():

@@ -271,19 +271,27 @@ def cmd_kronholm(args):
 # gen holds its whole corpus in memory (about 20 kB an instance at the
 # default --max-strands) and fuzz runs one split per instance, so larger
 # counts are refused rather than left to run out of memory or time; an
-# instance holds up to --max-strands strands, so that is capped too
+# instance holds up to --max-strands strands, so that is capped too, and
+# so is the product, at the count cap times the default --max-strands
 MAX_COUNT = 10_000
 MAX_STRANDS = 1_000
+_DEFAULT_STRANDS = 8
 
 
 def _check_caps(args) -> None:
-    """Refuse a --count or --max-strands above its cap, before any draw."""
+    """Refuse a --count, a --max-strands or their product above its cap,
+    before any draw."""
     if args.count > MAX_COUNT:
         raise Failure([f"--count {args.count} is more than the cap of "
                        f"{MAX_COUNT}; run several seeds instead"])
     if args.max_strands > MAX_STRANDS:
         raise Failure([f"--max-strands {args.max_strands} is more than the "
                        f"cap of {MAX_STRANDS}"])
+    cap = MAX_COUNT * _DEFAULT_STRANDS
+    if args.count * args.max_strands > cap:
+        raise Failure([f"--count {args.count} times --max-strands "
+                       f"{args.max_strands} is more than the cap of {cap}; "
+                       f"run several seeds instead"])
 
 
 def cmd_gen(args):
@@ -411,7 +419,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = add(name, help_)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--count", type=_int_at_least(0), default=count)
-        sp.add_argument("--max-strands", type=_int_at_least(1), default=8)
+        sp.add_argument("--max-strands", type=_int_at_least(1),
+                        default=_DEFAULT_STRANDS)
     return p
 
 

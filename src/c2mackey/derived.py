@@ -158,23 +158,6 @@ def m2_dim(p: int, q: int) -> int:
     return 0
 
 
-def _monomial(a: int, b: int) -> str:
-    """tau^a rho^b, leaving out zero powers and writing first powers bare;
-    empty for a = b = 0."""
-    return " ".join(f"{name}^{e}" if e > 1 else name
-                    for name, e in (("tau", a), ("rho", b)) if e)
-
-
-def _m2_label(p: int, q: int) -> str | None:
-    """Monomial name of the (at most one) basis class at (p, q)."""
-    if 0 <= p <= q:
-        return _monomial(q - p, p) or "1"
-    if p <= 0 and q <= p - 2:
-        denom = _monomial(p - q - 2, -p)
-        return f"theta/({denom})" if denom else "theta"
-    return None
-
-
 def _strand_cohomology_dim(s: Strand, p: int, q: int) -> int:
     """Closed-form bigraded cohomology of one strand."""
     if s.kind in DISK_KINDS:

@@ -85,29 +85,6 @@ class RepBuildScript:
         return cls(cells)
 
 
-def _rep_cell_complex(cell: RepCell) -> FreeComplex:
-    cell.check()
-    return strand_complex(Strand("Hn", cell.q, cell.m))
-
-
-def _classify_cell_map(v: RepCell, target: tuple[int, int]) -> int:
-    """Homotopy class of maps Sigma^{m-1}H(q) -> Sigma^s H(t), by the
-    band inequalities: 1 = the identity class (dimension and coweight
-    both match), 2 = the upper band (weight raise), 3 = the lower band
-    (weight drop by at least two), 4 = only the zero map."""
-    v.check()
-    s, t = target
-    RepCell(s, t).check()
-    a, b = v.m, v.q
-    if a - 1 == s and b == t:
-        return 1
-    if t - b >= 0 and -(t - b) <= a - 1 - s <= 0:
-        return 2
-    if t - b <= -2 and 0 <= a - 1 - s <= -(t - b) - 2:
-        return 3
-    return 4
-
-
 # the first cell attaches to the zero complex by the zero map, whose
 # cofiber is the cell itself
 _ZERO = FreeComplex(0, [[]], [])

@@ -342,12 +342,6 @@ def internal_hom(m: MackeyModule, n: MackeyModule) -> MackeyModule:
     return MackeyModule(ell, t_h, p_up_h, p_down_h)
 
 
-def _op_dual(m: MackeyModule) -> MackeyModule:
-    """Levelwise dual with restriction and transfer swapped."""
-    return MackeyModule(m.ell, m.t.transpose(),
-                        m.p_down.transpose(), m.p_up.transpose())
-
-
 # -- derived functors (finite tables, classification does the work) ----
 
 def _counts_mul(ca: dict[str, int], cb: dict[str, int],

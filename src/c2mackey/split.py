@@ -27,6 +27,7 @@ arrow phi: kind_i -> kind_j, namely
 
 and ``twist_t`` (with j = i) replaces an F generator by its involution
 image, which is what normalizes t-valued disk entries to literal 1's.
+As t . iota_i = iota_i + iota_i . (1+t), ``twist_t`` is add_u with j = i.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ class BasisMove:
         return mv
 
 
-# variant -> (kind_i, kind_j, arrow code)
+# variant -> (kind_i, kind_j, arrow code); twist_t is add_u with j = i, and
+# comes last because the order of _MOVE_NAMES is part of the draw stream
 _VARIANTS = {
     "add": ("F", "F", 1),
     "add_t": ("F", "F", 2),
@@ -110,8 +112,11 @@ _VARIANTS = {
     "add_dot": ("H", "H", 1),
     "add_pup": ("F", "H", 1),
     "add_pdown": ("H", "F", 1),
+    "twist_t": ("F", "F", 3),
 }
-_VARIANT_OF = {rule: name for name, rule in _VARIANTS.items()}
+_MOVE_NAMES = tuple(_VARIANTS)
+_VARIANT_OF = {rule: name for name, rule in _VARIANTS.items()
+               if name != "twist_t"}
 
 
 def _variant_for(ki: str, kj: str, phi: int) -> str:
@@ -177,15 +182,14 @@ def _move_level(c: FreeComplex, mv: BasisMove) -> int:
     n = len(kinds)
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError("move indices out of range")
-    if variant == "twist_t":
-        if kinds[i] != "F":
-            raise ValueError("twist_t only applies to F generators")
-        return li
     rule = _VARIANTS.get(variant)
     if rule is None:
         raise ValueError(f"unknown move variant {variant!r}")
     ki, kj, _ = rule
-    if i == j:
+    if variant == "twist_t":
+        if i != j:
+            raise ValueError("a twist_t move has j = i")
+    elif i == j:
         raise ValueError("add moves need distinct generators")
     if kinds[i] != ki or kinds[j] != kj:
         raise ValueError(f"{variant} needs kinds ({ki}, {kj}) at "
@@ -198,7 +202,7 @@ def apply_move(c: FreeComplex, mv: BasisMove) -> None:
     li = _move_level(c, mv)
     d_in = c.diffs[li] if li < len(c.diffs) else None
     d_out = c.diffs[li - 1] if li >= 1 else None
-    _move_arrows(_VARIANTS.get(mv.variant), mv.i, mv.j,
+    _move_arrows(_VARIANTS[mv.variant], mv.i, mv.j,
                  d_in, c.gens[li + 1] if d_in is not None else None,
                  d_out, c.gens[li - 1] if d_out is not None else None)
 
@@ -209,16 +213,8 @@ def _move_arrows(rule, i: int, j: int, rows, row_kinds, cols,
     ``rows`` is an arrow matrix whose rows are that degree's generators
     (its columns of kinds ``row_kinds``), ``cols`` one whose columns are
     (its rows of kinds ``col_kinds``); either may be None.  ``rule`` is
-    the move's (kind_i, kind_j, arrow), or None for twist_t."""
-    if rule is None:
-        if cols is not None:
-            for r in range(len(cols)):
-                cols[r][i] = ecompose("F", "F", col_kinds[r], 2, cols[r][i])
-        if rows is not None:
-            row = rows[i]
-            for s in range(len(row_kinds)):
-                row[s] = ecompose(row_kinds[s], "F", "F", row[s], 2)
-        return
+    the move's (kind_i, kind_j, arrow); each entry is read before it is
+    written, so i = j (twist_t) works too."""
     ki, kj, phi = rule
     if cols is not None:
         for r in range(len(cols)):
@@ -233,15 +229,15 @@ def _move_arrows(rule, i: int, j: int, rows, row_kinds, cols,
                 dst[s] ^= ecompose(row_kinds[s], ki, kj, e, phi)
 
 
-# variant -> the (row, column) of each nonzero entry of its arrow's
-# free-orbit block: rows index generator j's slots, columns generator i's
-_MOVE_BLOCKS = {
-    name: tuple((a, b)
-                for a, row in enumerate(theta_block(ki, kj, phi).to_rows())
-                for b, v in enumerate(row) if v)
-    for name, (ki, kj, phi) in _VARIANTS.items()}
-# twist_t's swap of an F's two slots x, x + 1, as three row additions
+# variant -> its row additions (row of j's slots, row of i's slots), one
+# per nonzero entry of its arrow's free-orbit block; twist_t's block would
+# add i's slots to themselves, so it is their swap, as three additions
 _SWAP = ((0, 1), (1, 0), (0, 1))
+_MOVE_BLOCKS = {
+    name: _SWAP if name == "twist_t" else tuple(
+        (a, b) for a, row in enumerate(theta_block(ki, kj, phi).to_rows())
+        for b, v in enumerate(row) if v)
+    for name, (ki, kj, phi) in _VARIANTS.items()}
 
 
 def _replay_orbits(c: FreeComplex, certificate: list[BasisMove],
@@ -274,13 +270,9 @@ def _replay_orbits(c: FreeComplex, certificate: list[BasisMove],
     ops: list[list[tuple[int, int]]] = [[] for _ in gens]
     for li, mv in zip(levels, certificate):
         level_starts = starts[li]
-        si = level_starts[mv.i]
-        if mv.variant == "twist_t":
-            sj, block = si, _SWAP
-        else:
-            sj, block = level_starts[mv.j], _MOVE_BLOCKS[mv.variant]
+        si, sj = level_starts[mv.i], level_starts[mv.j]
         append = ops[li].append
-        for a, b in block:
+        for a, b in _MOVE_BLOCKS[mv.variant]:
             append((sj + a, si + b))
 
     def on_identity(li, level_ops):
@@ -381,14 +373,16 @@ class _Sweep:
 
     def disks(self) -> None:
         """Pair every source with an iso entry (H -> H by 1, then F -> F by
-        1 or t) into a disk with its target, clearing the rest of the
-        disk's row and column."""
+        1 or t) into a disk with its first such target, clearing the rest
+        of the disk's row and column, in one pass over the H sources and
+        then the F sources.  A disk only adds to another source's column
+        the disk's column composed with p or 1 + t, never an iso, so no
+        source the pass has left gains an iso entry; a last scan checks."""
         D, li = self.D, self.li
-        while True:
-            found = self._iso_entry()
-            if found is None:
-                return
-            alpha, beta = found
+        for alpha in self.of_kind["H"] + self.of_kind["F"]:
+            beta = self._first_iso(alpha)
+            if beta is None:
+                continue
             sid = self.strand_of[(li - 1, beta)]
             if self.members[sid] != [(li - 1, beta)] or sid in self.disk_sids:
                 raise SplitError("iso entry into a non-singleton generator")
@@ -404,16 +398,18 @@ class _Sweep:
             self.strand_of[(li, alpha)] = sid
             self.disk_sids.add(sid)
             self.assigned[alpha] = True
+        if any(not placed and self._first_iso(a) is not None
+               for a, placed in enumerate(self.assigned)):
+            raise SplitError("a source kept an iso entry past the disk pass")
 
-    def _iso_entry(self) -> tuple[int, int] | None:
-        D, tgt, assigned = self.D, self.tgt, self.assigned
-        for kind, isos in (("H", (1,)), ("F", (1, 2))):
-            for a in self.of_kind[kind]:
-                if assigned[a]:
-                    continue
-                for r, kr in enumerate(tgt):
-                    if kr == kind and D[r][a] in isos:
-                        return a, r
+    def _first_iso(self, a: int) -> int | None:
+        """The first target that source a reaches by an iso (1, or t from
+        an F), or None."""
+        D, kind = self.D, self.src[a]
+        isos = (1,) if kind == "H" else (1, 2)
+        for r, kr in enumerate(self.tgt):
+            if kr == kind and D[r][a] in isos:
+                return r
         return None
 
     # -- steps 2..5: strand extensions -----------------------------------
@@ -464,8 +460,11 @@ class _Sweep:
             self._extend(a, r)
 
     def _top_info(self, r: int) -> tuple[str, int] | None:
-        """(type, length) of the strand whose top is target r, or None if r
-        cannot absorb a new element (disk / completed strand)."""
+        """(type, n) of the strand whose top is target r, where n + 1 is
+        its length, or None if r cannot absorb a new element: a disk, or
+        an H on top of more generators (a completed B or H(-n)).  Every
+        step keeps a strand shape, so its top and bottom kinds tell it:
+        F's only are A_n, F's over an H are H(n) (H0 for the lone H)."""
         top = (self.li - 1, r)
         sid = self.strand_of[top]
         if sid in self.disk_sids:
@@ -473,14 +472,11 @@ class _Sweep:
         mem = self.members[sid]
         if mem[0] != top:
             raise SplitError("level generator is not a strand top")
-        gens = self.work.gens
-        shape = _shape("".join(gens[L][g] for (L, g) in mem))
-        if shape is None or shape[0] == "B" or shape[1] < 0:
-            return None    # completed B / H(-n): never a target again
-        kind, n = shape
-        if kind == "A":
-            return shape
-        return ("HEND", n) if n else ("H0", 0)
+        n = len(mem) - 1
+        if self.tgt[r] == "H":
+            return None if n else ("H0", 0)
+        L, g = mem[-1]
+        return ("A", n) if self.work.gens[L][g] == "F" else ("HEND", n)
 
     def _extend(self, alpha: int, beta: int) -> None:
         """Put source alpha on top of the strand whose top is target beta."""
@@ -682,9 +678,6 @@ def random_strand(rng, max_param: int, shift_lo: int = -4,
     return Strand(kind, param, rng.randint(shift_lo, shift_hi))
 
 
-_MOVE_NAMES = tuple(_VARIANTS) + ("twist_t",)
-
-
 def random_legal_moves(c: FreeComplex, rng, count: int) -> list[BasisMove]:
     """Draw up to ``count`` random moves that are legal on ``c`` (kinds
     never change under moves, so each stays legal after the ones before
@@ -788,10 +781,8 @@ def split_odd(c: FreeComplex, ell: int) -> list[Strand]:
 
     ``split_odd_mackey`` splits the canonical lift of the symbol arrows,
     refusing it with ValueError where d*d != 0 mod l (which can happen
-    even when the mod-2 complex is valid).
+    even when the mod-2 complex is valid), or where l is not an odd prime.
     """
-    if ell == 2 or not is_prime(ell):
-        raise ValueError("split_odd needs an odd prime modulus")
     return split_odd_mackey(*realize(c, ell), ell, c.min_degree)
 
 
@@ -806,15 +797,19 @@ def split_odd_mackey(mods: list[MackeyModule], maps: list[MackeyMap],
     answer: its image is one DiskH per unit of dot rank and one DiskSTheta
     per further unit of theta rank, and the homology at each degree (on
     each level, dim - rank out - rank in) gives PtH and PtSTheta points
-    alike.  A module that breaks the Mackey relations, a differential that
-    is not a map of Mackey modules, or d*d != 0, raises ValueError naming
-    the degree.
+    alike.  A modulus that is not an odd prime raises ValueError naming
+    it; a module over another modulus, a module that breaks the Mackey
+    relations, a differential that is not a map of Mackey modules, or
+    d*d != 0, raises ValueError naming the degree.
     """
+    if ell == 2 or not is_prime(ell):
+        raise ValueError(f"the modulus {ell} is not an odd prime")
     if len(maps) != max(len(mods) - 1, 0):
         raise ValueError(f"{len(mods)} modules need {len(mods) - 1} "
                          f"differentials, not {len(maps)}")
     for i, m in enumerate(mods):
-        bad = validate_module(m)
+        bad = ([f"it is over GF({m.ell}), not GF({ell})"] if m.ell != ell
+               else validate_module(m))
         if bad:
             raise ValueError(f"the module in degree {min_degree + i} is not "
                              f"a Mackey module: {bad[0]}")
@@ -848,15 +843,19 @@ def split_odd_mackey(mods: list[MackeyModule], maps: list[MackeyMap],
     return strands
 
 
-def random_odd_complex(rng, ell: int, max_points: int = 6,
-                       max_disks: int = 4, span: int = 4):
+# random_odd_complex plants 1 to 6 points and 0 to 4 disks in degrees -4..4
+_ODD_POINTS, _ODD_DISKS, _ODD_SPAN = 6, 4, 4
+
+
+def random_odd_complex(rng, ell: int):
     """(modules, differentials, planted multiset, min_degree) for the odd
     splitter fuzz: planted points and disks conjugated by arbitrary
     levelwise basis changes."""
+    span = _ODD_SPAN
     pts = [(rng.choice(("PtH", "PtSTheta")), rng.randint(-span, span))
-           for _ in range(rng.randint(1, max_points))]
+           for _ in range(rng.randint(1, _ODD_POINTS))]
     disks = [(rng.choice(("DiskH", "DiskSTheta")), rng.randint(-span, span - 1))
-             for _ in range(rng.randint(0, max_disks))]
+             for _ in range(rng.randint(0, _ODD_DISKS))]
     planted = Counter([Strand(k, 0, d) for k, d in pts]
                       + [Strand(k, 0, s) for k, s in disks])
     lo = min([d for _, d in pts] + [s for _, s in disks])

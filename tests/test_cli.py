@@ -440,6 +440,34 @@ def test_gen_and_fuzz_refuse_max_strands_past_the_cap(capsys, monkeypatch,
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["gen", "fuzz"])
+def test_gen_and_fuzz_refuse_products_past_the_cap(capsys, monkeypatch,
+                                                   command):
+    """--count times --max-strands above MAX_COUNT times the default
+    --max-strands (8) is a violation raised before any instance is drawn;
+    one at that cap runs, and so do the corpora CI runs."""
+    assert cli_module.MAX_COUNT * 8 >= max(1000 * 8, 50 * 32, 200 * 8)
+    monkeypatch.setattr(cli_module, "MAX_COUNT", 3)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an instance was drawn")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli_module, "random_scrambled_complex", no_draw)
+        code, out = run(capsys, command, "--count", "3", "--max-strands",
+                        "9", "--format", "json")
+    assert code == 1
+    (violation,) = json.loads(out)["violations"]
+    assert violation.startswith("--count 3 times --max-strands 9 is more "
+                                "than the cap of 24")
+    code, out = run(capsys, command, "--count", "3", "--max-strands", "8",
+                    "--format", "json")
+    payload = json.loads(out)
+    assert code == 0
+    assert (len(payload["instances"]) if command == "gen"
+            else payload["recovered"]) == 3
+
+
 @pytest.mark.parametrize("argv", [
     ("validate", "X"), ("split", "X"), ("homology", "X"), ("cohomology", "X"),
     ("cohomology", "--window", "0", "1", "0", "1", "X"), ("box", "X", "Y"),

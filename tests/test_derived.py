@@ -11,7 +11,6 @@ from c2mackey.complexes import box_complex, cotens_H, validate_chain_map
 from c2mackey.derived import (
     _class_rep,
     _dual,
-    _m2_label,
     _op_dual_strand,
     balmer_support,
     cohomology_formula,
@@ -147,17 +146,19 @@ def test_cohomology_window_is_additive_over_strands():
 
 
 def test_unit_ring_labels():
-    assert _m2_label(0, 0) == "1"
-    assert _m2_label(0, 1) == "tau"
-    assert _m2_label(1, 1) == "rho"
-    assert _m2_label(0, -2) == "theta"
-    assert _m2_label(0, -3) == "theta/(tau)"
-    assert _m2_label(-1, -3) == "theta/(rho)"
-    assert _m2_label(1, 0) is None
-    # a label names exactly the bidegrees where the ring is nonzero
+    # 1, tau, rho, theta, theta/tau, theta/rho live where named; (1, 0)
+    # holds nothing
+    for p, q in ((0, 0), (0, 1), (1, 1), (0, -2), (0, -3), (-1, -3)):
+        assert m2_dim(p, q) == 1, (p, q)
+    assert m2_dim(1, 0) == 0
+    # the ring is nonzero exactly at the monomials tau^a rho^b, in
+    # (b, a + b), and the divided classes theta/(tau^a rho^b), in
+    # (-b, -2 - a - b), one class each
+    named = {(b, a + b) for a in range(9) for b in range(9)}
+    named |= {(-b, -2 - a - b) for a in range(9) for b in range(9)}
     for p in range(-3, 4):
         for q in range(-4, 5):
-            assert (_m2_label(p, q) is None) == (m2_dim(p, q) == 0), (p, q)
+            assert m2_dim(p, q) == ((p, q) in named), (p, q)
 
 
 def test_unit_ring_products_match_rule():

@@ -13,49 +13,61 @@ from c2mackey.kronholm import (
     RepBuildScript,
     RepCell,
     ScriptError,
-    _classify_cell_map,
-    _rep_cell_complex,
+    attach_source,
     is_spacelike,
     kronholm_split,
     random_spacelike_script,
 )
-from c2mackey.split import split
+from c2mackey.split import Strand, split, strand_complex
 
 
 def test_cell_complexes():
-    assert _rep_cell_complex(RepCell(0, 0)) == strand("Hn", 0)
-    assert _rep_cell_complex(RepCell(1, 0)) == shift_complex(strand("Hn", 0), 1)
-    c32 = _rep_cell_complex(RepCell(3, 2))
+    # a one-cell script splits into its cell, Sigma^m H(q)
+    for m, q in ((0, 0), (1, 0), (3, 2)):
+        dec, _ = kronholm_split(RepBuildScript([(RepCell(m, q), None)]))
+        assert dec.strands == [Strand("Hn", q, m)]
+    c32 = strand_complex(Strand("Hn", 2, 3))
     assert c32.min_degree == 1
     assert c32.gens == [["H"], ["F"], ["F"]]
+    # a cell attaches along Sigma^{m-1} H(q)
+    assert attach_source(RepCell(3, 2)) == shift_complex(strand("Hn", 2), 2)
 
 
 def test_invalid_cell_rejected():
     with pytest.raises(ScriptError):
-        _rep_cell_complex(RepCell(2, 3))
+        RepCell(2, 3).check()
+
+
+def _attach_dim(a, b, s, t):
+    """dim of the degree-0 maps Sigma^{a-1}H(b) -> Sigma^s H(t)."""
+    return hom_complex_dim(shift_complex(strand("Hn", b), a - 1),
+                           shift_complex(strand("Hn", t), s), 0)
 
 
 def test_classify_worked_examples():
-    assert _classify_cell_map(RepCell(2, 1), (1, 1)) == 1
-    assert _classify_cell_map(RepCell(5, 5), (3, 2)) == 3
-    assert _classify_cell_map(RepCell(1, 0), (3, 2)) == 4
-    assert _classify_cell_map(RepCell(2, 2), (1, 0)) == 3
-    assert _classify_cell_map(RepCell(2, 0), (1, 1)) == 2
+    # the identity class, the lower band twice, the upper band, and a
+    # pair with only the zero map
+    for a, b, s, t, dim in ((2, 1, 1, 1, 1), (5, 5, 3, 2, 1), (2, 2, 1, 0, 1),
+                            (2, 0, 1, 1, 1), (1, 0, 3, 2, 0)):
+        assert _attach_dim(a, b, s, t) == dim, (a, b, s, t)
 
 
 def test_classify_bands_match_mapping_group_dimensions():
     # nontrivial classes exist exactly when the degree-0 mapping group
-    # of the attaching sphere into the cell is nonzero (and it is then a line)
+    # of the attaching sphere into the cell is nonzero (and it is then a
+    # line): the identity class (dimension and coweight both match), the
+    # upper band (weight raise) and the lower band (weight drop by at
+    # least two)
     for a in range(0, 6):
         for b in range(0, a + 1):
             for s in range(0, 6):
                 for t in range(0, s + 1):
-                    case = _classify_cell_map(RepCell(a, b), (s, t))
-                    src = shift_complex(strand("Hn", b), a - 1)
-                    tgt = shift_complex(strand("Hn", t), s)
-                    dim = hom_complex_dim(src, tgt, 0)
-                    assert (case == 4) == (dim == 0), (a, b, s, t, case, dim)
-                    assert case == 4 or dim == 1, (a, b, s, t, case, dim)
+                    band = ((a - 1 == s and b == t)
+                            or (t - b >= 0 and -(t - b) <= a - 1 - s <= 0)
+                            or (t - b <= -2
+                                and 0 <= a - 1 - s <= -(t - b) - 2))
+                    dim = _attach_dim(a, b, s, t)
+                    assert dim == band, (a, b, s, t, band, dim)
 
 
 def test_twisted_two_cell_script_shifts_weight():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from c2mackey.mackey import (KINDS, MackeyModule, _op_dual, box, classify,
+from c2mackey.mackey import (KINDS, MackeyModule, box, classify,
                              conjugate, direct_sum, ext, indecomposable,
                              internal_hom, module_of_counts,
                              random_scrambled_module, tor, validate_module,
@@ -188,6 +188,12 @@ def test_odd_hom_and_box():
         assert classify(internal_hom(s, h)) == {"STheta": 1}
         assert classify(internal_hom(h, s)) == {"STheta": 1}
         assert ext(h, s, 1) == {} and tor(h, s, 1) == {}
+
+
+def _op_dual(m: MackeyModule) -> MackeyModule:
+    """Levelwise dual with restriction and transfer swapped."""
+    return MackeyModule(m.ell, m.t.transpose(),
+                        m.p_down.transpose(), m.p_up.transpose())
 
 
 def test_op_dual_swaps_transfer_roles():

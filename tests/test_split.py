@@ -16,6 +16,7 @@ from c2mackey.complexes import (FreeComplex, _subquotient, box_complex,
                                 strand, validate_chain_map, validate_complex)
 from c2mackey.derived import balmer_support
 from c2mackey.gf2core import FMatrix
+from c2mackey.kronholm import kronholm_split, random_spacelike_script
 from c2mackey.mackey import (MackeyMap, MackeyModule, classify, direct_sum,
                              indecomposable)
 from c2mackey.split import (_MOVE_NAMES, _VARIANTS, BasisMove,
@@ -452,6 +453,35 @@ def test_certificates_replays_and_isos_are_pinned():
         "985cc6a64d6c0e806405538c491b960d1efa54ef9ca45e68fc39c96ce1790e18")
 
 
+def _small_scramble(rng, strands: int):
+    """``strands`` strands of ``random_strand(rng, 3)``, scrambled by up
+    to 60 legal moves."""
+    base = decomposition_sum([random_strand(rng, 3)
+                              for _ in range(strands)])
+    return replay(base, random_legal_moves(base, rng, rng.randint(0, 60)))
+
+
+def test_certificates_with_many_disks_are_pinned():
+    """``split``'s decompositions, digested over inputs whose sweeps place
+    many disks, which scrambles rarely do: box products of scrambles, the
+    same with a cotensor, cones of random cocycles and the last split of
+    random cell scripts."""
+    rng = random.Random("pin:disks")
+    docs = []
+    for k in range(64):
+        x = _small_scramble(rng, 1 + k % 4)
+        y = _small_scramble(rng, 1 + k // 4 % 4)
+        docs.append(split(box_complex(x, y)).to_json())
+        docs.append(split(box_complex(cotens_H(x), y)).to_json())
+    for _ in range(100):
+        docs.append(split(_random_cone(rng)[0]).to_json())
+    for _ in range(20):
+        dec, report = kronholm_split(random_spacelike_script(rng))
+        docs += [dec.to_json(), report.to_json()]
+    assert _sha256(docs) == (
+        "0e88275c7954507a63f73a21ccaec00e93abd96a7ed0560cba6b3dd5f7d5c4d4")
+
+
 def _replay_by_moves(c, moves):
     """Replay move by move with ``apply_move``: the reference for the
     batch kernel behind ``replay``."""
@@ -697,3 +727,16 @@ def test_odd_rejects_unliftable_differentials():
         split_odd(strand("A", 1), 4)   # modulus must be an odd prime
     with pytest.raises(ValueError, match="differentials"):
         split_odd_mackey([_H, _H], [], 3, 0)
+
+
+def test_odd_splitter_checks_the_modulus():
+    """A modulus of 2 or a composite one, or modules over another
+    modulus, is refused by a message that names the modulus."""
+    for ell in (2, 9):
+        with pytest.raises(ValueError, match=f"modulus {ell} is not an odd "
+                                             f"prime"):
+            split_odd_mackey(*realize(strand("A", 0), 2), ell, 0)
+    with pytest.raises(ValueError, match=r"over GF\(3\), not GF\(5\)"):
+        split_odd_mackey(*realize(strand("A", 0), 3), 5, 0)
+    with pytest.raises(ValueError, match="modulus 2"):
+        split_odd(strand("A", 0), 2)

@@ -437,6 +437,18 @@ def _configure_logging() -> None:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``); point stdout at the
+        # null device, so that the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv) -> int:
     _configure_logging()
     parser = _build_parser()
     try:

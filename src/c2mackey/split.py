@@ -202,31 +202,46 @@ def apply_move(c: FreeComplex, mv: BasisMove) -> None:
     li = _move_level(c, mv)
     d_in = c.diffs[li] if li < len(c.diffs) else None
     d_out = c.diffs[li - 1] if li >= 1 else None
-    _move_arrows(_VARIANTS[mv.variant], mv.i, mv.j,
+    _move_arrows(_MOVE_CODES[mv.variant], mv.i, mv.j,
                  d_in, c.gens[li + 1] if d_in is not None else None,
                  d_out, c.gens[li - 1] if d_out is not None else None)
 
 
-def _move_arrows(rule, i: int, j: int, rows, row_kinds, cols,
+# variant -> (column codes, row codes) of its arrow phi : kind_i -> kind_j,
+# each a map from a kind k to the tuple, indexed by arrow code e, of a
+# composite: e : kind_j -> k after phi for the columns, and phi after
+# e : k -> kind_i for the rows
+_MOVE_CODES = {
+    name: ({k: tuple(ecompose(ki, kj, k, phi, e)
+                     for e in range(4 if kj == k == "F" else 2))
+            for k in "FH"},
+           {k: tuple(ecompose(k, ki, kj, e, phi)
+                     for e in range(4 if k == ki == "F" else 2))
+            for k in "FH"})
+    for name, (ki, kj, phi) in _VARIANTS.items()}
+
+
+def _move_arrows(codes, i: int, j: int, rows, row_kinds, cols,
                  col_kinds) -> None:
     """The arrow updates of one basis move on generators i, j of a degree:
     ``rows`` is an arrow matrix whose rows are that degree's generators
     (its columns of kinds ``row_kinds``), ``cols`` one whose columns are
-    (its rows of kinds ``col_kinds``); either may be None.  ``rule`` is
-    the move's (kind_i, kind_j, arrow); each entry is read before it is
-    written, so i = j (twist_t) works too."""
-    ki, kj, phi = rule
+    (its rows of kinds ``col_kinds``); either may be None.  ``codes`` is
+    the move's ``_MOVE_CODES`` entry, so each composite is one lookup:
+    column i gains column j composed with the move's arrow, and row j
+    gains row i.  Each entry is read before it is written, so i = j
+    (twist_t) works too."""
+    col_codes, row_codes = codes
     if cols is not None:
-        for r in range(len(cols)):
-            e = cols[r][j]
+        for row, k in zip(cols, col_kinds):
+            e = row[j]
             if e:
-                cols[r][i] ^= ecompose(ki, kj, col_kinds[r], phi, e)
+                row[i] ^= col_codes[k][e]
     if rows is not None:
-        src, dst = rows[i], rows[j]
-        for s in range(len(row_kinds)):
-            e = src[s]
+        dst = rows[j]
+        for s, e in enumerate(rows[i]):
             if e:
-                dst[s] ^= ecompose(row_kinds[s], ki, kj, e, phi)
+                dst[s] ^= row_codes[row_kinds[s]][e]
 
 
 # variant -> its row additions (row of j's slots, row of i's slots), one
@@ -345,7 +360,17 @@ class _Sweep:
         self.members: dict[int, list[tuple[int, int]]] = {}
         self.strand_of: dict[tuple[int, int], int] = {}
         self.disk_sids: set[int] = set()
-        for g in range(len(self.work.gens[0]) if self.work.gens else 0):
+        gens, diffs = self.work.gens, self.work.diffs
+        # per level, the arguments of _move_arrows after its move's
+        # generators: (d_in, kinds above, d_out, kinds below), None where
+        # absent; the sweep changes the differentials in place
+        n = len(diffs)
+        self.levels = [(diffs[L] if L < n else None,
+                        gens[L + 1] if L < n else None,
+                        diffs[L - 1] if L else None,
+                        gens[L - 1] if L else None)
+                       for L in range(len(gens))]
+        for g in range(len(gens[0]) if gens else 0):
             self.new_strand([(0, g)])
 
     def new_strand(self, elems: list[tuple[int, int]]) -> None:
@@ -355,9 +380,19 @@ class _Sweep:
             self.strand_of[e] = sid
 
     def move(self, level: int, variant: str, i: int, j: int) -> None:
-        mv = BasisMove(self.work.min_degree + level, variant, i, j)
-        apply_move(self.work, mv)
-        self.moves.append(mv)
+        """Apply one basis move to the working complex and record it.  The
+        sweep draws its moves from its own state, so only what a wrong
+        step would break is checked (the kinds at i and j, and i = j for
+        twist_t alone), not the bounds ``apply_move`` checks."""
+        ki, kj, _ = _VARIANTS[variant]
+        kinds = self.work.gens[level]
+        if (kinds[i] != ki or kinds[j] != kj
+                or (i == j) != (variant == "twist_t")):
+            raise SplitError(f"illegal move {variant} on generators "
+                             f"{i}, {j} at level {level}")
+        _move_arrows(_MOVE_CODES[variant], i, j, *self.levels[level])
+        self.moves.append(
+            BasisMove(self.work.min_degree + level, variant, i, j))
 
     def start_level(self, li: int) -> None:
         self.li = li
@@ -434,30 +469,47 @@ class _Sweep:
                     longest: bool) -> None:
         """Place sources of ``src_kind`` one at a time onto strands whose
         top type is in ``tgt_types``: each time the (length, target,
-        source) least pair, with length negated when ``longest``."""
-        D, assigned, top_info = self.D, self.assigned, self._top_info
-        targets = range(len(self.tgt))
+        source) least pair, with length negated when ``longest``.
+
+        ``best`` keeps each unplaced source's least key.  Placing a on r
+        changes only the columns of D that ``_clear_row`` moves (the
+        cascade's moves at level li - 1 then add row r, which holds only
+        a, so they change column a alone) and the top of r's strand, at
+        which no unplaced source keeps an entry.  So only those columns
+        are rescanned, and the least key in ``best`` is the pair a scan of
+        every source would pick."""
+        D, src, assigned = self.D, self.src, self.assigned
+        top_info = self._top_info
+        lengths = {}    # per target: its signed length, or None if not one
+        best = {}
+        todo = self.of_kind[src_kind]
         while True:
-            best = None
-            infos = {}    # top_info per target; no move happens in a scan
-            for a in self.of_kind[src_kind]:
-                if assigned[a]:
+            for a in todo:
+                if assigned[a] or src[a] != src_kind:
                     continue
-                for r in targets:
-                    if not D[r][a]:
+                key = None
+                for r, row in enumerate(D):
+                    if not row[a]:
                         continue
-                    if r not in infos:
-                        infos[r] = top_info(r)
-                    info = infos[r]
-                    if info is None or info[0] not in tgt_types:
-                        continue
-                    key = ((-info[1] if longest else info[1]), r, a)
-                    if best is None or key < best:
-                        best = key
-            if best is None:
+                    if r in lengths:
+                        n = lengths[r]
+                    else:
+                        info = top_info(r)
+                        n = lengths[r] = (
+                            None if info is None or info[0] not in tgt_types
+                            else -info[1] if longest else info[1])
+                    if n is not None and (key is None or n < key[0]):
+                        key = (n, r, a)
+                if key is None:
+                    best.pop(a, None)
+                else:
+                    best[a] = key
+            if not best:
                 return
-            _, r, a = best
-            self._extend(a, r)
+            _, r, a = min(best.values())
+            del best[a]
+            del lengths[r]
+            todo = self._extend(a, r)
 
     def _top_info(self, r: int) -> tuple[str, int] | None:
         """(type, n) of the strand whose top is target r, where n + 1 is
@@ -478,24 +530,27 @@ class _Sweep:
         L, g = mem[-1]
         return ("A", n) if self.work.gens[L][g] == "F" else ("HEND", n)
 
-    def _extend(self, alpha: int, beta: int) -> None:
-        """Put source alpha on top of the strand whose top is target beta."""
+    def _extend(self, alpha: int, beta: int) -> list[int]:
+        """Put source alpha on top of the strand whose top is target beta;
+        returns the other sources whose columns changed."""
         li = self.li
-        self._clear_row(alpha, beta, self.D[beta][alpha])
+        moved = self._clear_row(alpha, beta, self.D[beta][alpha])
         sid = self.strand_of[(li - 1, beta)]
         self._absorb_cascade(alpha, self.members[sid])
         self.members[sid] = [(li, alpha)] + self.members[sid]
         self.strand_of[(li, alpha)] = sid
         self.assigned[alpha] = True
+        return moved
 
     # -- the basis moves of one placement ---------------------------------
 
-    def _clear_row(self, alpha: int, beta: int, e0: int) -> None:
+    def _clear_row(self, alpha: int, beta: int, e0: int) -> list[int]:
         """Clear every other source entry into the pivot target beta,
         by adding to it a phi-multiple of alpha with e0 . phi matching
-        the stray entry."""
+        the stray entry; returns the sources so changed."""
         D, src, li = self.D, self.src, self.li
         ka, kb = src[alpha], self.tgt[beta]
+        moved = []
         for c2 in range(len(src)):
             e2 = D[beta][c2]
             if c2 == alpha or not e2:
@@ -510,6 +565,8 @@ class _Sweep:
             self.move(li, _variant_for(kc, ka, phi), c2, alpha)
             if D[beta][c2]:
                 raise SplitError("phase A failed to clear a source")
+            moved.append(c2)
+        return moved
 
     def _clear_column(self, alpha: int, beta: int) -> None:
         """Clear every other target entry of the disk source alpha by

@@ -607,14 +607,38 @@ def test_repeated_calls_leak_no_state(capsys, tmp_path, unit_file,
     assert len(json.loads(got[5][1])["instances"]) == 3
     assert "complex" in json.loads(got[6][1])
 
+    for argv, answer in zip(calls, got):
+        fresh = subprocess.run([sys.executable, "-m", "c2mackey.cli", *argv],
+                               capture_output=True, text=True,
+                               env=_subprocess_env())
+        assert answer == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def _subprocess_env() -> dict:
+    """The environment of a fresh CLI process: this checkout's ``src``
+    first on the path, and no log level."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = {k: v for k, v in os.environ.items() if k != "MACKEY_LOG"}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    for argv, answer in zip(calls, got):
-        fresh = subprocess.run([sys.executable, "-m", "c2mackey.cli", *argv],
-                               capture_output=True, text=True, env=env)
-        assert answer == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    return env
+
+
+def test_closed_pipe_ends_quietly_with_exit_1():
+    """A reader that closes the pipe early (``| head -c 10``) gets no
+    traceback on stderr; the output (81 kB) is larger than a pipe holds,
+    so the write fails and the command exits 1."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "c2mackey.cli", "gen", "--seed", "0",
+         "--count", "200", "--format", "text"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_subprocess_env())
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err, err
 
 
 def test_missing_file_is_reported_not_raised(capsys):

@@ -20,7 +20,7 @@ from c2mackey.kronholm import kronholm_split, random_spacelike_script
 from c2mackey.mackey import (MackeyMap, MackeyModule, classify, direct_sum,
                              indecomposable)
 from c2mackey.split import (_MOVE_NAMES, _VARIANTS, BasisMove,
-                            Decomposition, Strand, _components_of,
+                            Decomposition, Strand, _components_of, _Sweep,
                             apply_move, certificate_isos, decomposition_sum, random_odd_complex,
                             random_legal_moves, random_scrambled_complex,
                             random_strand, replay, split,
@@ -480,6 +480,93 @@ def test_certificates_with_many_disks_are_pinned():
         docs += [dec.to_json(), report.to_json()]
     assert _sha256(docs) == (
         "0e88275c7954507a63f73a21ccaec00e93abd96a7ed0560cba6b3dd5f7d5c4d4")
+
+
+def _reference_extend_all(self, src_kind: str, tgt_types: tuple[str, ...],
+                          longest: bool) -> None:
+    """``_Sweep._extend_all`` before its candidate index, verbatim: a scan
+    of every (unplaced source, target) pair before each placement."""
+    D, assigned, top_info = self.D, self.assigned, self._top_info
+    targets = range(len(self.tgt))
+    while True:
+        best = None
+        infos = {}    # top_info per target; no move happens in a scan
+        for a in self.of_kind[src_kind]:
+            if assigned[a]:
+                continue
+            for r in targets:
+                if not D[r][a]:
+                    continue
+                if r not in infos:
+                    infos[r] = top_info(r)
+                info = infos[r]
+                if info is None or info[0] not in tgt_types:
+                    continue
+                key = ((-info[1] if longest else info[1]), r, a)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            return
+        _, r, a = best
+        self._extend(a, r)
+
+
+def _least_keys(sweep, src_kind, tgt_types, longest) -> dict:
+    """Each unplaced source's least (length, target, source) key, by a
+    scan of its whole column."""
+    keys = {}
+    for a in sweep.of_kind[src_kind]:
+        if sweep.assigned[a]:
+            continue
+        for r, row in enumerate(sweep.D):
+            info = sweep._top_info(r) if row[a] else None
+            if info is not None and info[0] in tgt_types:
+                key = (-info[1] if longest else info[1], r, a)
+                keys[a] = min(keys.get(a, key), key)
+    return keys
+
+
+def _counting_reference(changed: list):
+    """The reference ``_extend_all``, counting in ``changed[0]`` the
+    placements after which another source's least key differs."""
+    def extend_all(self, src_kind, tgt_types, longest):
+        place = self._extend
+
+        def counted(a, r):
+            before = _least_keys(self, src_kind, tgt_types, longest)
+            place(a, r)
+            after = _least_keys(self, src_kind, tgt_types, longest)
+            if any(after.get(b) != key for b, key in before.items()
+                   if b != a):
+                changed[0] += 1
+
+        self._extend = counted
+        try:
+            _reference_extend_all(self, src_kind, tgt_types, longest)
+        finally:
+            del self._extend
+    return extend_all
+
+
+def test_candidate_index_matches_full_rescan(monkeypatch):
+    """``_Sweep._extend_all`` rescans only the columns a placement's moves
+    change; it must place the same pairs as a rescan of every pair, on
+    scrambles small and large, box and cotensor products and cones,
+    where placements do change other sources' least keys."""
+    inputs = [random_scrambled_complex(random.Random(f"index:{i}"))[0]
+              for i in range(300)]
+    inputs += [_large_scramble(f"index:large:{n}", n) for n in (128, 256)]
+    rng = random.Random("index:products")
+    for k in range(64):
+        x = _small_scramble(rng, 1 + k % 4)
+        y = _small_scramble(rng, 1 + k // 4 % 4)
+        inputs += [box_complex(x, y), box_complex(cotens_H(x), y)]
+    inputs += [_random_cone(rng)[0] for _ in range(60)]
+    indexed = [split(c).to_json() for c in inputs]
+    changed = [0]
+    monkeypatch.setattr(_Sweep, "_extend_all", _counting_reference(changed))
+    assert [split(c).to_json() for c in inputs] == indexed
+    assert changed[0] > 0
 
 
 def _replay_by_moves(c, moves):

@@ -147,8 +147,9 @@ def cmd_homology(args):
     return payload, text, 0
 
 
-# each lattice point of a cohomology window costs two Hom complexes of the
-# input, so larger windows are refused rather than left to run for hours
+# a cohomology window costs one Hom complex of the input per weight q, with
+# one differential and one rank per degree p, so its cost still grows with
+# its lattice points: larger windows are refused rather than left to run
 MAX_WINDOW_POINTS = 10_000
 
 

@@ -898,53 +898,115 @@ def _hom_degrees(x: FreeComplex, y: FreeComplex, n: int) -> range:
                  min(x.max_degree, y.max_degree - n) + 1)
 
 
-def _hom_size(x: FreeComplex, y: FreeComplex, n: int) -> int:
-    """len(hom_basis(x, y, n)), counted without building the basis."""
-    size = 0
-    for i in _hom_degrees(x, y, n):
-        xk, yk = x.gens_at(i), y.gens_at(i + n)
-        size += len(xk) * len(yk) + xk.count("F") * yk.count("F")
-    return size
+def _hom_columns(x: FreeComplex, y: FreeComplex, n0: int,
+                 n1: int) -> list[tuple[int, list[int]]]:
+    """For n = n0..n1, the differential Hom(x, y)_n -> Hom(x, y)_(n-1) of
+    ``hom_delta`` as (number of rows, its columns as GF(2) bitsets).
+
+    Hom_m is laid out as ``hom_basis`` lists it: the block of maps
+    x_i -> y_(i+m) starts at a prefix offset, and in it the element
+    (s, t, w) sits at s * len(y_(i+m)) + fx[s] * fy[-1] + t + w, plus fy[t]
+    when x_i[s] is an F, with fx and fy the F's before each generator of
+    x_i and y_(i+m).  A composite arrow's basis coordinates are its bits, so
+    it enters a column shifted to its element's w = 0 slot.  The tables of
+    x and y are built once and shared by every n.
+    """
+    def fprefix(kinds):
+        out = [0]
+        for k in kinds:
+            out.append(out[-1] + (k == "F"))
+        return out
+
+    xlo, xhi, ylo, yhi = x.min_degree, x.max_degree, y.min_degree, y.max_degree
+    xk = {i: x.gens_at(i) for i in range(xlo, xhi + 2)}
+    yk = {j: y.gens_at(j) for j in range(ylo - 1, yhi + 1)}
+    xf = {i: fprefix(k) for i, k in xk.items()}
+    yf = {j: fprefix(k) for j, k in yk.items()}
+    # xin[i][s][kt, a]: for the basis arrow a from x_i[s] to a kt, its
+    # nonzero composites (s2, fx of s2, x_(i+1)[s2] is an F, v) after d
+    xin = {}
+    for i in range(xlo, xhi):
+        k2, f2 = xk[i + 1], xf[i + 1]
+        xin[i] = rows = []
+        for ks, row in zip(xk[i], x.diff(i + 1)):
+            arrows = [(s2, e) for s2, e in enumerate(row) if e]
+            rows.append({(kt, a): [(s2, f2[s2], k2[s2] == "F", v)
+                                   for s2, e in arrows
+                                   if (v := ecompose(k2[s2], ks, kt, e, a))]
+                         for kt in "FH"
+                         for a in ((1, 2) if ks == kt == "F" else (1,))})
+    # yout[j][t][ks, a]: d y after the basis arrow a from a ks to y_j[t],
+    # as a bitset over the row s = 0 of the block of y_(j-1)
+    yout = {}
+    for j in range(ylo + 1, yhi + 1):
+        k1, f1 = yk[j - 1], yf[j - 1]
+        yout[j] = pats = []
+        for kt, arrows in zip(yk[j], _nonzero_columns(y.diff(j), len(yk[j]))):
+            pat = {}
+            for ks in "FH":
+                for a in ((1, 2) if ks == kt == "F" else (1,)):
+                    bits = 0
+                    for t2, e in arrows:
+                        bits |= ecompose(ks, kt, k1[t2], a, e) << (
+                            t2 + (f1[t2] if ks == "F" else 0))
+                    pat[ks, a] = bits
+            pats.append(pat)
+
+    # the block offsets of Hom_(n0-1); each delta_n's columns give Hom_n's
+    toff, nrows = {}, 0
+    for i in _hom_degrees(x, y, n0 - 1):
+        toff[i] = nrows
+        nrows += (len(xk[i]) * len(yk[i + n0 - 1])
+                  + xf[i][-1] * yf[i + n0 - 1][-1])
+    out = []
+    for n in range(n0, n1 + 1):
+        off, cols = {}, []
+        for i in _hom_degrees(x, y, n):
+            off[i] = len(cols)
+            j = i + n
+            xs, fx, ts, fy = xk[i], xf[i], yk[j], yf[j]
+            # d y lands in the block of degree i, d x in that of i + 1
+            ypats, xrows = yout.get(j), xin.get(i)
+            if ypats is not None:
+                ly1, nf1, by0 = len(yk[j - 1]), yf[j - 1][-1], toff[i]
+            if xrows is not None:
+                ly, nf, bx = len(ts), fy[-1], toff[i + 1]
+            for s, ks in enumerate(xs):
+                if ypats is not None:
+                    by = by0 + s * ly1 + fx[s] * nf1
+                for t, kt in enumerate(ts):
+                    for a in ((1, 2) if ks == kt == "F" else (1,)):
+                        col = ypats[t][ks, a] << by if ypats is not None else 0
+                        if xrows is not None:
+                            for s2, fx2, f2, v in xrows[s][kt, a]:
+                                col |= v << (bx + s2 * ly + fx2 * nf + t
+                                             + (fy[t] if f2 else 0))
+                        cols.append(col)
+        out.append((nrows, cols))
+        toff, nrows = off, len(cols)
+    return out
 
 
 def hom_delta(x: FreeComplex, y: FreeComplex, n: int) -> FMatrix:
     """The differential Hom(x, y)_n -> Hom(x, y)_{n-1}, f |-> d f + f d."""
-    tindex = {b: k for k, b in enumerate(hom_basis(x, y, n - 1))}
-    delta = FMatrix.zeros(len(tindex), _hom_size(x, y, n), 2)
-    col = 0
-    for i in _hom_degrees(x, y, n):
-        xk, yk = x.gens_at(i), y.gens_at(i + n)
-        if not xk or not yk:
-            continue
-        xk2, yk2 = x.gens_at(i + 1), y.gens_at(i + n - 1)
-        dy = y.diff(i + n) or zero_matrix(len(yk2), len(yk))
-        dx = x.diff(i + 1) or zero_matrix(len(xk), len(xk2))
-        # the nonzero arrows of d out of each yk, and into each xk
-        dyc = _nonzero_columns(dy, len(yk))
-        dxr = [[(s2, e) for s2, e in enumerate(row) if e] for row in dx]
-        for s, ks in enumerate(xk):
-            for t_, kt in enumerate(yk):
-                for w in range(2 if ks == kt == "F" else 1):
-                    # the two parts write to different degrees i and i + 1,
-                    # so every entry is written once
-                    for t2, e in dyc[t_]:
-                        v = ecompose(ks, kt, yk2[t2], 1 << w, e)
-                        for w2 in _bits(v):
-                            delta.set(tindex[i, s, t2, w2], col, 1)
-                    for s2, e in dxr[s]:
-                        v = ecompose(xk2[s2], ks, kt, e, 1 << w)
-                        for w2 in _bits(v):
-                            delta.set(tindex[i + 1, s2, t_, w2], col, 1)
-                    col += 1
-    return delta
+    nrows, cols = _hom_columns(x, y, n, n)[0]
+    return FMatrix.from_bits(cols, nrows).transpose()
+
+
+def _hom_homology(x: FreeComplex, y: FreeComplex, n0: int,
+                  n1: int) -> list[int]:
+    """dim H_n of the hom complex Hom(x, y) for n = n0..n1, from one
+    differential and one rank per degree (a rank read off the columns)."""
+    deltas = _hom_columns(x, y, n0, n1 + 1)
+    ranks = [FMatrix.from_bits(cols, nrows).rank() for nrows, cols in deltas]
+    return [len(cols) - r - r1
+            for (_, cols), r, r1 in zip(deltas, ranks, ranks[1:])]
 
 
 def hom_complex_dim(x: FreeComplex, y: FreeComplex, n: int) -> int:
     """dim of the degree-n homology of the hom complex: the group of
     degree-n maps x -> y up to homotopy."""
-    dn = hom_delta(x, y, n)
-    dn1 = hom_delta(x, y, n + 1)
-    return dn.nullity() - dn1.rank()
+    return _hom_homology(x, y, n, n)[0]
 
 
 def chain_map_vector(f: ChainMap) -> tuple[list[tuple], list[int]]:

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .complexes import (ChainMap, FreeComplex, box_chain_map, box_complex,
-                        compose_chain_maps, cotens_H, hom_complex_dim,
-                        hom_delta, chain_map_from_vector, identity_chain_map,
-                        is_null_homotopic, null_homotopy, zero_matrix)
+from .complexes import (ChainMap, FreeComplex, _hom_homology, box_chain_map,
+                        box_complex, compose_chain_maps, cotens_H,
+                        hom_complex_dim, hom_delta, chain_map_from_vector,
+                        identity_chain_map, is_null_homotopic, null_homotopy,
+                        validate_complex, zero_matrix)
 from .split import (DISK_KINDS, Strand, certificate_isos, split,
                     strand_complex, strand_paths)
 
@@ -182,10 +183,18 @@ def cohomology_formula(strands: list[Strand], p0: int, p1: int,
 def cohomology_window(c: FreeComplex, p0: int, p1: int,
                       q0: int, q1: int) -> list[list[int]]:
     """dims[i][j] = dim of maps from the complex into the (p, q) twist of
-    the unit, computed from mapping complexes."""
-    return [[hom_complex_dim(c, strand_complex(Strand("Hn", q, p)), 0)
-             for q in range(q0, q1 + 1)]
-            for p in range(p0, p1 + 1)]
+    the unit, computed from mapping complexes; a non-complex raises
+    ValueError naming its first violation.
+
+    Maps into the p-fold shift of H(q) are the degree -p maps into H(q)
+    itself, basis for basis, so one hom complex per weight q gives a
+    whole column of the window."""
+    bad = validate_complex(c)
+    if bad:
+        raise ValueError(f"not a valid complex: {bad[0]}")
+    cols = [_hom_homology(c, strand_complex(Strand("Hn", q, 0)), -p1, -p0)
+            for q in range(q0, q1 + 1)]
+    return [[col[p1 - p] for col in cols] for p in range(p0, p1 + 1)]
 
 
 def sufficient_window(strands: list[Strand]) -> tuple[int, int, int, int]:
@@ -318,10 +327,10 @@ def toda_witness() -> dict:
 def _transported_class(src: FreeComplex, tgt: FreeComplex) -> ChainMap:
     """A degree-zero chain map src -> tgt that is a cocycle but not a
     boundary, for mapping groups known to be one-dimensional."""
-    if hom_complex_dim(src, tgt, 0) != 1:
-        raise RuntimeError("transported class is not one-dimensional")
     delta0 = hom_delta(src, tgt, 0)
     delta1 = hom_delta(src, tgt, 1)
+    if delta0.nullity() - delta1.rank() != 1:
+        raise RuntimeError("transported class is not one-dimensional")
     kern = delta0.kernel_basis()
     for j in range(kern.ncols):
         vec = kern.col(j)

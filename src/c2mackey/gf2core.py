@@ -103,6 +103,14 @@ class FMatrix:
             rows = [[v % ell for v in r] for r in rows]
         return cls(ell, len(rows), ncols, rows)
 
+    @classmethod
+    def from_bits(cls, rows: list[int], ncols: int) -> "FMatrix":
+        """The matrix over GF(2) whose row i has a 1 in column j where bit
+        j of ``rows[i]`` is set; every int must lie in [0, 2^ncols)."""
+        if rows and (min(rows) < 0 or max(rows) >> ncols):
+            raise ValueError(f"a bit row does not fit in {ncols} columns")
+        return cls(2, len(rows), ncols, rows)
+
     def copy(self) -> "FMatrix":
         if self.ell == 2:
             return FMatrix(2, self.nrows, self.ncols, list(self.rows))

@@ -12,21 +12,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import c2mackey.complexes as complexes_module
-from c2mackey.complexes import (U, ChainMap, FreeComplex, _canonicalize,
+from c2mackey.complexes import (U, ChainMap, FreeComplex, _bits,
+                                _canonicalize, _hom_degrees, _nonzero_columns,
                                 arrow_mul, box_chain_map, box_complex,
-                                chain_map_vector, compose_chain_maps, cone, cotens_H,
+                                chain_map_from_vector, chain_map_vector,
+                                compose_chain_maps, cone, cotens_H,
                                 direct_sum_complexes, ecompose, entry_ok,
-                                hom_complex_dim, hom_delta, homology,
+                                hom_basis, hom_complex_dim, hom_delta,
+                                homology,
                                 homology_counts,
                                 identity_chain_map, is_null_homotopic,
                                 null_homotopy, realize, realize_map,
                                 shift_complex, strand, theta_block,
-                                validate_chain_map, validate_complex)
+                                validate_chain_map, validate_complex,
+                                zero_matrix)
 from c2mackey.gf2core import FMatrix
 from c2mackey.mackey import classify, direct_sum, indecomposable
-from c2mackey.derived import _op_dual_strand, dcotens_formula_pair
+from c2mackey.derived import (_op_dual_strand, cohomology_window,
+                              dcotens_formula_pair, sufficient_window)
 from c2mackey.split import (Strand, _shape, certificate_isos,
-                            random_scrambled_complex)
+                            decomposition_sum, random_scrambled_complex,
+                            random_strand, strand_complex)
 from c2mackey.split import split as split_complex
 
 
@@ -117,7 +123,7 @@ def test_arrow_products_go_through_arrow_mul():
 
     found = {f"{path.stem}.{fn}" for path in sorted(pkg.glob("*.py"))
              for fn in callers(ast.parse(path.read_text()), "<module>")}
-    assert found == {"complexes.arrow_mul", "complexes.hom_delta",
+    assert found == {"complexes.arrow_mul", "complexes._hom_columns",
                      "split.<module>"}
 
 
@@ -501,6 +507,153 @@ def test_hom_group_dimensions():
     a0 = strand("A", 0)
     # endomorphisms of F: spanned by 1 and t
     assert hom_complex_dim(a0, a0, 0) == 2
+
+
+# -- the hom complex against the per-entry and per-point references -------
+
+def _reference_hom_size(x, y, n):
+    """len(hom_basis(x, y, n)), counted without building the basis."""
+    size = 0
+    for i in _hom_degrees(x, y, n):
+        xk, yk = x.gens_at(i), y.gens_at(i + n)
+        size += len(xk) * len(yk) + xk.count("F") * yk.count("F")
+    return size
+
+
+def _reference_hom_delta(x, y, n):
+    """The differential Hom(x, y)_n -> Hom(x, y)_{n-1}, f |-> d f + f d,
+    written entry by entry at the positions of ``hom_basis``: the
+    builder ``hom_delta`` replaced, kept as its reference."""
+    tindex = {b: k for k, b in enumerate(hom_basis(x, y, n - 1))}
+    delta = FMatrix.zeros(len(tindex), _reference_hom_size(x, y, n), 2)
+    col = 0
+    for i in _hom_degrees(x, y, n):
+        xk, yk = x.gens_at(i), y.gens_at(i + n)
+        if not xk or not yk:
+            continue
+        xk2, yk2 = x.gens_at(i + 1), y.gens_at(i + n - 1)
+        dy = y.diff(i + n) or zero_matrix(len(yk2), len(yk))
+        dx = x.diff(i + 1) or zero_matrix(len(xk), len(xk2))
+        # the nonzero arrows of d out of each yk, and into each xk
+        dyc = _nonzero_columns(dy, len(yk))
+        dxr = [[(s2, e) for s2, e in enumerate(row) if e] for row in dx]
+        for s, ks in enumerate(xk):
+            for t_, kt in enumerate(yk):
+                for w in range(2 if ks == kt == "F" else 1):
+                    # the two parts write to different degrees i and i + 1,
+                    # so every entry is written once
+                    for t2, e in dyc[t_]:
+                        v = ecompose(ks, kt, yk2[t2], 1 << w, e)
+                        for w2 in _bits(v):
+                            delta.set(tindex[i, s, t2, w2], col, 1)
+                    for s2, e in dxr[s]:
+                        v = ecompose(xk2[s2], ks, kt, e, 1 << w)
+                        for w2 in _bits(v):
+                            delta.set(tindex[i + 1, s2, t_, w2], col, 1)
+                    col += 1
+    return delta
+
+
+def _reference_hom_complex_dim(x, y, n):
+    dn = _reference_hom_delta(x, y, n)
+    dn1 = _reference_hom_delta(x, y, n + 1)
+    return dn.nullity() - dn1.rank()
+
+
+def _reference_cohomology_window(c, p0, p1, q0, q1):
+    """The per-point window: two hom differentials of c against the
+    (p, q) twist of the unit at every lattice point."""
+    return [[_reference_hom_complex_dim(c, strand_complex(Strand("Hn", q, p)),
+                                        0)
+             for q in range(q0, q1 + 1)]
+            for p in range(p0, p1 + 1)]
+
+
+EMPTY = FreeComplex(0, [[]], [])
+
+
+def _cocycle_cone(rng):
+    """The cone of a random degree-0 cocycle between two sums of 1-3
+    random strands, as ``test_split`` draws its cones."""
+    x, y = (decomposition_sum([random_strand(rng, 3, -2, 2)
+                               for _ in range(rng.randint(1, 3))])
+            for _ in range(2))
+    cycles = hom_delta(x, y, 0).kernel_basis()
+    vec = cycles.mul_vec([rng.randrange(2) for _ in range(cycles.ncols)])
+    return cone(chain_map_from_vector(x, y, 0, vec))
+
+
+def _hom_pairs():
+    """Scrambles, boxes, cotensor duals, cones and the empty complex."""
+    rng = random.Random("hom-reference")
+    pairs = []
+    for _ in range(12):
+        x, _ = random_scrambled_complex(rng, max_strands=3)
+        y, _ = random_scrambled_complex(rng, max_strands=3)
+        x2, _ = random_scrambled_complex(rng, max_strands=2)
+        pairs += [(x, y), (box_complex(x2, y), x), (cotens_H(x), y),
+                  (y, cotens_H(x)), (_cocycle_cone(rng), y),
+                  (x, _cocycle_cone(rng))]
+    return pairs + [(EMPTY, pairs[0][1]), (pairs[0][0], EMPTY),
+                    (EMPTY, EMPTY)]
+
+
+def test_hom_delta_matches_the_per_entry_reference():
+    """Every row index and shift of the column builder lands where the
+    per-entry builder writes, in every degree from -2 to 2, and each hom
+    group has the reference's dimension."""
+    for k, (x, y) in enumerate(_hom_pairs()):
+        for n in range(-2, 3):
+            assert hom_delta(x, y, n) == _reference_hom_delta(x, y, n), (k, n)
+            assert hom_complex_dim(x, y, n) == _reference_hom_complex_dim(
+                x, y, n), (k, n)
+
+
+def test_hom_delta_of_a_shift_is_a_degree_shift():
+    """Hom(x, y shifted by p)_n is Hom(x, y)_(n-p) basis for basis, the
+    identity a cohomology window reads one weight's column off."""
+    rng = random.Random("hom-shift")
+    for _ in range(10):
+        x, _ = random_scrambled_complex(rng, max_strands=3)
+        y, _ = random_scrambled_complex(rng, max_strands=2)
+        for p in range(-3, 4):
+            for n in range(-2, 3):
+                assert (hom_delta(x, shift_complex(y, p), n)
+                        == hom_delta(x, y, n - p)), (p, n)
+
+
+def test_cohomology_window_matches_the_per_point_reference():
+    """Whole windows, one-row and one-column windows, windows outside the
+    complex's degrees and the empty complex, against two hom
+    differentials per lattice point."""
+    rng = random.Random("window-reference")
+    for trial in range(8):
+        c, planted = random_scrambled_complex(rng, max_strands=4)
+        p0, p1, q0, q1 = sufficient_window(planted)
+        lo, hi = c.min_degree, c.max_degree
+        windows = [(p0, p1, q0, q1), (p0 + 1, p0 + 1, q0, q1),
+                   (p0, p1, q1 - 1, q1 - 1), (p1, p1, q0, q0),
+                   (hi + 4, hi + 6, -2, 2), (lo - 9, lo - 7, 5, 7)]
+        for w in windows:
+            assert cohomology_window(c, *w) == _reference_cohomology_window(
+                c, *w), (trial, w)
+    for w in ((-2, 2, -2, 2), (0, 0, 0, 0), (3, 3, -1, 1)):
+        assert cohomology_window(EMPTY, *w) == _reference_cohomology_window(
+            EMPTY, *w) == [[0] * (w[3] - w[2] + 1)] * (w[1] - w[0] + 1)
+
+
+def test_cohomology_window_refuses_non_complexes():
+    """A non-complex is refused with its first violation: a d*d != 0
+    gives no negative dimensions, an illegal arrow no internal lookup
+    error."""
+    ff = FreeComplex(0, [["F"], ["F"], ["F"]], [[[1]], [[1]]])
+    with pytest.raises(ValueError, match=r"not a valid complex: d\*d != 0"):
+        cohomology_window(ff, -2, 2, -2, 2)
+    bad = FreeComplex(0, [["H"], ["F"]], [[[5]]])
+    with pytest.raises(ValueError,
+                       match=r"not a valid complex: illegal arrow 5 in "
+                             r"slot \(F->H\)"):
+        cohomology_window(bad, -2, 2, -2, 2)
 
 
 # -- box products -------------------------------------------------------------

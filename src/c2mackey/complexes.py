@@ -923,12 +923,13 @@ def _hom_columns(x: FreeComplex, y: FreeComplex, n0: int,
     xf = {i: fprefix(k) for i, k in xk.items()}
     yf = {j: fprefix(k) for j, k in yk.items()}
     # xin[i][s][kt, a]: for the basis arrow a from x_i[s] to a kt, its
-    # nonzero composites (s2, fx of s2, x_(i+1)[s2] is an F, v) after d
+    # nonzero composites (s2, fx of s2, x_(i+1)[s2] is an F, v) after d;
+    # empty where no differential comes into degree i
     xin = {}
-    for i in range(xlo, xhi):
+    for i in range(xlo, xhi + 1):
         k2, f2 = xk[i + 1], xf[i + 1]
         xin[i] = rows = []
-        for ks, row in zip(xk[i], x.diff(i + 1)):
+        for ks, row in zip(xk[i], x.diff(i + 1) or [[]] * len(xk[i])):
             arrows = [(s2, e) for s2, e in enumerate(row) if e]
             rows.append({(kt, a): [(s2, f2[s2], k2[s2] == "F", v)
                                    for s2, e in arrows
@@ -936,12 +937,14 @@ def _hom_columns(x: FreeComplex, y: FreeComplex, n0: int,
                          for kt in "FH"
                          for a in ((1, 2) if ks == kt == "F" else (1,))})
     # yout[j][t][ks, a]: d y after the basis arrow a from a ks to y_j[t],
-    # as a bitset over the row s = 0 of the block of y_(j-1)
+    # as a bitset over the row s = 0 of the block of y_(j-1); zero where
+    # no differential leaves degree j
     yout = {}
-    for j in range(ylo + 1, yhi + 1):
+    for j in range(ylo, yhi + 1):
         k1, f1 = yk[j - 1], yf[j - 1]
         yout[j] = pats = []
-        for kt, arrows in zip(yk[j], _nonzero_columns(y.diff(j), len(yk[j]))):
+        for kt, arrows in zip(yk[j], _nonzero_columns(y.diff(j) or [],
+                                                       len(yk[j]))):
             pat = {}
             for ks in "FH":
                 for a in ((1, 2) if ks == kt == "F" else (1,)):
@@ -952,7 +955,10 @@ def _hom_columns(x: FreeComplex, y: FreeComplex, n0: int,
                     pat[ks, a] = bits
             pats.append(pat)
 
-    # the block offsets of Hom_(n0-1); each delta_n's columns give Hom_n's
+    # the block offsets of Hom_(n0-1); each delta_n's columns give Hom_n's.
+    # d y lands in the block of degree i and d x in that of i + 1; where
+    # that block is missing the tables above are empty, so its offset is
+    # never used
     toff, nrows = {}, 0
     for i in _hom_degrees(x, y, n0 - 1):
         toff[i] = nrows
@@ -965,22 +971,17 @@ def _hom_columns(x: FreeComplex, y: FreeComplex, n0: int,
             off[i] = len(cols)
             j = i + n
             xs, fx, ts, fy = xk[i], xf[i], yk[j], yf[j]
-            # d y lands in the block of degree i, d x in that of i + 1
-            ypats, xrows = yout.get(j), xin.get(i)
-            if ypats is not None:
-                ly1, nf1, by0 = len(yk[j - 1]), yf[j - 1][-1], toff[i]
-            if xrows is not None:
-                ly, nf, bx = len(ts), fy[-1], toff[i + 1]
+            ypats, xrows = yout[j], xin[i]
+            ly1, nf1, by0 = len(yk[j - 1]), yf[j - 1][-1], toff.get(i, 0)
+            ly, nf, bx = len(ts), fy[-1], toff.get(i + 1, 0)
             for s, ks in enumerate(xs):
-                if ypats is not None:
-                    by = by0 + s * ly1 + fx[s] * nf1
+                by = by0 + s * ly1 + fx[s] * nf1
                 for t, kt in enumerate(ts):
                     for a in ((1, 2) if ks == kt == "F" else (1,)):
-                        col = ypats[t][ks, a] << by if ypats is not None else 0
-                        if xrows is not None:
-                            for s2, fx2, f2, v in xrows[s][kt, a]:
-                                col |= v << (bx + s2 * ly + fx2 * nf + t
-                                             + (fy[t] if f2 else 0))
+                        col = ypats[t][ks, a] << by
+                        for s2, fx2, f2, v in xrows[s][kt, a]:
+                            col |= v << (bx + s2 * ly + fx2 * nf + t
+                                         + (fy[t] if f2 else 0))
                         cols.append(col)
         out.append((nrows, cols))
         toff, nrows = off, len(cols)

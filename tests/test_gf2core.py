@@ -50,6 +50,15 @@ def test_basic_shapes_and_access():
     assert t.to_rows() == [[1, 0], [0, 1], [1, 1]]
 
 
+def test_from_bits_reads_bit_j_as_column_j():
+    m = FMatrix.from_bits([0b101, 0b110], 3)
+    assert m == FMatrix.from_rows([[1, 0, 1], [0, 1, 1]], 2)
+    assert FMatrix.from_bits([], 4) == FMatrix.zeros(0, 4)
+    for rows in ([0b1000], [-1]):
+        with pytest.raises(ValueError, match="3 columns"):
+            FMatrix.from_bits(rows, 3)
+
+
 def test_identity_and_mul():
     for ell in (2, 3, 5):
         a = FMatrix.from_rows([[1, 2 % ell], [0, 1]], ell)

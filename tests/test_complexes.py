@@ -642,13 +642,17 @@ def test_cohomology_window_matches_the_per_point_reference():
             EMPTY, *w) == [[0] * (w[3] - w[2] + 1)] * (w[1] - w[0] + 1)
 
 
-def test_cohomology_window_refuses_non_complexes():
-    """A non-complex is refused with its first violation: a d*d != 0
-    gives no negative dimensions, an illegal arrow no internal lookup
-    error."""
+def test_cohomology_window_refuses_d_squared_nonzero():
+    """F -> F -> F by 1 and 1 is refused with its violation, not given
+    negative dimensions."""
     ff = FreeComplex(0, [["F"], ["F"], ["F"]], [[[1]], [[1]]])
     with pytest.raises(ValueError, match=r"not a valid complex: d\*d != 0"):
         cohomology_window(ff, -2, 2, -2, 2)
+
+
+def test_cohomology_window_refuses_illegal_arrows():
+    """An arrow code outside the F -> H alphabet is refused with its
+    violation, not an internal lookup error."""
     bad = FreeComplex(0, [["H"], ["F"]], [[[5]]])
     with pytest.raises(ValueError,
                        match=r"not a valid complex: illegal arrow 5 in "

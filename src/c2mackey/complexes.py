@@ -149,12 +149,14 @@ class FreeComplex:
         i = d - self.min_degree
         return self.gens[i] if 0 <= i < len(self.gens) else []
 
-    def diff(self, d: int):
-        """Matrix of d : degree d -> d - 1, or None when either end is empty."""
+    def diff(self, d: int) -> list[list[int]]:
+        """Matrix of d : degree d -> d - 1; outside the stored range (out of
+        the bottom degree, into the top, or further out) the zero matrix of
+        shape len(gens_at(d - 1)) x len(gens_at(d)), never None."""
         i = d - self.min_degree - 1
         if 0 <= i < len(self.diffs):
             return self.diffs[i]
-        return None
+        return zero_matrix(len(self.gens_at(d - 1)), len(self.gens_at(d)))
 
     def num_gens(self) -> int:
         return sum(len(g) for g in self.gens)
@@ -396,7 +398,7 @@ def direct_sum_complexes(parts: list[FreeComplex]) -> FreeComplex:
     diffs = [_placed_arrows(len(gens[d - 1 - lo]), len(gens[d - lo]),
                             [(offs[d - 1], offs[d], p.diff(d))
                              for p, offs in zip(parts, offsets)
-                             if p.diff(d) is not None])
+                             if p.min_degree < d <= p.max_degree])
              for d in range(lo + 1, hi + 1)]
     return _canonicalize(FreeComplex(lo, gens, diffs))
 
@@ -463,15 +465,13 @@ def validate_chain_map(f: ChainMap) -> list[str]:
     lo = min(f.source.min_degree, f.target.min_degree - f.degree) - 1
     hi = max(f.source.max_degree, f.target.max_degree - f.degree) + 1
     for d in range(lo, hi + 1):
-        # d_target . f_d vs f_{d-1} . d_source  (no signs over GF(2)); a
-        # missing differential has an empty end
+        # d_target . f_d vs f_{d-1} . d_source  (no signs over GF(2))
         sk, sk1 = f.source.gens_at(d), f.source.gens_at(d - 1)
         tk, tk1 = (f.target.gens_at(d + f.degree),
                    f.target.gens_at(d + f.degree - 1))
-        dt = f.target.diff(d + f.degree) or zero_matrix(len(tk1), len(tk))
-        ds = f.source.diff(d) or zero_matrix(len(sk1), len(sk))
-        if (arrow_mul(dt, f.component(d), sk, tk, tk1)
-                != arrow_mul(f.component(d - 1), ds, sk, sk1, tk1)):
+        if (arrow_mul(f.target.diff(d + f.degree), f.component(d), sk, tk, tk1)
+                != arrow_mul(f.component(d - 1), f.source.diff(d), sk, sk1,
+                             tk1)):
             out.append(f"does not commute with d at source degree {d}")
     return out
 
@@ -515,10 +515,10 @@ def cone(f: ChainMap) -> FreeComplex:
     diffs = []
     for d in range(lo + 1, hi + 1):
         nxs, nxt = len(X.gens_at(d - 1)), len(X.gens_at(d - 2))
-        blocks = [(0, 0, X.diff(d - 1)), (nxt, 0, f.component(d - 1)),
-                  (nxt, nxs, Y.diff(d))]
-        diffs.append(_placed_arrows(len(gens[d - lo - 1]), len(gens[d - lo]),
-                                    [b for b in blocks if b[2] is not None]))
+        diffs.append(_placed_arrows(
+            len(gens[d - lo - 1]), len(gens[d - lo]),
+            [(0, 0, X.diff(d - 1)), (nxt, 0, f.component(d - 1)),
+             (nxt, nxs, Y.diff(d))]))
     return _canonicalize(FreeComplex(lo, gens, diffs))
 
 
@@ -532,6 +532,16 @@ def realize(c: FreeComplex, ell: int = 2) -> tuple[list[MackeyModule], list[Mack
         maps.append(realize_map(c.gens[i + 1], c.gens[i], m, ell,
                                 mods[i + 1], mods[i]))
     return mods, maps
+
+
+def _realize_with_ends(c: FreeComplex, ell: int):
+    """``realize`` of ``c`` padded with an empty degree at both ends, less
+    the two zero modules: ``maps[i]`` leaves ``mods[i]`` and ``maps[i + 1]``
+    enters it, a zero map out of the bottom degree and into the top."""
+    ends = range(c.min_degree, c.max_degree + 2)
+    mods, maps = realize(FreeComplex(c.min_degree - 1, [[], *c.gens, []],
+                                     [c.diff(d) for d in ends]), ell)
+    return mods[1:-1], maps
 
 
 def realize_term(kinds: list[str], ell: int = 2) -> MackeyModule:
@@ -619,22 +629,14 @@ def orbit_matrix(m: list[list[int]], src_kinds: list[str],
                         orbit_starts(src_kinds), orbit_starts(tgt_kinds), 2)
 
 
-def _subquotient(mod: MackeyModule, d_out: MackeyMap | None,
-                 d_in: MackeyMap | None, ell: int) -> MackeyModule:
+def _subquotient(mod: MackeyModule, d_out: MackeyMap, d_in: MackeyMap,
+                 ell: int) -> MackeyModule:
     """Homology of modules at one degree: ker(d_out)/im(d_in), with the
-    induced Mackey structure on chosen representatives (None stands for a
-    zero map)."""
+    induced Mackey structure on chosen representatives."""
 
     def level_data(dim, out_m, in_m):
-        if out_m is None:
-            K = FMatrix.identity(dim, ell)
-        else:
-            K = out_m.kernel_basis()
-        if in_m is None:
-            Bi = FMatrix.zeros(dim, 0, ell)
-        else:
-            piv = in_m.column_space_pivots()
-            Bi = in_m.submatrix(list(range(dim)), piv)
+        K = out_m.kernel_basis()
+        Bi = in_m.submatrix(list(range(dim)), in_m.column_space_pivots())
         comb = FMatrix.hstack([Bi, K])
         pivots = comb.column_space_pivots()
         qcols = [p - Bi.ncols for p in pivots if p >= Bi.ncols]
@@ -643,10 +645,8 @@ def _subquotient(mod: MackeyModule, d_out: MackeyMap | None,
         return Q, rep, Bi.ncols
 
     nt, nd = mod.dim_theta, mod.dim_dot
-    Qt, rep_t, bt = level_data(nt, d_out.f_theta if d_out else None,
-                               d_in.f_theta if d_in else None)
-    Qd, rep_d, bd = level_data(nd, d_out.f_dot if d_out else None,
-                               d_in.f_dot if d_in else None)
+    Qt, rep_t, bt = level_data(nt, d_out.f_theta, d_in.f_theta)
+    Qd, rep_d, bd = level_data(nd, d_out.f_dot, d_in.f_dot)
 
     def induced(mat, Qsrc, rep_tgt, boundary_cols):
         img = mat.mul(Qsrc)
@@ -664,10 +664,9 @@ def _subquotient(mod: MackeyModule, d_out: MackeyMap | None,
 
 def _check_dd(maps: list[MackeyMap], i: int, ell: int, lo: int) -> None:
     """Raise ValueError unless d*d = 0 through degree ``lo + i`` of a
-    realized complex (``maps[i]`` goes from degree lo+i+1 to lo+i).  The
-    theta level decides the arrows, so it decides d*d = 0 too."""
-    if 0 < i < len(maps) and not maps[i - 1].f_theta.mul(
-            maps[i].f_theta).is_zero():
+    complex realized by ``_realize_with_ends``.  The theta level decides
+    the arrows, so it decides d*d = 0 too."""
+    if not maps[i].f_theta.mul(maps[i + 1].f_theta).is_zero():
         raise ValueError(f"d*d != 0 mod {ell} between degrees "
                          f"{lo + i + 1} and {lo + i - 1}")
 
@@ -679,11 +678,10 @@ def homology(c: FreeComplex, d: int, ell: int = 2) -> MackeyModule:
     naming the degrees."""
     if not c.gens_at(d):
         return zero_module(ell)
-    mods, maps = realize(c, ell)
+    mods, maps = _realize_with_ends(c, ell)
     i = d - c.min_degree
     _check_dd(maps, i, ell, c.min_degree)
-    return _subquotient(mods[i], maps[i - 1] if i else None,
-                        maps[i] if i < len(maps) else None, ell)
+    return _subquotient(mods[i], maps[i], maps[i + 1], ell)
 
 
 def homology_counts(c: FreeComplex, ell: int = 2) -> dict[int, dict[str, int]]:
@@ -699,28 +697,19 @@ def homology_counts(c: FreeComplex, ell: int = 2) -> dict[int, dict[str, int]]:
     (``counts_of_ranks``); at odd l the two dimensions do.  A d*d != 0
     raises ValueError naming the degrees.
     """
-    mods, maps = realize(c, ell)
+    mods, maps = _realize_with_ends(c, ell)
     lo, out = c.min_degree, {}
     for i, mod in enumerate(mods):
-        nt, nd = mod.dim_theta, mod.dim_dot
-        d_out = maps[i - 1] if i else None
-        d_in = maps[i] if i < len(maps) else None
+        d_out, d_in = maps[i], maps[i + 1]
         _check_dd(maps, i, ell, lo)
-        if d_in is None:
-            bt, bd = FMatrix.zeros(nt, 0, ell), FMatrix.zeros(nd, 0, ell)
-        else:
-            bt, bd = d_in.f_theta, d_in.f_dot
+        bt, bd = d_in.f_theta, d_in.f_dot
         rt, rd = bt.rank(), bd.rank()
         if ell != 2:
-            zt, zd = ((d_out.f_theta.nullity(), d_out.f_dot.nullity())
-                      if d_out is not None else (nt, nd))
-            counts = counts_of_ranks(ell, zt - rt, zd - rd)
+            counts = counts_of_ranks(ell, d_out.f_theta.nullity() - rt,
+                                     d_out.f_dot.nullity() - rd)
         else:
-            if d_out is None:
-                zt, zd = FMatrix.identity(nt), FMatrix.identity(nd)
-            else:
-                zt = d_out.f_theta.kernel_basis()
-                zd = d_out.f_dot.kernel_basis()
+            zt = d_out.f_theta.kernel_basis()
+            zd = d_out.f_dot.kernel_basis()
             ht, hd = zt.ncols - rt, zd.ncols - rd
             counts = counts_of_ranks(
                 2, ht, hd,
@@ -828,8 +817,9 @@ def _box_components(pairs: list[tuple[ChainMap, ChainMap]], slayout,
 
 def _diff_map(c: FreeComplex) -> ChainMap:
     """The differential of ``c`` as a degree -1 map from ``c`` to itself."""
-    return ChainMap(c, c, {d: c.diff(d) for d in c.degrees()
-                           if c.diff(d) is not None}, -1)
+    return ChainMap(c, c, {d: c.diff(d)
+                           for d in range(c.min_degree + 1, c.max_degree + 1)},
+                    -1)
 
 
 def box_complex(x: FreeComplex, y: FreeComplex) -> FreeComplex:
@@ -923,13 +913,12 @@ def _hom_columns(x: FreeComplex, y: FreeComplex, n0: int,
     xf = {i: fprefix(k) for i, k in xk.items()}
     yf = {j: fprefix(k) for j, k in yk.items()}
     # xin[i][s][kt, a]: for the basis arrow a from x_i[s] to a kt, its
-    # nonzero composites (s2, fx of s2, x_(i+1)[s2] is an F, v) after d;
-    # empty where no differential comes into degree i
+    # nonzero composites (s2, fx of s2, x_(i+1)[s2] is an F, v) after d
     xin = {}
     for i in range(xlo, xhi + 1):
         k2, f2 = xk[i + 1], xf[i + 1]
         xin[i] = rows = []
-        for ks, row in zip(xk[i], x.diff(i + 1) or [[]] * len(xk[i])):
+        for ks, row in zip(xk[i], x.diff(i + 1)):
             arrows = [(s2, e) for s2, e in enumerate(row) if e]
             rows.append({(kt, a): [(s2, f2[s2], k2[s2] == "F", v)
                                    for s2, e in arrows
@@ -937,14 +926,12 @@ def _hom_columns(x: FreeComplex, y: FreeComplex, n0: int,
                          for kt in "FH"
                          for a in ((1, 2) if ks == kt == "F" else (1,))})
     # yout[j][t][ks, a]: d y after the basis arrow a from a ks to y_j[t],
-    # as a bitset over the row s = 0 of the block of y_(j-1); zero where
-    # no differential leaves degree j
+    # as a bitset over the row s = 0 of the block of y_(j-1)
     yout = {}
     for j in range(ylo, yhi + 1):
         k1, f1 = yk[j - 1], yf[j - 1]
         yout[j] = pats = []
-        for kt, arrows in zip(yk[j], _nonzero_columns(y.diff(j) or [],
-                                                       len(yk[j]))):
+        for kt, arrows in zip(yk[j], _nonzero_columns(y.diff(j), len(yk[j]))):
             pat = {}
             for ks in "FH":
                 for a in ((1, 2) if ks == kt == "F" else (1,)):

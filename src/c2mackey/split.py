@@ -199,12 +199,10 @@ def _move_level(c: FreeComplex, mv: BasisMove) -> int:
 
 def apply_move(c: FreeComplex, mv: BasisMove) -> None:
     """Apply one basis move in place (differential bookkeeping only)."""
-    li = _move_level(c, mv)
-    d_in = c.diffs[li] if li < len(c.diffs) else None
-    d_out = c.diffs[li - 1] if li >= 1 else None
+    _move_level(c, mv)
+    d = mv.degree
     _move_arrows(_MOVE_CODES[mv.variant], mv.i, mv.j,
-                 d_in, c.gens[li + 1] if d_in is not None else None,
-                 d_out, c.gens[li - 1] if d_out is not None else None)
+                 c.diff(d + 1), c.gens_at(d + 1), c.diff(d), c.gens_at(d - 1))
 
 
 # variant -> (column codes, row codes) of its arrow phi : kind_i -> kind_j,
@@ -226,22 +224,20 @@ def _move_arrows(codes, i: int, j: int, rows, row_kinds, cols,
     """The arrow updates of one basis move on generators i, j of a degree:
     ``rows`` is an arrow matrix whose rows are that degree's generators
     (its columns of kinds ``row_kinds``), ``cols`` one whose columns are
-    (its rows of kinds ``col_kinds``); either may be None.  ``codes`` is
-    the move's ``_MOVE_CODES`` entry, so each composite is one lookup:
-    column i gains column j composed with the move's arrow, and row j
-    gains row i.  Each entry is read before it is written, so i = j
-    (twist_t) works too."""
+    (its rows of kinds ``col_kinds``).  ``codes`` is the move's
+    ``_MOVE_CODES`` entry, so each composite is one lookup: column i
+    gains column j composed with the move's arrow, and row j gains row
+    i.  Each entry is read before it is written, so i = j (twist_t)
+    works too."""
     col_codes, row_codes = codes
-    if cols is not None:
-        for row, k in zip(cols, col_kinds):
-            e = row[j]
-            if e:
-                row[i] ^= col_codes[k][e]
-    if rows is not None:
-        dst = rows[j]
-        for s, e in enumerate(rows[i]):
-            if e:
-                dst[s] ^= row_codes[row_kinds[s]][e]
+    for row, k in zip(cols, col_kinds):
+        e = row[j]
+        if e:
+            row[i] ^= col_codes[k][e]
+    dst = rows[j]
+    for s, e in enumerate(rows[i]):
+        if e:
+            dst[s] ^= row_codes[row_kinds[s]][e]
 
 
 # variant -> its row additions (row of j's slots, row of i's slots), one
@@ -360,17 +356,13 @@ class _Sweep:
         self.members: dict[int, list[tuple[int, int]]] = {}
         self.strand_of: dict[tuple[int, int], int] = {}
         self.disk_sids: set[int] = set()
-        gens, diffs = self.work.gens, self.work.diffs
+        w = self.work
         # per level, the arguments of _move_arrows after its move's
-        # generators: (d_in, kinds above, d_out, kinds below), None where
-        # absent; the sweep changes the differentials in place
-        n = len(diffs)
-        self.levels = [(diffs[L] if L < n else None,
-                        gens[L + 1] if L < n else None,
-                        diffs[L - 1] if L else None,
-                        gens[L - 1] if L else None)
-                       for L in range(len(gens))]
-        for g in range(len(gens[0]) if gens else 0):
+        # generators: (d_in, kinds above, d_out, kinds below); the sweep
+        # changes the differentials in place
+        self.levels = [(w.diff(d + 1), w.gens_at(d + 1), w.diff(d),
+                        w.gens_at(d - 1)) for d in w.degrees()]
+        for g in range(len(w.gens[0]) if w.gens else 0):
             self.new_strand([(0, g)])
 
     def new_strand(self, elems: list[tuple[int, int]]) -> None:

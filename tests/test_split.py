@@ -18,7 +18,7 @@ from c2mackey.derived import balmer_support
 from c2mackey.gf2core import FMatrix
 from c2mackey.kronholm import kronholm_split, random_spacelike_script
 from c2mackey.mackey import (MackeyMap, MackeyModule, classify, direct_sum,
-                             indecomposable)
+                             indecomposable, zero_module)
 from c2mackey.split import (_MOVE_NAMES, _VARIANTS, BasisMove,
                             Decomposition, Strand, _components_of, _Sweep,
                             apply_move, certificate_isos, decomposition_sum, random_odd_complex,
@@ -166,16 +166,26 @@ def test_split_cones_of_random_cocycles():
             balmer_support(x) + balmer_support(y)), trial
 
 
+def _zero_map(src, tgt, ell):
+    return MackeyMap(src, tgt, FMatrix.zeros(tgt.dim_theta, src.dim_theta, ell),
+                     FMatrix.zeros(tgt.dim_dot, src.dim_dot, ell))
+
+
 def _classified_homology(mods, maps, ell, min_degree):
     """Classified homology of a realized complex, keyed by degree; zero
     degrees omitted.  This is the module route: it builds each homology
     module (``_subquotient``) and classifies it, the oracle for the counts
-    that ``homology_counts`` reads off ranks."""
+    that ``homology_counts`` reads off ranks.  ``maps[i]`` goes from
+    ``mods[i + 1]`` to ``mods[i]``; a zero map is added out of the bottom
+    degree and into the top, so that ``maps[i]`` leaves ``mods[i]`` and
+    ``maps[i + 1]`` enters it."""
+    zero = zero_module(ell)
+    ends = [zero, *mods, zero]
+    maps = [_zero_map(ends[1], zero, ell), *maps,
+            _zero_map(zero, ends[-2], ell)]
     out = {}
     for i, mod in enumerate(mods):
-        counts = classify(_subquotient(mod, maps[i - 1] if i else None,
-                                       maps[i] if i < len(maps) else None,
-                                       ell))
+        counts = classify(_subquotient(mod, maps[i], maps[i + 1], ell))
         if counts:
             out[min_degree + i] = counts
     return out

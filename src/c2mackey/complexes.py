@@ -260,6 +260,15 @@ def arrow_mul(later: list[list[int]], earlier: list[list[int]],
     return out
 
 
+def _require_complexes(*cs: FreeComplex) -> None:
+    """Raise ValueError naming the first violation of the first of ``cs``
+    that ``validate_complex`` refuses."""
+    for c in cs:
+        bad = validate_complex(c)
+        if bad:
+            raise ValueError(f"not a valid complex: {bad[0]}")
+
+
 def validate_complex(c: FreeComplex) -> list[str]:
     """Arrow legality, matrix shapes, and d*d = 0; returns violations."""
     out = []
@@ -525,12 +534,19 @@ def cone(f: ChainMap) -> FreeComplex:
 # -- realization and homology --------------------------------------------
 
 def realize(c: FreeComplex, ell: int = 2) -> tuple[list[MackeyModule], list[MackeyMap]]:
-    """Expand a symbol complex into Mackey modules and maps over GF(l)."""
+    """Expand a symbol complex into Mackey modules and maps over GF(l); an
+    arrow code that its slot does not have raises ValueError naming it."""
     mods = [realize_term(g, ell) for g in c.gens]
     maps = []
     for i, m in enumerate(c.diffs):
-        maps.append(realize_map(c.gens[i + 1], c.gens[i], m, ell,
-                                mods[i + 1], mods[i]))
+        try:
+            maps.append(realize_map(c.gens[i + 1], c.gens[i], m, ell,
+                                    mods[i + 1], mods[i]))
+        except KeyError as exc:     # the block table holds every legal arrow
+            ks, kt, e = exc.args[0]
+            raise ValueError(f"illegal arrow {e!r} in slot ({ks}->{kt}) of "
+                             f"the differential into degree "
+                             f"{c.min_degree + i}") from None
     return mods, maps
 
 
@@ -976,7 +992,9 @@ def _hom_columns(x: FreeComplex, y: FreeComplex, n0: int,
 
 
 def hom_delta(x: FreeComplex, y: FreeComplex, n: int) -> FMatrix:
-    """The differential Hom(x, y)_n -> Hom(x, y)_{n-1}, f |-> d f + f d."""
+    """The differential Hom(x, y)_n -> Hom(x, y)_{n-1}, f |-> d f + f d;
+    a non-complex raises ValueError naming its first violation."""
+    _require_complexes(x, y)
     nrows, cols = _hom_columns(x, y, n, n)[0]
     return FMatrix.from_bits(cols, nrows).transpose()
 
@@ -993,7 +1011,9 @@ def _hom_homology(x: FreeComplex, y: FreeComplex, n0: int,
 
 def hom_complex_dim(x: FreeComplex, y: FreeComplex, n: int) -> int:
     """dim of the degree-n homology of the hom complex: the group of
-    degree-n maps x -> y up to homotopy."""
+    degree-n maps x -> y up to homotopy; a non-complex raises ValueError
+    naming its first violation."""
+    _require_complexes(x, y)
     return _hom_homology(x, y, n, n)[0]
 
 
@@ -1031,7 +1051,9 @@ def chain_map_from_vector(x: FreeComplex, y: FreeComplex, n: int,
 
 def null_homotopy(f: ChainMap) -> ChainMap | None:
     """A degree-(n+1) map h with f = d h + h d, or None if f is not a
-    boundary in the mapping complex."""
+    boundary in the mapping complex; a source or target that is not a
+    complex raises ValueError naming its first violation."""
+    _require_complexes(f.source, f.target)
     _, vec = chain_map_vector(f)
     if not any(vec):
         return ChainMap(f.source, f.target, {}, f.degree + 1)

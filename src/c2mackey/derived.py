@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .complexes import (ChainMap, FreeComplex, _hom_homology, box_chain_map,
-                        box_complex, compose_chain_maps, cotens_H,
-                        hom_complex_dim, hom_delta, chain_map_from_vector,
-                        identity_chain_map, is_null_homotopic, null_homotopy,
-                        validate_complex, zero_matrix)
+from .complexes import (ChainMap, FreeComplex, _hom_homology,
+                        _require_complexes, box_chain_map, box_complex,
+                        compose_chain_maps, cotens_H, hom_complex_dim,
+                        hom_delta, chain_map_from_vector, identity_chain_map,
+                        is_null_homotopic, null_homotopy, zero_matrix)
 from .split import (DISK_KINDS, Strand, certificate_isos, split,
                     strand_complex, strand_paths)
 
@@ -189,9 +189,7 @@ def cohomology_window(c: FreeComplex, p0: int, p1: int,
     Maps into the p-fold shift of H(q) are the degree -p maps into H(q)
     itself, basis for basis, so one hom complex per weight q gives a
     whole column of the window."""
-    bad = validate_complex(c)
-    if bad:
-        raise ValueError(f"not a valid complex: {bad[0]}")
+    _require_complexes(c)
     cols = [_hom_homology(c, strand_complex(Strand("Hn", q, 0)), -p1, -p0)
             for q in range(q0, q1 + 1)]
     return [[col[p1 - p] for col in cols] for p in range(p0, p1 + 1)]

@@ -371,6 +371,69 @@ def test_homology_refuses_non_complexes():
     assert homology(ff, 0).dim_theta == 0
     assert classify(homology(a2, 1)) == {"SDot": 1}
 
+
+# an F -> F -> F chain with d*d != 0, and an H -> F arrow with a code no
+# slot has
+_FF = FreeComplex(0, [["F"], ["F"], ["F"]], [[[1]], [[1]]])
+_BAD = FreeComplex(0, [["H"], ["F"]], [[[5]]])
+_FF_ERR = "not a valid complex: d.d != 0 from degree 2 generator 0"
+_BAD_ERR = r"illegal arrow 5 in slot \(F->H\) of the differential into degree 0"
+
+
+def test_diff_outside_the_range_is_a_zero_matrix():
+    """Out of the bottom degree, into the top and further out, ``diff``
+    is the zero matrix of shape len(gens_at(d - 1)) x len(gens_at(d))."""
+    c = FreeComplex(-1, [["F", "H"], [], ["H", "F", "F"]],
+                    [zero_matrix(2, 0), zero_matrix(0, 3)])
+    assert c.diff(-1) == []
+    assert c.diff(2) == [[], [], []]
+    assert c.diff(0) is c.diffs[0] and c.diff(1) is c.diffs[1]
+    for d in (-40, -2, 3, 40):
+        assert c.diff(d) == []
+    a1 = strand("A", 1)
+    assert a1.diff(a1.min_degree) == zero_matrix(0, 1)
+    assert a1.diff(a1.max_degree + 1) == zero_matrix(1, 0)
+    for empty in (FreeComplex(0, [], []), FreeComplex(3, [[]], [])):
+        for d in (-5, 0, 3, 4, 9):
+            assert empty.diff(d) == []
+
+
+def test_hom_complex_dim_refuses_non_complexes():
+    with pytest.raises(ValueError, match=_FF_ERR):
+        hom_complex_dim(_FF, strand("Hn", 0), -1)
+    with pytest.raises(ValueError, match=_BAD_ERR):
+        hom_complex_dim(_BAD, strand("Hn", 1), 0)
+    with pytest.raises(ValueError, match=_BAD_ERR):
+        hom_complex_dim(strand("Hn", 1), _BAD, 0)
+
+
+def test_hom_delta_refuses_non_complexes():
+    with pytest.raises(ValueError, match=_FF_ERR):
+        hom_delta(_FF, strand("Hn", 0), -1)
+    with pytest.raises(ValueError, match=_BAD_ERR):
+        hom_delta(strand("Hn", 1), _BAD, 0)
+
+
+def test_null_homotopy_refuses_non_complexes():
+    with pytest.raises(ValueError, match=_FF_ERR):
+        null_homotopy(identity_chain_map(_FF))
+    with pytest.raises(ValueError, match=_BAD_ERR):
+        is_null_homotopic(identity_chain_map(_BAD))
+
+
+def test_homology_counts_refuses_an_illegal_arrow():
+    with pytest.raises(ValueError, match=_BAD_ERR):
+        homology_counts(_BAD)
+    with pytest.raises(ValueError, match=_BAD_ERR):
+        homology_counts(_BAD, 3)
+
+
+def test_homology_refuses_an_illegal_arrow():
+    for d in (0, 1):
+        with pytest.raises(ValueError, match=_BAD_ERR):
+            homology(_BAD, d)
+
+
 def a_homology(k):
     if k == 0:
         return {0: {"F": 1}}
@@ -464,24 +527,20 @@ def test_null_homotopy_witness():
     for d in disk.degrees():
         ks = disk.gens_at(d)
         acc = [[0] * len(ks) for _ in ks]
-        dn = disk.diff(d + 1)
-        if dn is not None:       # d . h at degree d
-            hm = h.component(d)
-            up = disk.gens_at(d + 1)
-            for r in range(len(ks)):
-                for c in range(len(ks)):
-                    for q in range(len(up)):
-                        acc[r][c] ^= ecompose(ks[c], up[q], ks[r],
-                                              hm[q][c], dn[r][q])
-        dd = disk.diff(d)
-        if dd is not None:       # h . d at degree d
-            hm1 = h.component(d - 1)
-            dn1 = disk.gens_at(d - 1)
-            for r in range(len(ks)):
-                for c in range(len(ks)):
-                    for q in range(len(dn1)):
-                        acc[r][c] ^= ecompose(ks[c], dn1[q], ks[r],
-                                              dd[q][c], hm1[r][q])
+        # d . h at degree d
+        dn, hm, up = disk.diff(d + 1), h.component(d), disk.gens_at(d + 1)
+        for r in range(len(ks)):
+            for c in range(len(ks)):
+                for q in range(len(up)):
+                    acc[r][c] ^= ecompose(ks[c], up[q], ks[r],
+                                          hm[q][c], dn[r][q])
+        # h . d at degree d
+        dd, hm1, dn1 = disk.diff(d), h.component(d - 1), disk.gens_at(d - 1)
+        for r in range(len(ks)):
+            for c in range(len(ks)):
+                for q in range(len(dn1)):
+                    acc[r][c] ^= ecompose(ks[c], dn1[q], ks[r],
+                                          dd[q][c], hm1[r][q])
         assert acc == f.component(d), d
     assert is_null_homotopic(f)
     assert not is_null_homotopic(identity_chain_map(strand("Hn", 0)))
@@ -532,8 +591,7 @@ def _reference_hom_delta(x, y, n):
         if not xk or not yk:
             continue
         xk2, yk2 = x.gens_at(i + 1), y.gens_at(i + n - 1)
-        dy = y.diff(i + n) or zero_matrix(len(yk2), len(yk))
-        dx = x.diff(i + 1) or zero_matrix(len(xk), len(xk2))
+        dy, dx = y.diff(i + n), x.diff(i + 1)
         # the nonzero arrows of d out of each yk, and into each xk
         dyc = _nonzero_columns(dy, len(yk))
         dxr = [[(s2, e) for s2, e in enumerate(row) if e] for row in dx]

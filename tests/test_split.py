@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 from c2mackey.complexes import (FreeComplex, _subquotient, box_complex,
                                 chain_map_from_vector, compose_chain_maps,
                                 cone, cotens_H,
-                                direct_sum_complexes, hom_delta,
-                                homology_counts, realize, shift_complex,
-                                strand, validate_chain_map, validate_complex)
+                                direct_sum_complexes, hom_complex_dim,
+                                hom_delta, homology, homology_counts, realize,
+                                shift_complex, strand, validate_chain_map,
+                                validate_complex, zero_matrix)
 from c2mackey.derived import balmer_support
 from c2mackey.gf2core import FMatrix
 from c2mackey.kronholm import kronholm_split, random_spacelike_script
@@ -109,6 +111,50 @@ def test_scramble_preserves_homology():
         live = [s for s in dec.strands if not s.kind.startswith("Disk")]
         assert homology_counts(c) == homology_counts(
             decomposition_sum(live)), trial
+
+
+def _value_or_error(fn, *args):
+    """What ``fn(*args)`` returns, or the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(1, 3))
+def test_padding_with_empty_degrees_changes_nothing(seed, below, above):
+    """A complex and the same complex with empty degrees added below and
+    above it are equal, and every route reads them alike: out of the
+    bottom degree and into the top, ``diff`` is a zero matrix either way."""
+    rng = random.Random(seed)
+    c, _ = random_scrambled_complex(rng, max_strands=4, max_param=3,
+                                    max_moves=30)
+    pad = FreeComplex(
+        c.min_degree - below,
+        [[] for _ in range(below)] + [list(g) for g in c.gens]
+        + [[] for _ in range(above)],
+        [[] for _ in range(below - 1)] + [zero_matrix(0, len(c.gens[0]))]
+        + [[row[:] for row in m] for m in c.diffs]
+        + [zero_matrix(len(c.gens[-1]), 0)] + [[] for _ in range(above - 1)])
+    assert validate_complex(pad) == [] and pad == c
+    for ell in (2, 3):
+        assert (_value_or_error(homology_counts, pad, ell)
+                == _value_or_error(homology_counts, c, ell))
+    for d in pad.degrees():
+        assert homology(pad, d) == homology(c, d), d
+    dp, dc = split(pad), split(c)
+    assert dp.strands == dc.strands
+    assert verify_certificate(pad, dc) and verify_certificate(c, dp)
+    pc, cc = pad.copy(), c.copy()
+    for mv in random_legal_moves(c, rng, 20):
+        apply_move(pc, mv)
+        apply_move(cc, mv)
+        assert pc == cc, mv
+    for q, n in itertools.product((-1, 0, 1), repeat=2):
+        y = strand("Hn", q)
+        assert hom_complex_dim(pad, y, n) == hom_complex_dim(c, y, n)
+        assert hom_complex_dim(y, pad, n) == hom_complex_dim(y, c, n)
 
 
 def test_certificate_isos_on_scrambles():
@@ -824,6 +870,13 @@ def test_odd_rejects_unliftable_differentials():
         split_odd(strand("A", 1), 4)   # modulus must be an odd prime
     with pytest.raises(ValueError, match="differentials"):
         split_odd_mackey([_H, _H], [], 3, 0)
+
+
+def test_split_odd_refuses_an_illegal_arrow():
+    bad = FreeComplex(0, [["H"], ["F"]], [[[5]]])
+    with pytest.raises(ValueError, match=r"illegal arrow 5 in slot \(F->H\) "
+                                         r"of the differential into degree 0"):
+        split_odd(bad, 3)
 
 
 def test_odd_splitter_checks_the_modulus():

@@ -69,27 +69,39 @@ def theta_block(ka: str, kb: str, e: int, ell: int = 2) -> FMatrix:
     return FMatrix.from_rows([[e]], ell)
 
 
+def orbit_starts(kinds: list[str]) -> list[int]:
+    """The first free-orbit coordinate of each generator of a sum of
+    ``kinds`` (two for an F, one for an H), then the number of
+    coordinates."""
+    out = [0]
+    for k in kinds:
+        out.append(out[-1] + (2 if k == "F" else 1))
+    return out
+
+
 def arrow_matrix(theta: FMatrix, src_kinds: list[str],
-                 tgt_kinds: list[str]) -> list[list[int]]:
+                 tgt_kinds: list[str],
+                 sstarts: list[int] | None = None) -> list[list[int]]:
     """The arrow matrix whose free-orbit level over GF(2) is ``theta``,
     which must be C2-equivariant, as ``orbit_matrix`` and every basis
-    move keep it.  Each arrow is read off the first row of its block:
-    from an F to an F the bits of the code are the coefficients of 1 and
-    t, and every other block's first row is zero or all ones."""
-    # per free-orbit column, its source and the code bit it holds from an F
-    cols = []
-    for s, k in enumerate(src_kinds):
-        cols.append((s, 1))
-        if k == "F":
-            cols.append((s, 2))
-    out, start, n = [], 0, len(src_kinds)
+    move keep it.  Each arrow is read off the first row of its block, at
+    its source's first coordinate (``sstarts``, from ``orbit_starts``):
+    from an F to an F the two bits there are the coefficients of 1 and t,
+    and every other block's first row is zero or all ones."""
+    if sstarts is None:
+        sstarts = orbit_starts(src_kinds)
+    # the (shift, mask) of each source's arrow into an F, and into an H
+    to_f = ([(j, 3 if k == "F" else 1) for j, k in zip(sstarts, src_kinds)]
+            if "F" in tgt_kinds else None)
+    to_h = [(j, 1) for j in sstarts[:-1]] if "H" in tgt_kinds else None
+    out, start = [], 0
     for kt in tgt_kinds:
-        row = [0] * n
-        for j in theta.row_support(start):
-            s, bit = cols[j]
-            row[s] |= bit if kt == "F" else 1
-        out.append(row)
-        start += 2 if kt == "F" else 1
+        if kt == "F":
+            out.append(theta.row_fields(start, to_f))
+            start += 2
+        else:
+            out.append(theta.row_fields(start, to_h))
+            start += 1
     return out
 
 
@@ -286,20 +298,18 @@ def validate_complex(c: FreeComplex) -> list[str]:
             out.append(f"differential into degree {c.min_degree + i} has the "
                        f"wrong shape")
             continue
-        arrows = []     # as _nonzero_arrows lists them
-        for r, row in enumerate(m):
-            kt = tk[r]
+        # orbit_matrix's loop, with every code checked on the way
+        sstarts, tstarts, blocks = starts[i + 1], starts[i], []
+        for kt, t0, row in zip(tk, tstarts, m):
+            of_kind = _ORBIT_BLOCKS[kt]
             for s, e in enumerate(row):
                 if e == 0 and type(e) is int:     # the common, legal case
                     continue
                 if not entry_ok(sk[s], kt, e):
-                    out.append(
-                        f"illegal arrow {e!r} in slot "
-                        f"({sk[s]}->{kt}) of the differential into degree "
-                        f"{c.min_degree + i}")
+                    out.append(illegal_arrow(sk[s], kt, e, c.min_degree + i))
                 elif e:
-                    arrows.append((r, s, (sk[s], kt, e)))
-        theta.append(_orbit_level(arrows, starts[i + 1], starts[i], 2))
+                    blocks.append((t0, sstarts[s], of_kind[sk[s]][e]))
+        theta.append(FMatrix.from_blocks(tstarts[-1], sstarts[-1], blocks))
     if out:
         return out
     # d*d = 0 exactly when the product of the free-orbit levels is zero
@@ -391,25 +401,50 @@ def shift_complex(c: FreeComplex, s: int) -> FreeComplex:
 
 
 def direct_sum_complexes(parts: list[FreeComplex]) -> FreeComplex:
+    """The direct sum of ``parts`` in canonical order: in each degree the
+    F generators of the parts, part by part, then their H generators,
+    between the lowest and the highest degree that holds a generator."""
     parts = [p for p in parts if not p.is_zero()]
     if not parts:
         return FreeComplex(0, [[]], [])
-    lo = min(p.min_degree for p in parts)
-    hi = max(p.max_degree for p in parts)
-    gens = [[] for _ in range(hi - lo + 1)]
-    offsets = []
+    lo = min(p.min_degree + next(i for i, k in enumerate(p.gens) if k)
+             for p in parts)
+    hi = max(p.max_degree - next(i for i, k in enumerate(p.gens[::-1]) if k)
+             for p in parts)
+    nf = [0] * (hi - lo + 1)
     for p in parts:
-        offs = {}
-        for d in p.degrees():
-            offs[d] = len(gens[d - lo])
-            gens[d - lo].extend(p.gens_at(d))
-        offsets.append(offs)
-    diffs = [_placed_arrows(len(gens[d - 1 - lo]), len(gens[d - lo]),
-                            [(offs[d - 1], offs[d], p.diff(d))
-                             for p, offs in zip(parts, offsets)
-                             if p.min_degree < d <= p.max_degree])
-             for d in range(lo + 1, hi + 1)]
-    return _canonicalize(FreeComplex(lo, gens, diffs))
+        for li, kinds in enumerate(p.gens, p.min_degree - lo):
+            if kinds:
+                nf[li] += kinds.count("F")
+    # each part's generators, per degree, at their places in the sum
+    fnext, hnext, places = [0] * len(nf), nf[:], []
+    for p in parts:
+        at = []
+        for li, kinds in enumerate(p.gens, p.min_degree - lo):
+            row = []
+            for k in kinds:
+                if k == "F":
+                    row.append(fnext[li])
+                    fnext[li] += 1
+                else:
+                    row.append(hnext[li])
+                    hnext[li] += 1
+            at.append(row)
+        places.append(at)
+    gens = [["F"] * f + ["H"] * (n - f) for f, n in zip(nf, hnext)]
+    diffs = [zero_matrix(len(tk), len(sk)) for tk, sk in zip(gens, gens[1:])]
+    for p, at in zip(parts, places):
+        off = p.min_degree - lo
+        for i, m in enumerate(p.diffs):
+            if not 0 <= i + off < len(diffs):
+                continue        # into or out of a degree with no generator
+            out = diffs[i + off]
+            for r, row in zip(at[i], m):
+                dst = out[r]
+                for s, e in zip(at[i + 1], row):
+                    if e:
+                        dst[s] = e
+    return FreeComplex(lo, gens, diffs)
 
 
 # -- chain maps ----------------------------------------------------------
@@ -458,7 +493,16 @@ class ChainMap:
 
 
 def validate_chain_map(f: ChainMap) -> list[str]:
+    """Violations of f: first those of its source and target (one check
+    when they are the same complex), then component shapes and arrows,
+    then d f = f d."""
     out = []
+    for what, c in (("source", f.source), ("target", f.target)):
+        if what == "source" or c is not f.source:
+            out += [f"{what} is not a valid complex: {v}"
+                    for v in validate_complex(c)]
+    if out:
+        return out
     for d, m in f.components.items():
         sk = f.source.gens_at(d)
         tk = f.target.gens_at(d + f.degree)
@@ -542,11 +586,9 @@ def realize(c: FreeComplex, ell: int = 2) -> tuple[list[MackeyModule], list[Mack
         try:
             maps.append(realize_map(c.gens[i + 1], c.gens[i], m, ell,
                                     mods[i + 1], mods[i]))
-        except KeyError as exc:     # the block table holds every legal arrow
-            ks, kt, e = exc.args[0]
-            raise ValueError(f"illegal arrow {e!r} in slot ({ks}->{kt}) of "
-                             f"the differential into degree "
-                             f"{c.min_degree + i}") from None
+        except KeyError as exc:     # the block tables hold every legal arrow
+            raise ValueError(illegal_arrow(*exc.args[0],
+                                           c.min_degree + i)) from None
     return mods, maps
 
 
@@ -568,16 +610,6 @@ def realize_term(kinds: list[str], ell: int = 2) -> MackeyModule:
     return direct_sum(*[summand[k] for k in kinds])
 
 
-def orbit_starts(kinds: list[str]) -> list[int]:
-    """The first free-orbit coordinate of each generator of a sum of
-    ``kinds`` (two for an F, one for an H), then the number of
-    coordinates."""
-    out = [0]
-    for k in kinds:
-        out.append(out[-1] + (2 if k == "F" else 1))
-    return out
-
-
 def realize_map(src_kinds: list[str], tgt_kinds: list[str],
                 entries: list[list[int]], ell: int,
                 src: MackeyModule | None = None,
@@ -588,14 +620,27 @@ def realize_map(src_kinds: list[str], tgt_kinds: list[str],
         tgt = realize_term(tgt_kinds, ell)
     arrows = _nonzero_arrows(entries, src_kinds, tgt_kinds)
     blocks = _block_table(ell)
+    if ell == 2:
+        theta = orbit_matrix(entries, src_kinds, tgt_kinds)
+    else:
+        sstarts, tstarts = orbit_starts(src_kinds), orbit_starts(tgt_kinds)
+        theta = FMatrix.placed(ell, tstarts[-1], sstarts[-1],
+                               [(tstarts[r], sstarts[s], blocks[arrow][0])
+                                for r, s, arrow in arrows])
     return MackeyMap(
-        src, tgt, _orbit_level(arrows, orbit_starts(src_kinds),
-                               orbit_starts(tgt_kinds), ell),
+        src, tgt, theta,
         FMatrix.placed(ell, tgt.dim_dot, src.dim_dot,
                        [(r, s, blocks[arrow][1]) for r, s, arrow in arrows]))
 
 
 # -- the free-orbit codec (its reader, ``arrow_matrix``, sits by theta_block)
+
+def illegal_arrow(ks: str, kt: str, e, degree: int) -> str:
+    """The violation of an arrow code ``e`` that its slot ks -> kt of the
+    differential into ``degree`` does not have."""
+    return (f"illegal arrow {e!r} in slot ({ks}->{kt}) of the differential "
+            f"into degree {degree}")
+
 
 def _nonzero_arrows(m: list[list[int]], src_kinds: list[str],
                     tgt_kinds: list[str]) -> list[tuple[int, int, tuple]]:
@@ -623,26 +668,36 @@ def _block_table(ell: int) -> dict[tuple, tuple[FMatrix, FMatrix]]:
     return out
 
 
-def _orbit_level(arrows, sstarts: list[int], tstarts: list[int],
-                 ell: int) -> FMatrix:
-    """The free-orbit matrix holding the block of each of ``arrows`` (from
-    ``_nonzero_arrows``) at its generators' slots, which start at
-    ``sstarts`` and ``tstarts`` (from ``orbit_starts``)."""
-    blocks = _block_table(ell)
-    return FMatrix.placed(ell, tstarts[-1], sstarts[-1],
-                          [(tstarts[r], sstarts[s], blocks[arrow][0])
-                           for r, s, arrow in arrows])
+# target kind -> source kind -> code -> the GF(2) theta_block of every
+# nonzero arrow, the bit patterns the codec adds into place
+_ORBIT_BLOCKS = {kt: {ks: {e: theta_block(ks, kt, e)
+                     for e in range(1, len(_ARROW_NAMES[ks, kt]))}
+                for ks in "FH"}
+           for kt in "FH"}
 
 
 def orbit_matrix(m: list[list[int]], src_kinds: list[str],
-                 tgt_kinds: list[str]) -> FMatrix:
+                 tgt_kinds: list[str], sstarts: list[int] | None = None,
+                 tstarts: list[int] | None = None) -> FMatrix:
     """The free-orbit level over GF(2) of the arrow matrix ``m`` from
     generators of kinds ``src_kinds`` to ``tgt_kinds``: its rows and
-    columns are the free-orbit coordinates (``orbit_starts``), and each
-    arrow sits there as its ``theta_block``.  ``arrow_matrix`` reads it
-    back."""
-    return _orbit_level(_nonzero_arrows(m, src_kinds, tgt_kinds),
-                        orbit_starts(src_kinds), orbit_starts(tgt_kinds), 2)
+    columns are the free-orbit coordinates (``orbit_starts``, which the
+    caller may pass), and each arrow sits there as its ``theta_block``.
+    ``arrow_matrix`` reads it back.  An arrow code that its slot does not
+    have raises KeyError((source kind, target kind, code))."""
+    if sstarts is None:
+        sstarts = orbit_starts(src_kinds)
+    if tstarts is None:
+        tstarts = orbit_starts(tgt_kinds)
+    blocks, theta = [], _ORBIT_BLOCKS
+    try:
+        for kt, t0, row in zip(tgt_kinds, tstarts, m):
+            for s, e in enumerate(row):
+                if e:
+                    blocks.append((t0, sstarts[s], theta[kt][src_kinds[s]][e]))
+    except KeyError:
+        raise KeyError((src_kinds[s], kt, e)) from None
+    return FMatrix.from_blocks(tstarts[-1], sstarts[-1], blocks)
 
 
 def _subquotient(mod: MackeyModule, d_out: MackeyMap, d_in: MackeyMap,
@@ -995,6 +1050,11 @@ def hom_delta(x: FreeComplex, y: FreeComplex, n: int) -> FMatrix:
     """The differential Hom(x, y)_n -> Hom(x, y)_{n-1}, f |-> d f + f d;
     a non-complex raises ValueError naming its first violation."""
     _require_complexes(x, y)
+    return _hom_delta(x, y, n)
+
+
+def _hom_delta(x: FreeComplex, y: FreeComplex, n: int) -> FMatrix:
+    """``hom_delta`` of two complexes already validated."""
     nrows, cols = _hom_columns(x, y, n, n)[0]
     return FMatrix.from_bits(cols, nrows).transpose()
 
@@ -1051,13 +1111,13 @@ def chain_map_from_vector(x: FreeComplex, y: FreeComplex, n: int,
 
 def null_homotopy(f: ChainMap) -> ChainMap | None:
     """A degree-(n+1) map h with f = d h + h d, or None if f is not a
-    boundary in the mapping complex; a source or target that is not a
-    complex raises ValueError naming its first violation."""
-    _require_complexes(f.source, f.target)
+    boundary in the mapping complex; a map that fails
+    ``validate_chain_map``, a source or target that is not a complex
+    among them, raises ValueError listing its violations."""
     _, vec = chain_map_vector(f)
     if not any(vec):
         return ChainMap(f.source, f.target, {}, f.degree + 1)
-    delta = hom_delta(f.source, f.target, f.degree + 1)
+    delta = _hom_delta(f.source, f.target, f.degree + 1)
     sol = delta.solve(vec)
     if sol is None:
         return None

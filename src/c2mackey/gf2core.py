@@ -196,8 +196,10 @@ class FMatrix:
             rows, orows = [], other.rows
             for r in self.rows:
                 acc = 0
-                for k in _set_bits(r):
-                    acc ^= orows[k]
+                while r:
+                    low = r & -r
+                    acc ^= orows[low.bit_length() - 1]
+                    r ^= low
                 rows.append(acc)
         else:
             # entry (i, j): one dot product of row i and column j of other
@@ -217,13 +219,12 @@ class FMatrix:
         ell = self.ell
         return [sum(a * b for a, b in zip(r, v)) % ell for r in self.rows]
 
-    def row_support(self, i: int) -> list[int]:
-        """The columns of the nonzero entries of row i, in increasing
-        order."""
+    def row_fields(self, i: int, fields) -> list[int]:
+        """GF(2) only: for each (shift, mask) of ``fields``, the entries of
+        row i from column ``shift`` on, as the bits of an int, under
+        ``mask``."""
         r = self.rows[i]
-        if self.ell == 2:
-            return _set_bits(r)
-        return [j for j, v in enumerate(r) if v]
+        return [r >> shift & mask for shift, mask in fields]
 
     def _entries(self):
         """(i, j, v) for each nonzero entry v at (i, j), row by row."""
@@ -267,17 +268,22 @@ class FMatrix:
 
     # -- elementary row operations ----------------------------------------
 
-    def add_rows(self, pairs) -> None:
-        """For each (i, j) of ``pairs`` in turn, add row j to row i (i != j),
-        in place."""
+    def add_row_blocks(self, ops) -> None:
+        """For each (i0, j0, pairs) of ``ops`` in turn, and each (a, b) of
+        ``pairs`` in turn, add row j0 + b to row i0 + a (never a row to
+        itself), in place."""
         rows = self.rows
         if self.ell == 2:
-            for i, j in pairs:
-                rows[i] ^= rows[j]
+            for i0, j0, pairs in ops:
+                for a, b in pairs:
+                    rows[i0 + a] ^= rows[j0 + b]
         else:
             ell = self.ell
-            for i, j in pairs:
-                rows[i] = [(a + b) % ell for a, b in zip(rows[i], rows[j])]
+            for i0, j0, pairs in ops:
+                for a, b in pairs:
+                    i = i0 + a
+                    rows[i] = [(x + y) % ell
+                               for x, y in zip(rows[i], rows[j0 + b])]
 
     # -- block structure ------------------------------------------------
 
@@ -306,6 +312,22 @@ class FMatrix:
                 for i, r in enumerate(b.rows, i0):
                     rows[i][j0:j1] = r
         return out
+
+    @staticmethod
+    def from_blocks(nrows: int, ncols: int, blocks) -> "FMatrix":
+        """GF(2) only: ``placed`` without its per-block checks, for blocks
+        the caller has laid out inside the matrix.  Each (i0, j0, FMatrix)
+        triple of ``blocks`` is a GF(2) block added in with its top left
+        corner at (i0, j0), so blocks that overlap add; one that reaches
+        past column ncols raises ValueError."""
+        rows = [0] * nrows
+        for i, j0, b in blocks:
+            for r in b.rows:
+                rows[i] ^= r << j0
+                i += 1
+        if rows and max(rows) >> ncols:
+            raise ValueError(f"a block does not fit in {ncols} columns")
+        return FMatrix(2, nrows, ncols, rows)
 
     @staticmethod
     def hstack(blocks: list["FMatrix"]) -> "FMatrix":
@@ -381,11 +403,15 @@ class FMatrix:
             if piv[c] != 1:
                 inv = pow(piv[c], -1, ell)
                 piv = rows[r] = [v * inv % ell for v in piv]
+            # the pivot row is zero left of column c, so only the entries
+            # from c on change
+            tail = piv[c:]
             for i in range(self.nrows):
                 f = rows[i][c]
                 if f and i != r:
-                    rows[i] = [(a - f * b) % ell
-                               for a, b in zip(rows[i], piv)]
+                    row = rows[i]
+                    row[c:] = [(a - f * b) % ell
+                               for a, b in zip(row[c:], tail)]
             pivots.append(c)
             r += 1
         return R, pivots

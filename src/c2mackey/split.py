@@ -36,13 +36,14 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import _schema as schema
 from .complexes import (STRAND_SHAPES, ChainMap, FreeComplex, arrow_matrix,
                         check_strand_param, direct_sum_complexes, ecompose,
-                        orbit_matrix, orbit_starts, realize, shift_complex,
-                        strand, strand_edge, strand_param_ok, strand_top,
-                        theta_block, validate_complex)
+                        entry_ok, illegal_arrow, orbit_matrix, orbit_starts,
+                        realize, strand, strand_edge, strand_param_ok,
+                        strand_top, theta_block, validate_complex)
 from .gf2core import FMatrix, is_prime, random_invertible
 from .mackey import (MackeyMap, MackeyModule, conjugate, counts_of_ranks,
                      direct_sum, indecomposable, validate_module, zero_module)
@@ -78,8 +79,11 @@ DISK_KINDS = ("DiskF", "DiskH", "DiskSTheta")
 _STRAND_KINDS = ("A", "Hn", "B", "PtH", "PtSTheta") + DISK_KINDS
 
 
-@dataclass(frozen=True)
-class BasisMove:
+class BasisMove(NamedTuple):
+    """One certificate move: ``variant`` on generators i and j of
+    ``degree``.  A named tuple, so it is immutable, hashable and equal to
+    the plain tuple (degree, variant, i, j)."""
+
     degree: int
     variant: str
     i: int
@@ -150,7 +154,9 @@ def _path_strand(seq: str, top: int, disk: bool) -> Strand | None:
 
 def strand_complex(s: Strand) -> FreeComplex:
     """The canonical complex of one strand or disk, in its place."""
-    return shift_complex(strand(s.kind, s.param), s.shift)
+    c = strand(s.kind, s.param)
+    c.min_degree += s.shift     # a new complex, so no copy to shift
+    return c
 
 
 @dataclass
@@ -198,11 +204,24 @@ def _move_level(c: FreeComplex, mv: BasisMove) -> int:
 
 
 def apply_move(c: FreeComplex, mv: BasisMove) -> None:
-    """Apply one basis move in place (differential bookkeeping only)."""
-    _move_level(c, mv)
-    d = mv.degree
-    _move_arrows(_MOVE_CODES[mv.variant], mv.i, mv.j,
-                 c.diff(d + 1), c.gens_at(d + 1), c.diff(d), c.gens_at(d - 1))
+    """Apply one basis move in place (differential bookkeeping only).  An
+    illegal move raises ValueError, and so does an arrow code that its
+    slot does not have in the rows and columns of generators i and j, the
+    arrows the move reads and writes."""
+    li = _move_level(c, mv)
+    d, kinds = mv.degree, c.gens[li]
+    rows, above, cols, below = (c.diff(d + 1), c.gens_at(d + 1), c.diff(d),
+                                c.gens_at(d - 1))
+    for g in (mv.i, mv.j):
+        kg = kinds[g]
+        for ks, e in zip(above, rows[g]):
+            if e and not entry_ok(ks, kg, e):
+                raise ValueError(illegal_arrow(ks, kg, e, d))
+        for kt, row in zip(below, cols):
+            if row[g] and not entry_ok(kg, kt, row[g]):
+                raise ValueError(illegal_arrow(kg, kt, row[g], d - 1))
+    _move_arrows(_MOVE_CODES[mv.variant], mv.i, mv.j, rows, above, cols,
+                 below)
 
 
 # variant -> (column codes, row codes) of its arrow phi : kind_i -> kind_j,
@@ -240,14 +259,15 @@ def _move_arrows(codes, i: int, j: int, rows, row_kinds, cols,
             dst[s] ^= row_codes[row_kinds[s]][e]
 
 
-# variant -> its row additions (row of j's slots, row of i's slots), one
-# per nonzero entry of its arrow's free-orbit block; twist_t's block would
-# add i's slots to themselves, so it is their swap, as three additions
+# variant -> (kind_i, kind_j, whether i = j, its row additions (row of
+# j's slots, row of i's slots)), one addition per nonzero entry of its
+# arrow's free-orbit block; twist_t's block would add i's slots to
+# themselves, so it is their swap, as three additions
 _SWAP = ((0, 1), (1, 0), (0, 1))
-_MOVE_BLOCKS = {
-    name: _SWAP if name == "twist_t" else tuple(
+_MOVE_RULES = {
+    name: (ki, kj, name == "twist_t", _SWAP if name == "twist_t" else tuple(
         (a, b) for a, row in enumerate(theta_block(ki, kj, phi).to_rows())
-        for b, v in enumerate(row) if v)
+        for b, v in enumerate(row) if v))
     for name, (ki, kj, phi) in _VARIANTS.items()}
 
 
@@ -255,7 +275,8 @@ def _replay_orbits(c: FreeComplex, certificate: list[BasisMove],
                    with_isos: bool = False):
     """Replay ``certificate`` on the free-orbit levels of ``c`` (see
     ``orbit_matrix``), refusing its first illegal move as ``apply_move``
-    does.
+    does, and then any arrow code that its slot does not have in a
+    differential a move acts on.
 
     A move on generators i, j at level L is the basis change P = 1 + N,
     where N holds its arrow's block at (slots of j, slots of i), or for
@@ -274,21 +295,36 @@ def _replay_orbits(c: FreeComplex, certificate: list[BasisMove],
     ``us[L]`` is U_L and ``vs[L]`` its inverse, the row operations applied
     to the identity in move order, both free-orbit matrices; otherwise
     both are None."""
-    gens = c.gens
-    levels = [_move_level(c, mv) for mv in certificate]
-    starts = {li: orbit_starts(gens[li]) for li in set(levels)}
-    # per level, the row additions (target row, added row) of its moves
-    ops: list[list[tuple[int, int]]] = [[] for _ in gens]
-    for li, mv in zip(levels, certificate):
-        level_starts = starts[li]
-        si, sj = level_starts[mv.i], level_starts[mv.j]
-        append = ops[li].append
-        for a, b in _MOVE_BLOCKS[mv.variant]:
-            append((sj + a, si + b))
+    gens, lo = c.gens, c.min_degree
+    starts = [orbit_starts(kinds) for kinds in gens]
+    # per level, its moves as (first row of j's slots, first row of i's
+    # slots, the row additions of the move's block), kept once a move
+    # passes the checks of _move_level: per degree, the first slot of
+    # each generator by kind, and the level's list of moves
+    ops: list[list[tuple]] = [[] for _ in gens]
+    levels = {}
+    for d, kinds, level_starts, level_ops in zip(c.degrees(), gens, starts,
+                                                 ops):
+        slots: dict[str, dict[int, int]] = {"F": {}, "H": {}}
+        for g, (k, start) in enumerate(zip(kinds, level_starts)):
+            if k in slots:
+                slots[k][g] = start
+        levels[d] = slots, level_ops
+    for mv in certificate:
+        degree, variant, i, j = mv
+        level, rule = levels.get(degree), _MOVE_RULES.get(variant)
+        if level is not None and rule is not None:
+            slots, level_ops = level
+            si, sj = slots[rule[0]].get(i), slots[rule[1]].get(j)
+            if si is not None and sj is not None and (i == j) == rule[2]:
+                level_ops.append((sj, si, rule[3]))
+                continue
+        _move_level(c, mv)      # raises the move's ValueError
+        raise SplitError(f"replay refused the legal move {mv}")
 
     def on_identity(li, level_ops):
-        m = FMatrix.identity(orbit_starts(gens[li])[-1])
-        m.add_rows(level_ops)
+        m = FMatrix.identity(starts[li][-1])
+        m.add_row_blocks(level_ops)
         return m
 
     us = [on_identity(li, reversed(level_ops)) if level_ops or with_isos
@@ -298,12 +334,16 @@ def _replay_orbits(c: FreeComplex, certificate: list[BasisMove],
         if not ops[li] and not ops[li + 1]:
             diffs.append([row[:] for row in m])
             continue
-        d = orbit_matrix(m, gens[li + 1], gens[li])
-        d.add_rows(ops[li])
+        sk, tk, sstarts = gens[li + 1], gens[li], starts[li + 1]
+        try:
+            d = orbit_matrix(m, sk, tk, sstarts, starts[li])
+        except KeyError as exc:     # the codec's table holds every legal arrow
+            raise ValueError(illegal_arrow(*exc.args[0], lo + li)) from None
+        d.add_row_blocks(ops[li])
         if ops[li + 1]:
             d = d.mul(us[li + 1])
-        diffs.append(arrow_matrix(d, gens[li + 1], gens[li]))
-    out = FreeComplex(c.min_degree, [list(k) for k in gens], diffs)
+        diffs.append(arrow_matrix(d, sk, tk, sstarts))
+    out = FreeComplex(lo, [list(k) for k in gens], diffs)
     if not with_isos:
         return out, None, None
     return out, [on_identity(li, level_ops)
@@ -700,8 +740,9 @@ def certificate_isos(c: FreeComplex,
     work, vs, us = _replay_orbits(c, certificate, with_isos=True)
     V, U = {}, {}
     for d, kinds, v, u in zip(c.degrees(), c.gens, vs, us):
-        V[d] = arrow_matrix(v, kinds, kinds)
-        U[d] = arrow_matrix(u, kinds, kinds)
+        starts = orbit_starts(kinds)
+        V[d] = arrow_matrix(v, kinds, kinds, starts)
+        U[d] = arrow_matrix(u, kinds, kinds, starts)
     return ChainMap(c, work, V, 0), ChainMap(work, c, U, 0)
 
 

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import c2mackey.complexes as complexes_module
-from c2mackey.complexes import (U, ChainMap, FreeComplex, _bits,
-                                _canonicalize, _hom_degrees, _nonzero_columns,
-                                arrow_mul, box_chain_map, box_complex,
+from c2mackey.complexes import (U, ChainMap, FreeComplex, _ARROW_NAMES,
+                                _bits, _canonicalize, _hom_degrees,
+                                _nonzero_columns, _placed_arrows,
+                                arrow_matrix, arrow_mul, box_chain_map, box_complex,
                                 chain_map_from_vector, chain_map_vector,
                                 compose_chain_maps, cone, cotens_H,
                                 direct_sum_complexes, ecompose, entry_ok,
@@ -22,7 +23,8 @@ from c2mackey.complexes import (U, ChainMap, FreeComplex, _bits,
                                 homology,
                                 homology_counts,
                                 identity_chain_map, is_null_homotopic,
-                                null_homotopy, realize, realize_map,
+                                null_homotopy, orbit_matrix, orbit_starts,
+                                realize, realize_map,
                                 shift_complex, strand, theta_block,
                                 validate_chain_map, validate_complex,
                                 zero_matrix)
@@ -248,6 +250,66 @@ def test_shift_and_sum():
     assert c.num_gens() == 2 + 3
 
 
+def _build_trim_permute_sum(parts):
+    """``direct_sum_complexes`` the way it was first written: lay the
+    parts side by side in each degree, then trim the empty end degrees and
+    move the F generators before the H's with ``_canonicalize``."""
+    parts = [p for p in parts if not p.is_zero()]
+    if not parts:
+        return FreeComplex(0, [[]], [])
+    lo = min(p.min_degree for p in parts)
+    hi = max(p.max_degree for p in parts)
+    gens = [[] for _ in range(hi - lo + 1)]
+    offsets = []
+    for p in parts:
+        offs = {}
+        for d in p.degrees():
+            offs[d] = len(gens[d - lo])
+            gens[d - lo].extend(p.gens_at(d))
+        offsets.append(offs)
+    diffs = [_placed_arrows(len(gens[d - 1 - lo]), len(gens[d - lo]),
+                            [(offs[d - 1], offs[d], p.diff(d))
+                             for p, offs in zip(parts, offsets)
+                             if p.min_degree < d <= p.max_degree])
+             for d in range(lo + 1, hi + 1)]
+    return _canonicalize(FreeComplex(lo, gens, diffs))
+
+
+def _padded(c, below, above):
+    """``c`` with ``below`` and ``above`` empty degrees added at its
+    ends."""
+    return FreeComplex(c.min_degree - below,
+                       [[]] * below + [list(k) for k in c.gens] + [[]] * above,
+                       [c.diff(d) for d in range(c.min_degree - below + 1,
+                                                 c.max_degree + above + 1)])
+
+
+def test_direct_sum_matches_build_trim_permute():
+    """The sum built in canonical order at once equals the one built side
+    by side and then trimmed and permuted, on random parts: strands,
+    scrambled sums, zero complexes and parts with empty end degrees."""
+    rng = random.Random("direct-sum")
+    for trial in range(300):
+        parts = []
+        for _ in range(rng.randint(0, 5)):
+            roll = rng.random()
+            if roll < 0.15:
+                parts.append(FreeComplex(rng.randint(-3, 3),
+                                         [[]] * rng.randint(1, 3), []))
+                parts[-1].diffs = [[] for _ in parts[-1].gens[1:]]
+                continue
+            if roll < 0.5:
+                c, _ = random_scrambled_complex(rng, max_strands=3)
+            else:
+                c = strand_complex(random_strand(rng, 4))
+            parts.append(_padded(c, rng.randint(0, 2), rng.randint(0, 2)))
+        assert all(validate_complex(p) == [] for p in parts), trial
+        got = direct_sum_complexes(parts)
+        want = _build_trim_permute_sum(parts)
+        assert (got.min_degree, got.gens, got.diffs) == (
+            want.min_degree, want.gens, want.diffs), trial
+
+
 def test_canonicalize_orders_f_before_h():
     c = FreeComplex(0, [["H", "F"]], [])
     assert _canonicalize(c).gens == [["F", "H"]]
@@ -257,6 +319,55 @@ def test_complex_json_roundtrip():
     c = direct_sum_complexes([strand("Hn", -3), shift_complex(strand("A", 2), 1)])
     again = FreeComplex.from_json(json.loads(json.dumps(c.to_json())))
     assert again == c
+
+
+# -- the free-orbit codec -------------------------------------------------------
+
+_LEGAL = st.sampled_from([(ks, kt, e) for (ks, kt), names in _ARROW_NAMES.items()
+                          for e in range(len(names))])
+
+
+@st.composite
+def _arrow_matrices(draw):
+    """(arrow matrix, source kinds, target kinds): each slot holds a legal
+    code of its kind pair, zero more often than not; either side may be
+    empty."""
+    sk = draw(st.lists(st.sampled_from("FH"), max_size=6))
+    tk = draw(st.lists(st.sampled_from("FH"), max_size=6))
+    m = [[draw(st.integers(0, len(_ARROW_NAMES[ks, kt]) - 1))
+          if draw(st.booleans()) else 0 for ks in sk] for kt in tk]
+    return m, sk, tk
+
+
+@settings(max_examples=200, deadline=None)
+@given(_arrow_matrices(), _LEGAL)
+def test_orbit_codec_matches_block_placement(case, legal):
+    """The codec ORs each arrow's theta_block pattern into its slot: the
+    same matrix as placing the blocks one by one with ``FMatrix.placed``,
+    and ``arrow_matrix`` reads the arrows back.  ``legal`` makes every
+    kind pair and code come up as a lone 1 x 1 matrix too."""
+    ks, kt, e = legal
+    for m, sk, tk in (case, ([[e]], [ks], [kt])):
+        ss, ts = orbit_starts(sk), orbit_starts(tk)
+        want = FMatrix.placed(2, ts[-1], ss[-1], [
+            (ts[r], ss[s], theta_block(sk[s], tk[r], m[r][s]))
+            for r in range(len(tk)) for s in range(len(sk)) if m[r][s]])
+        theta = orbit_matrix(m, sk, tk)
+        assert theta == want
+        assert orbit_matrix(m, sk, tk, ss, ts) == want
+        assert arrow_matrix(theta, sk, tk) == m
+        assert arrow_matrix(theta, sk, tk, ss) == m
+
+
+def test_orbit_codec_refuses_codes_its_slot_lacks():
+    """A code past the slot's alphabet, or a negative one, is a KeyError
+    naming the slot and the code, never a pattern from another code."""
+    for (ks, kt), names in _ARROW_NAMES.items():
+        for e in (len(names), 5, -1, -len(names)):
+            m = [[0, 0], [0, e]]
+            with pytest.raises(KeyError) as info:
+                orbit_matrix(m, ["H", ks], ["F", kt])
+            assert info.value.args[0] == (ks, kt, e)
 
 
 # -- realization and homology -------------------------------------------------
@@ -419,6 +530,35 @@ def test_null_homotopy_refuses_non_complexes():
         null_homotopy(identity_chain_map(_FF))
     with pytest.raises(ValueError, match=_BAD_ERR):
         is_null_homotopic(identity_chain_map(_BAD))
+
+
+def test_validate_chain_map_checks_source_and_target_first():
+    """A source or target that is not a complex is reported as such, not
+    a KeyError or an empty list, and a map from a complex to itself
+    validates that complex once."""
+    bad_arrow = "illegal arrow 5 in slot (F->H) of the differential into degree 0"
+    assert validate_chain_map(identity_chain_map(_BAD)) == [
+        f"source is not a valid complex: {bad_arrow}"]
+    assert validate_chain_map(ChainMap(strand("Hn", 0), _BAD, {}, 0)) == [
+        f"target is not a valid complex: {bad_arrow}"]
+    errs = validate_chain_map(ChainMap(_FF, _BAD, {}, 0))
+    assert errs[0].startswith("source is not a valid complex: d*d != 0")
+    assert errs[-1] == f"target is not a valid complex: {bad_arrow}"
+    seen = []
+
+    def counting(c):
+        seen.append(c)
+        return validate_complex(c)
+
+    a2 = strand("A", 2)
+    try:
+        complexes_module.validate_complex = counting
+        assert validate_chain_map(identity_chain_map(a2)) == []
+        assert seen == [a2]
+        assert validate_chain_map(ChainMap(a2, strand("Hn", 0), {}, 0)) == []
+        assert len(seen) == 3
+    finally:
+        complexes_module.validate_complex = validate_complex
 
 
 def test_homology_counts_refuses_an_illegal_arrow():

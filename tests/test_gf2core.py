@@ -246,6 +246,38 @@ def test_row_format_stays_in_gf2core():
     assert offenders == []
 
 
+def test_gf2_block_and_field_helpers():
+    """``from_blocks`` adds its blocks in place as ``placed`` puts them,
+    overlapping ones summed; ``row_fields`` reads masked runs of a row's
+    entries as ints, entry j + b at bit b."""
+    rng = random.Random("gf2-helpers")
+    for _ in range(200):
+        nrows, ncols = rng.randint(0, 6), rng.randint(1, 10)
+        blocks = []
+        for _ in range(rng.randint(0, 5)):
+            h, w = rng.randint(1, 2), rng.randint(1, 3)
+            if h <= nrows and w <= ncols:
+                blocks.append((rng.randint(0, nrows - h),
+                               rng.randint(0, ncols - w),
+                               FMatrix.from_rows([[rng.randrange(2)
+                                                   for _ in range(w)]
+                                                  for _ in range(h)])))
+        want = FMatrix.zeros(nrows, ncols)
+        for b in blocks:
+            want = want.add(FMatrix.placed(2, nrows, ncols, [b]))
+        got = FMatrix.from_blocks(nrows, ncols, blocks)
+        assert got == want and _is_canonical(got)
+        fields = [(rng.randrange(ncols), rng.choice((1, 3, 7)))
+                  for _ in range(4)]
+        for i in range(nrows):
+            assert got.row_fields(i, fields) == [
+                sum(got.get(i, j + b) << b
+                    for b in range(mask.bit_length()) if j + b < ncols)
+                for j, mask in fields]
+    with pytest.raises(ValueError, match="does not fit in 2 columns"):
+        FMatrix.from_blocks(1, 2, [(0, 1, FMatrix.from_rows([[1, 1]]))])
+
+
 def _is_canonical(m):
     """The row format ``__eq__`` relies on: one row per row of ``m``, an
     int below 2^ncols mod 2, a list of ncols residues in [0, l) otherwise."""
@@ -356,13 +388,12 @@ def test_whole_row_ops_match_per_entry_reference(nrows, ncols, k, seed, ell):
     assert solved is not None
     outputs.append(solved)
 
-    # row supports, and row additions against sums taken entry by entry
-    assert [a.row_support(i) for i in range(nrows)] == [
-        [j for j, v in enumerate(r) if v] for r in entries]
+    # row additions against sums taken entry by entry
     pairs = [(i, j) for i, j in ((rng.randrange(nrows), rng.randrange(nrows))
                                  for _ in range(4 if nrows else 0)) if i != j]
     added, want_rows = a.copy(), [list(r) for r in entries]
-    added.add_rows(pairs)
+    # each addition as a block at (i, 0) of one pair, offset by (0, j)
+    added.add_row_blocks([(i, 0, ((0, j),)) for i, j in pairs])
     for i, j in pairs:
         want_rows[i] = [(x + y) % ell for x, y in zip(want_rows[i],
                                                        want_rows[j])]

@@ -710,6 +710,43 @@ def test_apply_move_bounds_checking():
         apply_move(strand("Hn", 0), BasisMove(0, "twist_t", 0, 0))
 
 
+def test_illegal_arrows_are_refused_on_the_replay_path():
+    """An arrow code that its slot does not have (5, or a negative one, in
+    an F -> H slot) is refused with a ValueError naming the slot by
+    ``apply_move``, ``replay`` and ``certificate_isos`` on a legal move,
+    and ``verify_certificate`` says False."""
+    for e in (5, -1):
+        bad = FreeComplex(0, [["H"], ["F"]], [[[e]]])
+        want = re.escape(f"illegal arrow {e} in slot (F->H) of the "
+                         f"differential into degree 0")
+        moves = [BasisMove(1, "twist_t", 0, 0)]
+        for fn in (replay, certificate_isos):
+            with pytest.raises(ValueError, match=want):
+                fn(bad, moves)
+        with pytest.raises(ValueError, match=want):
+            apply_move(bad.copy(), moves[0])
+        assert verify_certificate(bad, Decomposition([], moves)) is False
+        # and in the row of the move's generator, the arrows into it
+        into = FreeComplex(0, [["F"], ["H"]], [[[e]]])
+        with pytest.raises(ValueError, match=re.escape(
+                f"illegal arrow {e} in slot (H->F) of the differential "
+                f"into degree 0")):
+            apply_move(into.copy(), BasisMove(0, "twist_t", 0, 0))
+
+
+def test_basis_move_is_an_immutable_hashable_tuple():
+    mv = BasisMove(2, "add_t", 0, 1)
+    with pytest.raises(AttributeError):
+        mv.i = 3
+    assert hash(mv) == hash(BasisMove(2, "add_t", 0, 1))
+    assert len({mv, BasisMove(2, "add_t", 0, 1), BasisMove(2, "add", 0, 1)}) == 2
+    assert mv == (2, "add_t", 0, 1) and tuple(mv) == (2, "add_t", 0, 1)
+    assert repr(mv) == "BasisMove(degree=2, variant='add_t', i=0, j=1)"
+    assert mv.to_json() == {"degree": 2, "variant": "add_t", "i": 0, "j": 1}
+    again = BasisMove.from_json(json.loads(json.dumps(mv.to_json())))
+    assert again == mv and type(again) is BasisMove
+
+
 def test_decomposition_json_roundtrip():
     import json
     dec = split(FIXTURE)

@@ -294,8 +294,7 @@ class FMatrix:
         left corner at (i0, j0), and zeros elsewhere.  Blocks must not
         overlap.  A block over another field, or one that does not fit,
         raises ValueError."""
-        out = FMatrix(ell, nrows, ncols)
-        rows = out.rows
+        blocks = list(blocks)
         for i0, j0, b in blocks:
             if b.ell != ell:
                 raise ValueError(f"a block over GF({b.ell}) placed in a "
@@ -304,13 +303,14 @@ class FMatrix:
                     or j0 + b.ncols > ncols):
                 raise ValueError(f"a {b.nrows}x{b.ncols} block at ({i0}, "
                                  f"{j0}) does not fit in {nrows}x{ncols}")
-            if ell == 2:
-                for i, r in enumerate(b.rows, i0):
-                    rows[i] |= r << j0
-            else:
-                j1 = j0 + b.ncols
-                for i, r in enumerate(b.rows, i0):
-                    rows[i][j0:j1] = r
+        if ell == 2:
+            return FMatrix.from_blocks(nrows, ncols, blocks)
+        out = FMatrix(ell, nrows, ncols)
+        rows = out.rows
+        for i0, j0, b in blocks:
+            j1 = j0 + b.ncols
+            for i, r in enumerate(b.rows, i0):
+                rows[i][j0:j1] = r
         return out
 
     @staticmethod
@@ -318,8 +318,8 @@ class FMatrix:
         """GF(2) only: ``placed`` without its per-block checks, for blocks
         the caller has laid out inside the matrix.  Each (i0, j0, FMatrix)
         triple of ``blocks`` is a GF(2) block added in with its top left
-        corner at (i0, j0), so blocks that overlap add; one that reaches
-        past column ncols raises ValueError."""
+        corner at (i0, j0), so blocks that overlap add; a block that
+        reaches past column ncols raises ValueError."""
         rows = [0] * nrows
         for i, j0, b in blocks:
             for r in b.rows:

@@ -206,22 +206,21 @@ def _move_level(c: FreeComplex, mv: BasisMove) -> int:
 def apply_move(c: FreeComplex, mv: BasisMove) -> None:
     """Apply one basis move in place (differential bookkeeping only).  An
     illegal move raises ValueError, and so does an arrow code that its
-    slot does not have in the rows and columns of generators i and j, the
-    arrows the move reads and writes."""
+    slot does not have among the arrows the move reads: those into
+    generator i and those out of generator j.  The arrows it writes gain
+    legal codes by XOR, which keeps an illegal code illegal."""
     li = _move_level(c, mv)
-    d, kinds = mv.degree, c.gens[li]
+    d, i, j = mv.degree, mv.i, mv.j
     rows, above, cols, below = (c.diff(d + 1), c.gens_at(d + 1), c.diff(d),
                                 c.gens_at(d - 1))
-    for g in (mv.i, mv.j):
-        kg = kinds[g]
-        for ks, e in zip(above, rows[g]):
-            if e and not entry_ok(ks, kg, e):
-                raise ValueError(illegal_arrow(ks, kg, e, d))
-        for kt, row in zip(below, cols):
-            if row[g] and not entry_ok(kg, kt, row[g]):
-                raise ValueError(illegal_arrow(kg, kt, row[g], d - 1))
-    _move_arrows(_MOVE_CODES[mv.variant], mv.i, mv.j, rows, above, cols,
-                 below)
+    ki, kj = c.gens[li][i], c.gens[li][j]
+    for ks, e in zip(above, rows[i]):
+        if e and not entry_ok(ks, ki, e):
+            raise ValueError(illegal_arrow(ks, ki, e, d))
+    for kt, row in zip(below, cols):
+        if row[j] and not entry_ok(kj, kt, row[j]):
+            raise ValueError(illegal_arrow(kj, kt, row[j], d - 1))
+    _move_arrows(_MOVE_CODES[mv.variant], i, j, rows, above, cols, below)
 
 
 # variant -> (column codes, row codes) of its arrow phi : kind_i -> kind_j,

@@ -296,10 +296,10 @@ def _replay_orbits(c: FreeComplex, certificate: list[BasisMove],
     both are None."""
     gens, lo = c.gens, c.min_degree
     starts = [orbit_starts(kinds) for kinds in gens]
-    # per level, its moves as (first row of j's slots, first row of i's
-    # slots, the row additions of the move's block), kept once a move
-    # passes the checks of _move_level: per degree, the first slot of
-    # each generator by kind, and the level's list of moves
+    # per level, its moves, each as (first row of j's slots, first row of
+    # i's slots, the row additions of its block); per degree, each
+    # generator's first slot by kind, against which every move is checked
+    # as _move_level checks it
     ops: list[list[tuple]] = [[] for _ in gens]
     levels = {}
     for d, kinds, level_starts, level_ops in zip(c.degrees(), gens, starts,

@@ -80,16 +80,14 @@ def orbit_starts(kinds: list[str]) -> list[int]:
 
 
 def arrow_matrix(theta: FMatrix, src_kinds: list[str],
-                 tgt_kinds: list[str],
-                 sstarts: list[int] | None = None) -> list[list[int]]:
+                 tgt_kinds: list[str]) -> list[list[int]]:
     """The arrow matrix whose free-orbit level over GF(2) is ``theta``,
     which must be C2-equivariant, as ``orbit_matrix`` and every basis
     move keep it.  Each arrow is read off the first row of its block, at
-    its source's first coordinate (``sstarts``, from ``orbit_starts``):
-    from an F to an F the two bits there are the coefficients of 1 and t,
-    and every other block's first row is zero or all ones."""
-    if sstarts is None:
-        sstarts = orbit_starts(src_kinds)
+    its source's first coordinate (``orbit_starts``): from an F to an F
+    the two bits there are the coefficients of 1 and t, and every other
+    block's first row is zero or all ones."""
+    sstarts = orbit_starts(src_kinds)
     # the (shift, mask) of each source's arrow into an F, and into an H
     to_f = ([(j, 3 if k == "F" else 1) for j, k in zip(sstarts, src_kinds)]
             if "F" in tgt_kinds else None)
@@ -290,7 +288,6 @@ def validate_complex(c: FreeComplex) -> list[str]:
         for k in g:
             if k not in ("F", "H"):
                 return [f"unknown generator kind {k!r}"]
-    starts = [orbit_starts(kinds) for kinds in c.gens]
     theta = []      # the free-orbit level of each differential
     for i, m in enumerate(c.diffs):
         tk, sk = c.gens[i], c.gens[i + 1]
@@ -298,18 +295,13 @@ def validate_complex(c: FreeComplex) -> list[str]:
             out.append(f"differential into degree {c.min_degree + i} has the "
                        f"wrong shape")
             continue
-        # orbit_matrix's loop, with every code checked on the way
-        sstarts, tstarts, blocks = starts[i + 1], starts[i], []
-        for kt, t0, row in zip(tk, tstarts, m):
-            of_kind = _ORBIT_BLOCKS[kt]
-            for s, e in enumerate(row):
-                if e == 0 and type(e) is int:     # the common, legal case
-                    continue
-                if not entry_ok(sk[s], kt, e):
-                    out.append(illegal_arrow(sk[s], kt, e, c.min_degree + i))
-                elif e:
-                    blocks.append((t0, sstarts[s], of_kind[sk[s]][e]))
-        theta.append(FMatrix.from_blocks(tstarts[-1], sstarts[-1], blocks))
+        bad = [illegal_arrow(ks, kt, e, c.min_degree + i)
+               for kt, row in zip(tk, m) for ks, e in zip(sk, row)
+               if (e or type(e) is not int) and not entry_ok(ks, kt, e)]
+        if bad:
+            out += bad
+        elif not out:
+            theta.append(orbit_matrix(m, sk, tk))
     if out:
         return out
     # d*d = 0 exactly when the product of the free-orbit levels is zero
@@ -620,15 +612,12 @@ def realize_map(src_kinds: list[str], tgt_kinds: list[str],
         tgt = realize_term(tgt_kinds, ell)
     arrows = _nonzero_arrows(entries, src_kinds, tgt_kinds)
     blocks = _block_table(ell)
-    if ell == 2:
-        theta = orbit_matrix(entries, src_kinds, tgt_kinds)
-    else:
-        sstarts, tstarts = orbit_starts(src_kinds), orbit_starts(tgt_kinds)
-        theta = FMatrix.placed(ell, tstarts[-1], sstarts[-1],
-                               [(tstarts[r], sstarts[s], blocks[arrow][0])
-                                for r, s, arrow in arrows])
+    sstarts, tstarts = orbit_starts(src_kinds), orbit_starts(tgt_kinds)
     return MackeyMap(
-        src, tgt, theta,
+        src, tgt,
+        FMatrix.placed(ell, tstarts[-1], sstarts[-1],
+                       [(tstarts[r], sstarts[s], blocks[arrow][0])
+                        for r, s, arrow in arrows]),
         FMatrix.placed(ell, tgt.dim_dot, src.dim_dot,
                        [(r, s, blocks[arrow][1]) for r, s, arrow in arrows]))
 
@@ -668,27 +657,23 @@ def _block_table(ell: int) -> dict[tuple, tuple[FMatrix, FMatrix]]:
     return out
 
 
-# target kind -> source kind -> code -> the GF(2) theta_block of every
-# nonzero arrow, the bit patterns the codec adds into place
-_ORBIT_BLOCKS = {kt: {ks: {e: theta_block(ks, kt, e)
-                     for e in range(1, len(_ARROW_NAMES[ks, kt]))}
-                for ks in "FH"}
-           for kt in "FH"}
+# _block_table(2)'s free-orbit blocks as target kind -> source kind ->
+# code -> block, the bit patterns the codec adds into place
+_ORBIT_BLOCKS = {kt: {ks: {e: theta for (a, b, e), (theta, _)
+                          in _block_table(2).items() if (a, b) == (ks, kt)}
+                     for ks in "FH"}
+                for kt in "FH"}
 
 
 def orbit_matrix(m: list[list[int]], src_kinds: list[str],
-                 tgt_kinds: list[str], sstarts: list[int] | None = None,
-                 tstarts: list[int] | None = None) -> FMatrix:
+                 tgt_kinds: list[str]) -> FMatrix:
     """The free-orbit level over GF(2) of the arrow matrix ``m`` from
     generators of kinds ``src_kinds`` to ``tgt_kinds``: its rows and
-    columns are the free-orbit coordinates (``orbit_starts``, which the
-    caller may pass), and each arrow sits there as its ``theta_block``.
-    ``arrow_matrix`` reads it back.  An arrow code that its slot does not
-    have raises KeyError((source kind, target kind, code))."""
-    if sstarts is None:
-        sstarts = orbit_starts(src_kinds)
-    if tstarts is None:
-        tstarts = orbit_starts(tgt_kinds)
+    columns are the free-orbit coordinates (``orbit_starts``), and each
+    arrow sits there as its ``theta_block``.  ``arrow_matrix`` reads it
+    back.  An arrow code that its slot does not have raises
+    KeyError((source kind, target kind, code))."""
+    sstarts, tstarts = orbit_starts(src_kinds), orbit_starts(tgt_kinds)
     blocks, theta = [], _ORBIT_BLOCKS
     try:
         for kt, t0, row in zip(tgt_kinds, tstarts, m):

@@ -181,6 +181,8 @@ def _move_level(c: FreeComplex, mv: BasisMove) -> int:
     """The level of ``c`` that ``mv`` acts on; raises ValueError if the
     move is not legal there."""
     variant, i, j = mv.variant, mv.i, mv.j
+    if type(mv.degree) is not int or type(i) is not int or type(j) is not int:
+        raise ValueError(f"move degree and indices must be integers: {mv}")
     li = mv.degree - c.min_degree
     if not 0 <= li < len(c.gens):
         raise ValueError(f"move degree {mv.degree} outside the complex")
@@ -299,7 +301,7 @@ def _replay_orbits(c: FreeComplex, certificate: list[BasisMove],
     # per level, its moves, each as (first row of j's slots, first row of
     # i's slots, the row additions of its block); per degree, each
     # generator's first slot by kind, against which every move is checked
-    # as _move_level checks it
+    # as _move_level checks it (dicts match 1.0 to 1, so the types too)
     ops: list[list[tuple]] = [[] for _ in gens]
     levels = {}
     for d, kinds, level_starts, level_ops in zip(c.degrees(), gens, starts,
@@ -312,7 +314,8 @@ def _replay_orbits(c: FreeComplex, certificate: list[BasisMove],
     for mv in certificate:
         degree, variant, i, j = mv
         level, rule = levels.get(degree), _MOVE_RULES.get(variant)
-        if level is not None and rule is not None:
+        if (level is not None and rule is not None
+                and type(degree) is type(i) is type(j) is int):
             slots, level_ops = level
             si, sj = slots[rule[0]].get(i), slots[rule[1]].get(j)
             if si is not None and sj is not None and (i == j) == rule[2]:
@@ -333,15 +336,15 @@ def _replay_orbits(c: FreeComplex, certificate: list[BasisMove],
         if not ops[li] and not ops[li + 1]:
             diffs.append([row[:] for row in m])
             continue
-        sk, tk, sstarts = gens[li + 1], gens[li], starts[li + 1]
+        sk, tk = gens[li + 1], gens[li]
         try:
-            d = orbit_matrix(m, sk, tk, sstarts, starts[li])
+            d = orbit_matrix(m, sk, tk)
         except KeyError as exc:     # the codec's table holds every legal arrow
             raise ValueError(illegal_arrow(*exc.args[0], lo + li)) from None
         d.add_row_blocks(ops[li])
         if ops[li + 1]:
             d = d.mul(us[li + 1])
-        diffs.append(arrow_matrix(d, sk, tk, sstarts))
+        diffs.append(arrow_matrix(d, sk, tk))
     out = FreeComplex(lo, [list(k) for k in gens], diffs)
     if not with_isos:
         return out, None, None
@@ -739,9 +742,8 @@ def certificate_isos(c: FreeComplex,
     work, vs, us = _replay_orbits(c, certificate, with_isos=True)
     V, U = {}, {}
     for d, kinds, v, u in zip(c.degrees(), c.gens, vs, us):
-        starts = orbit_starts(kinds)
-        V[d] = arrow_matrix(v, kinds, kinds, starts)
-        U[d] = arrow_matrix(u, kinds, kinds, starts)
+        V[d] = arrow_matrix(v, kinds, kinds)
+        U[d] = arrow_matrix(u, kinds, kinds)
     return ChainMap(c, work, V, 0), ChainMap(work, c, U, 0)
 
 

@@ -354,9 +354,7 @@ def test_orbit_codec_matches_block_placement(case, legal):
             for r in range(len(tk)) for s in range(len(sk)) if m[r][s]])
         theta = orbit_matrix(m, sk, tk)
         assert theta == want
-        assert orbit_matrix(m, sk, tk, ss, ts) == want
         assert arrow_matrix(theta, sk, tk) == m
-        assert arrow_matrix(theta, sk, tk, ss) == m
 
 
 def test_orbit_codec_refuses_codes_its_slot_lacks():

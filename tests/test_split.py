@@ -734,6 +734,28 @@ def test_illegal_arrows_are_refused_on_the_replay_path():
             apply_move(into.copy(), BasisMove(0, "twist_t", 0, 0))
 
 
+def test_moves_with_non_integer_fields_are_refused():
+    """A move whose degree or index only equals an integer (1.0 == 1) is
+    refused with one ValueError by ``apply_move``, ``replay`` and
+    ``certificate_isos``, though a dict would match it to the integer's
+    generator, and ``verify_certificate`` says False."""
+    dec = split(FIXTURE)
+    assert dec.certificate and verify_certificate(FIXTURE, dec)
+    for k, mv in enumerate(dec.certificate[:3]):
+        for name in ("degree", "i", "j"):
+            bad = mv._replace(**{name: float(getattr(mv, name))})
+            moves = dec.certificate[:k] + [bad] + dec.certificate[k + 1:]
+            want = re.escape(f"move degree and indices must be integers: "
+                             f"{bad}")
+            with pytest.raises(ValueError, match=want):
+                apply_move(FIXTURE.copy(), bad)
+            for fn in (replay, certificate_isos):
+                with pytest.raises(ValueError, match=want):
+                    fn(FIXTURE, moves)
+            assert not verify_certificate(FIXTURE,
+                                          Decomposition(dec.strands, moves))
+
+
 def test_basis_move_is_an_immutable_hashable_tuple():
     mv = BasisMove(2, "add_t", 0, 1)
     with pytest.raises(AttributeError):

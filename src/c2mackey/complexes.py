@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import product
+from itertools import accumulate, product
 
 from . import _schema as schema
 from .gf2core import FMatrix
@@ -272,9 +272,9 @@ def arrow_mul(later: list[list[int]], earlier: list[list[int]],
 
 def _require_complexes(*cs: FreeComplex) -> None:
     """Raise ValueError naming the first violation of the first of ``cs``
-    that ``validate_complex`` refuses."""
-    for c in cs:
-        bad = validate_complex(c)
+    that ``validate_complex`` refuses, checking a repeated complex once."""
+    for k, c in enumerate(cs):
+        bad = [] if any(c is b for b in cs[:k]) else validate_complex(c)
         if bad:
             raise ValueError(f"not a valid complex: {bad[0]}")
 
@@ -486,13 +486,15 @@ class ChainMap:
 
 def validate_chain_map(f: ChainMap) -> list[str]:
     """Violations of f: first those of its source and target (one check
-    when they are the same complex), then component shapes and arrows,
-    then d f = f d."""
+    when they are the same complex) and a degree that is not an integer,
+    then component shapes and arrows, then d f = f d."""
     out = []
     for what, c in (("source", f.source), ("target", f.target)):
         if what == "source" or c is not f.source:
             out += [f"{what} is not a valid complex: {v}"
                     for v in validate_complex(c)]
+    if type(f.degree) is not int:
+        out.append(f"degree {f.degree!r} is not an integer")
     if out:
         return out
     for d, m in f.components.items():
@@ -920,22 +922,10 @@ def cotens_H(c: FreeComplex) -> FreeComplex:
 
 # -- the hom complex -------------------------------------------------------
 
-def _bits(e: int) -> tuple[int, ...]:
-    """The Hom-basis coordinates w of the arrow code ``e``."""
-    return ((), (0,), (1,), (0, 1))[e]
-
-
-def hom_basis(x: FreeComplex, y: FreeComplex, n: int) -> list[tuple]:
-    """Basis of Hom(x, y)_n: elements (i, src, tgt, w) whose arrow is
-    1 << w, so that an arrow's coordinates are the bits of its code (F->F
-    has the two-element basis {1, t})."""
-    out = []
-    for i in _hom_degrees(x, y, n):
-        for s, ks in enumerate(x.gens_at(i)):
-            for t_, kt in enumerate(y.gens_at(i + n)):
-                out += [(i, s, t_, w)
-                        for w in range(2 if ks == kt == "F" else 1)]
-    return out
+def _require_int(value, what: str) -> None:
+    """Raise ValueError naming ``what`` unless ``value`` is an int."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
 
 
 def _hom_degrees(x: FreeComplex, y: FreeComplex, n: int) -> range:
@@ -944,169 +934,175 @@ def _hom_degrees(x: FreeComplex, y: FreeComplex, n: int) -> range:
                  min(x.max_degree, y.max_degree - n) + 1)
 
 
-def _hom_columns(x: FreeComplex, y: FreeComplex, n0: int,
-                 n1: int) -> list[tuple[int, list[int]]]:
-    """For n = n0..n1, the differential Hom(x, y)_n -> Hom(x, y)_(n-1) of
-    ``hom_delta`` as (number of rows, its columns as GF(2) bitsets).
+class _HomComplex:
+    """The mapping complex Hom(x, y) of two complexes the caller has
+    validated, with the tables of x and y built once for every degree.
 
-    Hom_m is laid out as ``hom_basis`` lists it: the block of maps
-    x_i -> y_(i+m) starts at a prefix offset, and in it the element
-    (s, t, w) sits at s * len(y_(i+m)) + fx[s] * fy[-1] + t + w, plus fy[t]
-    when x_i[s] is an F, with fx and fy the F's before each generator of
-    x_i and y_(i+m).  A composite arrow's basis coordinates are its bits, so
-    it enters a column shifted to its element's w = 0 slot.  The tables of
-    x and y are built once and shared by every n.
-    """
-    def fprefix(kinds):
-        out = [0]
-        for k in kinds:
-            out.append(out[-1] + (k == "F"))
+    Hom_n has an element (i, s, t, w) per generator s of x_i, t of y_(i+n)
+    and arrow 1 << w between them, so an arrow's coordinates are the bits
+    of its code.  It sits at ``starts[i][s] + slots[i + n][x_i[s]][t] + w``
+    (``_starts(n)``), where slots[j]["F"][t] is t plus the F's before y_j[t]
+    and slots[j]["H"][t] is t; each slot list ends with its length."""
+
+    def __init__(self, x: FreeComplex, y: FreeComplex):
+        self.x, self.y = x, y
+        self._xk = xk = {i: x.gens_at(i)
+                         for i in range(x.min_degree, x.max_degree + 2)}
+        self._yk = yk = {j: y.gens_at(j)
+                         for j in range(y.min_degree - 1, y.max_degree + 1)}
+        self._slots = slots = {
+            j: {"F": [0, *accumulate(1 + (k == "F") for k in kinds)],
+                "H": range(len(kinds) + 1)} for j, kinds in yk.items()}
+        # xin[i][s][kt, a]: for the basis arrow a from x_i[s] to a kt, its
+        # nonzero composites (s2, x_(i+1)[s2] is an F, v) after d
+        self._xin = xin = {}
+        for i in range(x.min_degree, x.max_degree + 1):
+            k2 = xk[i + 1]
+            xin[i] = rows = []
+            for ks, row in zip(xk[i], x.diff(i + 1)):
+                arrows = [(s2, e) for s2, e in enumerate(row) if e]
+                rows.append({(kt, a): [(s2, k2[s2] == "F", v)
+                                       for s2, e in arrows
+                                       if (v := ecompose(k2[s2], ks, kt, e, a))]
+                             for kt in "FH"
+                             for a in ((1, 2) if ks == kt == "F" else (1,))})
+        # yout[j][t][ks, a]: d y after the basis arrow a from a ks to
+        # y_j[t], as a bitset over that generator's slots in y_(j-1)
+        self._yout = yout = {}
+        for j in range(y.min_degree, y.max_degree + 1):
+            k1, s1 = yk[j - 1], slots[j - 1]
+            yout[j] = pats = []
+            for kt, arrows in zip(yk[j],
+                                  _nonzero_columns(y.diff(j), len(yk[j]))):
+                pat = {}
+                for ks in "FH":
+                    for a in ((1, 2) if ks == kt == "F" else (1,)):
+                        bits = 0
+                        for t2, e in arrows:
+                            bits |= ecompose(ks, kt, k1[t2], a, e) << s1[ks][t2]
+                        pat[ks, a] = bits
+                pats.append(pat)
+
+    def _starts(self, n: int) -> tuple[int, dict[int, list[int]]]:
+        """dim Hom_n, and per degree i where each generator's elements start."""
+        starts, pos = {}, 0
+        for i in _hom_degrees(self.x, self.y, n):
+            slots = self._slots[i + n]
+            starts[i] = row = []
+            for ks in self._xk[i]:
+                row.append(pos)
+                pos += slots[ks][-1]
+        return pos, starts
+
+    def _columns(self, n0: int, n1: int) -> list[tuple[int, list[int]]]:
+        """For n = n0..n1, Hom_n -> Hom_(n-1) as (number of rows, its
+        columns as GF(2) bitsets); a composite arrow enters at its w = 0.
+        d y lands in the block of degree i of Hom_(n-1) and d x in that of
+        i + 1, and nothing lands in a block that Hom_(n-1) lacks."""
+        nrows, below = self._starts(n0 - 1)
+        out = []
+        for n in range(n0, n1 + 1):
+            cols, here = [], {}
+            for i in _hom_degrees(self.x, self.y, n):
+                j = i + n
+                xs, ts, tf = self._xk[i], self._yk[j], self._slots[j]["F"]
+                ypats, xrows = self._yout[j], self._xin[i]
+                ystart = below.get(i) or [0] * len(xs)
+                xstart = below.get(i + 1)
+                # columns come in Hom_n's order: their count is _starts(n)
+                here[i] = starts = []
+                for s, (ks, by) in enumerate(zip(xs, ystart)):
+                    starts.append(len(cols))
+                    for t, kt in enumerate(ts):
+                        for a in ((1, 2) if ks == kt == "F" else (1,)):
+                            col = ypats[t][ks, a] << by
+                            for s2, f2, v in xrows[s][kt, a]:
+                                col |= v << (xstart[s2] + (tf[t] if f2 else t))
+                            cols.append(col)
+            out.append((nrows, cols))
+            nrows, below = len(cols), here
         return out
 
-    xlo, xhi, ylo, yhi = x.min_degree, x.max_degree, y.min_degree, y.max_degree
-    xk = {i: x.gens_at(i) for i in range(xlo, xhi + 2)}
-    yk = {j: y.gens_at(j) for j in range(ylo - 1, yhi + 1)}
-    xf = {i: fprefix(k) for i, k in xk.items()}
-    yf = {j: fprefix(k) for j, k in yk.items()}
-    # xin[i][s][kt, a]: for the basis arrow a from x_i[s] to a kt, its
-    # nonzero composites (s2, fx of s2, x_(i+1)[s2] is an F, v) after d
-    xin = {}
-    for i in range(xlo, xhi + 1):
-        k2, f2 = xk[i + 1], xf[i + 1]
-        xin[i] = rows = []
-        for ks, row in zip(xk[i], x.diff(i + 1)):
-            arrows = [(s2, e) for s2, e in enumerate(row) if e]
-            rows.append({(kt, a): [(s2, f2[s2], k2[s2] == "F", v)
-                                   for s2, e in arrows
-                                   if (v := ecompose(k2[s2], ks, kt, e, a))]
-                         for kt in "FH"
-                         for a in ((1, 2) if ks == kt == "F" else (1,))})
-    # yout[j][t][ks, a]: d y after the basis arrow a from a ks to y_j[t],
-    # as a bitset over the row s = 0 of the block of y_(j-1)
-    yout = {}
-    for j in range(ylo, yhi + 1):
-        k1, f1 = yk[j - 1], yf[j - 1]
-        yout[j] = pats = []
-        for kt, arrows in zip(yk[j], _nonzero_columns(y.diff(j), len(yk[j]))):
-            pat = {}
-            for ks in "FH":
-                for a in ((1, 2) if ks == kt == "F" else (1,)):
-                    bits = 0
-                    for t2, e in arrows:
-                        bits |= ecompose(ks, kt, k1[t2], a, e) << (
-                            t2 + (f1[t2] if ks == "F" else 0))
-                    pat[ks, a] = bits
-            pats.append(pat)
+    def delta(self, n: int) -> FMatrix:
+        """The differential Hom_n -> Hom_(n-1), f |-> d f + f d."""
+        nrows, cols = self._columns(n, n)[0]
+        return FMatrix.from_bits(cols, nrows).transpose()
 
-    # the block offsets of Hom_(n0-1); each delta_n's columns give Hom_n's.
-    # d y lands in the block of degree i and d x in that of i + 1; where
-    # that block is missing the tables above are empty, so its offset is
-    # never used
-    toff, nrows = {}, 0
-    for i in _hom_degrees(x, y, n0 - 1):
-        toff[i] = nrows
-        nrows += (len(xk[i]) * len(yk[i + n0 - 1])
-                  + xf[i][-1] * yf[i + n0 - 1][-1])
-    out = []
-    for n in range(n0, n1 + 1):
-        off, cols = {}, []
-        for i in _hom_degrees(x, y, n):
-            off[i] = len(cols)
-            j = i + n
-            xs, fx, ts, fy = xk[i], xf[i], yk[j], yf[j]
-            ypats, xrows = yout[j], xin[i]
-            ly1, nf1, by0 = len(yk[j - 1]), yf[j - 1][-1], toff.get(i, 0)
-            ly, nf, bx = len(ts), fy[-1], toff.get(i + 1, 0)
-            for s, ks in enumerate(xs):
-                by = by0 + s * ly1 + fx[s] * nf1
-                for t, kt in enumerate(ts):
-                    for a in ((1, 2) if ks == kt == "F" else (1,)):
-                        col = ypats[t][ks, a] << by
-                        for s2, fx2, f2, v in xrows[s][kt, a]:
-                            col |= v << (bx + s2 * ly + fx2 * nf + t
-                                         + (fy[t] if f2 else 0))
-                        cols.append(col)
-        out.append((nrows, cols))
-        toff, nrows = off, len(cols)
-    return out
+    def homology(self, n0: int, n1: int) -> list[int]:
+        """dim H_n for n = n0..n1, from one rank per differential."""
+        deltas = self._columns(n0, n1 + 1)
+        ranks = [FMatrix.from_bits(cols, nrows).rank()
+                 for nrows, cols in deltas]
+        return [len(cols) - r - r1
+                for (_, cols), r, r1 in zip(deltas, ranks, ranks[1:])]
+
+    def vector(self, f: ChainMap) -> list[int]:
+        """The coordinates of a valid map f: x -> y in Hom_(f.degree)."""
+        size, starts = self._starts(f.degree)
+        vec = [0] * size
+        for i, row in starts.items():
+            slots = self._slots[i + f.degree]
+            for t, arrows in enumerate(f.component(i)):
+                for ks, p, e in zip(self._xk[i], row, arrows):
+                    for w in range(e.bit_length()):
+                        vec[p + slots[ks][t] + w] = e >> w & 1
+        return vec
+
+    def chain_map(self, n: int, vec: list[int]) -> ChainMap:
+        """The degree-n map x -> y with coordinates ``vec``, the int 0 or 1
+        per element of Hom_n; any other vector raises ValueError."""
+        size, starts = self._starts(n)
+        if len(vec) != size or {*map(type, vec)} - {int} or {*vec} - {0, 1}:
+            raise ValueError(f"a vector of Hom_{n} is {size} entries, each 0 or 1")
+        comps = {}
+        for i, row in starts.items():
+            slots = self._slots[i + n]
+            m = [[vec[p + slots[ks][t]]
+                  | (vec[p + slots[ks][t] + 1] << 1 if ks == kt == "F" else 0)
+                  for ks, p in zip(self._xk[i], row)]
+                 for t, kt in enumerate(self._yk[i + n])]
+            if any(map(any, m)):
+                comps[i] = m
+        return ChainMap(self.x, self.y, comps, n)
 
 
 def hom_delta(x: FreeComplex, y: FreeComplex, n: int) -> FMatrix:
     """The differential Hom(x, y)_n -> Hom(x, y)_{n-1}, f |-> d f + f d;
-    a non-complex raises ValueError naming its first violation."""
+    a non-complex or a non-integer n raises ValueError naming it."""
     _require_complexes(x, y)
-    return _hom_delta(x, y, n)
-
-
-def _hom_delta(x: FreeComplex, y: FreeComplex, n: int) -> FMatrix:
-    """``hom_delta`` of two complexes already validated."""
-    nrows, cols = _hom_columns(x, y, n, n)[0]
-    return FMatrix.from_bits(cols, nrows).transpose()
-
-
-def _hom_homology(x: FreeComplex, y: FreeComplex, n0: int,
-                  n1: int) -> list[int]:
-    """dim H_n of the hom complex Hom(x, y) for n = n0..n1, from one
-    differential and one rank per degree (a rank read off the columns)."""
-    deltas = _hom_columns(x, y, n0, n1 + 1)
-    ranks = [FMatrix.from_bits(cols, nrows).rank() for nrows, cols in deltas]
-    return [len(cols) - r - r1
-            for (_, cols), r, r1 in zip(deltas, ranks, ranks[1:])]
+    _require_int(n, "n")
+    return _HomComplex(x, y).delta(n)
 
 
 def hom_complex_dim(x: FreeComplex, y: FreeComplex, n: int) -> int:
     """dim of the degree-n homology of the hom complex: the group of
-    degree-n maps x -> y up to homotopy; a non-complex raises ValueError
-    naming its first violation."""
+    degree-n maps x -> y up to homotopy; a non-complex or a non-integer n
+    raises ValueError naming it."""
     _require_complexes(x, y)
-    return _hom_homology(x, y, n, n)[0]
-
-
-def chain_map_vector(f: ChainMap) -> tuple[list[tuple], list[int]]:
-    """The Hom basis and f's coordinates in it; a map that fails
-    ``validate_chain_map`` raises ValueError listing its violations."""
-    errs = validate_chain_map(f)
-    if errs:
-        raise ValueError("not a chain map: " + "; ".join(errs))
-    basis = hom_basis(f.source, f.target, f.degree)
-    vec = [0] * len(basis)
-    index = {b: k for k, b in enumerate(basis)}
-    for d, m in f.components.items():
-        sk = f.source.gens_at(d)
-        tk = f.target.gens_at(d + f.degree)
-        for t_ in range(len(tk)):
-            for s in range(len(sk)):
-                for w in _bits(m[t_][s]):
-                    vec[index[(d, s, t_, w)]] ^= 1
-    return basis, vec
+    _require_int(n, "n")
+    return _HomComplex(x, y).homology(n, n)[0]
 
 
 def chain_map_from_vector(x: FreeComplex, y: FreeComplex, n: int,
                           vec: list[int]) -> ChainMap:
-    basis = hom_basis(x, y, n)
-    comps: dict[int, list[list[int]]] = {}
-    for val, (i, s, t_, w) in zip(vec, basis):
-        if not val:
-            continue
-        m = comps.setdefault(i, zero_matrix(len(y.gens_at(i + n)),
-                                            len(x.gens_at(i))))
-        m[t_][s] ^= 1 << w
-    return ChainMap(x, y, comps, n)
+    """The degree-n map x -> y with coordinates ``vec`` in Hom(x, y)_n; a
+    non-complex, a non-integer n or a vector that is not the int 0 or 1
+    per element raises ValueError."""
+    _require_complexes(x, y)
+    _require_int(n, "n")
+    return _HomComplex(x, y).chain_map(n, vec)
 
 
 def null_homotopy(f: ChainMap) -> ChainMap | None:
     """A degree-(n+1) map h with f = d h + h d, or None if f is not a
     boundary in the mapping complex; a map that fails
-    ``validate_chain_map``, a source or target that is not a complex
-    among them, raises ValueError listing its violations."""
-    _, vec = chain_map_vector(f)
-    if not any(vec):
-        return ChainMap(f.source, f.target, {}, f.degree + 1)
-    delta = _hom_delta(f.source, f.target, f.degree + 1)
-    sol = delta.solve(vec)
-    if sol is None:
-        return None
-    return chain_map_from_vector(f.source, f.target, f.degree + 1, sol)
+    ``validate_chain_map`` raises ValueError listing its violations."""
+    errs = validate_chain_map(f)
+    if errs:
+        raise ValueError("not a chain map: " + "; ".join(errs))
+    hom = _HomComplex(f.source, f.target)
+    sol = hom.delta(f.degree + 1).solve(hom.vector(f))
+    return None if sol is None else hom.chain_map(f.degree + 1, sol)
 
 
 def is_null_homotopic(f: ChainMap) -> bool:

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .complexes import (ChainMap, FreeComplex, _hom_homology,
-                        _require_complexes, box_chain_map, box_complex,
-                        compose_chain_maps, cotens_H, hom_complex_dim,
-                        hom_delta, chain_map_from_vector, identity_chain_map,
+from .complexes import (ChainMap, FreeComplex, _HomComplex,
+                        _require_complexes, _require_int, box_chain_map,
+                        box_complex, compose_chain_maps, cotens_H,
+                        hom_complex_dim, identity_chain_map,
                         is_null_homotopic, null_homotopy, zero_matrix)
 from .split import (DISK_KINDS, Strand, certificate_isos, split,
                     strand_complex, strand_paths)
@@ -183,15 +183,17 @@ def cohomology_formula(strands: list[Strand], p0: int, p1: int,
 def cohomology_window(c: FreeComplex, p0: int, p1: int,
                       q0: int, q1: int) -> list[list[int]]:
     """dims[i][j] = dim of maps from the complex into the (p, q) twist of
-    the unit, computed from mapping complexes; a non-complex raises
-    ValueError naming its first violation.
+    the unit, computed from mapping complexes; a non-complex or a
+    non-integer bound raises ValueError naming it.
 
     Maps into the p-fold shift of H(q) are the degree -p maps into H(q)
     itself, basis for basis, so one hom complex per weight q gives a
     whole column of the window."""
     _require_complexes(c)
-    cols = [_hom_homology(c, strand_complex(Strand("Hn", q, 0)), -p1, -p0)
-            for q in range(q0, q1 + 1)]
+    for bound, what in ((p0, "p0"), (p1, "p1"), (q0, "q0"), (q1, "q1")):
+        _require_int(bound, what)
+    cols = [_HomComplex(c, strand_complex(Strand("Hn", q, 0))).homology(
+        -p1, -p0) for q in range(q0, q1 + 1)]
     return [[col[p1 - p] for col in cols] for p in range(p0, p1 + 1)]
 
 
@@ -325,15 +327,15 @@ def toda_witness() -> dict:
 def _transported_class(src: FreeComplex, tgt: FreeComplex) -> ChainMap:
     """A degree-zero chain map src -> tgt that is a cocycle but not a
     boundary, for mapping groups known to be one-dimensional."""
-    delta0 = hom_delta(src, tgt, 0)
-    delta1 = hom_delta(src, tgt, 1)
+    hom = _HomComplex(src, tgt)
+    delta0, delta1 = hom.delta(0), hom.delta(1)
     if delta0.nullity() - delta1.rank() != 1:
         raise RuntimeError("transported class is not one-dimensional")
     kern = delta0.kernel_basis()
     for j in range(kern.ncols):
         vec = kern.col(j)
         if any(vec) and delta1.solve(vec) is None:
-            return chain_map_from_vector(src, tgt, 0, vec)
+            return hom.chain_map(0, vec)
     raise RuntimeError("no nonzero cocycle found")
 
 

@@ -24,9 +24,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from . import _schema as schema
-from .complexes import (ChainMap, FreeComplex, arrows_from_json,
-                        arrows_to_json, chain_map_from_vector, cone,
-                        hom_delta, validate_chain_map)
+from .complexes import (ChainMap, FreeComplex, _HomComplex,
+                        arrows_from_json, arrows_to_json, cone,
+                        validate_chain_map)
 from .split import DISK_KINDS, Decomposition, Strand, split, strand_complex
 
 log = logging.getLogger("c2mackey.kronholm")
@@ -241,7 +241,8 @@ def random_spacelike_script(rng, max_cells: int = 8,
         attach: AttachData | None = None
         if seen and rng.random() < 0.7:
             src = attach_source(cell)
-            kern = hom_delta(src, y, 0).kernel_basis()
+            hom = _HomComplex(src, y)
+            kern = hom.delta(0).kernel_basis()
             for _ in range(6):
                 if not kern.ncols:
                     break
@@ -249,7 +250,7 @@ def random_spacelike_script(rng, max_cells: int = 8,
                                     for _ in range(kern.ncols)])
                 if not any(vec):
                     continue
-                f = chain_map_from_vector(src, y, 0, vec)
+                f = hom.chain_map(0, vec)
                 if _verdict(f, seen + [cell])[3] is not None:
                     continue
                 attach = {d: arrows_to_json(mat, src.gens_at(d), y.gens_at(d))

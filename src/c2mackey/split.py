@@ -36,6 +36,7 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
 from typing import NamedTuple
 
 from . import _schema as schema
@@ -671,19 +672,18 @@ def strand_paths(c: FreeComplex) -> list[tuple[Strand, list[tuple[int, int]]]] |
     keeping the generator path of each piece (as (level, index) pairs,
     top first).  None if the complex is not in literal split form.
     """
+    if not all(map(isinstance, chain.from_iterable(chain.from_iterable(
+            c.diffs)), repeat(int))):
+        return None                 # an arrow code is an int (entry_ok)
     out_edge: dict[tuple[int, int], tuple[int, int, int]] = {}
     in_deg: dict[tuple[int, int], int] = {}
-    for li in range(len(c.gens) - 1):
-        m = c.diffs[li]
-        for r in range(len(c.gens[li])):
-            for s in range(len(c.gens[li + 1])):
-                e = m[r][s]
-                if not e:
-                    continue
+    for li, m in enumerate(c.diffs):
+        for r, row in enumerate(m):
+            for s in compress(range(len(row)), row):
                 src, tgt = (li + 1, s), (li, r)
                 if src in out_edge or in_deg.get(tgt):
                     return None
-                out_edge[src] = (li, r, e)
+                out_edge[src] = (li, r, row[s])
                 in_deg[tgt] = 1
     pieces = []
     for li in range(len(c.gens)):

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 
 import c2mackey.complexes as complexes_module
 from c2mackey.complexes import (U, ChainMap, FreeComplex, _ARROW_NAMES,
-                                _bits, _canonicalize, _hom_degrees,
+                                _HomComplex, _canonicalize, _hom_degrees,
                                 _nonzero_columns, _placed_arrows,
                                 arrow_matrix, arrow_mul, box_chain_map, box_complex,
-                                chain_map_from_vector, chain_map_vector,
+                                chain_map_from_vector,
                                 compose_chain_maps, cone, cotens_H,
                                 direct_sum_complexes, ecompose, entry_ok,
-                                hom_basis, hom_complex_dim, hom_delta,
+                                hom_complex_dim, hom_delta,
                                 homology,
                                 homology_counts,
                                 identity_chain_map, is_null_homotopic,
@@ -30,8 +30,8 @@ from c2mackey.complexes import (U, ChainMap, FreeComplex, _ARROW_NAMES,
                                 zero_matrix)
 from c2mackey.gf2core import FMatrix
 from c2mackey.mackey import classify, direct_sum, indecomposable
-from c2mackey.derived import (_op_dual_strand, cohomology_window,
-                              dcotens_formula_pair, sufficient_window)
+from c2mackey.derived import (_class_rep, _op_dual_strand, cohomology_window,
+                              dcotens_formula_pair, m2_dim, sufficient_window)
 from c2mackey.split import (Strand, _shape, certificate_isos,
                             decomposition_sum, random_scrambled_complex,
                             random_strand, strand_complex)
@@ -125,7 +125,7 @@ def test_arrow_products_go_through_arrow_mul():
 
     found = {f"{path.stem}.{fn}" for path in sorted(pkg.glob("*.py"))
              for fn in callers(ast.parse(path.read_text()), "<module>")}
-    assert found == {"complexes.arrow_mul", "complexes._hom_columns",
+    assert found == {"complexes.arrow_mul", "complexes.__init__",
                      "split.<module>"}
 
 
@@ -514,6 +514,10 @@ def test_hom_complex_dim_refuses_non_complexes():
         hom_complex_dim(_BAD, strand("Hn", 1), 0)
     with pytest.raises(ValueError, match=_BAD_ERR):
         hom_complex_dim(strand("Hn", 1), _BAD, 0)
+    x = strand("A", 1)
+    for n in (0.5, 0.0, "0", None, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            hom_complex_dim(x, x, n)
 
 
 def test_hom_delta_refuses_non_complexes():
@@ -521,6 +525,12 @@ def test_hom_delta_refuses_non_complexes():
         hom_delta(_FF, strand("Hn", 0), -1)
     with pytest.raises(ValueError, match=_BAD_ERR):
         hom_delta(strand("Hn", 1), _BAD, 0)
+    x = strand("A", 1)
+    for n in (0.5, 1.0, None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            hom_delta(x, x, n)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            chain_map_from_vector(x, x, n, [])
 
 
 def test_null_homotopy_refuses_non_complexes():
@@ -528,6 +538,58 @@ def test_null_homotopy_refuses_non_complexes():
         null_homotopy(identity_chain_map(_FF))
     with pytest.raises(ValueError, match=_BAD_ERR):
         is_null_homotopic(identity_chain_map(_BAD))
+    x = strand("A", 1)
+    for n in (0.5, 1.0, "0"):
+        f = ChainMap(x, x, {}, n)
+        assert validate_chain_map(f) == [f"degree {n!r} is not an integer"]
+        with pytest.raises(ValueError, match="degree .* is not an integer"):
+            null_homotopy(f)
+
+
+def test_cohomology_window_refuses_non_integer_bounds():
+    """Each bound of the window is an integer, named when it is not."""
+    c = strand("A", 1)
+    for k, what in enumerate(("p0", "p1", "q0", "q1")):
+        for bad in (0.5, 1.0, None):
+            bounds = [0, 1, 0, 1]
+            bounds[k] = bad
+            with pytest.raises(ValueError, match=f"{what} must be an integer"):
+                cohomology_window(c, *bounds)
+
+
+def test_hom_entry_points_validate_each_input_once(monkeypatch):
+    """A public entry point checks each complex it is given once (a
+    complex given twice, once); the hom complex behind it trusts them, and
+    the private ``_transported_class`` is only fed strands."""
+    calls = []
+    real = complexes_module.validate_complex
+    monkeypatch.setattr(complexes_module, "validate_complex",
+                        lambda c: calls.append(c) or real(c))
+    x, y = strand("A", 1), strand("Hn", 2)
+    disk = identity_chain_map(cone(identity_chain_map(x)))
+    for k, (call, want) in enumerate((
+            (lambda: hom_delta(x, y, 0), 2),
+            (lambda: hom_delta(x, x, 0), 1),
+            (lambda: hom_complex_dim(x, y, 1), 2),
+            (lambda: chain_map_from_vector(x, y, 0, [0] * 2), 2),
+            (lambda: null_homotopy(disk), 1),
+            (lambda: cohomology_window(y, -3, 3, -3, 3), 1),
+            (lambda: _class_rep(1, 1), 0))):
+        calls.clear()
+        call()
+        assert len(calls) == want, k
+
+
+def test_chain_map_from_vector_refuses_wrong_vectors():
+    """On strand("A", 1), whose degree-0 Hom basis has 4 elements, a
+    vector of another length or with an entry other than the int 0 or 1
+    is refused with the length it needs, not read as some chain map."""
+    x = strand("A", 1)
+    assert chain_map_from_vector(x, x, 0, [1, 0, 1, 0]) == identity_chain_map(x)
+    for vec in ([1] * 9, [1], [], [2, 0, 0, 0], [-1, 0, 0, 0],
+                [1.0, 0, 1, 0], [True, 0, 1, 0], [1, 0, None, 0]):
+        with pytest.raises(ValueError, match="Hom_0 is 4 entries"):
+            chain_map_from_vector(x, x, 0, vec)
 
 
 def test_validate_chain_map_checks_source_and_target_first():
@@ -691,7 +753,7 @@ def test_homotopy_functions_refuse_invalid_maps():
     a = strand("A", 0)
     for bad, violation in ((ChainMap(a, a, {0: [[5]]}, 0), "illegal arrow"),
                            (ChainMap(a, a, {0: [[1, 1]]}, 0), "wrong shape")):
-        for fn in (null_homotopy, is_null_homotopic, chain_map_vector):
+        for fn in (null_homotopy, is_null_homotopic):
             with pytest.raises(ValueError, match=violation):
                 fn(bad)
 
@@ -707,6 +769,25 @@ def test_hom_group_dimensions():
 
 
 # -- the hom complex against the per-entry and per-point references -------
+
+def _bits(e):
+    """The Hom-basis coordinates w of the arrow code ``e``."""
+    return ((), (0,), (1,), (0, 1))[e]
+
+
+def hom_basis(x, y, n):
+    """Basis of Hom(x, y)_n: elements (i, src, tgt, w) whose arrow is
+    1 << w, so that an arrow's coordinates are the bits of its code (F->F
+    has the two-element basis {1, t}).  The layout ``_HomComplex`` places
+    without listing it, kept as its reference."""
+    out = []
+    for i in _hom_degrees(x, y, n):
+        for s, ks in enumerate(x.gens_at(i)):
+            for t_, kt in enumerate(y.gens_at(i + n)):
+                out += [(i, s, t_, w)
+                        for w in range(2 if ks == kt == "F" else 1)]
+    return out
+
 
 def _reference_hom_size(x, y, n):
     """len(hom_basis(x, y, n)), counted without building the basis."""
@@ -803,6 +884,59 @@ def test_hom_delta_matches_the_per_entry_reference():
             assert hom_delta(x, y, n) == _reference_hom_delta(x, y, n), (k, n)
             assert hom_complex_dim(x, y, n) == _reference_hom_complex_dim(
                 x, y, n), (k, n)
+
+
+def _reference_vector(f):
+    """f's coordinates in the hom complex, at the positions of
+    ``hom_basis``."""
+    index = {b: k for k, b in enumerate(hom_basis(f.source, f.target,
+                                                   f.degree))}
+    vec = [0] * len(index)
+    for d, m in f.components.items():
+        for t_, row in enumerate(m):
+            for s, e in enumerate(row):
+                for w in _bits(e):
+                    vec[index[d, s, t_, w]] = 1
+    return vec
+
+
+def test_hom_vectors_round_trip_at_the_reference_positions():
+    """A vector of Hom(x, y)_n read as a chain map puts each coordinate
+    where ``hom_basis`` lists it, and reads back to itself: vector b has
+    bit b of each position's index there, so together they tell every
+    position apart."""
+    for k, (x, y) in enumerate(_hom_pairs()):
+        hom = _HomComplex(x, y)
+        for n in range(-2, 3):
+            size = _reference_hom_size(x, y, n)
+            for b in range(size.bit_length()):
+                vec = [j >> b & 1 for j in range(size)]
+                f = hom.chain_map(n, vec)
+                assert _reference_vector(f) == vec, (k, n, b)
+                assert hom.vector(f) == vec, (k, n, b)
+
+
+def test_hom_chain_maps_are_pinned():
+    """The cocycles ``_class_rep`` picks for the unit's cohomology classes
+    in a window and the null-homotopies of identities of contractible
+    cones, digested: the Hom-basis order and the solver choose these maps,
+    so the maps are pinned, not only the dimensions."""
+    digest = hashlib.sha256()
+    reps = 0
+    for p in range(-3, 4):
+        for q in range(-4, 5):
+            if m2_dim(p, q):
+                reps += 1
+                digest.update(json.dumps(_class_rep(p, q).to_json(),
+                                         sort_keys=True).encode())
+    for kind, param in (("A", 0), ("A", 2), ("Hn", 0), ("Hn", 2), ("Hn", -2),
+                        ("B", 1)):
+        disk = cone(identity_chain_map(strand(kind, param)))
+        h = null_homotopy(identity_chain_map(disk))
+        digest.update(json.dumps(h.to_json(), sort_keys=True).encode())
+    assert reps == 20
+    assert digest.hexdigest() == ("2330a8f0242fcff74afbee2c03efaee6"
+                                  "eb0db841d264865edc987989083f0a1c")
 
 
 def test_hom_delta_of_a_shift_is_a_degree_shift():

@@ -293,6 +293,18 @@ def test_components_of_rejects_one_altered_edge():
                 assert _components_of(c) is None, (kind, param, li, arrow)
 
 
+def test_arrow_codes_that_are_not_ints_are_not_split_form():
+    """An arrow code is an int, as ``entry_ok`` has it: a 1.0 does not
+    pass for the 1 of an Hn strand, nor a 0.0 for the 0 between two
+    strands, so ``verify_certificate`` says False."""
+    for code, kept in ((1.0, 1), (0.0, 0)):
+        c = FreeComplex(0, [["H"], ["F"]], [[[code]]])
+        dec = split(FreeComplex(0, [["H"], ["F"]], [[[kept]]]))
+        assert validate_complex(c), code
+        assert _components_of(c) is None, code
+        assert not verify_certificate(c, dec), code
+
+
 def test_random_legal_moves_on_empty_complex():
     assert random_legal_moves(FreeComplex(0, [[]], []), random.Random(1), 3) == []
 

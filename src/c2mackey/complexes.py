@@ -280,7 +280,10 @@ def _require_complexes(*cs: FreeComplex) -> None:
 
 
 def validate_complex(c: FreeComplex) -> list[str]:
-    """Arrow legality, matrix shapes, and d*d = 0; returns violations."""
+    """An integer min_degree, arrow legality, matrix shapes, and d*d = 0;
+    returns violations."""
+    if type(c.min_degree) is not int:
+        return [f"min_degree must be an integer, not {c.min_degree!r}"]
     out = []
     if len(c.diffs) != max(len(c.gens) - 1, 0):
         return ["number of differentials does not match number of degrees"]
@@ -733,7 +736,8 @@ def homology(c: FreeComplex, d: int, ell: int = 2) -> MackeyModule:
     """The homology module of ``c`` at degree ``d`` over GF(l), with its
     structure maps on chosen representatives; ``homology_counts`` gives
     only its classification.  A d*d != 0 through ``d`` raises ValueError
-    naming the degrees."""
+    naming the degrees, and a non-integer min_degree one naming it."""
+    _require_int(c.min_degree, "min_degree")
     if not c.gens_at(d):
         return zero_module(ell)
     mods, maps = _realize_with_ends(c, ell)
@@ -753,8 +757,10 @@ def homology_counts(c: FreeComplex, ell: int = 2) -> dict[int, dict[str, int]]:
     rank[f Z | B'] - rank B', with B' the image in f's target level.
     Over l = 2 the ranks of 1 + t, p_down and p_up fix the five counts
     (``counts_of_ranks``); at odd l the two dimensions do.  A d*d != 0
-    raises ValueError naming the degrees.
+    raises ValueError naming the degrees, and a non-integer min_degree one
+    naming it.
     """
+    _require_int(c.min_degree, "min_degree")
     mods, maps = _realize_with_ends(c, ell)
     lo, out = c.min_degree, {}
     for i, mod in enumerate(mods):

@@ -404,14 +404,13 @@ class FMatrix:
                 inv = pow(piv[c], -1, ell)
                 piv = rows[r] = [v * inv % ell for v in piv]
             # the pivot row is zero left of column c, so only the entries
-            # from c on change
-            tail = piv[c:]
-            for i in range(self.nrows):
-                f = rows[i][c]
+            # at its nonzero columns from c on change
+            support = [(j, v) for j, v in enumerate(piv[c:], c) if v]
+            for i, row in enumerate(rows):
+                f = row[c]
                 if f and i != r:
-                    row = rows[i]
-                    row[c:] = [(a - f * b) % ell
-                               for a, b in zip(row[c:], tail)]
+                    for j, v in support:
+                        row[j] = (row[j] - f * v) % ell
             pivots.append(c)
             r += 1
         return R, pivots
@@ -476,8 +475,9 @@ class FMatrix:
     def invert(self) -> "FMatrix":
         if self.nrows != self.ncols:
             raise ValueError("only square matrices invert")
+        # a square A.X = I is consistent exactly when A is invertible
         X = self.solve_many(FMatrix.identity(self.nrows, self.ell))
-        if X is None or self.rank() != self.nrows:
+        if X is None:
             raise ValueError("matrix is singular")
         return X
 

@@ -297,6 +297,28 @@ def test_module_classify_and_ext(capsys, tmp_path):
     }
 
 
+@pytest.mark.parametrize("mop, name", [("box", "box"),
+                                       ("hom", "internal_hom"),
+                                       ("ext", "ext"), ("tor", "tor")])
+def test_module_commands_call_the_name_bound_now(capsys, tmp_path,
+                                                 monkeypatch, mop, name):
+    """``module box|hom|ext|tor`` look their function up per call, so a
+    wrapper bound over the name afterwards (as bench/tracing.py binds
+    one) is the one that runs."""
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps(indecomposable("H", 3).to_json()))
+    real, calls = getattr(cli_module, name), []
+
+    def wrapped(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli_module, name, wrapped)
+    code, _ = run(capsys, "module", mop, "--ell", "3", str(h), str(h))
+    assert code == 0
+    assert len(calls) == (3 if mop in ("ext", "tor") else 1)
+
+
 def test_module_ell_mismatch_fails(capsys, tmp_path):
     h3 = tmp_path / "h3.json"
     h3.write_text(json.dumps(indecomposable("H", 3).to_json()))

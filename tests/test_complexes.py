@@ -557,6 +557,38 @@ def test_cohomology_window_refuses_non_integer_bounds():
                 cohomology_window(c, *bounds)
 
 
+def test_validate_complex_refuses_a_non_integer_min_degree():
+    for bad in (0.5, 1.0, True, "0", None):
+        c = FreeComplex(bad, [["H"]], [])
+        assert validate_complex(c) == [
+            f"min_degree must be an integer, not {bad!r}"]
+
+
+# each public entry point that takes a complex, called on one
+_MIN_DEGREE_CALLS = {
+    "split": lambda c: split_complex(c),
+    "hom_delta": lambda c: hom_delta(c, strand("Hn", 0), 0),
+    "hom_complex_dim": lambda c: hom_complex_dim(strand("Hn", 0), c, 0),
+    "chain_map_from_vector":
+        lambda c: chain_map_from_vector(c, c, 0, []),
+    "null_homotopy": lambda c: null_homotopy(ChainMap(c, c, {}, 0)),
+    "cohomology_window": lambda c: cohomology_window(c, 0, 1, 0, 1),
+    "homology": lambda c: homology(c, 0),
+    "homology_counts": lambda c: homology_counts(c),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_MIN_DEGREE_CALLS))
+def test_entry_points_refuse_a_non_integer_min_degree(entry):
+    """A float or bool min_degree is a ValueError naming it, never a
+    TypeError from deep inside; ``homology`` and ``homology_counts`` check
+    its type alone, without validating the complex."""
+    for bad in (0.5, True):
+        with pytest.raises(ValueError,
+                           match=f"min_degree must be an integer, not {bad}"):
+            _MIN_DEGREE_CALLS[entry](FreeComplex(bad, [["H"]], []))
+
+
 def test_hom_entry_points_validate_each_input_once(monkeypatch):
     """A public entry point checks each complex it is given once (a
     complex given twice, once); the hom complex behind it trusts them, and

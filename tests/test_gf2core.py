@@ -290,8 +290,11 @@ def _is_canonical(m):
                for r in m.rows)
 
 
-def _gauss_jordan(rows, ncols, ell):
-    """Reduced row echelon form of a list of residue rows, by the book."""
+def _reference_rref(rows, ncols, ell):
+    """Reduced row echelon form of a list of residue rows over GF(l), by
+    dense Gauss-Jordan: each pivot row clears its column in every other
+    row by rewriting that row's whole tail.  This was ``FMatrix.rref`` at
+    odd l before elimination walked the pivot row's support."""
     rows = [list(r) for r in rows]
     pivots = []
     for c in range(ncols):
@@ -300,13 +303,13 @@ def _gauss_jordan(rows, ncols, ell):
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        inv = pow(rows[r][c], ell - 2, ell)
-        rows[r] = [v * inv % ell for v in rows[r]]
-        for i in range(len(rows)):
-            f = rows[i][c]
+        inv = pow(rows[r][c], -1, ell)
+        piv = rows[r] = [v * inv % ell for v in rows[r]]
+        tail = piv[c:]
+        for i, row in enumerate(rows):
+            f = row[c]
             if i != r and f:
-                rows[i] = [(rows[i][j] - f * rows[r][j]) % ell
-                           for j in range(ncols)]
+                row[c:] = [(a - f * b) % ell for a, b in zip(row[c:], tail)]
         pivots.append(c)
     return rows, pivots
 
@@ -355,7 +358,7 @@ def test_whole_row_ops_match_per_entry_reference(nrows, ncols, k, seed, ell):
          for j in range(k)] for i in range(nrows)]
 
     R, pivots = a.rref()
-    assert (R.to_rows(), pivots) == _gauss_jordan(entries, ncols, ell)
+    assert (R.to_rows(), pivots) == _reference_rref(entries, ncols, ell)
 
     # the kernel basis: per free column fc, a 1 in row fc and minus
     # column fc of the rref in the pivot rows, written entry by entry
@@ -400,6 +403,79 @@ def test_whole_row_ops_match_per_entry_reference(nrows, ncols, k, seed, ell):
     assert added.to_rows() == want_rows
     outputs.append(added)
     assert all(_is_canonical(m) for m in outputs)
+
+
+def _random_odd_rows(rng, nrows, ncols, ell, fill, combos):
+    """Residue rows at the given fill, then ``combos`` rows (when there
+    are two or more) each overwritten by a repeat of another row or by a
+    combination a x + b y of two rows, so the rank falls short."""
+    rows = [[rng.randrange(1, ell) if rng.random() < fill else 0
+             for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(combos if nrows > 1 else 0):
+        i, j, k = (rng.randrange(nrows) for _ in range(3))
+        if rng.random() < 0.5:
+            rows[i] = list(rows[j])
+        else:
+            a, b = rng.randrange(ell), rng.randrange(ell)
+            rows[i] = [(a * x + b * y) % ell
+                       for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 100),
+       st.integers(0, 8), st.integers(0, 2 ** 20),
+       st.sampled_from([3, 5, 257, 65537, 2 ** 61 - 1]))
+def test_odd_rref_matches_dense_reference(nrows, ncols, fill, combos, seed,
+                                          ell):
+    """At odd l, rref equals dense Gauss-Jordan exactly, rows and pivots,
+    on every shape up to 40 x 40 (empty ones too), every fill and
+    rank-deficient inputs; the solvers built on it agree with it."""
+    rng = random.Random(seed)
+    rows = _random_odd_rows(rng, nrows, ncols, ell, fill / 100, combos)
+    a = FMatrix.from_rows(rows, ell, ncols=ncols)
+    ref_rows, ref_piv = _reference_rref(rows, ncols, ell)
+    R, pivots = a.rref()
+    assert (R.to_rows(), pivots) == (ref_rows, ref_piv)
+    assert _is_canonical(R)
+    assert a.rank() == len(ref_piv)
+    assert a.column_space_pivots() == ref_piv
+    K = a.kernel_basis()
+    assert K.ncols == a.nullity() == ncols - len(ref_piv)
+    assert a.mul(K).is_zero()
+    x = FMatrix.from_rows([[rng.randrange(ell) for _ in range(3)]
+                           for _ in range(ncols)], ell, ncols=3)
+    b = a.mul(x)
+    sol = a.solve_many(b)
+    assert sol is not None and a.mul(sol) == b
+
+
+def test_invert_refuses_singular_matrices():
+    """A square matrix inverts exactly when it has full rank; a singular
+    one and a non-square one are refused with their own messages."""
+    for ell in (2, 3, 257):
+        rng = random.Random(f"invert:{ell}")
+        singular = 0
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            # small entries, so about half the draws are singular
+            m = FMatrix.from_rows([[rng.randrange(min(ell, 3))
+                                    if rng.random() < 0.6 else 0
+                                    for _ in range(n)] for _ in range(n)],
+                                  ell)
+            if m.rank() == n:
+                assert m.mul(m.invert()) == FMatrix.identity(n, ell)
+            else:
+                singular += 1
+                with pytest.raises(ValueError, match="matrix is singular"):
+                    m.invert()
+        assert singular > 20
+        for rows in ([[0]], [[1, 2], [1, 2]], [[1, 0, 1], [0, 1, 1],
+                                               [1, 1, 2]]):
+            with pytest.raises(ValueError, match="matrix is singular"):
+                FMatrix.from_rows(rows, ell).invert()
+        with pytest.raises(ValueError, match="only square matrices invert"):
+            FMatrix.zeros(2, 3, ell).invert()
 
 
 def _column_scan_rref(rows, ncols):

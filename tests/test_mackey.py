@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -235,6 +236,34 @@ def test_box_and_hom_outputs_are_pinned():
         digest.update(json.dumps(outs, sort_keys=True).encode())
     assert digest.hexdigest() == ("4b3747535e92601ce74c352a1f016a85"
                                   "78ba07ac1c90a0885869048057f7044e")
+
+
+# digests of box and internal_hom on seeded pairs at odd l, taken before
+# odd-l elimination walked the pivot row's support: the rref is unique, so
+# the bases it picks must not move
+_ODD_MODULE_PINS = {
+    3: "a193e6d3c91f1d6666721ba6b6a1bcf30cd447ffe92a42615d2f4de0bc9a56e7",
+    5: "60354e6da045dd0d27aa66584c7a1ebded6971c3abb5c0f70358a121487962be",
+    257: "6957a299a60eb33a7186206f8e57d4694b4f638e498b4548ac1131e8ede9e101",
+    2 ** 61 - 1:
+        "c9d615ca6ca0de5abc04460bf5ffbaea22ed307ca93797fa8f8061062201076c",
+}
+
+
+@pytest.mark.parametrize("ell", sorted(_ODD_MODULE_PINS))
+def test_odd_box_and_hom_bases_are_pinned(ell):
+    """box and internal_hom on four seeded pairs of scrambled 5-summand
+    modules at l, digested module by module."""
+    rng = random.Random(f"module-pins:{ell}")
+    kinds = ("H", "F", "Hop", "STheta")
+    digest = hashlib.sha256()
+    for _ in range(4):
+        a, b = (random_scrambled_module(
+            dict(Counter(rng.choice(kinds) for _ in range(5))), ell, rng)
+            for _ in "ab")
+        for m in (box(a, b), internal_hom(a, b)):
+            digest.update(json.dumps(m.to_json()).encode())
+    assert digest.hexdigest() == _ODD_MODULE_PINS[ell]
 
 
 def test_box_rejects_mixed_moduli():

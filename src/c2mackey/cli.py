@@ -233,16 +233,16 @@ def cmd_toda(args):
     return payload, text, 0
 
 
-# module subcommand -> the function it applies to the two modules
 def cmd_module(args):
     a = _load(args.file, MackeyModule, args.ell)
     if args.mop == "classify":
         counts = classify(a)
     else:
         b = _load(args.other, MackeyModule, args.ell)
-        # looked up per call, so a later rebinding of these module names
-        # (bench/tracing.py wraps them) is seen
-        fn = {"box": box, "hom": internal_hom, "ext": ext, "tor": tor}[args.mop]
+        # the subcommand's function, looked up per call so that a later
+        # rebinding of these names (bench/tracing.py wraps them) is seen
+        fn = {"box": box, "hom": internal_hom, "ext": ext,
+              "tor": tor}[args.mop]
         if args.mop in ("box", "hom"):
             counts = classify(fn(a, b))
         elif args.degree is not None:

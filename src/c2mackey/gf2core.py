@@ -3,7 +3,8 @@
 All matrices in this package are small (a few hundred rows at the very
 most), so the representation favours simplicity and exactness over
 asymptotics.  For l = 2 each row is a Python int used as a bitset and a
-row operation is a single XOR; for odd l rows are lists of residues.
+row operation is a single XOR; for odd l rows are lists of residues, and
+elimination updates each row only at the pivot row's nonzero columns.
 No floats anywhere.
 """
 

@@ -566,7 +566,7 @@ def test_validate_complex_refuses_a_non_integer_min_degree():
 
 # each public entry point that takes a complex, called on one
 _MIN_DEGREE_CALLS = {
-    "split": lambda c: split_complex(c),
+    "split": split_complex,
     "hom_delta": lambda c: hom_delta(c, strand("Hn", 0), 0),
     "hom_complex_dim": lambda c: hom_complex_dim(strand("Hn", 0), c, 0),
     "chain_map_from_vector":
@@ -574,7 +574,7 @@ _MIN_DEGREE_CALLS = {
     "null_homotopy": lambda c: null_homotopy(ChainMap(c, c, {}, 0)),
     "cohomology_window": lambda c: cohomology_window(c, 0, 1, 0, 1),
     "homology": lambda c: homology(c, 0),
-    "homology_counts": lambda c: homology_counts(c),
+    "homology_counts": homology_counts,
 }
 
 

@@ -293,8 +293,9 @@ def _is_canonical(m):
 def _reference_rref(rows, ncols, ell):
     """Reduced row echelon form of a list of residue rows over GF(l), by
     dense Gauss-Jordan: each pivot row clears its column in every other
-    row by rewriting that row's whole tail.  This was ``FMatrix.rref`` at
-    odd l before elimination walked the pivot row's support."""
+    row by rewriting that row's whole tail.  The reference for
+    ``FMatrix.rref`` at odd l, which touches only the pivot row's
+    nonzero columns."""
     rows = [list(r) for r in rows]
     pivots = []
     for c in range(ncols):

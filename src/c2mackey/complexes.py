@@ -15,9 +15,10 @@ no other arrow between the same kinds shares, and every other arrow
 table is read off the blocks: a composite is the arrow whose block is
 the product of the blocks, a box product's arrows come from their
 Kronecker product, and the fixed level of ``realize`` from the block's
-first row.  So an arrow matrix is its free-orbit level: ``orbit_matrix``
-writes it as one GF(2) matrix over the free-orbit coordinates, and
-``arrow_matrix`` reads it back.  Differentials decrease degree.
+first row.  So an arrow matrix is its free-orbit level: ``orbit_matrix``,
+the one writer, lays it out over the free-orbit coordinates at every l
+from one arrow table (``_block_table``), and ``arrow_matrix`` reads it
+back.  Differentials decrease degree.
 ``realize`` expands a symbol complex into honest Mackey modules and maps
 over GF(l) (the arrow alphabet is the l = 2 one, but every arrow has a
 canonical lift mod l, which is what the odd-modulus splitter consumes).
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, chain, product, repeat
 
 from . import _schema as schema
 from .gf2core import FMatrix
@@ -122,17 +123,6 @@ def zero_matrix(nrows: int, ncols: int) -> list[list[int]]:
     return [[0] * ncols for _ in range(nrows)]
 
 
-def _placed_arrows(nrows: int, ncols: int, blocks) -> list[list[int]]:
-    """The nrows x ncols arrow matrix that holds each arrow matrix of
-    ``blocks``, an iterable of (i0, j0, block) triples, with its top left
-    corner at (i0, j0), and zero arrows elsewhere."""
-    out = zero_matrix(nrows, ncols)
-    for i0, j0, b in blocks:
-        for i, row in enumerate(b, i0):
-            out[i][j0:j0 + len(row)] = row
-    return out
-
-
 @dataclass
 class FreeComplex:
     """A bounded complex of sums of F's and H's.
@@ -182,6 +172,8 @@ class FreeComplex:
     def __eq__(self, other):
         if not isinstance(other, FreeComplex):
             return NotImplemented
+        if self.is_zero() or other.is_zero():
+            return self.is_zero() and other.is_zero()
         a, b = _trimmed(self), _trimmed(other)
         return (a.min_degree == b.min_degree and a.gens == b.gens
                 and a.diffs == b.diffs)
@@ -298,13 +290,12 @@ def validate_complex(c: FreeComplex) -> list[str]:
             out.append(f"differential into degree {c.min_degree + i} has the "
                        f"wrong shape")
             continue
-        bad = [illegal_arrow(ks, kt, e, c.min_degree + i)
-               for kt, row in zip(tk, m) for ks, e in zip(sk, row)
-               if (e or type(e) is not int) and not entry_ok(ks, kt, e)]
-        if bad:
-            out += bad
-        elif not out:
+        try:
             theta.append(orbit_matrix(m, sk, tk))
+        except KeyError:    # the writer refuses; name every illegal arrow
+            out += [illegal_arrow(ks, kt, e, c.min_degree + i)
+                    for kt, row in zip(tk, m) for ks, e in zip(sk, row)
+                    if not entry_ok(ks, kt, e)]
     if out:
         return out
     # d*d = 0 exactly when the product of the free-orbit levels is zero
@@ -325,17 +316,6 @@ def _canonical_perm(kinds: list[str]) -> list[int]:
     """Stable F-before-H permutation: perm[new_slot] = old_slot."""
     return ([i for i, k in enumerate(kinds) if k == "F"]
             + [i for i, k in enumerate(kinds) if k == "H"])
-
-
-def _canonicalize(c: FreeComplex) -> FreeComplex:
-    c = _trimmed(c)
-    perms = [_canonical_perm(g) for g in c.gens]
-    gens = [[g[p] for p in perm] for g, perm in zip(c.gens, perms)]
-    diffs = []
-    for i, m in enumerate(c.diffs):
-        tp, sp = perms[i], perms[i + 1]
-        diffs.append([[m[tr][sc] for sc in sp] for tr in tp])
-    return FreeComplex(c.min_degree, gens, diffs)
 
 
 # the generator kinds of each strand and disk, top first, for a param
@@ -395,17 +375,31 @@ def shift_complex(c: FreeComplex, s: int) -> FreeComplex:
     return out
 
 
-def direct_sum_complexes(parts: list[FreeComplex]) -> FreeComplex:
+def _put(out: list[list[int]], rows: list[int], cols: list[int],
+         m: list[list[int]]) -> None:
+    """Write the nonzero arrows of ``m`` into ``out``, its row r at
+    ``rows[r]`` and its column s at ``cols[s]``."""
+    for r, row in zip(rows, m):
+        dst = out[r]
+        for s, e in zip(cols, row):
+            if e:
+                dst[s] = e
+
+
+def _laid_out(parts: list[FreeComplex]):
     """The direct sum of ``parts`` in canonical order: in each degree the
     F generators of the parts, part by part, then their H generators,
-    between the lowest and the highest degree that holds a generator."""
-    parts = [p for p in parts if not p.is_zero()]
-    if not parts:
-        return FreeComplex(0, [[]], [])
+    between the lowest and the highest degree that holds a generator (the
+    zero complex in degree 0 if none does).  Also returns, per part and
+    per degree of it, the place of each of its generators in the sum.
+    The parts are only read."""
+    live = [p for p in parts if not p.is_zero()]
+    if not live:
+        return FreeComplex(0, [[]], []), [[[] for _ in p.gens] for p in parts]
     lo = min(p.min_degree + next(i for i, k in enumerate(p.gens) if k)
-             for p in parts)
+             for p in live)
     hi = max(p.max_degree - next(i for i, k in enumerate(p.gens[::-1]) if k)
-             for p in parts)
+             for p in live)
     nf = [0] * (hi - lo + 1)
     for p in parts:
         for li, kinds in enumerate(p.gens, p.min_degree - lo):
@@ -431,15 +425,14 @@ def direct_sum_complexes(parts: list[FreeComplex]) -> FreeComplex:
     for p, at in zip(parts, places):
         off = p.min_degree - lo
         for i, m in enumerate(p.diffs):
-            if not 0 <= i + off < len(diffs):
-                continue        # into or out of a degree with no generator
-            out = diffs[i + off]
-            for r, row in zip(at[i], m):
-                dst = out[r]
-                for s, e in zip(at[i + 1], row):
-                    if e:
-                        dst[s] = e
-    return FreeComplex(lo, gens, diffs)
+            if 0 <= i + off < len(diffs):   # else out of or into no generator
+                _put(diffs[i + off], at[i], at[i + 1], m)
+    return FreeComplex(lo, gens, diffs), places
+
+
+def direct_sum_complexes(parts: list[FreeComplex]) -> FreeComplex:
+    """The direct sum of ``parts`` in canonical order (``_laid_out``)."""
+    return _laid_out(parts)[0]
 
 
 # -- chain maps ----------------------------------------------------------
@@ -506,10 +499,10 @@ def validate_chain_map(f: ChainMap) -> list[str]:
         if len(m) != len(tk) or any(len(row) != len(sk) for row in m):
             out.append(f"component at degree {d} has the wrong shape")
             continue
-        for r in range(len(tk)):
-            for c in range(len(sk)):
-                if not entry_ok(sk[c], tk[r], m[r][c]):
-                    out.append(f"illegal arrow in component at degree {d}")
+        out += [f"illegal arrow {e!r} in slot ({ks}->{kt}) of the component "
+                f"at degree {d}"
+                for kt, row in zip(tk, m) for ks, e in zip(sk, row)
+                if not entry_ok(ks, kt, e)]
     if out:
         return out
     lo = min(f.source.min_degree, f.target.min_degree - f.degree) - 1
@@ -551,25 +544,19 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
 
 
 def cone(f: ChainMap) -> FreeComplex:
-    """Mapping cone of a degree-0 chain map (generators reordered
-    canonically: shifted-source generators first, then target, then the
-    F-before-H normalization)."""
+    """Mapping cone of a degree-0 chain map: the canonical sum
+    (``_laid_out``) of the source shifted up by one and the target, with
+    f_d from the source's degree d + 1 into the target's degree d."""
     if f.degree != 0:
         raise ValueError("cones are taken of degree-0 maps")
     X, Y = f.source, f.target
-    lo = min(X.min_degree + 1, Y.min_degree)
-    hi = max(X.max_degree + 1, Y.max_degree)
-    gens = []
-    for d in range(lo, hi + 1):
-        gens.append(list(X.gens_at(d - 1)) + list(Y.gens_at(d)))
-    diffs = []
-    for d in range(lo + 1, hi + 1):
-        nxs, nxt = len(X.gens_at(d - 1)), len(X.gens_at(d - 2))
-        diffs.append(_placed_arrows(
-            len(gens[d - lo - 1]), len(gens[d - lo]),
-            [(0, 0, X.diff(d - 1)), (nxt, 0, f.component(d - 1)),
-             (nxt, nxs, Y.diff(d))]))
-    return _canonicalize(FreeComplex(lo, gens, diffs))
+    out, (xat, yat) = _laid_out([FreeComplex(X.min_degree + 1, X.gens,
+                                             X.diffs), Y])
+    for d, m in f.components.items():
+        if X.gens_at(d) and Y.gens_at(d):
+            _put(out.diffs[d - out.min_degree], yat[d - Y.min_degree],
+                 xat[d - X.min_degree], m)
+    return out
 
 
 # -- realization and homology --------------------------------------------
@@ -583,7 +570,7 @@ def realize(c: FreeComplex, ell: int = 2) -> tuple[list[MackeyModule], list[Mack
         try:
             maps.append(realize_map(c.gens[i + 1], c.gens[i], m, ell,
                                     mods[i + 1], mods[i]))
-        except KeyError as exc:     # the block tables hold every legal arrow
+        except KeyError as exc:     # orbit_matrix refused an arrow code
             raise ValueError(illegal_arrow(*exc.args[0],
                                            c.min_degree + i)) from None
     return mods, maps
@@ -615,16 +602,15 @@ def realize_map(src_kinds: list[str], tgt_kinds: list[str],
         src = realize_term(src_kinds, ell)
     if tgt is None:
         tgt = realize_term(tgt_kinds, ell)
-    arrows = _nonzero_arrows(entries, src_kinds, tgt_kinds)
-    blocks = _block_table(ell)
-    sstarts, tstarts = orbit_starts(src_kinds), orbit_starts(tgt_kinds)
-    return MackeyMap(
-        src, tgt,
-        FMatrix.placed(ell, tstarts[-1], sstarts[-1],
-                       [(tstarts[r], sstarts[s], blocks[arrow][0])
-                        for r, s, arrow in arrows]),
-        FMatrix.placed(ell, tgt.dim_dot, src.dim_dot,
-                       [(r, s, blocks[arrow][1]) for r, s, arrow in arrows]))
+    theta = orbit_matrix(entries, src_kinds, tgt_kinds, ell)
+    table, fixed = _block_table(ell), zero_matrix(tgt.dim_dot, src.dim_dot)
+    for kt, row, dst in zip(tgt_kinds, entries, fixed):
+        codes = table[kt]
+        for s, e in enumerate(row):
+            if e:
+                dst[s] = codes[src_kinds[s]][e][1]
+    return MackeyMap(src, tgt, theta,
+                     FMatrix.from_rows(fixed, ell, src.dim_dot))
 
 
 # -- the free-orbit codec (its reader, ``arrow_matrix``, sits by theta_block)
@@ -636,58 +622,50 @@ def illegal_arrow(ks: str, kt: str, e, degree: int) -> str:
             f"into degree {degree}")
 
 
-def _nonzero_arrows(m: list[list[int]], src_kinds: list[str],
-                    tgt_kinds: list[str]) -> list[tuple[int, int, tuple]]:
-    """(target, source, (source kind, target kind, code)) for each nonzero
-    arrow of the arrow matrix ``m``, row by row."""
-    return [(r, s, (src_kinds[s], kt, e))
-            for r, (kt, row) in enumerate(zip(tgt_kinds, m))
-            for s, e in enumerate(row) if e]
-
-
 @lru_cache(maxsize=8)
-def _block_table(ell: int) -> dict[tuple, tuple[FMatrix, FMatrix]]:
-    """(source kind, target kind, code) -> (free-orbit block, 1 x 1
-    fixed-level block) over GF(l), for every nonzero arrow; callers place
-    the blocks and never change them.  The source's
-    fixed generator restricts to the all-ones orbit vector and the
-    target's to a vector with first coordinate 1, so the fixed-level
-    entry is the sum of the free-orbit block's first row."""
-    out = {}
+def _block_table(ell: int) -> dict[str, dict[str, dict[int, tuple]]]:
+    """The arrow table over GF(l): target kind -> source kind -> code ->
+    (free-orbit block, fixed-level entry), for every nonzero arrow; callers
+    place the blocks and never change them.  The source's fixed generator
+    restricts to the all-ones orbit vector and the target's to a vector
+    with first coordinate 1, so the fixed-level entry is the sum of the
+    free-orbit block's first row."""
+    out = {kt: {ks: {} for ks in "FH"} for kt in "FH"}
     for (ks, kt), names in _ARROW_NAMES.items():
         for e in range(1, len(names)):
             theta = theta_block(ks, kt, e, ell)
-            out[ks, kt, e] = theta, FMatrix.from_rows([[sum(theta.row(0))]],
-                                                      ell)
+            out[kt][ks][e] = theta, sum(theta.row(0)) % ell
     return out
 
 
-# _block_table(2)'s free-orbit blocks as target kind -> source kind ->
-# code -> block, the bit patterns the codec adds into place
-_ORBIT_BLOCKS = {kt: {ks: {e: theta for (a, b, e), (theta, _)
-                          in _block_table(2).items() if (a, b) == (ks, kt)}
-                     for ks in "FH"}
-                for kt in "FH"}
-
-
 def orbit_matrix(m: list[list[int]], src_kinds: list[str],
-                 tgt_kinds: list[str]) -> FMatrix:
-    """The free-orbit level over GF(2) of the arrow matrix ``m`` from
+                 tgt_kinds: list[str], ell: int = 2) -> FMatrix:
+    """The free-orbit level over GF(l) of the arrow matrix ``m`` from
     generators of kinds ``src_kinds`` to ``tgt_kinds``: its rows and
     columns are the free-orbit coordinates (``orbit_starts``), and each
     arrow sits there as its ``theta_block``.  ``arrow_matrix`` reads it
-    back.  An arrow code that its slot does not have raises
+    back at l = 2.  The first arrow code that its slot does not have,
+    an int (or bool) outside the slot's alphabet or anything else, raises
     KeyError((source kind, target kind, code))."""
     sstarts, tstarts = orbit_starts(src_kinds), orbit_starts(tgt_kinds)
-    blocks, theta = [], _ORBIT_BLOCKS
+    table, blocks = _block_table(ell), []
+    m = m[:len(tgt_kinds)]      # the rows the loop reads
     try:
+        if not all(map(isinstance, chain.from_iterable(m), repeat(int))):
+            raise KeyError      # a float, say, would find the int's key
         for kt, t0, row in zip(tgt_kinds, tstarts, m):
+            codes = table[kt]
             for s, e in enumerate(row):
                 if e:
-                    blocks.append((t0, sstarts[s], theta[kt][src_kinds[s]][e]))
+                    blocks.append((t0, sstarts[s], codes[src_kinds[s]][e][0]))
     except KeyError:
-        raise KeyError((src_kinds[s], kt, e)) from None
-    return FMatrix.from_blocks(tstarts[-1], sstarts[-1], blocks)
+        raise KeyError(next((src_kinds[s], kt, e)
+                            for kt, row in zip(tgt_kinds, m)
+                            for s, e in enumerate(row)
+                            if not entry_ok(src_kinds[s], kt, e))) from None
+    if ell == 2:
+        return FMatrix.from_blocks(tstarts[-1], sstarts[-1], blocks)
+    return FMatrix.placed(ell, tstarts[-1], sstarts[-1], blocks)
 
 
 def _subquotient(mod: MackeyModule, d_out: MackeyMap, d_in: MackeyMap,
@@ -916,14 +894,16 @@ def box_chain_map(f: ChainMap, g: ChainMap) -> ChainMap:
 
 def cotens_H(c: FreeComplex) -> FreeComplex:
     """The arrow-reversal dual: degrees negate, differentials transpose,
-    restriction and transfer arrows trade roles."""
+    restriction and transfer arrows trade roles; laid out as a one-part
+    canonical sum."""
     # every arrow is its own dual (the two p's trade places), so each
     # differential is the transpose of the one it reverses
     gens = c.gens
     diffs = [[[m[r][j] for r in range(len(gens[i]))]
               for j in range(len(gens[i + 1]))]
              for i, m in enumerate(c.diffs)]
-    return _canonicalize(FreeComplex(-c.max_degree, gens[::-1], diffs[::-1]))
+    return direct_sum_complexes([FreeComplex(-c.max_degree, gens[::-1],
+                                             diffs[::-1])])
 
 
 # -- the hom complex -------------------------------------------------------

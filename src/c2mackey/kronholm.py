@@ -251,7 +251,8 @@ def random_spacelike_script(rng, max_cells: int = 8,
                 if not any(vec):
                     continue
                 f = hom.chain_map(0, vec)
-                if _verdict(f, seen + [cell])[3] is not None:
+                cofiber, _, _, failure = _verdict(f, seen + [cell])
+                if failure is not None:
                     continue
                 attach = {d: arrows_to_json(mat, src.gens_at(d), y.gens_at(d))
                           for d, mat in f.components.items()
@@ -259,5 +260,6 @@ def random_spacelike_script(rng, max_cells: int = 8,
                 break
         script.append((cell, attach))
         seen.append(cell)
-        y = cone(attach_map(y, cell, attach))
+        # an accepted map's cofiber is the cone _verdict built
+        y = cofiber if attach else cone(attach_map(y, cell, None))
     return RepBuildScript(script)

@@ -340,7 +340,7 @@ def _replay_orbits(c: FreeComplex, certificate: list[BasisMove],
         sk, tk = gens[li + 1], gens[li]
         try:
             d = orbit_matrix(m, sk, tk)
-        except KeyError as exc:     # the codec's table holds every legal arrow
+        except KeyError as exc:     # orbit_matrix refused an arrow code
             raise ValueError(illegal_arrow(*exc.args[0], lo + li)) from None
         d.add_row_blocks(ops[li])
         if ops[li + 1]:
@@ -757,8 +757,9 @@ def decomposition_sum(strands: list[Strand]) -> FreeComplex:
 _RANDOM_KINDS = ("A", "Hn", "B", "DiskF", "DiskH")
 
 
-def random_strand(rng, max_param: int, shift_lo: int = -4,
-                  shift_hi: int = 4) -> Strand:
+def random_strand(rng, max_param: int) -> Strand:
+    """A strand or disk of a kind drawn from ``_RANDOM_KINDS``, with a
+    param up to ``max_param`` and a shift in -4..4."""
     kind = rng.choice(_RANDOM_KINDS)
     if kind == "A" or kind == "B":
         param = rng.randint(0, max_param)
@@ -766,7 +767,7 @@ def random_strand(rng, max_param: int, shift_lo: int = -4,
         param = rng.randint(-max_param, max_param)
     else:
         param = 0
-    return Strand(kind, param, rng.randint(shift_lo, shift_hi))
+    return Strand(kind, param, rng.randint(-4, 4))
 
 
 def random_legal_moves(c: FreeComplex, rng, count: int) -> list[BasisMove]:

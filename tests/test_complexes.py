@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import c2mackey.complexes as complexes_module
 from c2mackey.complexes import (U, ChainMap, FreeComplex, _ARROW_NAMES,
-                                _HomComplex, _canonicalize, _hom_degrees,
-                                _nonzero_columns, _placed_arrows,
+                                _HomComplex, _canonical_perm, _hom_degrees,
+                                _nonzero_columns, _trimmed,
                                 arrow_matrix, arrow_mul, box_chain_map, box_complex,
                                 chain_map_from_vector,
                                 compose_chain_maps, cone, cotens_H,
@@ -32,7 +32,7 @@ from c2mackey.gf2core import FMatrix
 from c2mackey.mackey import classify, direct_sum, indecomposable
 from c2mackey.derived import (_class_rep, _op_dual_strand, cohomology_window,
                               dcotens_formula_pair, m2_dim, sufficient_window)
-from c2mackey.split import (Strand, _shape, certificate_isos,
+from c2mackey.split import (_RANDOM_KINDS, Strand, _shape, certificate_isos,
                             decomposition_sum, random_scrambled_complex,
                             random_strand, strand_complex)
 from c2mackey.split import split as split_complex
@@ -250,6 +250,30 @@ def test_shift_and_sum():
     assert c.num_gens() == 2 + 3
 
 
+def _placed_arrows(nrows, ncols, blocks):
+    """The nrows x ncols arrow matrix that holds each arrow matrix of
+    ``blocks``, an iterable of (i0, j0, block) triples, with its top left
+    corner at (i0, j0), and zero arrows elsewhere."""
+    out = zero_matrix(nrows, ncols)
+    for i0, j0, b in blocks:
+        for i, row in enumerate(b, i0):
+            out[i][j0:j0 + len(row)] = row
+    return out
+
+
+def _canonicalize(c):
+    """``c`` trimmed to the degrees between its first and last generator,
+    with the F generators of each degree moved before its H's."""
+    c = _trimmed(c)
+    perms = [_canonical_perm(g) for g in c.gens]
+    gens = [[g[p] for p in perm] for g, perm in zip(c.gens, perms)]
+    diffs = []
+    for i, m in enumerate(c.diffs):
+        tp, sp = perms[i], perms[i + 1]
+        diffs.append([[m[tr][sc] for sc in sp] for tr in tp])
+    return FreeComplex(c.min_degree, gens, diffs)
+
+
 def _build_trim_permute_sum(parts):
     """``direct_sum_complexes`` the way it was first written: lay the
     parts side by side in each degree, then trim the empty end degrees and
@@ -284,25 +308,27 @@ def _padded(c, below, above):
                                                  c.max_degree + above + 1)])
 
 
+def _random_part(rng):
+    """A zero complex of 1-3 empty degrees, a scrambled sum or a strand,
+    the last two with up to two empty degrees added at each end."""
+    roll = rng.random()
+    if roll < 0.15:
+        lo, n = rng.randint(-3, 3), rng.randint(1, 3)
+        return FreeComplex(lo, [[]] * n, [[]] * (n - 1))
+    if roll < 0.5:
+        c, _ = random_scrambled_complex(rng, max_strands=3)
+    else:
+        c = strand_complex(random_strand(rng, 4))
+    return _padded(c, rng.randint(0, 2), rng.randint(0, 2))
+
+
 def test_direct_sum_matches_build_trim_permute():
     """The sum built in canonical order at once equals the one built side
     by side and then trimmed and permuted, on random parts: strands,
     scrambled sums, zero complexes and parts with empty end degrees."""
     rng = random.Random("direct-sum")
     for trial in range(300):
-        parts = []
-        for _ in range(rng.randint(0, 5)):
-            roll = rng.random()
-            if roll < 0.15:
-                parts.append(FreeComplex(rng.randint(-3, 3),
-                                         [[]] * rng.randint(1, 3), []))
-                parts[-1].diffs = [[] for _ in parts[-1].gens[1:]]
-                continue
-            if roll < 0.5:
-                c, _ = random_scrambled_complex(rng, max_strands=3)
-            else:
-                c = strand_complex(random_strand(rng, 4))
-            parts.append(_padded(c, rng.randint(0, 2), rng.randint(0, 2)))
+        parts = [_random_part(rng) for _ in range(rng.randint(0, 5))]
         assert all(validate_complex(p) == [] for p in parts), trial
         got = direct_sum_complexes(parts)
         want = _build_trim_permute_sum(parts)
@@ -313,6 +339,78 @@ def test_direct_sum_matches_build_trim_permute():
 def test_canonicalize_orders_f_before_h():
     c = FreeComplex(0, [["H", "F"]], [])
     assert _canonicalize(c).gens == [["F", "H"]]
+
+
+def _reference_cone(f):
+    """``cone`` the way it was first written: in each degree the shifted
+    source's generators, then the target's, the three blocks of the
+    differential placed side by side, then trimmed and permuted with
+    ``_canonicalize``."""
+    X, Y = f.source, f.target
+    lo = min(X.min_degree + 1, Y.min_degree)
+    hi = max(X.max_degree + 1, Y.max_degree)
+    gens = [list(X.gens_at(d - 1)) + list(Y.gens_at(d))
+            for d in range(lo, hi + 1)]
+    diffs = []
+    for d in range(lo + 1, hi + 1):
+        nxs, nxt = len(X.gens_at(d - 1)), len(X.gens_at(d - 2))
+        diffs.append(_placed_arrows(
+            len(gens[d - lo - 1]), len(gens[d - lo]),
+            [(0, 0, X.diff(d - 1)), (nxt, 0, f.component(d - 1)),
+             (nxt, nxs, Y.diff(d))]))
+    return _canonicalize(FreeComplex(lo, gens, diffs))
+
+
+def _reference_cotens_H(c):
+    """``cotens_H`` the way it was first written: reverse the degrees,
+    transpose each differential, then ``_canonicalize``."""
+    gens = c.gens
+    diffs = [[[m[r][j] for r in range(len(gens[i]))]
+              for j in range(len(gens[i + 1]))]
+             for i, m in enumerate(c.diffs)]
+    return _canonicalize(FreeComplex(-c.max_degree, gens[::-1], diffs[::-1]))
+
+
+def _same_layout(got, want):
+    """Whether ``got`` is ``want`` generator for generator; the layout puts
+    a zero complex in degree 0, where the reference leaves it anywhere."""
+    if want.is_zero():
+        return got == want and (got.min_degree, got.gens, got.diffs) == (
+            0, [[]], [])
+    return (got.min_degree, got.gens, got.diffs) == (
+        want.min_degree, want.gens, want.diffs)
+
+
+def test_cone_and_cotens_match_their_first_layouts():
+    """``cone`` and ``cotens_H`` lay out through the canonical sum and
+    equal their first versions, on random cocycles and identities between
+    random parts: scrambles, strands, zero complexes, parts with empty end
+    degrees, and maps with a zero source or target or no common degree."""
+    rng = random.Random("cone-layout")
+    one_sided = 0
+    for trial in range(300):
+        x, y = _random_part(rng), _random_part(rng)
+        cycles = hom_delta(x, y, 0).kernel_basis()
+        vec = cycles.mul_vec([rng.randrange(2) for _ in range(cycles.ncols)])
+        f = chain_map_from_vector(x, y, 0, vec)
+        one_sided += not f.components
+        for g in (f, identity_chain_map(x)):
+            assert _same_layout(cone(g), _reference_cone(g)), trial
+        assert _same_layout(cotens_H(x), _reference_cotens_H(x)), trial
+    assert one_sided > 30
+
+
+def test_every_zero_complex_is_equal():
+    """Complexes with no generator are equal whatever their degrees, and
+    none equals a complex with a generator."""
+    zeros = [FreeComplex(6, [[]], []), FreeComplex(0, [[]], []),
+             FreeComplex(6, [[], []], [[]]), FreeComplex(0, [], []),
+             FreeComplex(-5, [[], [], []], [[], []])]
+    for a in zeros:
+        assert all(a == b for b in zeros)
+        assert a != strand("A", 0) and strand("A", 0) != a
+    x = FreeComplex(6, [[]], [])
+    assert cone(identity_chain_map(x)) == cotens_H(x) == x
 
 
 def test_complex_json_roundtrip():
@@ -358,14 +456,16 @@ def test_orbit_codec_matches_block_placement(case, legal):
 
 
 def test_orbit_codec_refuses_codes_its_slot_lacks():
-    """A code past the slot's alphabet, or a negative one, is a KeyError
-    naming the slot and the code, never a pattern from another code."""
+    """A code past the slot's alphabet, a negative one or one that is not
+    an int is a KeyError naming the slot and the code, at every l, never
+    a pattern from another code."""
     for (ks, kt), names in _ARROW_NAMES.items():
-        for e in (len(names), 5, -1, -len(names)):
+        for e in (len(names), 5, -1, -len(names), 1.0, 0.0, None, "1"):
             m = [[0, 0], [0, e]]
-            with pytest.raises(KeyError) as info:
-                orbit_matrix(m, ["H", ks], ["F", kt])
-            assert info.value.args[0] == (ks, kt, e)
+            for ell in (2, 3):
+                with pytest.raises(KeyError) as info:
+                    orbit_matrix(m, ["H", ks], ["F", kt], ell)
+                assert info.value.args[0] == (ks, kt, e)
 
 
 # -- realization and homology -------------------------------------------------
@@ -413,7 +513,7 @@ def per_entry_realize_map(src_kinds, tgt_kinds, entries, ell):
     return f_theta, f_dot
 
 
-@pytest.mark.parametrize("ell", [2, 3, 257])
+@pytest.mark.parametrize("ell", [2, 3, 257, 2 ** 61 - 1])
 def test_realize_map_matches_per_entry_reference(ell):
     for ks in "FH":
         for kt in "FH":
@@ -735,6 +835,19 @@ def test_chain_map_validation_and_composition():
     assert bad.components[0] == [[0], [1]] and validate_chain_map(bad)
 
 
+def test_validate_chain_map_names_each_illegal_arrow_once():
+    """Each arrow code that its slot lacks is named once, with its code,
+    its slot and its degree; an int 1 and a bool pass, 1.0 and 0.0 do
+    not."""
+    ff, hh = FreeComplex(0, [["F", "F"]], []), FreeComplex(0, [["H", "H"]], [])
+    where = "in slot (F->H) of the component at degree 0"
+    assert validate_chain_map(ChainMap(ff, hh, {0: [[5, 7], [1, 9]]})) == [
+        f"illegal arrow {e} {where}" for e in (5, 7, 9)]
+    assert validate_chain_map(ChainMap(ff, hh, {0: [[1.0, True], [0, 0.0]]})
+                              ) == [f"illegal arrow {e} {where}"
+                                    for e in (1.0, 0.0)]
+
+
 def test_chain_map_json_roundtrip():
     c = strand("Hn", 1)
     f = identity_chain_map(c)
@@ -881,10 +994,21 @@ def _reference_cohomology_window(c, p0, p1, q0, q1):
 EMPTY = FreeComplex(0, [[]], [])
 
 
+def _near_strand(rng):
+    """A strand drawn the way ``random_strand(rng, 3)`` draws one, with
+    its shift in -2..2 instead of -4..4."""
+    kind = rng.choice(_RANDOM_KINDS)
+    if kind in ("A", "B"):
+        param = rng.randint(0, 3)
+    else:
+        param = rng.randint(-3, 3) if kind == "Hn" else 0
+    return Strand(kind, param, rng.randint(-2, 2))
+
+
 def _cocycle_cone(rng):
     """The cone of a random degree-0 cocycle between two sums of 1-3
     random strands, as ``test_split`` draws its cones."""
-    x, y = (decomposition_sum([random_strand(rng, 3, -2, 2)
+    x, y = (decomposition_sum([_near_strand(rng)
                                for _ in range(rng.randint(1, 3))])
             for _ in range(2))
     cycles = hom_delta(x, y, 0).kernel_basis()

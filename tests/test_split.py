@@ -21,7 +21,7 @@ from c2mackey.gf2core import FMatrix
 from c2mackey.kronholm import kronholm_split, random_spacelike_script
 from c2mackey.mackey import (MackeyMap, MackeyModule, classify, direct_sum,
                              indecomposable, zero_module)
-from c2mackey.split import (_MOVE_NAMES, _VARIANTS, BasisMove,
+from c2mackey.split import (_MOVE_NAMES, _RANDOM_KINDS, _VARIANTS, BasisMove,
                             Decomposition, Strand, _components_of, _Sweep,
                             apply_move, certificate_isos, decomposition_sum, random_odd_complex,
                             random_legal_moves, random_scrambled_complex,
@@ -180,9 +180,63 @@ def test_scramble_roundtrip_property(seed):
     assert verify_certificate(c, dec)
 
 
+_TWIST = BasisMove(1, "twist_t", 0, 0)
+
+# the entry points that read an arrow matrix through orbit_matrix, each
+# called on a complex with one F in degree 1
+_ARROW_READERS = {
+    "homology_counts": homology_counts,
+    "homology": lambda c: homology(c, 0),
+    "realize": realize,
+    "realize_l3": lambda c: realize(c, 3),
+    "split_odd_l3": lambda c: split_odd(c, 3),
+    "replay": lambda c: replay(c, [_TWIST]),
+    "certificate_isos": lambda c: certificate_isos(c, [_TWIST]),
+}
+
+
+@pytest.mark.parametrize("code", [1.0, 0.0])
+@pytest.mark.parametrize("slot", ["F->H", "F->F"])
+@pytest.mark.parametrize("entry", sorted(_ARROW_READERS))
+def test_arrow_readers_refuse_non_int_codes(entry, slot, code):
+    """A float arrow code is refused as ``validate_complex`` words it, not
+    read as the int it equals."""
+    c = FreeComplex(0, [[slot[-1]], ["F"]], [[[code]]])
+    want = (f"illegal arrow {code!r} in slot ({slot}) of the differential "
+            f"into degree 0")
+    assert validate_complex(c) == [want]
+    with pytest.raises(ValueError, match=re.escape(want)):
+        _ARROW_READERS[entry](c)
+
+
+@pytest.mark.parametrize("code", [1.0, 0.0])
+@pytest.mark.parametrize("slot", ["F->H", "F->F"])
+@pytest.mark.parametrize("below", [[], ["F"]])
+def test_verify_certificate_refuses_non_int_codes(below, slot, code):
+    """A certificate that verifies on the int codes does not verify on
+    the float codes equal to them."""
+    gens = [[slot[-1], *below], ["F"]]
+    c = FreeComplex(0, gens, [[[code]] + [[0] for _ in below]])
+    same = FreeComplex(0, gens, [[[int(code)]] + [[0] for _ in below]])
+    dec = Decomposition(split(same).strands, [_TWIST, _TWIST])
+    assert verify_certificate(same, dec)
+    assert not verify_certificate(c, dec)
+
+
+def _near_strand(rng):
+    """A strand drawn the way ``random_strand(rng, 3)`` draws one, with
+    its shift in -2..2 instead of -4..4."""
+    kind = rng.choice(_RANDOM_KINDS)
+    if kind in ("A", "B"):
+        param = rng.randint(0, 3)
+    else:
+        param = rng.randint(-3, 3) if kind == "Hn" else 0
+    return Strand(kind, param, rng.randint(-2, 2))
+
+
 def _strand_sums(rng, count):
     """``count`` lists of 1-3 random strands."""
-    return [[random_strand(rng, 3, -2, 2) for _ in range(rng.randint(1, 3))]
+    return [[_near_strand(rng) for _ in range(rng.randint(1, 3))]
             for _ in range(count)]
 
 

@@ -286,13 +286,11 @@ def validate_complex(c: FreeComplex) -> list[str]:
     theta = []      # the free-orbit level of each differential
     for i, m in enumerate(c.diffs):
         tk, sk = c.gens[i], c.gens[i + 1]
-        if len(m) != len(tk) or any(len(row) != len(sk) for row in m):
-            out.append(f"differential into degree {c.min_degree + i} has the "
-                       f"wrong shape")
-            continue
         try:
             theta.append(orbit_matrix(m, sk, tk))
-        except KeyError:    # the writer refuses; name every illegal arrow
+        except ValueError:  # the writer refuses the shape
+            out.append(wrong_shape(c.min_degree + i))
+        except KeyError:    # the writer refuses a code; name every one
             out += [illegal_arrow(ks, kt, e, c.min_degree + i)
                     for kt, row in zip(tk, m) for ks, e in zip(sk, row)
                     if not entry_ok(ks, kt, e)]
@@ -496,7 +494,7 @@ def validate_chain_map(f: ChainMap) -> list[str]:
     for d, m in f.components.items():
         sk = f.source.gens_at(d)
         tk = f.target.gens_at(d + f.degree)
-        if len(m) != len(tk) or any(len(row) != len(sk) for row in m):
+        if not has_shape(m, len(tk), len(sk)):
             out.append(f"component at degree {d} has the wrong shape")
             continue
         out += [f"illegal arrow {e!r} in slot ({ks}->{kt}) of the component "
@@ -573,6 +571,8 @@ def realize(c: FreeComplex, ell: int = 2) -> tuple[list[MackeyModule], list[Mack
         except KeyError as exc:     # orbit_matrix refused an arrow code
             raise ValueError(illegal_arrow(*exc.args[0],
                                            c.min_degree + i)) from None
+        except ValueError:          # orbit_matrix refused the shape
+            raise ValueError(wrong_shape(c.min_degree + i)) from None
     return mods, maps
 
 
@@ -622,6 +622,17 @@ def illegal_arrow(ks: str, kt: str, e, degree: int) -> str:
             f"into degree {degree}")
 
 
+def wrong_shape(degree: int) -> str:
+    """The violation of a differential into ``degree`` that is not a
+    (generators in ``degree``) x (generators in ``degree + 1``) matrix."""
+    return f"differential into degree {degree} has the wrong shape"
+
+
+def has_shape(m: list[list[int]], nrows: int, ncols: int) -> bool:
+    """Whether ``m`` has ``nrows`` rows of ``ncols`` entries each."""
+    return len(m) == nrows and {*map(len, m)} <= {ncols}
+
+
 @lru_cache(maxsize=8)
 def _block_table(ell: int) -> dict[str, dict[str, dict[int, tuple]]]:
     """The arrow table over GF(l): target kind -> source kind -> code ->
@@ -644,12 +655,14 @@ def orbit_matrix(m: list[list[int]], src_kinds: list[str],
     generators of kinds ``src_kinds`` to ``tgt_kinds``: its rows and
     columns are the free-orbit coordinates (``orbit_starts``), and each
     arrow sits there as its ``theta_block``.  ``arrow_matrix`` reads it
-    back at l = 2.  The first arrow code that its slot does not have,
-    an int (or bool) outside the slot's alphabet or anything else, raises
-    KeyError((source kind, target kind, code))."""
+    back at l = 2.  A matrix that is not len(tgt_kinds) x len(src_kinds)
+    raises ValueError before any code is read.  The first arrow code that
+    its slot does not have, an int (or bool) outside the slot's alphabet
+    or anything else, raises KeyError((source kind, target kind, code))."""
+    if not has_shape(m, len(tgt_kinds), len(src_kinds)):
+        raise ValueError("an arrow matrix of the wrong shape")
     sstarts, tstarts = orbit_starts(src_kinds), orbit_starts(tgt_kinds)
     table, blocks = _block_table(ell), []
-    m = m[:len(tgt_kinds)]      # the rows the loop reads
     try:
         if not all(map(isinstance, chain.from_iterable(m), repeat(int))):
             raise KeyError      # a float, say, would find the int's key

@@ -55,9 +55,9 @@ class FMatrix:
 
     Rows are ints (bitsets) when l = 2 and lists of ints otherwise.  That
     format is private to this module: other modules build block-structured
-    matrices with ``placed``.  The class only implements what the rest of
-    the package needs: ring ops, reduced row echelon form and the solvers
-    built on top of it.
+    matrices with ``placed`` and ``kron_sum``.  The class only implements
+    what the rest of the package needs: ring ops, reduced row echelon form
+    and the solvers built on top of it.
     """
 
     __slots__ = ("ell", "nrows", "ncols", "rows")
@@ -227,22 +227,9 @@ class FMatrix:
         r = self.rows[i]
         return [r >> shift & mask for shift, mask in fields]
 
-    def _entries(self):
-        """(i, j, v) for each nonzero entry v at (i, j), row by row."""
-        for i, r in enumerate(self.rows):
-            if self.ell == 2:
-                for j in _set_bits(r):
-                    yield i, j, 1
-            else:
-                for j, v in enumerate(r):
-                    if v:
-                        yield i, j, v
-
     def transpose(self) -> "FMatrix":
         if self.ell == 2:
             rows = [0] * self.ncols
-            # one walk per row, not one generator step per entry (about
-            # 1.3-1.6x faster than reading _entries from 20x20 to 200x200)
             for i, r in enumerate(self.rows):
                 bit = 1 << i
                 for j in _set_bits(r):
@@ -254,18 +241,11 @@ class FMatrix:
         return FMatrix(self.ell, self.ncols, self.nrows, rows)
 
     def kron(self, other: "FMatrix") -> "FMatrix":
-        """Kronecker product (row-major convention)."""
-        if self.ell != other.ell:
-            raise ValueError("field mismatch in kron")
-        p, q = other.nrows, other.ncols
-        scaled: dict[int, FMatrix] = {}
-        blocks = []
-        for i, j, a in self._entries():
-            blk = scaled.get(a)
-            if blk is None:
-                blk = scaled[a] = other.scale(a)
-            blocks.append((i * p, j * q, blk))
-        return FMatrix.placed(self.ell, self.nrows * p, self.ncols * q, blocks)
+        """Kronecker product (row-major convention): ``kron_sum`` of one
+        term."""
+        return FMatrix.kron_sum(self.ell, self.nrows * other.nrows,
+                                self.ncols * other.ncols,
+                                [(0, 0, 1, self, other)])
 
     # -- elementary row operations ----------------------------------------
 
@@ -287,6 +267,57 @@ class FMatrix:
                                for x, y in zip(rows[i], rows[j0 + b])]
 
     # -- block structure ------------------------------------------------
+
+    @staticmethod
+    def kron_sum(ell: int, nrows: int, ncols: int, terms) -> "FMatrix":
+        """The nrows x ncols matrix over GF(l) that is the sum, over each
+        (r0, c0, c, A, B) of ``terms``, of c * (A (x) B) with its top left
+        corner at (r0, c0), and zeros elsewhere.  An int k in place of A
+        or B is the k x k identity.  Terms may overlap, and then add.  A
+        factor over another field, or a term that does not fit, raises
+        ValueError.
+
+        Written in one pass in the row format, with no intermediate
+        matrix: each nonzero of a product is written once, and only what
+        is written is reduced mod l."""
+        factors = []
+        for r0, c0, c, a, b in terms:
+            (pa, qa, arows), (pb, qb, brows) = (
+                _factor(ell, f) for f in (a, b))
+            if (r0 < 0 or c0 < 0 or r0 + pa * pb > nrows
+                    or c0 + qa * qb > ncols):
+                raise ValueError(f"a {pa * pb}x{qa * qb} term at ({r0}, "
+                                 f"{c0}) does not fit in {nrows}x{ncols}")
+            factors.append((r0, c0, c % ell, arows, qb, brows))
+        if ell == 2:
+            rows = [0] * nrows
+            for r, c0, c, arows, q, brows in factors:
+                if not c:
+                    continue
+                for a in arows:
+                    # bit j of a row of A becomes a copy of each row of B at
+                    # column c0 + j*q; the copies never overlap, so one
+                    # product writes them all
+                    spread = (a << c0 if q == 1 else
+                              sum(1 << c0 + j * q for j in _set_bits(a)))
+                    for b in brows:
+                        rows[r] ^= b * spread
+                        r += 1
+            return FMatrix(2, nrows, ncols, rows)
+        rows = [[0] * ncols for _ in range(nrows)]
+        for r, c0, c, arows, q, brows in factors:
+            if not c:
+                continue
+            for a in arows:
+                outer = [(c0 + j * q, c * v % ell) for j, v in a]
+                for supp in brows:
+                    row = rows[r]
+                    r += 1
+                    for off, u in outer:
+                        for j, v in supp:
+                            j += off
+                            row[j] = (row[j] + u * v) % ell
+        return FMatrix(ell, nrows, ncols, rows)
 
     @staticmethod
     def placed(ell: int, nrows: int, ncols: int, blocks) -> "FMatrix":
@@ -519,6 +550,22 @@ def _set_bits(r: int) -> list[int]:
         out.append(low.bit_length() - 1)
         r ^= low
     return out
+
+
+def _factor(ell: int, f) -> tuple[int, int, list]:
+    """(rows, columns, rows) of a ``kron_sum`` factor, an FMatrix over
+    GF(l) or an int k for the k x k identity: its rows as bitsets at
+    l = 2, and as lists of (column, nonzero value) pairs otherwise."""
+    if isinstance(f, int):
+        return f, f, ([1 << i for i in range(f)] if ell == 2 else
+                      [[(i, 1)] for i in range(f)])
+    if f.ell != ell:
+        raise ValueError(f"a factor over GF({f.ell}) in a matrix over "
+                         f"GF({ell})")
+    if ell == 2:
+        return f.nrows, f.ncols, f.rows
+    return f.nrows, f.ncols, [[(j, v) for j, v in enumerate(r) if v]
+                              for r in f.rows]
 
 
 def _bits(values) -> int:

@@ -11,12 +11,13 @@ p_up : M_dot -> M_theta subject to
 Everything is matrix-level and exact: ``validate_module`` checks all five
 relations, ``classify`` returns the multiset of indecomposable summands,
 and ``box`` / ``internal_hom`` construct the monoidal product and its
-adjoint concretely.  Each writes its linear system whole, as block rows
-of Kronecker products of the structure maps (I (x) p_down^T, t^T (x) t^T,
-...): a box's dot level is the quotient by its Frobenius relations, a
-hom's dot level the kernel of the Mackey-map equations.  No lookup
-tables on this route; the tables live in ``ext``/``tor``, where the
-spectral answer is a finite dictionary.
+adjoint concretely.  Each writes its linear system whole with
+``FMatrix.kron_sum``, in one pass, as block rows of scaled Kronecker
+products of the structure maps (1 (x) p_down^T, t^T (x) t^T, ...): a
+box's dot level is the quotient by its Frobenius relations, a hom's dot
+level the kernel of the Mackey-map equations.  No lookup tables on this
+route; the tables live in ``ext``/``tor``, where the spectral answer is
+a finite dictionary.
 """
 
 from __future__ import annotations
@@ -264,22 +265,25 @@ def box(m: MackeyModule, n: MackeyModule) -> MackeyModule:
     nt, nd = n.dim_theta, n.dim_dot
     dd = md * nd            # dot-dot block, index i*nd + j
     tt = mt * nt            # theta-theta block, index a*nt + b
-    t_box = m.t.kron(n.t)
-
-    def eye(k: int) -> FMatrix:
-        return FMatrix.identity(k, ell)
-
-    # one relation per row: [dot-dot part | theta-theta part]
-    rels = FMatrix.vstack([
-        FMatrix.hstack([eye(md).kron(n.p_down.transpose()),
-                        m.p_up.transpose().kron(eye(nt)).scale(-1)]),
-        FMatrix.hstack([m.p_down.transpose().kron(eye(nd)),
-                        eye(mt).kron(n.p_up.transpose()).scale(-1)]),
-        FMatrix.hstack([FMatrix.zeros(tt, dd, ell),
-                        t_box.transpose().add(eye(tt).scale(-1))]),
+    kron_sum = FMatrix.kron_sum
+    t_box = kron_sum(ell, tt, tt, [(0, 0, 1, m.t, n.t)])
+    # one relation per row: [dot-dot part | theta-theta part], the block
+    # rows [1 (x) n.p_down^T | -m.p_up^T (x) 1],
+    # [m.p_down^T (x) 1 | -1 (x) n.p_up^T] and [0 | t^T (x) t^T - 1]
+    r2, r3 = md * nt, md * nt + mt * nd
+    rels = kron_sum(ell, r3 + tt, dd + tt, [
+        (0, 0, 1, md, n.p_down.transpose()),
+        (0, dd, -1, m.p_up.transpose(), nt),
+        (r2, 0, 1, m.p_down.transpose(), nd),
+        (r2, dd, -1, mt, n.p_up.transpose()),
+        (r3, dd, 1, m.t.transpose(), n.t.transpose()),
+        (r3, dd, -1, tt, 1),
     ])
     proj, free = _quotient(rels)
-    a_up = FMatrix.hstack([m.p_up.kron(n.p_up), eye(tt).add(t_box)])
+    # [p_up (x) p_up | 1 + t (x) t], read at the quotient's basis
+    a_up = kron_sum(ell, tt, dd + tt, [(0, 0, 1, m.p_up, n.p_up),
+                                       (0, dd, 1, tt, 1),
+                                       (0, dd, 1, m.t, n.t)])
     return MackeyModule(ell, t_box,
                         a_up.submatrix(list(range(tt)), free),
                         proj.submatrix(list(range(proj.nrows)),
@@ -294,11 +298,12 @@ def _quotient(R: FMatrix) -> tuple[FMatrix, list[int]]:
     pivset = set(pivots)
     free = [c for c in range(R.ncols) if c not in pivset]
     # in the column order free + pivots the projection is [1 | -C^T]
+    nf = len(free)
     C = red.submatrix(list(range(len(pivots))), free)
-    wide = FMatrix.hstack([FMatrix.identity(len(free), R.ell),
-                           C.transpose().scale(-1)])
+    wide = FMatrix.kron_sum(R.ell, nf, R.ncols, [
+        (0, 0, 1, nf, 1), (0, nf, -1, C.transpose(), 1)])
     order = free + pivots
-    return (wide.submatrix(list(range(len(free))),
+    return (wide.submatrix(list(range(nf)),
                            sorted(range(R.ncols), key=order.__getitem__)),
             free)
 
@@ -313,29 +318,34 @@ def internal_hom(m: MackeyModule, n: MackeyModule) -> MackeyModule:
     nt, nd = n.dim_theta, n.dim_dot
     dim_th = nt * mt    # vec(f_theta), row-major
     dim_dt = nd * md    # vec(f_dot)
+    kron_sum = FMatrix.kron_sum
+    m_tT, m_upT, m_downT = (x.transpose() for x in (m.t, m.p_up, m.p_down))
 
-    it_m = FMatrix.identity(mt, ell)
-    it_n = FMatrix.identity(nt, ell)
-    id_md = FMatrix.identity(md, ell)
-    id_nd = FMatrix.identity(nd, ell)
-
-    # constraint rows: [theta-part | dot-part] acting on (vec f_theta, vec f_dot)
-    eq1 = FMatrix.hstack([n.t.kron(it_m).add(it_n.kron(m.t.transpose()).scale(-1)),
-                          FMatrix.zeros(dim_th, dim_dt, ell)])
-    eq2 = FMatrix.hstack([it_n.kron(m.p_up.transpose()),
-                          n.p_up.kron(id_md).scale(-1)])
-    eq3 = FMatrix.hstack([n.p_down.kron(it_m).scale(-1),
-                          id_nd.kron(m.p_down.transpose())])
-    system = FMatrix.vstack([eq1, eq2, eq3])
+    # constraint rows acting on (vec f_theta, vec f_dot): the block rows
+    # [n.t (x) 1 - 1 (x) m.t^T | 0] (f commutes with t),
+    # [1 (x) m.p_up^T | -n.p_up (x) 1] (with p_up) and
+    # [-n.p_down (x) 1 | 1 (x) m.p_down^T] (with p_down)
+    e2, e3 = dim_th, dim_th + nt * md
+    system = kron_sum(ell, e3 + nd * mt, dim_th + dim_dt, [
+        (0, 0, 1, n.t, mt),
+        (0, 0, -1, nt, m_tT),
+        (e2, 0, 1, nt, m_upT),
+        (e2, dim_th, -1, n.p_up, md),
+        (e3, 0, -1, n.p_down, mt),
+        (e3, dim_th, 1, nd, m_downT),
+    ])
     K = system.kernel_basis()   # columns = Mackey maps
 
-    t_h = n.t.kron(m.t.transpose())
+    t_h = kron_sum(ell, dim_th, dim_th, [(0, 0, 1, n.t, m_tT)])
     p_up_h = K.submatrix(list(range(dim_th)), list(range(K.ncols)))
 
-    # p_down sends phi to the Mackey map (phi + t phi t, p_down phi p_up)
-    top = FMatrix.identity(dim_th, ell).add(t_h)
-    bot = n.p_down.kron(m.p_up.transpose())
-    stacked = FMatrix.vstack([top, bot])
+    # p_down sends phi to the Mackey map (phi + t phi t, p_down phi p_up):
+    # solve K X = [1 + n.t (x) m.t^T ; n.p_down (x) m.p_up^T]
+    stacked = kron_sum(ell, dim_th + dim_dt, dim_th, [
+        (0, 0, 1, dim_th, 1),
+        (0, 0, 1, n.t, m_tT),
+        (dim_th, 0, 1, n.p_down, m_upT),
+    ])
     p_down_h = K.solve_many(stacked)
     if p_down_h is None:
         raise AssertionError("norm of a linear map failed to be a Mackey map")

@@ -42,9 +42,10 @@ from typing import NamedTuple
 from . import _schema as schema
 from .complexes import (STRAND_SHAPES, ChainMap, FreeComplex, arrow_matrix,
                         check_strand_param, direct_sum_complexes, ecompose,
-                        entry_ok, illegal_arrow, orbit_matrix, orbit_starts,
-                        realize, strand, strand_edge, strand_param_ok,
-                        strand_top, theta_block, validate_complex)
+                        entry_ok, has_shape, illegal_arrow, orbit_matrix,
+                        orbit_starts, realize, strand, strand_edge,
+                        strand_param_ok, strand_top, theta_block,
+                        validate_complex, wrong_shape)
 from .gf2core import FMatrix, is_prime, random_invertible
 from .mackey import (MackeyMap, MackeyModule, conjugate, counts_of_ranks,
                      direct_sum, indecomposable, validate_module, zero_module)
@@ -277,8 +278,8 @@ def _replay_orbits(c: FreeComplex, certificate: list[BasisMove],
                    with_isos: bool = False):
     """Replay ``certificate`` on the free-orbit levels of ``c`` (see
     ``orbit_matrix``), refusing its first illegal move as ``apply_move``
-    does, and then any arrow code that its slot does not have in a
-    differential a move acts on.
+    does, then any differential of the wrong shape, and then any arrow
+    code that its slot does not have in a differential a move acts on.
 
     A move on generators i, j at level L is the basis change P = 1 + N,
     where N holds its arrow's block at (slots of j, slots of i), or for
@@ -334,10 +335,12 @@ def _replay_orbits(c: FreeComplex, certificate: list[BasisMove],
           else None for li, level_ops in enumerate(ops)]
     diffs = []
     for li, m in enumerate(c.diffs):
+        sk, tk = gens[li + 1], gens[li]
+        if not has_shape(m, len(tk), len(sk)):
+            raise ValueError(wrong_shape(lo + li))
         if not ops[li] and not ops[li + 1]:
             diffs.append([row[:] for row in m])
             continue
-        sk, tk = gens[li + 1], gens[li]
         try:
             d = orbit_matrix(m, sk, tk)
         except KeyError as exc:     # orbit_matrix refused an arrow code
@@ -824,9 +827,8 @@ def random_legal_moves(c: FreeComplex, rng, count: int) -> list[BasisMove]:
     kd, kv = nd.bit_length(), nv.bit_length()
     getrandbits = rng.getrandbits
     moves = []
-    attempts = 0
-    while table and len(moves) < count and attempts < count * 50:
-        attempts += 1
+    wanted = count      # the moves still to draw
+    for _ in repeat(None, count * 50 if table else 0):
         r = getrandbits(kd)
         while r >= nd:
             r = getrandbits(kd)
@@ -841,16 +843,18 @@ def random_legal_moves(c: FreeComplex, rng, count: int) -> list[BasisMove]:
         r = getrandbits(bi)
         while r >= ni:
             r = getrandbits(bi)
-        i = si[r]
-        if sj is None:  # twist_t
-            moves.append(BasisMove(d, variant, i, i))
-            continue
-        r = getrandbits(bj)
-        while r >= nj:
+        j = i = si[r]
+        if sj is not None:      # not twist_t, which draws only i
             r = getrandbits(bj)
-        j = sj[r]
-        if i != j:
-            moves.append(BasisMove(d, variant, i, j))
+            while r >= nj:
+                r = getrandbits(bj)
+            j = sj[r]
+            if i == j:
+                continue
+        moves.append(BasisMove(d, variant, i, j))
+        wanted -= 1
+        if not wanted:
+            break
     return moves
 
 

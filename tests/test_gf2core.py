@@ -232,6 +232,81 @@ def test_placed_refuses_misfit_and_foreign_blocks():
         FMatrix.hstack([block, FMatrix.identity(2, 3)])
 
 
+def _reference_kron(a, b):
+    """The Kronecker product as ``kron`` first built it: a copy of b,
+    scaled by each nonzero entry of a, placed at that entry's block."""
+    p, q = b.nrows, b.ncols
+    blocks = [(i * p, j * q, b.scale(a.get(i, j)))
+              for i in range(a.nrows) for j in range(a.ncols) if a.get(i, j)]
+    return FMatrix.placed(a.ell, a.nrows * p, a.ncols * q, blocks)
+
+
+def _reference_kron_sum(ell, nrows, ncols, terms):
+    """``kron_sum`` as ``mackey`` first composed it: each term a scaled
+    Kronecker product, padded with zero blocks by ``hstack`` and
+    ``vstack``, and the terms summed by ``add``."""
+    out = FMatrix.zeros(nrows, ncols, ell)
+    for r0, c0, c, a, b in terms:
+        a, b = (FMatrix.identity(f, ell) if isinstance(f, int) else f
+                for f in (a, b))
+        blk = _reference_kron(a, b).scale(c)
+        h, w = blk.nrows, blk.ncols
+        band = FMatrix.hstack([FMatrix.zeros(h, c0, ell), blk,
+                               FMatrix.zeros(h, ncols - c0 - w, ell)])
+        out = out.add(FMatrix.vstack([FMatrix.zeros(r0, ncols, ell), band,
+                                      FMatrix.zeros(nrows - r0 - h, ncols,
+                                                    ell)]))
+    return out
+
+
+def _random_factor(rng, ell):
+    """A kron_sum factor: an int k (the k x k identity, k = 0 included) or
+    a matrix of 0 to 3 rows and columns, like the levels of SDot (no
+    theta level) and STheta (no dot level)."""
+    if rng.random() < 0.3:
+        return rng.randint(0, 3)
+    return _random_matrix(rng, rng.randint(0, 3), rng.randint(0, 3), ell)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 3), st.integers(0, 2 ** 20),
+       st.sampled_from([2, 3, 257, 2 ** 61 - 1]))
+def test_kron_sum_matches_composed_reference(nterms, slack, seed, ell):
+    """Overlapping terms add; an int factor is an identity; coefficients
+    -1 and 2 (0 at l = 2) scale; empty factors write nothing."""
+    rng = random.Random(seed)
+    shapes = []
+    for _ in range(nterms):
+        a, b = _random_factor(rng, ell), _random_factor(rng, ell)
+        (pa, qa), (pb, qb) = ((f, f) if isinstance(f, int) else
+                              (f.nrows, f.ncols) for f in (a, b))
+        c = rng.choice([1, -1, 2, rng.randrange(ell)])
+        shapes.append((pa * pb, qa * qb, c, a, b))
+    nrows = max([h for h, *_ in shapes], default=0) + slack
+    ncols = max([w for _, w, *_ in shapes], default=0) + slack
+    terms = [(rng.randint(0, nrows - h), rng.randint(0, ncols - w), c, a, b)
+             for h, w, c, a, b in shapes]
+    if terms and rng.random() < 0.5:    # a term twice: it cancels mod 2
+        terms.append(rng.choice(terms))
+    got = FMatrix.kron_sum(ell, nrows, ncols, terms)
+    assert got == _reference_kron_sum(ell, nrows, ncols, terms)
+    assert _is_canonical(got)
+    for _, _, _, a, b in terms:
+        if not isinstance(a, int) and not isinstance(b, int):
+            assert a.kron(b) == _reference_kron(a, b)
+
+
+def test_kron_sum_refuses_misfit_terms_and_foreign_factors():
+    eye = FMatrix.identity(2, 3)
+    for r0, c0 in ((0, 3), (3, 0), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="does not fit in 4x4"):
+            FMatrix.kron_sum(3, 4, 4, [(r0, c0, 1, eye, 1)])
+    with pytest.raises(ValueError, match="GF\\(3\\)"):
+        FMatrix.kron_sum(2, 4, 4, [(0, 0, 1, 2, eye)])
+    with pytest.raises(ValueError, match="GF\\(2\\)"):
+        eye.kron(FMatrix.identity(2, 2))
+
+
 def test_row_format_stays_in_gf2core():
     """Only gf2core reads or writes a matrix's ``.rows``: the row format
     (bitsets mod 2, lists of residues otherwise) is its decision alone."""

@@ -223,6 +223,31 @@ def test_verify_certificate_refuses_non_int_codes(below, slot, code):
     assert not verify_certificate(c, dec)
 
 
+# a differential into degree 0 with a row missing, and one with a row
+# too long
+_WRONG_SHAPES = {
+    "row_missing": FreeComplex(0, [["H", "H"], ["F"]], [[[1]]]),
+    "row_too_long": FreeComplex(0, [["H"], ["F"]], [[[1, 1]]]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_WRONG_SHAPES))
+@pytest.mark.parametrize("entry", sorted(_ARROW_READERS))
+def test_arrow_readers_refuse_wrong_shapes(entry, shape):
+    """A differential of the wrong shape is refused as ``validate_complex``
+    words it, not read with its missing entries as zeros or crashed on,
+    and no certificate verifies on it."""
+    c = _WRONG_SHAPES[shape]
+    want = "differential into degree 0 has the wrong shape"
+    assert validate_complex(c) == [want]
+    with pytest.raises(ValueError, match=want):
+        _ARROW_READERS[entry](c)
+    with pytest.raises(ValueError, match=want):
+        replay(c, [])
+    for certificate in ([], [_TWIST]):
+        assert not verify_certificate(c, Decomposition([], certificate))
+
+
 def _near_strand(rng):
     """A strand drawn the way ``random_strand(rng, 3)`` draws one, with
     its shift in -2..2 instead of -4..4."""

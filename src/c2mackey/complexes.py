@@ -1082,16 +1082,6 @@ def hom_complex_dim(x: FreeComplex, y: FreeComplex, n: int) -> int:
     return _HomComplex(x, y).homology(n, n)[0]
 
 
-def chain_map_from_vector(x: FreeComplex, y: FreeComplex, n: int,
-                          vec: list[int]) -> ChainMap:
-    """The degree-n map x -> y with coordinates ``vec`` in Hom(x, y)_n; a
-    non-complex, a non-integer n or a vector that is not the int 0 or 1
-    per element raises ValueError."""
-    _require_complexes(x, y)
-    _require_int(n, "n")
-    return _HomComplex(x, y).chain_map(n, vec)
-
-
 def null_homotopy(f: ChainMap) -> ChainMap | None:
     """A degree-(n+1) map h with f = d h + h d, or None if f is not a
     boundary in the mapping complex; a map that fails

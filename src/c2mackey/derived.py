@@ -16,9 +16,11 @@ Z, so the cotensor closed form is the box closed form on the dual; the
 opposite dual is the dual boxed with H(-2).
 
 On top of these sit the bigraded cohomology windows, the closed model
-of the cohomology ring of the unit with honest chain-map products, the
-three-fold bracket witness, invertibility/Picard bookkeeping, support,
-and the twisted duality check.
+of the cohomology ring of the unit, the three-fold bracket witness,
+invertibility/Picard bookkeeping, support, and the twisted duality
+check.  Ring products and the bracket's maps compose transported
+classes: each the one nonzero class of a one-dimensional group of maps
+between two twists of the unit.
 """
 
 from __future__ import annotations
@@ -26,12 +28,10 @@ from __future__ import annotations
 from collections import Counter
 
 from .complexes import (ChainMap, FreeComplex, _HomComplex,
-                        _require_complexes, _require_int, box_chain_map,
-                        box_complex, compose_chain_maps, cotens_H,
-                        hom_complex_dim, identity_chain_map,
-                        is_null_homotopic, null_homotopy, zero_matrix)
-from .split import (DISK_KINDS, Strand, certificate_isos, split,
-                    strand_complex, strand_paths)
+                        _require_complexes, _require_int, box_complex,
+                        compose_chain_maps, cotens_H, hom_complex_dim,
+                        is_null_homotopic, null_homotopy)
+from .split import DISK_KINDS, Strand, split, strand_complex
 
 
 # -- duality -----------------------------------------------------------------
@@ -226,43 +226,17 @@ def _class_rep(p: int, q: int) -> ChainMap:
     return _transported_class(unit, tw)
 
 
-def _project_onto(final: FreeComplex, target: Strand) -> ChainMap:
-    """Projection of a literal split-form complex onto one strand summand,
-    as a chain map to that strand's canonical complex."""
-    pieces = strand_paths(final)
-    if pieces is None:
-        raise ValueError("complex is not in literal split form")
-    path = next((nodes for s, nodes in pieces if s == target), None)
-    if path is None:
-        raise ValueError(f"no summand {target} present")
-    cn = strand_complex(target)
-    comps: dict[int, list[list[int]]] = {}
-    for d in final.degrees():
-        rows = len(cn.gens_at(d))
-        comps[d] = zero_matrix(rows, len(final.gens_at(d)))
-    for (li, gi) in path:
-        d = final.min_degree + li
-        comps[d][0][gi] = 1
-    return ChainMap(final, cn, comps, 0)
-
-
 def _m2_product_map(p1: int, q1: int, p2: int, q2: int) -> ChainMap:
     """The composite witness for the product of the classes at (p1, q1)
-    and (p2, q2): a chain map from the unit to the (p1+p2, q1+q2) twist."""
-    f = _class_rep(p1, q1)                     # unit -> S1
-    g = _class_rep(p2, q2)                     # unit -> S2
-    s1 = f.target
-    bg = box_chain_map(g, identity_chain_map(s1))   # unit x S1 -> S2 x S1
-    if bg.source != s1:
-        raise RuntimeError("unit box complex is not literal")
-    dec = split(bg.target, validate=False)
-    target = Strand("Hn", q1 + q2, p1 + p2)
-    if target not in dec.strands:
-        raise RuntimeError("box of twists did not split as expected")
-    v, _ = certificate_isos(bg.target, dec.certificate)
-    proj = _project_onto(v.target, target)
-    return compose_chain_maps(proj, compose_chain_maps(
-        v, compose_chain_maps(bg, f)))
+    and (p2, q2): the first class, unit -> S1, followed by the second
+    class acting at S1, a chain map from the unit to the (p1+p2, q1+q2)
+    twist.  Twisting by S1 is invertible, so maps S1 -> S12 are the
+    second class's one-dimensional group; a vanishing class raises."""
+    f = _class_rep(p1, q1)
+    if not m2_dim(p2, q2):
+        raise ValueError(f"the cohomology of the unit vanishes at ({p2}, {q2})")
+    s12 = strand_complex(Strand("Hn", q1 + q2, p1 + p2))
+    return compose_chain_maps(_transported_class(f.target, s12), f)
 
 
 def m2_product_nonzero(p1: int, q1: int, p2: int, q2: int) -> bool:
@@ -271,17 +245,19 @@ def m2_product_nonzero(p1: int, q1: int, p2: int, q2: int) -> bool:
     return not is_null_homotopic(_m2_product_map(p1, q1, p2, q2))
 
 
+def _lower_cone(p: int, q: int) -> bool:
+    """Whether (p, q) is in the lower cone of divided classes."""
+    return p <= 0 and q <= p - 2
+
+
 def m2_product_rule(p1: int, q1: int, p2: int, q2: int) -> bool:
     """Closed-form product: upper-cone classes multiply freely; a product
-    with a lower-cone class survives exactly when the target bidegree is
-    nonzero; two lower-cone classes annihilate."""
+    with one lower-cone class survives exactly when it lands in the lower
+    cone; two lower-cone classes annihilate."""
     if not (m2_dim(p1, q1) and m2_dim(p2, q2)):
         return False
-    lower1 = not (0 <= p1 <= q1)
-    lower2 = not (0 <= p2 <= q2)
-    if lower1 and lower2:
-        return False
-    return m2_dim(p1 + p2, q1 + q2) == 1
+    lower = _lower_cone(p1, q1) + _lower_cone(p2, q2)
+    return lower == 0 or lower == 1 and _lower_cone(p1 + p2, q1 + q2)
 
 
 # -- the three-fold bracket witness --------------------------------------------

@@ -23,7 +23,10 @@ MODULUS_CAP = 1 << 64
 
 def is_prime(n: int) -> bool:
     """Exact primality test for n < MODULUS_CAP (deterministic
-    Miller-Rabin); raises ValueError for larger n."""
+    Miller-Rabin); raises ValueError for larger n or an n that is not an
+    int (a bool is an int, and not prime)."""
+    if not isinstance(n, int):
+        raise ValueError(f"modulus must be an integer, not {n!r}")
     if n >= MODULUS_CAP:
         raise ValueError(f"modulus {n} is too large: moduli must be below "
                          f"2^64")

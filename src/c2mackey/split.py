@@ -898,7 +898,7 @@ def split_odd_mackey(mods: list[MackeyModule], maps: list[MackeyMap],
     relations, a differential that is not a map of Mackey modules, or
     d*d != 0, raises ValueError naming the degree.
     """
-    if ell == 2 or not is_prime(ell):
+    if not is_prime(ell) or ell == 2:
         raise ValueError(f"the modulus {ell} is not an odd prime")
     if len(maps) != max(len(mods) - 1, 0):
         raise ValueError(f"{len(mods)} modules need {len(mods) - 1} "

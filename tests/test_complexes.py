@@ -16,7 +16,6 @@ from c2mackey.complexes import (U, ChainMap, FreeComplex, _ARROW_NAMES,
                                 _HomComplex, _canonical_perm, _hom_degrees,
                                 _nonzero_columns, _trimmed,
                                 arrow_matrix, arrow_mul, box_chain_map, box_complex,
-                                chain_map_from_vector,
                                 compose_chain_maps, cone, cotens_H,
                                 direct_sum_complexes, ecompose, entry_ok,
                                 hom_complex_dim, hom_delta,
@@ -392,7 +391,7 @@ def test_cone_and_cotens_match_their_first_layouts():
         x, y = _random_part(rng), _random_part(rng)
         cycles = hom_delta(x, y, 0).kernel_basis()
         vec = cycles.mul_vec([rng.randrange(2) for _ in range(cycles.ncols)])
-        f = chain_map_from_vector(x, y, 0, vec)
+        f = _HomComplex(x, y).chain_map(0, vec)
         one_sided += not f.components
         for g in (f, identity_chain_map(x)):
             assert _same_layout(cone(g), _reference_cone(g)), trial
@@ -629,8 +628,6 @@ def test_hom_delta_refuses_non_complexes():
     for n in (0.5, 1.0, None):
         with pytest.raises(ValueError, match="n must be an integer"):
             hom_delta(x, x, n)
-        with pytest.raises(ValueError, match="n must be an integer"):
-            chain_map_from_vector(x, x, n, [])
 
 
 def test_null_homotopy_refuses_non_complexes():
@@ -669,8 +666,6 @@ _MIN_DEGREE_CALLS = {
     "split": split_complex,
     "hom_delta": lambda c: hom_delta(c, strand("Hn", 0), 0),
     "hom_complex_dim": lambda c: hom_complex_dim(strand("Hn", 0), c, 0),
-    "chain_map_from_vector":
-        lambda c: chain_map_from_vector(c, c, 0, []),
     "null_homotopy": lambda c: null_homotopy(ChainMap(c, c, {}, 0)),
     "cohomology_window": lambda c: cohomology_window(c, 0, 1, 0, 1),
     "homology": lambda c: homology(c, 0),
@@ -703,7 +698,6 @@ def test_hom_entry_points_validate_each_input_once(monkeypatch):
             (lambda: hom_delta(x, y, 0), 2),
             (lambda: hom_delta(x, x, 0), 1),
             (lambda: hom_complex_dim(x, y, 1), 2),
-            (lambda: chain_map_from_vector(x, y, 0, [0] * 2), 2),
             (lambda: null_homotopy(disk), 1),
             (lambda: cohomology_window(y, -3, 3, -3, 3), 1),
             (lambda: _class_rep(1, 1), 0))):
@@ -712,16 +706,17 @@ def test_hom_entry_points_validate_each_input_once(monkeypatch):
         assert len(calls) == want, k
 
 
-def test_chain_map_from_vector_refuses_wrong_vectors():
+def test_hom_chain_map_refuses_wrong_vectors():
     """On strand("A", 1), whose degree-0 Hom basis has 4 elements, a
     vector of another length or with an entry other than the int 0 or 1
     is refused with the length it needs, not read as some chain map."""
     x = strand("A", 1)
-    assert chain_map_from_vector(x, x, 0, [1, 0, 1, 0]) == identity_chain_map(x)
+    hom = _HomComplex(x, x)
+    assert hom.chain_map(0, [1, 0, 1, 0]) == identity_chain_map(x)
     for vec in ([1] * 9, [1], [], [2, 0, 0, 0], [-1, 0, 0, 0],
                 [1.0, 0, 1, 0], [True, 0, 1, 0], [1, 0, None, 0]):
         with pytest.raises(ValueError, match="Hom_0 is 4 entries"):
-            chain_map_from_vector(x, x, 0, vec)
+            hom.chain_map(0, vec)
 
 
 def test_validate_chain_map_checks_source_and_target_first():
@@ -1013,7 +1008,7 @@ def _cocycle_cone(rng):
             for _ in range(2))
     cycles = hom_delta(x, y, 0).kernel_basis()
     vec = cycles.mul_vec([rng.randrange(2) for _ in range(cycles.ncols)])
-    return cone(chain_map_from_vector(x, y, 0, vec))
+    return cone(_HomComplex(x, y).chain_map(0, vec))
 
 
 def _hom_pairs():
@@ -1211,6 +1206,31 @@ def test_every_import_is_used():
                                         for a in node.names)
                            if name not in used]
     assert unused == []
+
+
+def test_every_definition_is_used():
+    """Each top-level function and class of the package is public (in
+    ``__all__``), named by package code outside its own definition, or
+    mentioned in ``bench/``, whose tracer names functions in strings: a
+    change deletes what it makes dead."""
+    import c2mackey
+    pkg = pathlib.Path(complexes_module.__file__).resolve().parent
+    bench = "\n".join(path.read_text() for path in sorted(
+        (pkg.parents[1] / "bench").iterdir()) if path.is_file())
+    tops = [(path.name, top) for path in sorted(pkg.glob("*.py"))
+            for top in ast.parse(path.read_text()).body]
+    # the identifiers each top-level statement names
+    names = [{node.id if isinstance(node, ast.Name) else node.attr
+              for node in ast.walk(top)
+              if isinstance(node, (ast.Name, ast.Attribute))}
+             for _, top in tops]
+    dead = [f"{file}:{top.name}" for k, (file, top) in enumerate(tops)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            and top.name not in c2mackey.__all__
+            and not any(top.name in used
+                        for j, used in enumerate(names) if j != k)
+            and not re.search(rf"\b{top.name}\b", bench)]
+    assert dead == []
 
 
 def test_file_formats_go_through_one_schema():

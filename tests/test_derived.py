@@ -163,10 +163,15 @@ def test_unit_ring_labels():
 
 def test_unit_ring_products_match_rule():
     nonzero = [
-        (p, q) for p in range(-2, 3) for q in range(-4, 4) if m2_dim(p, q)
+        (p, q) for p in range(-4, 5) for q in range(-6, 7) if m2_dim(p, q)
     ]
-    # tau and rho postcomposition against everything in the patch
-    for p1, q1 in [(0, 1), (1, 1)]:
+    # every ordered pair of classes in the patch, tau and rho among them;
+    # theta * tau^2 and theta/rho * tau^2 rho land in the upper cone and
+    # vanish
+    assert len(nonzero) ** 2 == 1600
+    assert not m2_product_rule(0, -2, 0, 2)
+    assert not m2_product_rule(-1, -3, 1, 3)
+    for p1, q1 in nonzero:
         for p2, q2 in nonzero:
             got = m2_product_nonzero(p1, q1, p2, q2)
             want = m2_product_rule(p1, q1, p2, q2)

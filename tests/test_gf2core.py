@@ -34,6 +34,14 @@ def test_is_prime_rejects_pseudoprimes():
     assert not is_prime(2 ** 64 - 1)
 
 
+def test_is_prime_refuses_a_modulus_that_is_not_an_int():
+    for bad in (3.0, 2.0, 7.5, "3", None):
+        with pytest.raises(ValueError,
+                           match=f"modulus must be an integer, not {bad!r}"):
+            is_prime(bad)
+    assert not is_prime(True) and not is_prime(False)
+
+
 def test_is_prime_refuses_moduli_past_the_cap():
     with pytest.raises(ValueError, match="2\\^64"):
         is_prime(2 ** 64)

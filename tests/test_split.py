@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from c2mackey.complexes import (FreeComplex, _subquotient, box_complex,
-                                chain_map_from_vector, compose_chain_maps,
+from c2mackey.complexes import (FreeComplex, _HomComplex, _subquotient,
+                                box_complex, compose_chain_maps,
                                 cone, cotens_H,
                                 direct_sum_complexes, hom_complex_dim,
                                 hom_delta, homology, homology_counts, realize,
@@ -20,7 +20,7 @@ from c2mackey.derived import balmer_support
 from c2mackey.gf2core import FMatrix
 from c2mackey.kronholm import kronholm_split, random_spacelike_script
 from c2mackey.mackey import (MackeyMap, MackeyModule, classify, direct_sum,
-                             indecomposable, zero_module)
+                             indecomposable, validate_module, zero_module)
 from c2mackey.split import (_MOVE_NAMES, _RANDOM_KINDS, _VARIANTS, BasisMove,
                             Decomposition, Strand, _components_of, _Sweep,
                             apply_move, certificate_isos, decomposition_sum, random_odd_complex,
@@ -272,7 +272,7 @@ def _random_cone(rng):
     cx, cy = decomposition_sum(x), decomposition_sum(y)
     cycles = hom_delta(cx, cy, 0).kernel_basis()
     vec = cycles.mul_vec([rng.randrange(2) for _ in range(cycles.ncols)])
-    return cone(chain_map_from_vector(cx, cy, 0, vec)), x, y
+    return cone(_HomComplex(cx, cy).chain_map(0, vec)), x, y
 
 
 def test_split_cones_of_random_cocycles():
@@ -1040,3 +1040,28 @@ def test_odd_splitter_checks_the_modulus():
         split_odd_mackey(*realize(strand("A", 0), 3), 5, 0)
     with pytest.raises(ValueError, match="modulus 2"):
         split_odd(strand("A", 0), 2)
+
+
+# each entry point that takes a modulus, called with one
+_MODULUS_CALLS = {
+    "indecomposable": lambda ell: indecomposable("STheta", ell),
+    "validate_module": lambda ell: validate_module(
+        MackeyModule(ell, _H.t, _H.p_up, _H.p_down)),
+    "realize": lambda ell: realize(strand("Hn", 0), ell),
+    "homology_counts": lambda ell: homology_counts(strand("Hn", 2), ell),
+    "split_odd": lambda ell: split_odd(strand("Hn", 0), ell),
+    "split_odd_mackey": lambda ell: split_odd_mackey([_H], [], ell, 0),
+}
+
+
+@pytest.mark.parametrize("ell", [2.0, 3.0])
+@pytest.mark.parametrize("entry", sorted(_MODULUS_CALLS))
+def test_entry_points_refuse_a_non_integer_modulus(entry, ell):
+    """A float modulus equal to a prime is refused by ``is_prime``, the
+    modulus gate, not read as that prime or failing deep inside."""
+    msg = f"modulus must be an integer, not {ell}"
+    if entry == "validate_module":
+        assert _MODULUS_CALLS[entry](ell) == [msg]
+    else:
+        with pytest.raises(ValueError, match=msg):
+            _MODULUS_CALLS[entry](ell)

@@ -33,7 +33,7 @@ from itertools import accumulate, chain, product, repeat
 from . import _schema as schema
 from .gf2core import FMatrix
 from .mackey import (MackeyMap, MackeyModule, counts_of_ranks, direct_sum,
-                     indecomposable, zero_module)
+                     indecomposable, require_prime, zero_module)
 
 U = 3  # the arrow 1 + t
 
@@ -561,7 +561,9 @@ def cone(f: ChainMap) -> FreeComplex:
 
 def realize(c: FreeComplex, ell: int = 2) -> tuple[list[MackeyModule], list[MackeyMap]]:
     """Expand a symbol complex into Mackey modules and maps over GF(l); an
-    arrow code that its slot does not have raises ValueError naming it."""
+    arrow code that its slot does not have raises ValueError naming it, and
+    so does a modulus that is not prime, even for the empty complex."""
+    require_prime(ell)
     mods = [realize_term(g, ell) for g in c.gens]
     maps = []
     for i, m in enumerate(c.diffs):

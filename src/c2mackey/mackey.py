@@ -130,10 +130,16 @@ _SMALL = {
 }
 
 
-def indecomposable(kind: str, ell: int = 2) -> MackeyModule:
-    """The standard small modules: H, F, Hop, SDot (l=2 only), STheta."""
+def require_prime(ell: int) -> None:
+    """The modulus gate of the module builders: ValueError unless ``ell``
+    is a prime int below 2^64 (see ``is_prime``)."""
     if not is_prime(ell):
         raise ValueError(f"modulus must be prime, got {ell}")
+
+
+def indecomposable(kind: str, ell: int = 2) -> MackeyModule:
+    """The standard small modules: H, F, Hop, SDot (l=2 only), STheta."""
+    require_prime(ell)
     if kind not in _SMALL:
         raise ValueError(f"unknown kind {kind!r}")
     if kind == "SDot" and ell != 2:
@@ -171,6 +177,7 @@ def direct_sum(*mods: MackeyModule) -> MackeyModule:
 
 
 def zero_module(ell: int = 2) -> MackeyModule:
+    require_prime(ell)
     return MackeyModule(ell, FMatrix.zeros(0, 0, ell),
                         FMatrix.zeros(0, 0, ell), FMatrix.zeros(0, 0, ell))
 

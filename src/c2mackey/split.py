@@ -250,7 +250,8 @@ def _move_arrows(codes, i: int, j: int, rows, row_kinds, cols,
     ``_MOVE_CODES`` entry, so each composite is one lookup: column i
     gains column j composed with the move's arrow, and row j gains row
     i.  Each entry is read before it is written, so i = j (twist_t)
-    works too."""
+    works too.  The kernel of ``apply_move`` and of the sweep's twists;
+    the sweep's runs of other moves make the same updates."""
     col_codes, row_codes = codes
     for row, k in zip(cols, col_kinds):
         e = row[j]
@@ -260,6 +261,18 @@ def _move_arrows(codes, i: int, j: int, rows, row_kinds, cols,
     for s, e in enumerate(rows[i]):
         if e:
             dst[s] ^= row_codes[row_kinds[s]][e]
+
+
+def _check_move(kinds: list[str], level: int, variant: str, i: int,
+                j: int) -> None:
+    """Refuse a sweep move that a wrong step would make: the kinds at i and
+    j (``kinds`` are the level's) not the variant's, or i = j for another
+    variant than twist_t.  The sweep draws its moves from its own state,
+    so the bounds ``apply_move`` checks are not checked."""
+    ki, kj, _ = _VARIANTS[variant]
+    if kinds[i] != ki or kinds[j] != kj or (i == j) != (variant == "twist_t"):
+        raise SplitError(f"illegal move {variant} on generators {i}, {j} "
+                         f"at level {level}")
 
 
 # variant -> (kind_i, kind_j, whether i = j, its row additions (row of
@@ -368,12 +381,22 @@ def split(c: FreeComplex, validate: bool = True) -> Decomposition:
     """Decompose a complex into strands and disks, with a certificate.
 
     Deterministic; raises ValueError on an invalid complex and SplitError
-    if an internal invariant breaks (which would be a bug).
+    if an internal invariant breaks (which would be a bug).  With
+    ``validate=False`` only the shape of each differential is checked (a
+    wrong one raises ValueError): on a complex of F's and H's with legal
+    arrow codes that is otherwise invalid, ``split`` raises SplitError or
+    returns a decomposition that ``verify_certificate`` rejects.
     """
     if validate:
         bad = validate_complex(c)
         if bad:
             raise ValueError("not a valid complex: " + "; ".join(bad))
+    else:
+        # the generators of each degree, none past the top (see diff)
+        sizes = [*map(len, c.gens), *repeat(0, len(c.diffs) + 1)]
+        for li, m in enumerate(c.diffs):
+            if not has_shape(m, sizes[li], sizes[li + 1]):
+                raise ValueError(wrong_shape(c.min_degree + li))
     sweep = _Sweep(c)
     for li in range(1, len(sweep.work.gens)):
         sweep.start_level(li)
@@ -394,7 +417,15 @@ class _Sweep:
     applied to it, and the strands built so far, each a list of (level,
     generator) pairs, top first.  Level ``li`` is the current one: its
     generators are the sources of the differential into level ``li - 1``,
-    whose generators are the tops of the strands below."""
+    whose generators are the tops of the strands below.
+
+    The moves of one placement come in runs that share a generator: a run
+    of ``_clear_row`` adds the pivot source's column into other columns, a
+    run of ``_clear_column`` or of one cascade step adds one row into other
+    rows, and no move of a run writes what it shares.  ``_moves_onto`` and
+    ``_moves_from`` apply a run, reading the shared column or row once:
+    most of it is zero at large sizes.  A ``twist_t`` is one move, made by
+    ``_move_arrows`` as ``apply_move`` makes it."""
 
     def __init__(self, c: FreeComplex):
         self.work = c.copy()
@@ -404,8 +435,8 @@ class _Sweep:
         self.disk_sids: set[int] = set()
         w = self.work
         # per level, the arguments of _move_arrows after its move's
-        # generators: (d_in, kinds above, d_out, kinds below); the sweep
-        # changes the differentials in place
+        # generators: (d_in, kinds above, d_out, kinds below); the moves
+        # change the differentials in place
         self.levels = [(w.diff(d + 1), w.gens_at(d + 1), w.diff(d),
                         w.gens_at(d - 1)) for d in w.degrees()]
         for g in range(len(w.gens[0]) if w.gens else 0):
@@ -417,20 +448,49 @@ class _Sweep:
         for e in elems:
             self.strand_of[e] = sid
 
-    def move(self, level: int, variant: str, i: int, j: int) -> None:
-        """Apply one basis move to the working complex and record it.  The
-        sweep draws its moves from its own state, so only what a wrong
-        step would break is checked (the kinds at i and j, and i = j for
-        twist_t alone), not the bounds ``apply_move`` checks."""
-        ki, kj, _ = _VARIANTS[variant]
-        kinds = self.work.gens[level]
-        if (kinds[i] != ki or kinds[j] != kj
-                or (i == j) != (variant == "twist_t")):
-            raise SplitError(f"illegal move {variant} on generators "
-                             f"{i}, {j} at level {level}")
-        _move_arrows(_MOVE_CODES[variant], i, j, *self.levels[level])
-        self.moves.append(
-            BasisMove(self.work.min_degree + level, variant, i, j))
+    def _moves_onto(self, level: int, j: int,
+                    run: list[tuple[str, int]]) -> None:
+        """Apply and record the moves (variant, i, j) at ``level`` of
+        ``run``, a non-empty list of (variant, i) pairs, in order.  Each
+        move adds column j of the differential out of the level into its
+        column i, and row i of the differential into the level into row j
+        (see ``_move_arrows``).  No move writes column j, so its nonzeros
+        are read once for the run."""
+        rows, row_kinds, cols, col_kinds = self.levels[level]
+        kinds, degree = self.work.gens[level], self.work.min_degree + level
+        shared = [(row, k, row[j]) for row, k in zip(cols, col_kinds)
+                  if row[j]]
+        dst = rows[j]
+        for variant, i in run:
+            _check_move(kinds, level, variant, i, j)
+            col_codes, row_codes = _MOVE_CODES[variant]
+            for row, k, e in shared:
+                row[i] ^= col_codes[k][e]
+            for s, e in enumerate(rows[i]):
+                if e:
+                    dst[s] ^= row_codes[row_kinds[s]][e]
+            self.moves.append(BasisMove(degree, variant, i, j))
+
+    def _moves_from(self, level: int, i: int,
+                    run: list[tuple[str, int]]) -> None:
+        """Apply and record the moves (variant, i, j) at ``level`` of
+        ``run``, a non-empty list of (variant, j) pairs, in order, as
+        ``_moves_onto`` does.  No move writes row i of the differential
+        into the level, so its nonzeros are read once for the run."""
+        rows, row_kinds, cols, col_kinds = self.levels[level]
+        kinds, degree = self.work.gens[level], self.work.min_degree + level
+        shared = [(s, row_kinds[s], e) for s, e in enumerate(rows[i]) if e]
+        for variant, j in run:
+            _check_move(kinds, level, variant, i, j)
+            col_codes, row_codes = _MOVE_CODES[variant]
+            for row, k in zip(cols, col_kinds):
+                e = row[j]
+                if e:
+                    row[i] ^= col_codes[k][e]
+            dst = rows[j]
+            for s, k, e in shared:
+                dst[s] ^= row_codes[k][e]
+            self.moves.append(BasisMove(degree, variant, i, j))
 
     def start_level(self, li: int) -> None:
         self.li = li
@@ -460,7 +520,11 @@ class _Sweep:
             if self.members[sid] != [(li - 1, beta)] or sid in self.disk_sids:
                 raise SplitError("iso entry into a non-singleton generator")
             if D[beta][alpha] == 2:
-                self.move(li, "twist_t", alpha, alpha)
+                _check_move(self.src, li, "twist_t", alpha, alpha)
+                _move_arrows(_MOVE_CODES["twist_t"], alpha, alpha,
+                             *self.levels[li])
+                self.moves.append(BasisMove(self.work.min_degree + li,
+                                            "twist_t", alpha, alpha))
             if D[beta][alpha] != 1:
                 raise SplitError("disk entry failed to normalize")
             self._clear_row(alpha, beta, 1)
@@ -585,12 +649,14 @@ class _Sweep:
     def _clear_row(self, alpha: int, beta: int, e0: int) -> list[int]:
         """Clear every other source entry into the pivot target beta,
         by adding to it a phi-multiple of alpha with e0 . phi matching
-        the stray entry; returns the sources so changed."""
-        D, src, li = self.D, self.src, self.li
-        ka, kb = src[alpha], self.tgt[beta]
-        moved = []
-        for c2 in range(len(src)):
-            e2 = D[beta][c2]
+        the stray entry; returns the sources so changed.  Each move
+        changes one stray source's column of D and no entry of row beta
+        but its own, so the strays and their arrows are read off row beta
+        first and cleared by one run of ``_moves_onto``."""
+        src = self.src
+        ka, kb, row = src[alpha], self.tgt[beta], self.D[beta]
+        run = []
+        for c2, e2 in enumerate(row):
             if c2 == alpha or not e2:
                 continue
             kc = src[c2]
@@ -600,29 +666,38 @@ class _Sweep:
                 raise SplitError("H source entry survived past the "
                                  "H-pivot steps")
             phi = e2 if kc == ka == kb == "F" and e0 == 1 else 1
-            self.move(li, _variant_for(kc, ka, phi), c2, alpha)
-            if D[beta][c2]:
+            run.append((_variant_for(kc, ka, phi), c2))
+        if not run:
+            return run
+        self._moves_onto(self.li, alpha, run)
+        moved = [c2 for _, c2 in run]
+        for c2 in moved:
+            if row[c2]:
                 raise SplitError("phase A failed to clear a source")
-            moved.append(c2)
         return moved
 
     def _clear_column(self, alpha: int, beta: int) -> None:
         """Clear every other target entry of the disk source alpha by
         adding to its pivot target beta the stray arrow (alpha and beta
-        have one kind, and the pivot entry is 1)."""
+        have one kind, and the pivot entry is 1).  Each move changes one
+        stray target's row of D and no other entry of column alpha, so
+        one run of ``_moves_from`` clears them all."""
         D, tgt = self.D, self.tgt
         kb = tgt[beta]
-        for r2 in range(len(tgt)):
-            e2 = D[r2][alpha]
-            if r2 == beta or not e2:
-                continue
-            self.move(self.li - 1, _variant_for(kb, tgt[r2], e2), beta, r2)
-            if D[r2][alpha]:
-                raise SplitError("disk phase B failed to clear a target")
+        run = [(_variant_for(kb, tgt[r2], row[alpha]), r2)
+               for r2, row in enumerate(D) if r2 != beta and row[alpha]]
+        if run:
+            self._moves_from(self.li - 1, beta, run)
+            for _, r2 in run:
+                if D[r2][alpha]:
+                    raise SplitError("disk phase B failed to clear a "
+                                     "target")
 
     def _absorb_cascade(self, alpha: int, mem: list[tuple[int, int]]) -> None:
         """Walk down the strand that alpha now tops, clearing every entry
-        from each member's predecessor into a generator parallel to it."""
+        from each member's predecessor into a generator parallel to it:
+        at each member, one run of ``_moves_from`` that adds the member's
+        row to each parallel's."""
         gens, diffs = self.work.gens, self.work.diffs
         pred = alpha
         for (L, cur) in mem:
@@ -631,15 +706,20 @@ class _Sweep:
                 raise SplitError("cascade lost the strand entry")
             kinds = gens[L]
             k_cur = kinds[cur]
-            for r in range(len(Dm)):
-                if r == cur or not Dm[r][pred]:
+            run = []
+            for r, row in enumerate(Dm):
+                if r == cur or not row[pred]:
                     continue
                 if k_cur == "F" and kinds[r] != "F":
                     raise SplitError("a parallel strand ends above "
                                      "the selected one")
-                self.move(L, _variant_for(k_cur, kinds[r], 1), cur, r)
-                if Dm[r][pred]:
-                    raise SplitError("cascade failed to clear a parallel")
+                run.append((_variant_for(k_cur, kinds[r], 1), r))
+            if run:
+                self._moves_from(L, cur, run)
+                for _, r in run:
+                    if Dm[r][pred]:
+                        raise SplitError("cascade failed to clear a "
+                                         "parallel")
             pred = cur
 
     # -- closing a level, and the sweep ---------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -20,9 +21,11 @@ from c2mackey.derived import balmer_support
 from c2mackey.gf2core import FMatrix
 from c2mackey.kronholm import kronholm_split, random_spacelike_script
 from c2mackey.mackey import (MackeyMap, MackeyModule, classify, direct_sum,
-                             indecomposable, validate_module, zero_module)
-from c2mackey.split import (_MOVE_NAMES, _RANDOM_KINDS, _VARIANTS, BasisMove,
-                            Decomposition, Strand, _components_of, _Sweep,
+                             indecomposable, module_of_counts,
+                             validate_module, zero_module)
+from c2mackey.split import (_MOVE_CODES, _MOVE_NAMES, _RANDOM_KINDS,
+                            _VARIANTS, BasisMove, Decomposition, SplitError,
+                            Strand, _components_of, _move_arrows, _Sweep,
                             apply_move, certificate_isos, decomposition_sum, random_odd_complex,
                             random_legal_moves, random_scrambled_complex,
                             random_strand, replay, split,
@@ -246,6 +249,59 @@ def test_arrow_readers_refuse_wrong_shapes(entry, shape):
         replay(c, [])
     for certificate in ([], [_TWIST]):
         assert not verify_certificate(c, Decomposition([], certificate))
+
+
+@pytest.mark.parametrize("how", ["row_dropped", "row_lengthened",
+                                 "row_shortened"])
+def test_unvalidated_split_refuses_a_wrong_shape(how):
+    """``split(c, validate=False)`` checks the shape of each differential
+    before its sweep: one row of a scramble's differential dropped,
+    lengthened or shortened is refused as ``validate_complex`` words it,
+    not crashed on inside the sweep or split as if it fit."""
+    c = _large_scramble("shape", 8)
+    li = len(c.diffs) // 2
+    m = c.diffs[li]
+    if how == "row_dropped":
+        del m[0]
+    elif how == "row_lengthened":
+        m[0].append(1)
+    else:
+        m[0].pop()
+    want = f"differential into degree {c.min_degree + li} has the wrong shape"
+    assert validate_complex(c) == [want]
+    with pytest.raises(ValueError, match=want):
+        split(c, validate=False)
+
+
+def test_unvalidated_split_never_verifies_an_invalid_complex():
+    """What ``split(c, validate=False)`` promises on a complex that is
+    invalid but of the right shape, with legal codes: SplitError, or a
+    decomposition that ``verify_certificate`` rejects.  Scrambles with one
+    arrow changed to another legal one, most of them no longer complexes
+    (d*d != 0); both outcomes occur."""
+    outcomes = Counter()
+    for i in range(1500):
+        rng = random.Random(f"invalid:{i}")
+        c = random_scrambled_complex(rng, max_strands=8)[0]
+        if not c.diffs:
+            continue
+        j = rng.randrange(len(c.diffs))
+        m = c.diffs[j]
+        if not m or not m[0]:
+            continue
+        r, s = rng.randrange(len(m)), rng.randrange(len(m[0]))
+        both_f = c.gens[j][r] == c.gens[j + 1][s] == "F"
+        m[r][s] = (m[r][s] + 1) % (4 if both_f else 2)
+        if not validate_complex(c):
+            continue
+        try:
+            dec = split(c, validate=False)
+        except SplitError:
+            outcomes["refused"] += 1
+            continue
+        assert not verify_certificate(c, dec), i
+        outcomes["unverified"] += 1
+    assert outcomes["refused"] > 100 and outcomes["unverified"] > 10, outcomes
 
 
 def _near_strand(rng):
@@ -600,6 +656,18 @@ def test_certificates_replays_and_isos_are_pinned():
         "985cc6a64d6c0e806405538c491b960d1efa54ef9ca45e68fc39c96ce1790e18")
 
 
+def test_cascade_heavy_certificate_is_pinned():
+    """The 256-strand scramble of ROADMAP's table: 956 generators split
+    by 16,107 moves, most of them cascade moves, which the CI pin at
+    1,576 generators (57 moves) hardly makes."""
+    c = _large_scramble("s256", 256)
+    assert c.num_gens() == 956
+    dec = split(c)
+    assert len(dec.certificate) == 16107
+    assert _sha256([dec.to_json()]) == (
+        "383e6b550bed767812f51554d3d347613aeb02ab5ab669d55a269e026caa917c")
+
+
 def _small_scramble(rng, strands: int):
     """``strands`` strands of ``random_strand(rng, 3)``, scrambled by up
     to 60 legal moves."""
@@ -695,11 +763,11 @@ def _counting_reference(changed: list):
     return extend_all
 
 
-def test_candidate_index_matches_full_rescan(monkeypatch):
-    """``_Sweep._extend_all`` rescans only the columns a placement's moves
-    change; it must place the same pairs as a rescan of every pair, on
-    scrambles small and large, box and cotensor products and cones,
-    where placements do change other sources' least keys."""
+@functools.cache
+def _sweep_inputs() -> tuple:
+    """Scrambles small and large, box and cotensor products and cones: the
+    inputs on which the sweep's shortcuts are checked against their
+    references (``split`` copies its input, so they are shared)."""
     inputs = [random_scrambled_complex(random.Random(f"index:{i}"))[0]
               for i in range(300)]
     inputs += [_large_scramble(f"index:large:{n}", n) for n in (128, 256)]
@@ -709,11 +777,49 @@ def test_candidate_index_matches_full_rescan(monkeypatch):
         y = _small_scramble(rng, 1 + k // 4 % 4)
         inputs += [box_complex(x, y), box_complex(cotens_H(x), y)]
     inputs += [_random_cone(rng)[0] for _ in range(60)]
+    return tuple(inputs)
+
+
+def test_candidate_index_matches_full_rescan(monkeypatch):
+    """``_Sweep._extend_all`` rescans only the columns a placement's moves
+    change; it must place the same pairs as a rescan of every pair, on
+    scrambles small and large, box and cotensor products and cones,
+    where placements do change other sources' least keys."""
+    inputs = _sweep_inputs()
     indexed = [split(c).to_json() for c in inputs]
     changed = [0]
     monkeypatch.setattr(_Sweep, "_extend_all", _counting_reference(changed))
     assert [split(c).to_json() for c in inputs] == indexed
     assert changed[0] > 0
+
+
+def _reference_moves_onto(self, level, j, run):
+    """``_Sweep._moves_onto`` as one ``_move_arrows`` per move, each move
+    reading the shared column j afresh."""
+    for variant, i in run:
+        _move_arrows(_MOVE_CODES[variant], i, j, *self.levels[level])
+        self.moves.append(
+            BasisMove(self.work.min_degree + level, variant, i, j))
+
+
+def _reference_moves_from(self, level, i, run):
+    """``_Sweep._moves_from`` as one ``_move_arrows`` per move, each move
+    reading the shared row i afresh."""
+    for variant, j in run:
+        _move_arrows(_MOVE_CODES[variant], i, j, *self.levels[level])
+        self.moves.append(
+            BasisMove(self.work.min_degree + level, variant, i, j))
+
+
+def test_run_kernels_match_move_by_move_reference(monkeypatch):
+    """``_Sweep._moves_onto`` and ``_moves_from`` read the row or column a
+    run of moves shares once for the run; the sweep must make the same
+    moves and strands as with one ``_move_arrows`` per move."""
+    inputs = _sweep_inputs()
+    batched = [split(c).to_json() for c in inputs]
+    monkeypatch.setattr(_Sweep, "_moves_onto", _reference_moves_onto)
+    monkeypatch.setattr(_Sweep, "_moves_from", _reference_moves_from)
+    assert [split(c).to_json() for c in inputs] == batched
 
 
 def _replay_by_moves(c, moves):
@@ -1051,15 +1157,27 @@ _MODULUS_CALLS = {
     "homology_counts": lambda ell: homology_counts(strand("Hn", 2), ell),
     "split_odd": lambda ell: split_odd(strand("Hn", 0), ell),
     "split_odd_mackey": lambda ell: split_odd_mackey([_H], [], ell, 0),
+    # nothing to build: no summand, or no degree, reaches indecomposable
+    "zero_module": zero_module,
+    "module_of_counts_empty": lambda ell: module_of_counts({}, ell),
+    "realize_empty": lambda ell: realize(FreeComplex(0, [], []), ell),
+    "homology_counts_empty": lambda ell: homology_counts(
+        FreeComplex(0, [], []), ell),
 }
+# the refusals of the composite modulus 4 that are not the gate's own
+_COMPOSITE_REFUSALS = {"validate_module": "modulus 4 is not prime",
+                       "split_odd_mackey": "the modulus 4 is not an odd prime"}
 
 
-@pytest.mark.parametrize("ell", [2.0, 3.0])
+@pytest.mark.parametrize("ell", [2.0, 3.0, 4])
 @pytest.mark.parametrize("entry", sorted(_MODULUS_CALLS))
 def test_entry_points_refuse_a_non_integer_modulus(entry, ell):
     """A float modulus equal to a prime is refused by ``is_prime``, the
-    modulus gate, not read as that prime or failing deep inside."""
-    msg = f"modulus must be an integer, not {ell}"
+    modulus gate, not read as that prime or failing deep inside; so is the
+    composite 4, by the gate or the entry point's own check.  The empty
+    module and the empty complex are refused too."""
+    msg = (f"modulus must be an integer, not {ell}" if type(ell) is float
+           else _COMPOSITE_REFUSALS.get(entry, "modulus must be prime, got 4"))
     if entry == "validate_module":
         assert _MODULUS_CALLS[entry](ell) == [msg]
     else:

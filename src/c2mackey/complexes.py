@@ -481,7 +481,7 @@ class ChainMap:
 def validate_chain_map(f: ChainMap) -> list[str]:
     """Violations of f: first those of its source and target (one check
     when they are the same complex) and a degree that is not an integer,
-    then component shapes and arrows, then d f = f d."""
+    then component degrees, shapes and arrows, then d f = f d."""
     out = []
     for what, c in (("source", f.source), ("target", f.target)):
         if what == "source" or c is not f.source:
@@ -492,6 +492,9 @@ def validate_chain_map(f: ChainMap) -> list[str]:
     if out:
         return out
     for d, m in f.components.items():
+        if type(d) is not int:
+            out.append(f"component degree {d!r} is not an integer")
+            continue
         sk = f.source.gens_at(d)
         tk = f.target.gens_at(d + f.degree)
         if not has_shape(m, len(tk), len(sk)):
@@ -597,13 +600,8 @@ def realize_term(kinds: list[str], ell: int = 2) -> MackeyModule:
 
 
 def realize_map(src_kinds: list[str], tgt_kinds: list[str],
-                entries: list[list[int]], ell: int,
-                src: MackeyModule | None = None,
-                tgt: MackeyModule | None = None) -> MackeyMap:
-    if src is None:
-        src = realize_term(src_kinds, ell)
-    if tgt is None:
-        tgt = realize_term(tgt_kinds, ell)
+                entries: list[list[int]], ell: int, src: MackeyModule,
+                tgt: MackeyModule) -> MackeyMap:
     theta = orbit_matrix(entries, src_kinds, tgt_kinds, ell)
     table, fixed = _block_table(ell), zero_matrix(tgt.dim_dot, src.dim_dot)
     for kt, row, dst in zip(tgt_kinds, entries, fixed):
@@ -678,9 +676,7 @@ def orbit_matrix(m: list[list[int]], src_kinds: list[str],
                             for kt, row in zip(tgt_kinds, m)
                             for s, e in enumerate(row)
                             if not entry_ok(src_kinds[s], kt, e))) from None
-    if ell == 2:
-        return FMatrix.from_blocks(tstarts[-1], sstarts[-1], blocks)
-    return FMatrix.placed(ell, tstarts[-1], sstarts[-1], blocks)
+    return FMatrix.from_blocks(ell, tstarts[-1], sstarts[-1], blocks)
 
 
 def _subquotient(mod: MackeyModule, d_out: MackeyMap, d_in: MackeyMap,

@@ -57,10 +57,10 @@ class FMatrix:
     """A dense matrix over GF(l).
 
     Rows are ints (bitsets) when l = 2 and lists of ints otherwise.  That
-    format is private to this module: other modules build block-structured
-    matrices with ``placed`` and ``kron_sum``.  The class only implements
-    what the rest of the package needs: ring ops, reduced row echelon form
-    and the solvers built on top of it.
+    format is private to this module: other modules write laid-out blocks
+    with ``from_blocks`` and checked Kronecker systems with ``kron_sum``.
+    The class only implements what the rest of the package needs: ring
+    ops, reduced row echelon form and the solvers built on top of it.
     """
 
     __slots__ = ("ell", "nrows", "ncols", "rows")
@@ -323,72 +323,61 @@ class FMatrix:
         return FMatrix(ell, nrows, ncols, rows)
 
     @staticmethod
-    def placed(ell: int, nrows: int, ncols: int, blocks) -> "FMatrix":
+    def from_blocks(ell: int, nrows: int, ncols: int, blocks) -> "FMatrix":
         """The nrows x ncols matrix over GF(l) that holds each block of
-        ``blocks``, an iterable of (i0, j0, FMatrix) triples, with its top
-        left corner at (i0, j0), and zeros elsewhere.  Blocks must not
-        overlap.  A block over another field, or one that does not fit,
-        raises ValueError."""
-        blocks = list(blocks)
-        for i0, j0, b in blocks:
-            if b.ell != ell:
-                raise ValueError(f"a block over GF({b.ell}) placed in a "
-                                 f"matrix over GF({ell})")
-            if (i0 < 0 or j0 < 0 or i0 + b.nrows > nrows
-                    or j0 + b.ncols > ncols):
-                raise ValueError(f"a {b.nrows}x{b.ncols} block at ({i0}, "
-                                 f"{j0}) does not fit in {nrows}x{ncols}")
-        if ell == 2:
-            return FMatrix.from_blocks(nrows, ncols, blocks)
+        ``blocks``, an iterable of (i0, j0, FMatrix) triples over GF(l),
+        with its top left corner at (i0, j0), and zeros elsewhere: the
+        writer for blocks the caller has laid out.  Blocks must not
+        overlap.  A block that reaches past the last row or the last
+        column raises ValueError."""
         out = FMatrix(ell, nrows, ncols)
         rows = out.rows
-        for i0, j0, b in blocks:
-            j1 = j0 + b.ncols
-            for i, r in enumerate(b.rows, i0):
-                rows[i][j0:j1] = r
+        try:
+            if ell == 2:
+                for i, j0, b in blocks:
+                    for r in b.rows:
+                        rows[i] ^= r << j0
+                        i += 1
+                if rows and max(rows) >> ncols:
+                    raise IndexError
+            else:
+                for i, j0, b in blocks:
+                    j1 = j0 + b.ncols
+                    if j1 > ncols:
+                        raise IndexError
+                    for r in b.rows:
+                        rows[i][j0:j1] = r
+                        i += 1
+        except IndexError:
+            raise ValueError(f"a block does not fit in {nrows}x{ncols}"
+                             ) from None
         return out
-
-    @staticmethod
-    def from_blocks(nrows: int, ncols: int, blocks) -> "FMatrix":
-        """GF(2) only: ``placed`` without its per-block checks, for blocks
-        the caller has laid out inside the matrix.  Each (i0, j0, FMatrix)
-        triple of ``blocks`` is a GF(2) block added in with its top left
-        corner at (i0, j0), so blocks that overlap add; a block that
-        reaches past column ncols raises ValueError."""
-        rows = [0] * nrows
-        for i, j0, b in blocks:
-            for r in b.rows:
-                rows[i] ^= r << j0
-                i += 1
-        if rows and max(rows) >> ncols:
-            raise ValueError(f"a block does not fit in {ncols} columns")
-        return FMatrix(2, nrows, ncols, rows)
 
     @staticmethod
     def hstack(blocks: list["FMatrix"]) -> "FMatrix":
         if not blocks:
             raise ValueError("empty hstack")
-        nr = blocks[0].nrows
-        if any(b.nrows != nr for b in blocks):
+        nr, ell = blocks[0].nrows, blocks[0].ell
+        if any(b.nrows != nr or b.ell != ell for b in blocks):
             raise ValueError("hstack mismatch")
-        placed, off = [], 0
+        laid, off = [], 0
         for b in blocks:
-            placed.append((0, off, b))
+            laid.append((0, off, b))
             off += b.ncols
-        return FMatrix.placed(blocks[0].ell, nr, off, placed)
+        return FMatrix.from_blocks(ell, nr, off, laid)
 
     @staticmethod
     def vstack(blocks: list["FMatrix"]) -> "FMatrix":
         if not blocks:
             raise ValueError("empty vstack")
-        nc = blocks[0].ncols
-        if any(b.ncols != nc for b in blocks):
+        nc, ell = blocks[0].ncols, blocks[0].ell
+        if any(b.ncols != nc or b.ell != ell for b in blocks):
             raise ValueError("vstack mismatch")
-        placed, off = [], 0
+        laid, off = [], 0
         for b in blocks:
-            placed.append((off, 0, b))
+            laid.append((off, 0, b))
             off += b.nrows
-        return FMatrix.placed(blocks[0].ell, off, nc, placed)
+        return FMatrix.from_blocks(ell, off, nc, laid)
 
     def submatrix(self, row_idx: list[int], col_idx: list[int]) -> "FMatrix":
         return FMatrix(self.ell, len(row_idx), len(col_idx),

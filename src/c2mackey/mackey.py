@@ -164,7 +164,7 @@ def direct_sum(*mods: MackeyModule) -> MackeyModule:
             blocks.append((ro, co, mat))
             ro += r
             co += c
-        return FMatrix.placed(ell, ro, co, blocks)
+        return FMatrix.from_blocks(ell, ro, co, blocks)
 
     nts = [m.dim_theta for m in mods]
     nds = [m.dim_dot for m in mods]

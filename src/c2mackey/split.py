@@ -383,14 +383,13 @@ def split(c: FreeComplex, validate: bool = True) -> Decomposition:
     Deterministic; raises ValueError on an invalid complex and SplitError
     if an internal invariant breaks (which would be a bug).  With
     ``validate=False`` only the shape of each differential is checked (a
-    wrong one raises ValueError): on a complex of F's and H's with legal
-    arrow codes that is otherwise invalid, ``split`` raises SplitError or
-    returns a decomposition that ``verify_certificate`` rejects.
+    wrong one raises ValueError): an illegal arrow code that the sweep
+    trips over raises ValueError naming the violations, and on any other
+    invalid complex ``split`` raises SplitError or returns a decomposition
+    that ``verify_certificate`` rejects.
     """
     if validate:
-        bad = validate_complex(c)
-        if bad:
-            raise ValueError("not a valid complex: " + "; ".join(bad))
+        _refuse_invalid(c)
     else:
         # the generators of each degree, none past the top (see diff)
         sizes = [*map(len, c.gens), *repeat(0, len(c.diffs) + 1)]
@@ -398,18 +397,32 @@ def split(c: FreeComplex, validate: bool = True) -> Decomposition:
             if not has_shape(m, sizes[li], sizes[li + 1]):
                 raise ValueError(wrong_shape(c.min_degree + li))
     sweep = _Sweep(c)
-    for li in range(1, len(sweep.work.gens)):
-        sweep.start_level(li)
-        sweep.disks()
-        sweep.b_strands()
-        sweep.h_minus()
-        sweep.h_plus()
-        sweep.a_strands()
-        sweep.close_level()
+    try:
+        for li in range(1, len(sweep.work.gens)):
+            sweep.start_level(li)
+            sweep.disks()
+            sweep.b_strands()
+            sweep.h_minus()
+            sweep.h_plus()
+            sweep.a_strands()
+            sweep.close_level()
+    except (IndexError, KeyError, TypeError):
+        # an unvalidated complex is checked only once the sweep trips
+        if not validate:
+            _refuse_invalid(c)
+        raise
     strands = sweep.strands()
     log.debug("split: %d generators -> %d strands in %d moves",
               c.num_gens(), len(strands), len(sweep.moves))
     return Decomposition(strands, sweep.moves)
+
+
+def _refuse_invalid(c: FreeComplex) -> None:
+    """Raise ValueError naming every violation ``validate_complex`` finds
+    in ``c``, if it finds any."""
+    bad = validate_complex(c)
+    if bad:
+        raise ValueError("not a valid complex: " + "; ".join(bad)) from None
 
 
 class _Sweep:
@@ -1063,8 +1076,8 @@ def random_odd_complex(rng, ell: int):
     def moved(g, i, level_blocks):
         """A level B of the planted differential out of degree lo + i + 1,
         in the changed bases: g[i] . B . g[i + 1]^-1."""
-        planted_map = FMatrix.placed(ell, g[i].nrows, g[i + 1].nrows,
-                                     level_blocks)
+        planted_map = FMatrix.from_blocks(ell, g[i].nrows, g[i + 1].nrows,
+                                          level_blocks)
         return g[i].mul(planted_map).mul(g[i + 1].invert())
 
     new_maps = [MackeyMap(new_mods[i + 1], new_mods[i], moved(gts, i, bt),

@@ -99,6 +99,10 @@ def test_cohomology_json_dims(capsys, unit_file):
     assert payload["p0"] == 0 and payload["q1"] == 1
     # dims[i][j] holds the rank at (p0 + i, q0 + j)
     assert payload["dims"] == [[1, 1], [0, 1]]
+    code, out = run(capsys, "cohomology", "--window", "1", "0", "0", "1",
+                    unit_file)
+    assert code == 1
+    assert json.loads(out)["violations"] == ["empty window (1..0) x (0..1)"]
 
 
 @pytest.mark.parametrize("window", [
@@ -547,7 +551,7 @@ def test_fuzz_defaults_to_text(capsys):
     assert out == "8/8 recovered\n"
 
 
-def test_fuzz_json(capsys):
+def test_fuzz_json(capsys, monkeypatch):
     code, out = run(capsys, "fuzz", "--seed", "11", "--count", "5",
                     "--max-strands", "4", "--format", "json")
     payload = json.loads(out)
@@ -555,6 +559,22 @@ def test_fuzz_json(capsys):
     assert payload["ok"] is True
     assert payload["recovered"] == payload["count"] == 5
     assert payload["failures"] == []
+    # an instance whose split raises is a failure named by its index
+    calls, real_split = [], cli_module.split
+
+    def split_failing_third(c):
+        calls.append(c)
+        if len(calls) == 3:
+            raise RuntimeError("planted failure")
+        return real_split(c)
+
+    monkeypatch.setattr(cli_module, "split", split_failing_third)
+    code, out = run(capsys, "fuzz", "--seed", "11", "--count", "5",
+                    "--max-strands", "4", "--format", "json")
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["ok"] is False
+    assert payload["recovered"] == 4 and payload["failures"] == [2]
 
 
 def test_gen_output_feeds_split(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib
 import itertools
 import json
 import pathlib
@@ -23,12 +24,13 @@ from c2mackey.complexes import (U, ChainMap, FreeComplex, _ARROW_NAMES,
                                 homology_counts,
                                 identity_chain_map, is_null_homotopic,
                                 null_homotopy, orbit_matrix, orbit_starts,
-                                realize, realize_map,
+                                realize, realize_map, realize_term,
                                 shift_complex, strand, theta_block,
                                 validate_chain_map, validate_complex,
                                 zero_matrix)
 from c2mackey.gf2core import FMatrix
 from c2mackey.mackey import classify, direct_sum, indecomposable
+from c2mackey.kronholm import is_spacelike
 from c2mackey.derived import (_class_rep, _op_dual_strand, cohomology_window,
                               dcotens_formula_pair, m2_dim, sufficient_window)
 from c2mackey.split import (_RANDOM_KINDS, Strand, _shape, certificate_isos,
@@ -99,9 +101,11 @@ def test_arrow_mul_realizes_as_the_product(data):
                  for a in src] for b in tgt]
 
     earlier, later = arrows(sk, mk), arrows(mk, tk)
-    prod = realize_map(sk, tk, arrow_mul(later, earlier, sk, mk, tk), 2)
-    comp = realize_map(mk, tk, later, 2).compose(
-        realize_map(sk, mk, earlier, 2))
+    sm, mm, tm = (realize_term(k, 2) for k in (sk, mk, tk))
+    prod = realize_map(sk, tk, arrow_mul(later, earlier, sk, mk, tk), 2,
+                       sm, tm)
+    comp = realize_map(mk, tk, later, 2, mm, tm).compose(
+        realize_map(sk, mk, earlier, 2, sm, mm))
     assert prod.f_theta == comp.f_theta
     assert prod.f_dot == comp.f_dot
 
@@ -440,14 +444,15 @@ def _arrow_matrices(draw):
 @given(_arrow_matrices(), _LEGAL)
 def test_orbit_codec_matches_block_placement(case, legal):
     """The codec ORs each arrow's theta_block pattern into its slot: the
-    same matrix as placing the blocks one by one with ``FMatrix.placed``,
-    and ``arrow_matrix`` reads the arrows back.  ``legal`` makes every
-    kind pair and code come up as a lone 1 x 1 matrix too."""
+    same matrix as ``FMatrix.kron_sum`` writes with one term per arrow,
+    its block times the 1 x 1 identity, and ``arrow_matrix`` reads the
+    arrows back.  ``legal`` makes every kind pair and code come up as a
+    lone 1 x 1 matrix too."""
     ks, kt, e = legal
     for m, sk, tk in (case, ([[e]], [ks], [kt])):
         ss, ts = orbit_starts(sk), orbit_starts(tk)
-        want = FMatrix.placed(2, ts[-1], ss[-1], [
-            (ts[r], ss[s], theta_block(sk[s], tk[r], m[r][s]))
+        want = FMatrix.kron_sum(2, ts[-1], ss[-1], [
+            (ts[r], ss[s], 1, 1, theta_block(sk[s], tk[r], m[r][s]))
             for r in range(len(tk)) for s in range(len(sk)) if m[r][s]])
         theta = orbit_matrix(m, sk, tk)
         assert theta == want
@@ -519,7 +524,9 @@ def test_realize_map_matches_per_entry_reference(ell):
             for e in range(1, 4):
                 if not entry_ok(ks, kt, e):
                     continue
-                f = realize_map([ks], [kt], [[e]], ell)
+                f = realize_map([ks], [kt], [[e]], ell,
+                                realize_term([ks], ell),
+                                realize_term([kt], ell))
                 assert (f.f_theta, f.f_dot) == per_entry_realize_map(
                     [ks], [kt], [[e]], ell), (ks, kt, e)
     for i in range(30):
@@ -641,6 +648,14 @@ def test_null_homotopy_refuses_non_complexes():
         assert validate_chain_map(f) == [f"degree {n!r} is not an integer"]
         with pytest.raises(ValueError, match="degree .* is not an integer"):
             null_homotopy(f)
+    y = strand("Hn", 0)
+    for key in (0.0, "0", True):
+        f = ChainMap(y, y, {key: [[1]]})
+        assert validate_chain_map(f) == [
+            f"component degree {key!r} is not an integer"]
+        for call in (null_homotopy, is_null_homotopic, is_spacelike):
+            with pytest.raises(ValueError, match="component degree"):
+                call(f)
 
 
 def test_cohomology_window_refuses_non_integer_bounds():
@@ -828,6 +843,11 @@ def test_chain_map_validation_and_composition():
     # a non-commuting assignment is rejected
     bad = ChainMap(strand("Hn", 0), strand("Hn", 1), {0: [[0], [1]]}, 0)
     assert bad.components[0] == [[0], [1]] and validate_chain_map(bad)
+    # f_1 = 1 and f_0 = 0 on A(1): d f_1 is the arrow of d, f_0 d is zero
+    assert validate_chain_map(ChainMap(a1, a1, {0: [[0]], 1: [[1]]})) == [
+        "does not commute with d at source degree 1"]
+    with pytest.raises(ValueError, match="degree-0 maps"):
+        cone(ChainMap(a1, a1, {}, 1))
 
 
 def test_validate_chain_map_names_each_illegal_arrow_once():
@@ -1231,6 +1251,28 @@ def test_every_definition_is_used():
                         for j, used in enumerate(names) if j != k)
             and not re.search(rf"\b{top.name}\b", bench)]
     assert dead == []
+
+
+def test_every_trace_target_exists():
+    """Each name the benchmark's tracer wraps resolves in the package:
+    a module function, or a method in ``FMatrix.__dict__``, so deleting
+    or renaming one fails here and not only in a traced benchmark run."""
+    root = pathlib.Path(complexes_module.__file__).resolve().parents[2]
+    tree = ast.parse((root / "bench" / "tracing.py").read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+    missing = []
+    for path in targets.values():
+        modname, _, attr = path.partition(".")
+        mod = importlib.import_module("c2mackey." + modname)
+        if attr.startswith("FMatrix."):
+            found = attr.removeprefix("FMatrix.") in mod.FMatrix.__dict__
+        else:
+            found = callable(getattr(mod, attr, None))
+        if not found:
+            missing.append(path)
+    assert targets and missing == []
 
 
 def test_file_formats_go_through_one_schema():

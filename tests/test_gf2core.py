@@ -173,11 +173,11 @@ def test_block_and_row_ops_match_per_entry_reference(nrows, ncols, k, seed,
     b = _random_matrix(rng, k, ncols, ell)
     c = _random_matrix(rng, nrows, k, ell)
 
-    # placed: a in the corner, c right of it and b below it, each one
-    # step off, in a frame one larger than needed
+    # from_blocks: a in the corner, c right of it and b below it, each
+    # one step off, in a frame one larger than needed
     blocks = [(0, 0, a), (0, ncols + 1, c), (nrows + 1, 1, b)]
     nr, nc = nrows + k + 2, ncols + k + 2
-    assert (FMatrix.placed(ell, nr, nc, blocks)
+    assert (FMatrix.from_blocks(ell, nr, nc, blocks)
             == _reference_placed(ell, nr, nc, blocks))
     assert FMatrix.hstack([a, c]) == _reference_placed(
         ell, nrows, ncols + k, [(0, 0, a), (0, ncols, c)])
@@ -229,15 +229,18 @@ def test_block_and_row_ops_match_per_entry_reference(nrows, ncols, k, seed,
             assert a.mul(got) == rhs
 
 
-def test_placed_refuses_misfit_and_foreign_blocks():
-    block = FMatrix.identity(2, 2)
-    for i0, j0 in ((0, 2), (2, 0), (-1, 0), (0, -1), (1, 2)):
-        with pytest.raises(ValueError, match="does not fit"):
-            FMatrix.placed(2, 3, 3, [(i0, j0, block)])
-    with pytest.raises(ValueError, match="GF\\(3\\)"):
-        FMatrix.placed(2, 3, 3, [(0, 0, FMatrix.identity(2, 3))])
-    with pytest.raises(ValueError):
-        FMatrix.hstack([block, FMatrix.identity(2, 3)])
+def test_from_blocks_refuses_misfit_and_foreign_blocks():
+    """A block past the last row or the last column does not fit, at
+    l = 2 and l = 3; ``hstack`` and ``vstack`` refuse a block over
+    another field."""
+    for ell, other in ((2, 3), (3, 2)):
+        block = FMatrix.identity(2, ell)
+        for i0, j0 in ((0, 2), (2, 0), (1, 2), (2, 1)):
+            with pytest.raises(ValueError, match="does not fit in 3x3"):
+                FMatrix.from_blocks(ell, 3, 3, [(i0, j0, block)])
+        for stack in (FMatrix.hstack, FMatrix.vstack):
+            with pytest.raises(ValueError, match="mismatch"):
+                stack([block, FMatrix.identity(2, other)])
 
 
 def _reference_kron(a, b):
@@ -246,7 +249,7 @@ def _reference_kron(a, b):
     p, q = b.nrows, b.ncols
     blocks = [(i * p, j * q, b.scale(a.get(i, j)))
               for i in range(a.nrows) for j in range(a.ncols) if a.get(i, j)]
-    return FMatrix.placed(a.ell, a.nrows * p, a.ncols * q, blocks)
+    return FMatrix.from_blocks(a.ell, a.nrows * p, a.ncols * q, blocks)
 
 
 def _reference_kron_sum(ell, nrows, ncols, terms):
@@ -330,26 +333,28 @@ def test_row_format_stays_in_gf2core():
 
 
 def test_gf2_block_and_field_helpers():
-    """``from_blocks`` adds its blocks in place as ``placed`` puts them,
-    overlapping ones summed; ``row_fields`` reads masked runs of a row's
-    entries as ints, entry j + b at bit b."""
+    """``from_blocks`` puts blocks that do not overlap where the
+    per-entry reference puts them; ``row_fields`` reads masked runs of a
+    row's entries as ints, entry j + b at bit b."""
     rng = random.Random("gf2-helpers")
     for _ in range(200):
         nrows, ncols = rng.randint(0, 6), rng.randint(1, 10)
-        blocks = []
+        blocks, taken = [], set()
         for _ in range(rng.randint(0, 5)):
             h, w = rng.randint(1, 2), rng.randint(1, 3)
-            if h <= nrows and w <= ncols:
-                blocks.append((rng.randint(0, nrows - h),
-                               rng.randint(0, ncols - w),
-                               FMatrix.from_rows([[rng.randrange(2)
-                                                   for _ in range(w)]
-                                                  for _ in range(h)])))
-        want = FMatrix.zeros(nrows, ncols)
-        for b in blocks:
-            want = want.add(FMatrix.placed(2, nrows, ncols, [b]))
-        got = FMatrix.from_blocks(nrows, ncols, blocks)
-        assert got == want and _is_canonical(got)
+            if h > nrows or w > ncols:
+                continue
+            i0, j0 = rng.randint(0, nrows - h), rng.randint(0, ncols - w)
+            cells = {(i, j) for i in range(i0, i0 + h)
+                     for j in range(j0, j0 + w)}
+            if cells & taken:
+                continue
+            taken |= cells
+            blocks.append((i0, j0, FMatrix.from_rows(
+                [[rng.randrange(2) for _ in range(w)] for _ in range(h)])))
+        got = FMatrix.from_blocks(2, nrows, ncols, blocks)
+        assert got == _reference_placed(2, nrows, ncols, blocks)
+        assert _is_canonical(got)
         fields = [(rng.randrange(ncols), rng.choice((1, 3, 7)))
                   for _ in range(4)]
         for i in range(nrows):
@@ -357,8 +362,8 @@ def test_gf2_block_and_field_helpers():
                 sum(got.get(i, j + b) << b
                     for b in range(mask.bit_length()) if j + b < ncols)
                 for j, mask in fields]
-    with pytest.raises(ValueError, match="does not fit in 2 columns"):
-        FMatrix.from_blocks(1, 2, [(0, 1, FMatrix.from_rows([[1, 1]]))])
+    with pytest.raises(ValueError, match="does not fit in 1x2"):
+        FMatrix.from_blocks(2, 1, 2, [(0, 1, FMatrix.from_rows([[1, 1]]))])
 
 
 def _is_canonical(m):
@@ -463,11 +468,13 @@ def test_whole_row_ops_match_per_entry_reference(nrows, ncols, k, seed, ell):
     square = random_invertible(n, ell, rng)
     rows = [rng.randrange(nrows) for _ in range(3)] if nrows else []
     cols = [rng.randrange(ncols) for _ in range(4)] if ncols else []
+    laid = [(1, 0, a), (0, ncols + 1, c)]
+    shape = (nrows + ncols + 1, ncols + k + 1)
+    blocks = FMatrix.from_blocks(ell, *shape, laid)
+    assert blocks == _reference_placed(ell, *shape, laid)
     outputs = [
         a, FMatrix.identity(k, ell), a.add(b), a.scale(rng.randrange(ell)),
-        a.mul(c), a.transpose(), a.kron(c),
-        FMatrix.placed(ell, nrows + ncols + 1, ncols + k + 1,
-                       [(1, 0, a), (0, ncols + 1, c)]),
+        a.mul(c), a.transpose(), a.kron(c), blocks,
         FMatrix.hstack([a, b]), FMatrix.vstack([a, b]),
         a.submatrix(rows, cols), R, a.kernel_basis(), square.invert(),
     ]

@@ -41,17 +41,39 @@ def test_classify_direct_sums():
     b = direct_sum(a, indecomposable("F", 2))
     assert classify(b) == {"H": 1, "SDot": 1, "F": 1}
     assert classify(zero_module(2)) == {}
+    with pytest.raises(ValueError, match="mixed moduli"):
+        direct_sum(indecomposable("H", 2), indecomposable("H", 3))
 
 
 def test_validate_catches_broken_transfer_relation():
+    """Each shape message and each relation that fails, on H and F with
+    one map changed."""
     from c2mackey.gf2core import FMatrix
-    m = MackeyModule(2,
-                     FMatrix.identity(1, 2),
-                     FMatrix.from_rows([[1]], 2),
-                     FMatrix.from_rows([[1]], 2))
-    errs = validate_module(m)
-    # both composition relations fail for these maps
-    assert len(errs) == 2
+
+    def module(ell, t, p_up, p_down):
+        return MackeyModule(ell, *(FMatrix.from_rows(m, ell, ncols=len(m[0]))
+                                   for m in (t, p_up, p_down)))
+
+    cases = [
+        # both composition relations fail for these maps
+        (module(2, [[1]], [[1]], [[1]]),
+         ["p_up*p_down != 1 + t", "p_down*p_up != 2"]),
+        (module(2, [[0, 1]], [[1]], [[2]]),
+         ["t is not square on the theta level"]),
+        (module(3, [[1]], [[1, 0]], [[2]]),
+         ["p_up must map the dot level to the theta level"]),
+        (module(3, [[1]], [[1]], [[2, 0]]),
+         ["p_down must map the theta level to the dot level"]),
+        (module(3, [[0]], [[1]], [[2]]),
+         ["t*t != 1", "t*p_up != p_up", "p_down*t != p_down",
+          "p_up*p_down != 1 + t"]),
+        (module(2, [[0, 1], [1, 0]], [[1], [0]], [[1, 1]]),
+         ["t*p_up != p_up", "p_up*p_down != 1 + t", "p_down*p_up != 2"]),
+        (module(2, [[0, 1], [1, 0]], [[1], [1]], [[1, 0]]),
+         ["p_down*t != p_down", "p_up*p_down != 1 + t", "p_down*p_up != 2"]),
+    ]
+    for m, want in cases:
+        assert validate_module(m) == want
 
 
 def test_scrambled_classification_roundtrip():

@@ -275,13 +275,16 @@ def test_unvalidated_split_refuses_a_wrong_shape(how):
 
 def test_unvalidated_split_never_verifies_an_invalid_complex():
     """What ``split(c, validate=False)`` promises on a complex that is
-    invalid but of the right shape, with legal codes: SplitError, or a
-    decomposition that ``verify_certificate`` rejects.  Scrambles with one
-    arrow changed to another legal one, most of them no longer complexes
-    (d*d != 0); both outcomes occur."""
+    invalid but of the right shape: SplitError, a decomposition that
+    ``verify_certificate`` rejects, or, where the sweep trips over an
+    illegal arrow code, a ValueError naming it.  Scrambles with one arrow
+    changed to another legal one, most of them no longer complexes
+    (d*d != 0), and scrambles with one slot set to a code that may be
+    illegal there (5, -1, 1.0 or 2); every outcome occurs."""
     outcomes = Counter()
-    for i in range(1500):
-        rng = random.Random(f"invalid:{i}")
+    for i in range(2100):
+        legal = i < 1500
+        rng = random.Random(f"invalid:{i}" if legal else f"ill:{i - 1500}")
         c = random_scrambled_complex(rng, max_strands=8)[0]
         if not c.diffs:
             continue
@@ -291,17 +294,24 @@ def test_unvalidated_split_never_verifies_an_invalid_complex():
             continue
         r, s = rng.randrange(len(m)), rng.randrange(len(m[0]))
         both_f = c.gens[j][r] == c.gens[j + 1][s] == "F"
-        m[r][s] = (m[r][s] + 1) % (4 if both_f else 2)
-        if not validate_complex(c):
+        m[r][s] = ((m[r][s] + 1) % (4 if both_f else 2) if legal
+                   else rng.choice([5, -1, 1.0, 2]))
+        valid = not validate_complex(c)
+        if legal and valid:
             continue
         try:
             dec = split(c, validate=False)
         except SplitError:
             outcomes["refused"] += 1
             continue
-        assert not verify_certificate(c, dec), i
-        outcomes["unverified"] += 1
+        except ValueError as exc:
+            assert not legal and "illegal arrow" in str(exc), (i, exc)
+            outcomes["named"] += 1
+            continue
+        assert verify_certificate(c, dec) == valid, i
+        outcomes["verified" if valid else "unverified"] += 1
     assert outcomes["refused"] > 100 and outcomes["unverified"] > 10, outcomes
+    assert outcomes["named"] > 50 and outcomes["verified"], outcomes
 
 
 def _near_strand(rng):

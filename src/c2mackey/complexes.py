@@ -310,12 +310,6 @@ def validate_complex(c: FreeComplex) -> list[str]:
 
 # -- canonical construction helpers -------------------------------------
 
-def _canonical_perm(kinds: list[str]) -> list[int]:
-    """Stable F-before-H permutation: perm[new_slot] = old_slot."""
-    return ([i for i, k in enumerate(kinds) if k == "F"]
-            + [i for i, k in enumerate(kinds) if k == "H"])
-
-
 # the generator kinds of each strand and disk, top first, for a param
 # that ``strand_param_ok`` accepts
 STRAND_SHAPES = {
@@ -498,10 +492,9 @@ def validate_chain_map(f: ChainMap) -> list[str]:
         sk = f.source.gens_at(d)
         tk = f.target.gens_at(d + f.degree)
         if not has_shape(m, len(tk), len(sk)):
-            out.append(f"component at degree {d} has the wrong shape")
+            out.append(wrong_shape(d, "component at"))
             continue
-        out += [f"illegal arrow {e!r} in slot ({ks}->{kt}) of the component "
-                f"at degree {d}"
+        out += [illegal_arrow(ks, kt, e, d, "component at")
                 for kt, row in zip(tk, m) for ks, e in zip(sk, row)
                 if not entry_ok(ks, kt, e)]
     if out:
@@ -615,17 +608,20 @@ def realize_map(src_kinds: list[str], tgt_kinds: list[str],
 
 # -- the free-orbit codec (its reader, ``arrow_matrix``, sits by theta_block)
 
-def illegal_arrow(ks: str, kt: str, e, degree: int) -> str:
+def illegal_arrow(ks: str, kt: str, e, degree: int,
+                  part: str = "differential into") -> str:
     """The violation of an arrow code ``e`` that its slot ks -> kt of the
-    differential into ``degree`` does not have."""
-    return (f"illegal arrow {e!r} in slot ({ks}->{kt}) of the differential "
-            f"into degree {degree}")
+    differential into ``degree`` (or the ``part``, "component at", say)
+    does not have."""
+    return (f"illegal arrow {e!r} in slot ({ks}->{kt}) of the {part} "
+            f"degree {degree}")
 
 
-def wrong_shape(degree: int) -> str:
-    """The violation of a differential into ``degree`` that is not a
-    (generators in ``degree``) x (generators in ``degree + 1``) matrix."""
-    return f"differential into degree {degree} has the wrong shape"
+def wrong_shape(degree: int, part: str = "differential into") -> str:
+    """The violation of a differential into ``degree`` (or the ``part``)
+    that is not a (generators in ``degree``) x (generators in
+    ``degree + 1``) matrix, or (targets) x (sources) for a component."""
+    return f"{part} degree {degree} has the wrong shape"
 
 
 def has_shape(m: list[list[int]], nrows: int, ncols: int) -> bool:
@@ -776,126 +772,126 @@ def homology_counts(c: FreeComplex, ell: int = 2) -> dict[int, dict[str, int]]:
 
 # -- box products ---------------------------------------------------------
 
-def _pair_gens(ka: str, kb: str) -> list[str]:
-    """Kinds of the product generators of a single (ka, kb) pair."""
-    if ka == "F" and kb == "F":
-        return ["F", "F"]
-    if ka == "H" and kb == "H":
-        return ["H"]
-    return ["F"]
-
-
-def _pair_basis(ka: str, kb: str) -> FMatrix:
-    """Columns: the free-orbit basis of the product generators, expressed
-    in Kronecker coordinates of the two free-orbit levels."""
-    if ka == "F" and kb == "F":
-        # e1, t e1, e2, t e2  =  g(x)g, tg(x)tg, g(x)tg, tg(x)g
-        return FMatrix.from_rows(
-            [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]], 2
-        ).transpose()
-    n = 2 if "F" in (ka, kb) else 1
-    return FMatrix.identity(n, 2)
-
-
 @cache
-def _pair_block(ka: str, ka2: str, ea: int, kb: str, kb2: str, eb: int):
-    """The nonzero arrows (target, source, arrow) of (map ea (x) map eb)
-    between product generators."""
-    K = theta_block(ka, ka2, ea).kron(theta_block(kb, kb2, eb))
-    N = _pair_basis(ka2, kb2).invert().mul(K).mul(_pair_basis(ka, kb))
-    arrows = arrow_matrix(N, _pair_gens(ka, kb), _pair_gens(ka2, kb2))
-    return tuple((r, s, e) for r, row in enumerate(arrows)
-                 for s, e in enumerate(row) if e)
+def _box_blocks() -> dict[tuple, dict[tuple, tuple]]:
+    """Arrow (source kind, target kind, code) -> arrow -> the nonzero
+    arrows (target, source, arrow) between product generators of their
+    box product, for every two legal nonzero arrows."""
+    # per (ka, kb): the product generators' kinds, and their free-orbit
+    # coordinates among the Kronecker ones (g(x)g, tg(x)tg, g(x)tg, tg(x)g)
+    pairs = {("F", "F"): ("FF", [0, 3, 1, 2]), ("F", "H"): ("F", [0, 1]),
+             ("H", "F"): ("F", [0, 1]), ("H", "H"): ("H", [0])}
+    arrows = [(ks, kt, e) for (ks, kt), names in _ARROW_NAMES.items()
+              for e in range(1, len(names))]
+    out = {a: {} for a in arrows}
+    for (ka, ka2, ea), (kb, kb2, eb) in product(arrows, repeat=2):
+        (sk, sc), (tk, tc) = pairs[ka, kb], pairs[ka2, kb2]
+        K = theta_block(ka, ka2, ea).kron(theta_block(kb, kb2, eb))
+        N = arrow_matrix(K.submatrix(tc, sc), sk, tk)
+        out[ka, ka2, ea][kb, kb2, eb] = tuple(
+            (r, s, e) for r, v in enumerate(N) for s, e in enumerate(v) if e)
+    return out
+
+
+def _arrow_list(m: list, sk: list, tk: list, degree: int, part: str) -> list:
+    """The nonzero arrows (target, source, (source kind, target kind,
+    code)) of ``m`` from ``sk`` to ``tk``; a wrong shape or an illegal
+    code raises ValueError naming ``part`` and ``degree``."""
+    if not has_shape(m, len(tk), len(sk)):
+        raise ValueError(wrong_shape(degree, part))
+    out = [(t, s, (sk[s], kt, e)) for t, (kt, row) in enumerate(zip(tk, m))
+           for s, e in enumerate(row) if e]
+    if not (all(map(isinstance, chain.from_iterable(m), repeat(int)))
+            and all(map(_box_blocks().__contains__, [k for _, _, k in out]))):
+        raise ValueError(illegal_arrow(*next(
+            (ks, kt, e) for kt, row in zip(tk, m) for ks, e in zip(sk, row)
+            if not entry_ok(ks, kt, e)), degree, part))
+    return out
 
 
 def _box_layout(x: FreeComplex, y: FreeComplex):
-    """Per total degree: the kinds of the product generators (i, a, b, s),
-    the s-th generator of x_i[a] (x) y_j[b], in canonical F-before-H
-    order, and a dict from (i, a, b, s) to position."""
-    raw: dict[int, list[tuple]] = {}
-    for i in x.degrees():
-        xg = x.gens_at(i)
-        if not xg:
-            continue
-        for j in y.degrees():
-            yg = y.gens_at(j)
-            if not yg:
+    """Per total degree, the product generators' kinds, F's first, in the
+    order (i, a, b) of x_i[a] (x) y_j[b]; and pos[i, j][a][b], the
+    positions of the generators of x_i[a] (x) y_j[b]."""
+    xs = [(i, k, k.count("F")) for i, k in zip(x.degrees(), x.gens) if k]
+    ys = [(j, k, k.count("F")) for j, k in zip(y.degrees(), y.gens) if k]
+    at = {}             # per total degree: the next F, and the first H
+    for (i, xk, fx), (j, yk, fy) in product(xs, ys):
+        at.setdefault(i + j, [0, 0])[1] += fx * len(yk) + fy * len(xk)
+    pos = {}
+    for (i, xk, _), (j, yk, _) in product(xs, ys):
+        f, h = nxt = at[i + j]      # the next F and the next H
+        pos[i, j] = rows = []
+        for ka in xk:
+            rows.append(row := [])
+            for kb in yk:
+                if ka == kb == "H":
+                    row.append((h,))
+                    h += 1
+                else:
+                    row.append((f, f + 1) if ka == kb else (f,))
+                    f += 1 + (ka == kb)
+        nxt[:] = f, h
+    return {d: ["F"] * f + ["H"] * (h - f) for d, (f, h) in at.items()}, pos
+
+
+def _box_components(pairs: list, slayout, tlayout, deg: int) -> dict:
+    """Per source degree, the arrow matrix from ``slayout`` to ``tlayout``
+    of the sum of f (x) g over the ((f, its degree), (g, its degree)) of
+    ``pairs``: per-degree ``_arrow_list``s whose degrees add to ``deg``."""
+    table, (sgens, spos), (tgens, tpos) = _box_blocks(), slayout, tlayout
+    comps = {d: zero_matrix(len(tgens[d + deg]), len(kinds))
+             for d, kinds in sgens.items() if d + deg in tgens}
+    for (f, fdeg), (g, gdeg) in pairs:
+        for (i, fa), (j, ga) in product(f.items(), g.items()):
+            if not (fa and ga):
                 continue
-            bucket = raw.setdefault(i + j, [])
-            for a, ka in enumerate(xg):
-                for b, kb in enumerate(yg):
-                    for s, kind in enumerate(_pair_gens(ka, kb)):
-                        bucket.append((kind, (i, a, b, s)))
-    layout = {}
-    for d, bucket in raw.items():
-        order = [bucket[p] for p in _canonical_perm([k for k, _ in bucket])]
-        layout[d] = ([k for k, _ in order],
-                     {key: pos for pos, (_, key) in enumerate(order)})
-    return layout
-
-
-def _nonzero_columns(m: list[list[int]], ncols: int) -> list[list[tuple]]:
-    """Per column of the arrow matrix ``m``: its nonzero (row, arrow)."""
-    return [[(r, row[c]) for r, row in enumerate(m) if row[c]]
-            for c in range(ncols)]
-
-
-def _box_components(pairs: list[tuple[ChainMap, ChainMap]], slayout,
-                    tlayout, deg: int) -> dict[int, list[list[int]]]:
-    """Per source degree, the arrow matrix of the sum of f (x) g over the
-    (f, g) of ``pairs``, each of total degree ``deg``, from the product
-    generators of ``slayout`` to those of ``tlayout``."""
-    comps = {d: zero_matrix(len(tlayout[d + deg][0]), len(skinds))
-             for d, (skinds, _) in slayout.items() if d + deg in tlayout}
-    for f, g in pairs:
-        fcols = {i: _nonzero_columns(m, len(f.source.gens_at(i)))
-                 for i, m in f.components.items()}
-        gcols = {j: _nonzero_columns(m, len(g.source.gens_at(j)))
-                 for j, m in g.components.items()}
-        for i, j in product(fcols, gcols):
-            m = comps.get(i + j)
-            if m is None or not fcols[i] or not gcols[j]:
-                continue
-            sindex, tindex = slayout[i + j][1], tlayout[i + j + deg][1]
-            xk, yk = f.source.gens_at(i), g.source.gens_at(j)
-            i2, j2 = i + f.degree, j + g.degree
-            xk2, yk2 = f.target.gens_at(i2), g.target.gens_at(j2)
-            for a, b in product(range(len(xk)), range(len(yk))):
-                for (a2, ea), (b2, eb) in product(fcols[i][a], gcols[j][b]):
-                    for s2, s, e in _pair_block(xk[a], xk2[a2], ea,
-                                                yk[b], yk2[b2], eb):
-                        m[tindex[i2, a2, b2, s2]][sindex[i, a, b, s]] ^= e
+            m, sp, tp = comps[i + j], spos[i, j], tpos[i + fdeg, j + gdeg]
+            for a2, a, fkey in fa:
+                blocks, sa, ta = table[fkey], sp[a], tp[a2]
+                for b2, b, gkey in ga:
+                    sab, tab = sa[b], ta[b2]
+                    for s2, s, e in blocks[gkey]:
+                        m[tab[s2]][sab[s]] ^= e
     return comps
 
 
-def _diff_map(c: FreeComplex) -> ChainMap:
-    """The differential of ``c`` as a degree -1 map from ``c`` to itself."""
-    return ChainMap(c, c, {d: c.diff(d)
-                           for d in range(c.min_degree + 1, c.max_degree + 1)},
-                    -1)
+def _diff_and_identity(c: FreeComplex) -> tuple[tuple, tuple]:
+    """d and the identity of ``c``, as factors of ``_box_components``."""
+    lo, gens = c.min_degree, c.gens
+    d = {lo + k + 1: _arrow_list(m, sk, tk, lo + k, "differential into")
+         for k, (m, sk, tk) in enumerate(zip(c.diffs, gens[1:], gens))}
+    ident = {lo + k: [(a, a, (kind, kind, 1)) for a, kind in enumerate(g)]
+             for k, g in enumerate(gens)}
+    return (d, -1), (ident, 0)
 
 
 def box_complex(x: FreeComplex, y: FreeComplex) -> FreeComplex:
-    """The monoidal product of two symbol complexes: its differential is
-    d_x (x) 1 + 1 (x) d_y."""
-    layout = _box_layout(x, y)
-    if not layout:
-        return FreeComplex(0, [[]], [])
-    lo, hi = min(layout), max(layout)
-    gens = [layout[d][0] if d in layout else [] for d in range(lo, hi + 1)]
-    comps = _box_components([(_diff_map(x), identity_chain_map(y)),
-                             (identity_chain_map(x), _diff_map(y))],
-                            layout, layout, -1)
+    """The monoidal product of two symbol complexes, with differential
+    d_x (x) 1 + 1 (x) d_y.  A differential of the wrong shape, or an arrow
+    code its slot does not have, raises ValueError naming it."""
+    (dx, ix), (dy, iy) = _diff_and_identity(x), _diff_and_identity(y)
+    kinds, _ = layout = _box_layout(x, y)
+    lo, hi = min(kinds, default=0), max(kinds, default=0)
+    gens = [kinds.get(d, []) for d in range(lo, hi + 1)]
+    comps = _box_components([(dx, iy), (ix, dy)], layout, layout, -1)
     return FreeComplex(lo, gens, [
-        comps[d] if d in comps
-        else zero_matrix(len(gens[d - lo - 1]), len(gens[d - lo]))
+        comps.get(d) or zero_matrix(len(gens[d - lo - 1]), len(gens[d - lo]))
         for d in range(lo + 1, hi + 1)])
 
 
 def box_chain_map(f: ChainMap, g: ChainMap) -> ChainMap:
-    """f (x) g on box products (all degrees; GF(2) kills the signs)."""
+    """f (x) g on box products (all degrees; GF(2) kills the signs).  A
+    component or a differential of the wrong shape, or an arrow code its
+    slot does not have, raises ValueError naming it."""
+    def factor(h: ChainMap) -> tuple[dict, int]:
+        return {d: _arrow_list(m, h.source.gens_at(d),
+                               h.target.gens_at(d + h.degree), d,
+                               "component at")
+                for d, m in h.components.items()}, h.degree
     deg = f.degree + g.degree
-    comps = _box_components([(f, g)], _box_layout(f.source, g.source),
+    comps = _box_components([(factor(f), factor(g))],
+                            _box_layout(f.source, g.source),
                             _box_layout(f.target, g.target), deg)
     return ChainMap(box_complex(f.source, g.source),
                     box_complex(f.target, g.target), comps, deg)
@@ -929,6 +925,12 @@ def _hom_degrees(x: FreeComplex, y: FreeComplex, n: int) -> range:
     """The degrees i in which both x_i and y_(i+n) may have generators."""
     return range(max(x.min_degree, y.min_degree - n),
                  min(x.max_degree, y.max_degree - n) + 1)
+
+
+def _nonzero_columns(m: list[list[int]], ncols: int) -> list[list[tuple]]:
+    """Per column of the arrow matrix ``m``: its nonzero (row, arrow)."""
+    return [[(r, row[c]) for r, row in enumerate(m) if row[c]]
+            for c in range(ncols)]
 
 
 class _HomComplex:

@@ -328,13 +328,15 @@ class FMatrix:
         ``blocks``, an iterable of (i0, j0, FMatrix) triples over GF(l),
         with its top left corner at (i0, j0), and zeros elsewhere: the
         writer for blocks the caller has laid out.  Blocks must not
-        overlap.  A block that reaches past the last row or the last
-        column raises ValueError."""
+        overlap.  A block at a negative offset, or one that reaches past
+        the last row or the last column, raises ValueError."""
         out = FMatrix(ell, nrows, ncols)
         rows = out.rows
         try:
             if ell == 2:
                 for i, j0, b in blocks:
+                    if (i | j0) < 0:
+                        raise IndexError
                     for r in b.rows:
                         rows[i] ^= r << j0
                         i += 1
@@ -343,7 +345,7 @@ class FMatrix:
             else:
                 for i, j0, b in blocks:
                     j1 = j0 + b.ncols
-                    if j1 > ncols:
+                    if j1 > ncols or (i | j0) < 0:
                         raise IndexError
                     for r in b.rows:
                         rows[i][j0:j1] = r

@@ -7,6 +7,7 @@ import pathlib
 import random
 import re
 import types
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import c2mackey.complexes as complexes_module
 from c2mackey.complexes import (U, ChainMap, FreeComplex, _ARROW_NAMES,
-                                _HomComplex, _canonical_perm, _hom_degrees,
+                                _HomComplex, _hom_degrees,
                                 _nonzero_columns, _trimmed,
                                 arrow_matrix, arrow_mul, box_chain_map, box_complex,
                                 compose_chain_maps, cone, cotens_H,
@@ -71,19 +72,24 @@ def test_arrow_composition_associative(ka, kb, kc, kd, e1, e2, e3):
 def test_arrow_tables_are_pinned():
     """Every composite and every box-product block, for all kinds and
     arrow codes, digested: both tables are read off ``theta_block`` and
-    must equal the hand-derived bit formulas they replaced."""
+    must equal the hand-derived bit formulas they replaced.  The box
+    blocks also equal the basis-change route of ``_reference_pair_block``."""
     def codes(ks, kt):
         return range(4 if ks == kt == "F" else 2)
 
     comps = [[ka, kb, kc, e1, e2, ecompose(ka, kb, kc, e1, e2)]
              for ka, kb, kc in itertools.product("FH", repeat=3)
              for e1 in codes(ka, kb) for e2 in codes(kb, kc)]
+    # the box-product table holds the nonzero arrows; a zero one has none
+    table = complexes_module._box_blocks()
     boxes = [[ka, ka2, ea, kb, kb2, eb,
-              [list(t) for t in complexes_module._pair_block(
-                  ka, ka2, ea, kb, kb2, eb)]]
+              [list(t) for t in table.get((ka, ka2, ea), {}).get(
+                  (kb, kb2, eb), ())]]
              for ka, ka2, kb, kb2 in itertools.product("FH", repeat=4)
              for ea in codes(ka, ka2) for eb in codes(kb, kb2)]
     assert (len(comps), len(boxes)) == (52, 100)
+    assert all(box[-1] == [list(t) for t in _reference_pair_block(*box[:6])]
+               for box in boxes)
     assert hashlib.sha256(json.dumps([comps, boxes]).encode()).hexdigest() == (
         "b41d770bbe137feaab48fd69f1d1e8dcef9db94a993a7288b5bff19ee11fbe9d")
 
@@ -262,6 +268,12 @@ def _placed_arrows(nrows, ncols, blocks):
         for i, row in enumerate(b, i0):
             out[i][j0:j0 + len(row)] = row
     return out
+
+
+def _canonical_perm(kinds):
+    """Stable F-before-H permutation: perm[new_slot] = old_slot."""
+    return ([i for i, k in enumerate(kinds) if k == "F"]
+            + [i for i, k in enumerate(kinds) if k == "H"])
 
 
 def _canonicalize(c):
@@ -1162,6 +1174,188 @@ def test_cohomology_window_refuses_illegal_arrows():
 
 
 # -- box products -------------------------------------------------------------
+
+@cache
+def _reference_pair_block(ka, ka2, ea, kb, kb2, eb):
+    """The nonzero arrows (target, source, arrow) of (map ea (x) map eb)
+    between product generators, by the change of basis from the Kronecker
+    coordinates: the route ``_box_blocks`` replaced, kept as its
+    reference."""
+    def basis(ka, kb):
+        # columns: e1, t e1, e2, t e2 = g(x)g, tg(x)tg, g(x)tg, tg(x)g
+        if ka == kb == "F":
+            return FMatrix.from_rows([[1, 0, 0, 0], [0, 0, 0, 1],
+                                      [0, 1, 0, 0], [0, 0, 1, 0]],
+                                     2).transpose()
+        return FMatrix.identity(2 if "F" in (ka, kb) else 1, 2)
+
+    def kinds(ka, kb):
+        return ["F", "F"] if ka == kb == "F" else ["H"] if ka == kb else ["F"]
+
+    K = theta_block(ka, ka2, ea).kron(theta_block(kb, kb2, eb))
+    N = basis(ka2, kb2).invert().mul(K).mul(basis(ka, kb))
+    arrows = arrow_matrix(N, kinds(ka, kb), kinds(ka2, kb2))
+    return tuple((r, s, e) for r, row in enumerate(arrows)
+                 for s, e in enumerate(row) if e)
+
+
+def _reference_box_layout(x, y):
+    """Per total degree: the kinds of the product generators (i, a, b, s),
+    the s-th generator of x_i[a] (x) y_j[b], in F-before-H order, and a
+    dict from (i, a, b, s) to position."""
+    raw = {}
+    for i in x.degrees():
+        for j in y.degrees():
+            for a, ka in enumerate(x.gens_at(i)):
+                for b, kb in enumerate(y.gens_at(j)):
+                    kinds = ("FF" if ka == kb == "F" else "H" if ka == kb
+                             else "F")
+                    raw.setdefault(i + j, []).extend(
+                        (k, (i, a, b, s)) for s, k in enumerate(kinds))
+    layout = {}
+    for d, bucket in raw.items():
+        order = [bucket[p] for p in _canonical_perm([k for k, _ in bucket])]
+        layout[d] = ([k for k, _ in order],
+                     {key: pos for pos, (_, key) in enumerate(order)})
+    return layout
+
+
+def _reference_box_components(pairs, slayout, tlayout, deg):
+    """Per source degree, the arrow matrix of the sum of f (x) g over the
+    chain maps (f, g) of ``pairs``, written one ``_reference_pair_block``
+    entry at a time through the dict layouts: the writer ``box_complex``
+    and ``box_chain_map`` replaced, kept as their reference."""
+    comps = {d: zero_matrix(len(tlayout[d + deg][0]), len(skinds))
+             for d, (skinds, _) in slayout.items() if d + deg in tlayout}
+    for f, g in pairs:
+        for (i, fm), (j, gm) in itertools.product(f.components.items(),
+                                                  g.components.items()):
+            m = comps.get(i + j)
+            if m is None:
+                continue
+            i2, j2 = i + f.degree, j + g.degree
+            xk, yk = f.source.gens_at(i), g.source.gens_at(j)
+            xk2, yk2 = f.target.gens_at(i2), g.target.gens_at(j2)
+            for (a2, row_f), (b2, row_g) in itertools.product(
+                    enumerate(fm), enumerate(gm)):
+                for (a, ea), (b, eb) in itertools.product(
+                        enumerate(row_f), enumerate(row_g)):
+                    if not (ea and eb):
+                        continue
+                    for s2, s, e in _reference_pair_block(
+                            xk[a], xk2[a2], ea, yk[b], yk2[b2], eb):
+                        m[tlayout[i2 + j2][1][i2, a2, b2, s2]][
+                            slayout[i + j][1][i, a, b, s]] ^= e
+    return comps
+
+
+def _reference_box_complex(x, y):
+    layout = _reference_box_layout(x, y)
+    if not layout:
+        return FreeComplex(0, [[]], [])
+    lo, hi = min(layout), max(layout)
+    gens = [layout[d][0] if d in layout else [] for d in range(lo, hi + 1)]
+    d_x, d_y = (ChainMap(c, c, {d: c.diff(d) for d in c.degrees()}, -1)
+                for c in (x, y))
+    comps = _reference_box_components(
+        [(d_x, identity_chain_map(y)), (identity_chain_map(x), d_y)],
+        layout, layout, -1)
+    return FreeComplex(lo, gens, [
+        comps[d] if d in comps
+        else zero_matrix(len(gens[d - lo - 1]), len(gens[d - lo]))
+        for d in range(lo + 1, hi + 1)])
+
+
+def _reference_box_chain_map(f, g):
+    deg = f.degree + g.degree
+    comps = _reference_box_components(
+        [(f, g)], _reference_box_layout(f.source, g.source),
+        _reference_box_layout(f.target, g.target), deg)
+    return ChainMap(_reference_box_complex(f.source, g.source),
+                    _reference_box_complex(f.target, g.target), comps, deg)
+
+
+def _box_inputs(rng):
+    """A random complex for a box product: a scramble, the same with its
+    degrees pulled apart by an empty stretch, or the zero complex."""
+    x, _ = random_scrambled_complex(rng, max_strands=3, max_moves=40)
+    pick = rng.random()
+    if pick < 0.25:
+        return direct_sum_complexes(
+            [x, shift_complex(x, x.max_degree - x.min_degree
+                              + rng.randint(2, 4))])
+    if pick < 0.3:
+        return FreeComplex(0, [[]], [])
+    return x
+
+
+def _as_stored(obj):
+    """Everything ``to_json`` writes of a complex or a chain map, exactly
+    as stored (``==`` on complexes trims and forgives empty ends)."""
+    if isinstance(obj, FreeComplex):
+        return obj.min_degree, obj.gens, obj.diffs
+    return (_as_stored(obj.source), _as_stored(obj.target), obj.degree,
+            obj.components)
+
+
+def test_box_writer_matches_per_entry_reference():
+    """``box_complex``, the box with a cotensor dual and ``box_chain_map``
+    (of isomorphisms, and of maps of degree -1 and 1 read off random Hom
+    vectors) equal the per-entry reference on random scramble pairs, with
+    empty degrees inside a factor and zero factors among them."""
+    for i in range(100):
+        rng = random.Random(f"box-writer:{i}")
+        x, y = _box_inputs(rng), _box_inputs(rng)
+        for a in (x, cotens_H(x)):
+            assert (_as_stored(box_complex(a, y))
+                    == _as_stored(_reference_box_complex(a, y))), i
+        maps = [identity_chain_map(x)]
+        if not y.is_zero():
+            maps.append(certificate_isos(y, split_complex(y).certificate)[0])
+        for n in (-1, 1):
+            hom = _HomComplex(x, y)
+            maps.append(hom.chain_map(n, [rng.randint(0, 1)
+                                          for _ in range(hom._starts(n)[0])]))
+        f, g = rng.choice(maps), rng.choice(maps)
+        assert (_as_stored(box_chain_map(f, g))
+                == _as_stored(_reference_box_chain_map(f, g))), i
+
+
+@pytest.mark.parametrize("code", [5, 1.0, 2, -1, 0.0])
+def test_box_products_refuse_illegal_codes(code):
+    """An arrow code its slot does not have, on either side of a box
+    product or in either factor of a box of chain maps, raises ValueError
+    naming the slot and the degree, as ``validate_complex`` and
+    ``validate_chain_map`` do; it is never rewritten to a legal arrow."""
+    bad = FreeComplex(0, [["H"], ["F"]], [[[code]]])
+    unit = strand("Hn", 0)
+    want = (f"illegal arrow {code!r} in slot (F->H) of the differential "
+            f"into degree 0")
+    assert validate_complex(bad) == [want]
+    for args in ((bad, unit), (unit, bad), (bad, bad), (cotens_H(unit), bad)):
+        with pytest.raises(ValueError, match=re.escape(want)):
+            box_complex(*args)
+    f = ChainMap(unit, strand("Hn", 1), {0: [[code]]})     # H -> F at 0
+    want = f"illegal arrow {code!r} in slot (H->F) of the component at degree 0"
+    assert validate_chain_map(f) == [want]
+    for args in ((f, identity_chain_map(unit)), (identity_chain_map(unit), f)):
+        with pytest.raises(ValueError, match=re.escape(want)):
+            box_chain_map(*args)
+
+
+def test_box_products_refuse_wrong_shapes():
+    """A differential or a component of the wrong shape is refused in the
+    wording of the validators, not read as far as it goes."""
+    short = FreeComplex(0, [["H"], ["F", "F"]], [[[1]]])
+    with pytest.raises(ValueError, match="differential into degree 0 has "
+                                         "the wrong shape"):
+        box_complex(strand("Hn", 0), short)
+    unit = strand("Hn", 0)
+    f = ChainMap(unit, unit, {0: [[1], [1]]})
+    with pytest.raises(ValueError, match="component at degree 0 has the "
+                                         "wrong shape"):
+        box_chain_map(identity_chain_map(unit), f)
+
 
 def test_box_with_unit():
     unit = strand("Hn", 0)

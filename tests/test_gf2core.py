@@ -230,12 +230,14 @@ def test_block_and_row_ops_match_per_entry_reference(nrows, ncols, k, seed,
 
 
 def test_from_blocks_refuses_misfit_and_foreign_blocks():
-    """A block past the last row or the last column does not fit, at
-    l = 2 and l = 3; ``hstack`` and ``vstack`` refuse a block over
-    another field."""
+    """A block past the last row or the last column, or at a negative
+    row or column offset, does not fit, at l = 2 and l = 3 (a negative
+    row must not wrap to the last one); ``hstack`` and ``vstack`` refuse
+    a block over another field."""
     for ell, other in ((2, 3), (3, 2)):
         block = FMatrix.identity(2, ell)
-        for i0, j0 in ((0, 2), (2, 0), (1, 2), (2, 1)):
+        for i0, j0 in ((0, 2), (2, 0), (1, 2), (2, 1), (-1, 0), (0, -1),
+                       (-1, -1)):
             with pytest.raises(ValueError, match="does not fit in 3x3"):
                 FMatrix.from_blocks(ell, 3, 3, [(i0, j0, block)])
         for stack in (FMatrix.hstack, FMatrix.vstack):

@@ -859,6 +859,9 @@ def _box_components(pairs: list, slayout, tlayout, deg: int) -> dict:
 def _diff_and_identity(c: FreeComplex) -> tuple[tuple, tuple]:
     """d and the identity of ``c``, as factors of ``_box_components``."""
     lo, gens = c.min_degree, c.gens
+    if len(c.diffs) != max(len(gens) - 1, 0):
+        raise ValueError("number of differentials does not match number of "
+                         "degrees")
     d = {lo + k + 1: _arrow_list(m, sk, tk, lo + k, "differential into")
          for k, (m, sk, tk) in enumerate(zip(c.diffs, gens[1:], gens))}
     ident = {lo + k: [(a, a, (kind, kind, 1)) for a, kind in enumerate(g)]
@@ -868,8 +871,9 @@ def _diff_and_identity(c: FreeComplex) -> tuple[tuple, tuple]:
 
 def box_complex(x: FreeComplex, y: FreeComplex) -> FreeComplex:
     """The monoidal product of two symbol complexes, with differential
-    d_x (x) 1 + 1 (x) d_y.  A differential of the wrong shape, or an arrow
-    code its slot does not have, raises ValueError naming it."""
+    d_x (x) 1 + 1 (x) d_y.  A wrong number of differentials or shape of
+    one, or an arrow code its slot does not have, raises ValueError
+    naming it."""
     (dx, ix), (dy, iy) = _diff_and_identity(x), _diff_and_identity(y)
     kinds, _ = layout = _box_layout(x, y)
     lo, hi = min(kinds, default=0), max(kinds, default=0)

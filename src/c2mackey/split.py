@@ -3,14 +3,15 @@ certificates.
 
 Every bounded complex of F/H sums over GF(2) is isomorphic to a direct
 sum of strands (A_k, H(n), B_r) and contractible disks.  ``split``
-finds such a decomposition by sweeping levels bottom-up.  A ``_Sweep``
-runs one named step after another at each level: ``disks`` (identity
-disks), ``b_strands``, ``h_minus`` and ``h_plus`` (B-strands and the two
-H(n) families), ``a_strands`` (A-extensions) and ``close_level`` (new
-strands at the generators left over); ``strands`` then reads off the
-strand of each generator path.  Each basis change is recorded as a
-``BasisMove``; replaying the certificate on the input complex reproduces
-the literal direct sum, which is what ``verify_certificate`` checks.
+cancels every unit arrow (``_cancel_units``), which splits off the disks
+and leaves the minimal model, then sweeps the model's levels bottom-up.
+A ``_Sweep`` runs one named step after another at each level:
+``b_strands``, ``h_minus`` and ``h_plus`` (B-strands and the two H(n)
+families), ``a_strands`` (A-extensions) and ``close_level`` (new strands
+at the generators left over); ``strands`` then reads off the strand of
+each generator path.  Each basis change is recorded as a ``BasisMove``;
+replaying the certificate on the input complex reproduces the literal
+direct sum, which is what ``verify_certificate`` checks.
 
 Over an odd prime the category is semisimple: ``split_odd_mackey`` reads
 points and disks off two ranks per differential, after refusing any
@@ -36,7 +37,9 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, compress, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 from . import _schema as schema
@@ -45,7 +48,7 @@ from .complexes import (STRAND_SHAPES, ChainMap, FreeComplex, arrow_matrix,
                         entry_ok, has_shape, illegal_arrow, orbit_matrix,
                         orbit_starts, realize, strand, strand_edge,
                         strand_param_ok, strand_top, theta_block,
-                        validate_complex, wrong_shape)
+                        validate_complex, wrong_shape, zero_matrix)
 from .gf2core import FMatrix, is_prime, random_invertible
 from .mackey import (MackeyMap, MackeyModule, conjugate, counts_of_ranks,
                      direct_sum, indecomposable, validate_module, zero_module)
@@ -76,6 +79,8 @@ class Strand:
         return cls(kind, param, schema.integer(data, "shift"))
 
 
+# the order of Strand, read by attrgetter rather than its Python-level __lt__
+_STRAND_ORDER = attrgetter("kind", "param", "shift")
 DISK_KINDS = ("DiskF", "DiskH", "DiskSTheta")
 # the mod 2 strands, the odd-modulus points, then the disks
 _STRAND_KINDS = ("A", "Hn", "B", "PtH", "PtSTheta") + DISK_KINDS
@@ -250,8 +255,8 @@ def _move_arrows(codes, i: int, j: int, rows, row_kinds, cols,
     ``_MOVE_CODES`` entry, so each composite is one lookup: column i
     gains column j composed with the move's arrow, and row j gains row
     i.  Each entry is read before it is written, so i = j (twist_t)
-    works too.  The kernel of ``apply_move`` and of the sweep's twists;
-    the sweep's runs of other moves make the same updates."""
+    works too.  The kernel of ``apply_move``; the sweep's runs of moves
+    make the same updates."""
     col_codes, row_codes = codes
     for row, k in zip(cols, col_kinds):
         e = row[j]
@@ -378,16 +383,15 @@ def replay(c: FreeComplex, certificate: list[BasisMove]) -> FreeComplex:
 # -- the sweep -----------------------------------------------------------
 
 def split(c: FreeComplex, validate: bool = True) -> Decomposition:
-    """Decompose a complex into strands and disks, with a certificate.
+    """Decompose a complex into strands and disks, with a certificate: the
+    moves of ``_cancel_units``, which split off every disk, then those of
+    a ``_Sweep`` of the minimal model left, renumbered to ``c``'s.
 
     Deterministic; raises ValueError on an invalid complex and SplitError
     if an internal invariant breaks (which would be a bug).  With
-    ``validate=False`` only the shape of each differential is checked (a
-    wrong one raises ValueError): an illegal arrow code that the sweep
-    trips over raises ValueError naming the violations, and on any other
-    invalid complex ``split`` raises SplitError or returns a decomposition
-    that ``verify_certificate`` rejects.
-    """
+    ``validate=False`` a wrong shape or an illegal arrow code raises
+    ValueError naming the violations, and on any other invalid complex
+    SplitError or a decomposition ``verify_certificate`` rejects."""
     if validate:
         _refuse_invalid(c)
     else:
@@ -396,25 +400,28 @@ def split(c: FreeComplex, validate: bool = True) -> Decomposition:
         for li, m in enumerate(c.diffs):
             if not has_shape(m, sizes[li], sizes[li + 1]):
                 raise ValueError(wrong_shape(c.min_degree + li))
-    sweep = _Sweep(c)
     try:
-        for li in range(1, len(sweep.work.gens)):
+        moves, disks, model, kept = _cancel_units(c, not validate)
+        sweep = _Sweep(model)
+        for li in compress(range(1, len(model.gens)), model.gens[1:]):
             sweep.start_level(li)
-            sweep.disks()
             sweep.b_strands()
             sweep.h_minus()
             sweep.h_plus()
             sweep.a_strands()
             sweep.close_level()
     except (IndexError, KeyError, TypeError):
-        # an unvalidated complex is checked only once the sweep trips
+        # an unvalidated complex is checked only once the pass trips
         if not validate:
             _refuse_invalid(c)
         raise
-    strands = sweep.strands()
-    log.debug("split: %d generators -> %d strands in %d moves",
-              c.num_gens(), len(strands), len(sweep.moves))
-    return Decomposition(strands, sweep.moves)
+    moves += [_move((d, v, kept[d][i], kept[d][j]))
+              for d, v, i, j in sweep.moves]
+    strands = sorted(disks + sweep.strands(), key=_STRAND_ORDER)
+    log.debug("split: %d generators -> %d strands in %d moves; %d units "
+              "cancelled, a model of %d generators", c.num_gens(),
+              len(strands), len(moves), len(disks), model.num_gens())
+    return Decomposition(strands, moves)
 
 
 def _refuse_invalid(c: FreeComplex) -> None:
@@ -425,28 +432,127 @@ def _refuse_invalid(c: FreeComplex) -> None:
         raise ValueError("not a valid complex: " + "; ".join(bad)) from None
 
 
+# each legal nonzero arrow (source kind, target kind, code) -> is it a unit
+_UNITS = {(ks, kt, e): ks == kt and e < 3 for ks in "FH" for kt in "FH"
+          for e in range(1, 4) if entry_ok(ks, kt, e)}
+# a BasisMove of a tuple (degree, variant, i, j), skipping its __new__
+_move = partial(tuple.__new__, BasisMove)
+
+
+def _cancel_units(c: FreeComplex, check: bool = False):
+    """Split every disk off ``c`` (left alone) by Gaussian elimination of
+    its unit arrows on sparse differentials: levels bottom-up, sources in
+    index order, each cancelled against its first unit target.  For
+    u: b -> a it records the moves that make the disk literal (``twist_t``
+    on b if u = t; (x, b) by a <- x for the other sources x into a; (a, y)
+    by y <- b for the other targets y of b) and writes their Schur term,
+    y <- x gaining (y <- b) after (a <- x); b's row above and a's column
+    below are zero by d*d = 0 (``check`` checks the column).  Non-units
+    form an ideal, so no fill-in gives a passed source a unit.  Returns
+    (moves, disks, model, kept), ``kept[d]`` the indices in ``c`` of the
+    model's generators in degree d; KeyError means an illegal code."""
+    lo, gens, diffs = c.min_degree, c.gens, c.diffs
+    if type(sum(map(sum, chain.from_iterable(diffs)))) is not int:
+        raise KeyError      # a float, say, would find the int's key
+    alive = [[True] * len(kinds) for kinds in gens]
+    # cols[k]: differential k as per-source {target: code} dicts, if built
+    cols, moves, disks = [None] * len(diffs), [], Counter()
+
+    def sparse(k: int) -> tuple[list[dict], list[dict]]:
+        m, row = diffs[k], [{} for _ in gens[k]]
+        col = cols[k] = [{} for _ in gens[k + 1]]
+        for t in compress(range(len(row)), alive[k]):   # the rows of the
+            r, rt = m[t], row[t]                # targets cancelled below drop
+            for s in compress(range(len(r)), r):
+                col[s][t] = rt[s] = r[s]
+        return col, row
+
+    for k, (m, sk, tk) in enumerate(zip(diffs, gens[1:], gens)):
+        if not any([_UNITS[sk[s], kt, r[s]] for kt, r in zip(tk, m)
+                    for s in compress(range(len(r)), r)]):   # reads each code
+            continue
+        (col, row), degree = sparse(k), lo + k + 1
+        for b, kb in enumerate(sk):
+            cb = col[b]
+            a = min((t for t, e in cb.items() if e < 3 and tk[t] == kb),
+                    default=None)
+            if a is None:
+                continue
+            if cb.pop(a) == 2:
+                moves.append(_move((degree, "twist_t", b, b)))
+                for y, f in cb.items():     # f after t
+                    cb[y] = _MOVE_CODES["add_t"][0][tk[y]][f]
+            ra = row[a]
+            del ra[b]
+            targets = sorted((y, tk[y], f) for y, f in cb.items())
+            for x in sorted(ra):
+                variant = _VARIANT_OF[sk[x], kb, ra[x]]
+                moves.append(_move((degree, variant, x, b)))
+                fill, cx = _MOVE_CODES[variant][0], col[x]
+                del cx[a]
+                for y, ky, f in targets:
+                    g = fill[ky][f] ^ cx.get(y, 0)
+                    if g:
+                        cx[y] = row[y][x] = g
+                    elif y in cx:
+                        del cx[y], row[y][x]
+            runs = [(y, _VARIANT_OF[kb, ky, f]) for y, ky, f in targets]
+            if check and k:     # a's column below, as the moves make it
+                below, kinds = cols[k - 1] or sparse(k - 1)[0], gens[k - 1]
+                acc = dict(below[a])
+                for y, variant in runs:
+                    fill = _MOVE_CODES[variant][0]
+                    for w, e in below[y].items():
+                        acc[w] = acc.get(w, 0) ^ fill[kinds[w]][e]
+                if any(acc.values()):
+                    raise SplitError("d*d != 0 out of a cancelled unit")
+            for y, variant in runs:
+                moves.append(_move((degree - 1, variant, a, y)))
+                del row[y][b]
+            alive[k + 1][b] = alive[k][a] = False
+            disks[kb, degree] += 1
+    kept = [list(compress(range(len(live)), live)) for live in alive]
+    out = []
+    for m, col, srcs, tgts, sk, tk in zip(diffs, cols, kept[1:], kept,
+                                         gens[1:], gens):
+        if col is None:
+            out.append([[m[t][s] for s in srcs] for t in tgts])
+            continue
+        at, mk = {t: i for i, t in enumerate(tgts)}, zero_matrix(
+            len(tgts), len(srcs))
+        for s2, s in enumerate(srcs):
+            for t, e in col[s].items():
+                if _UNITS[sk[s], tk[t], e]:
+                    raise SplitError("the minimal model kept a unit arrow")
+                mk[at[t]][s2] = e
+        out.append(mk)
+    model = FreeComplex(lo, [list(map(kinds.__getitem__, keep))
+                             for kinds, keep in zip(gens, kept)], out)
+    disks = [s for (kb, d), n in disks.items()
+             for s in [Strand("Disk" + kb, 0, d - 1)] * n]
+    return moves, disks, model, dict(zip(c.degrees(), kept))
+
+
 class _Sweep:
-    """The state of one ``split``: a working copy of the complex, the moves
-    applied to it, and the strands built so far, each a list of (level,
-    generator) pairs, top first.  Level ``li`` is the current one: its
-    generators are the sources of the differential into level ``li - 1``,
-    whose generators are the tops of the strands below.
+    """The state of one sweep of a minimal complex (no arrow is a unit,
+    and no move makes one), worked on in place: the moves applied to it,
+    and the strands built so far, each a list of (level, generator)
+    pairs, top first.  Level ``li`` is the current one: its generators
+    are the sources of the differential into level ``li - 1``, whose
+    generators are the tops of the strands below.
 
     The moves of one placement come in runs that share a generator: a run
     of ``_clear_row`` adds the pivot source's column into other columns, a
-    run of ``_clear_column`` or of one cascade step adds one row into other
-    rows, and no move of a run writes what it shares.  ``_moves_onto`` and
-    ``_moves_from`` apply a run, reading the shared column or row once:
-    most of it is zero at large sizes.  A ``twist_t`` is one move, made by
-    ``_move_arrows`` as ``apply_move`` makes it."""
+    run of one cascade step adds one row into other rows, and no move of a
+    run writes what it shares.  ``_moves_onto`` and ``_moves_from`` apply
+    a run, reading the shared column or row once: most of it is zero at
+    large sizes."""
 
-    def __init__(self, c: FreeComplex):
-        self.work = c.copy()
+    def __init__(self, work: FreeComplex):
+        self.work = w = work
         self.moves: list[BasisMove] = []
         self.members: dict[int, list[tuple[int, int]]] = {}
         self.strand_of: dict[tuple[int, int], int] = {}
-        self.disk_sids: set[int] = set()
-        w = self.work
         # per level, the arguments of _move_arrows after its move's
         # generators: (d_in, kinds above, d_out, kinds below); the moves
         # change the differentials in place
@@ -515,54 +621,7 @@ class _Sweep:
         for a, k in enumerate(self.src):
             self.of_kind[k].append(a)
 
-    # -- step 1 ----------------------------------------------------------
-
-    def disks(self) -> None:
-        """Pair every source with an iso entry (H -> H by 1, then F -> F by
-        1 or t) into a disk with its first such target, clearing the rest
-        of the disk's row and column, in one pass over the H sources and
-        then the F sources.  A disk only adds to another source's column
-        the disk's column composed with p or 1 + t, never an iso, so no
-        source the pass has left gains an iso entry; a last scan checks."""
-        D, li = self.D, self.li
-        for alpha in self.of_kind["H"] + self.of_kind["F"]:
-            beta = self._first_iso(alpha)
-            if beta is None:
-                continue
-            sid = self.strand_of[(li - 1, beta)]
-            if self.members[sid] != [(li - 1, beta)] or sid in self.disk_sids:
-                raise SplitError("iso entry into a non-singleton generator")
-            if D[beta][alpha] == 2:
-                _check_move(self.src, li, "twist_t", alpha, alpha)
-                _move_arrows(_MOVE_CODES["twist_t"], alpha, alpha,
-                             *self.levels[li])
-                self.moves.append(BasisMove(self.work.min_degree + li,
-                                            "twist_t", alpha, alpha))
-            if D[beta][alpha] != 1:
-                raise SplitError("disk entry failed to normalize")
-            self._clear_row(alpha, beta, 1)
-            self._clear_column(alpha, beta)
-            if any(D[r][alpha] != (r == beta) for r in range(len(self.tgt))):
-                raise SplitError("disk column not clean")
-            self.members[sid] = [(li, alpha), (li - 1, beta)]
-            self.strand_of[(li, alpha)] = sid
-            self.disk_sids.add(sid)
-            self.assigned[alpha] = True
-        if any(not placed and self._first_iso(a) is not None
-               for a, placed in enumerate(self.assigned)):
-            raise SplitError("a source kept an iso entry past the disk pass")
-
-    def _first_iso(self, a: int) -> int | None:
-        """The first target that source a reaches by an iso (1, or t from
-        an F), or None."""
-        D, kind = self.D, self.src[a]
-        isos = (1,) if kind == "H" else (1, 2)
-        for r, kr in enumerate(self.tgt):
-            if kr == kind and D[r][a] in isos:
-                return r
-        return None
-
-    # -- steps 2..5: strand extensions -----------------------------------
+    # -- the strand extensions -------------------------------------------
 
     def b_strands(self) -> None:
         """An H source closes an F..F H strand into a B strand."""
@@ -628,15 +687,12 @@ class _Sweep:
 
     def _top_info(self, r: int) -> tuple[str, int] | None:
         """(type, n) of the strand whose top is target r, where n + 1 is
-        its length, or None if r cannot absorb a new element: a disk, or
-        an H on top of more generators (a completed B or H(-n)).  Every
-        step keeps a strand shape, so its top and bottom kinds tell it:
-        F's only are A_n, F's over an H are H(n) (H0 for the lone H)."""
+        its length, or None if r cannot absorb a new element: an H on top
+        of more generators (a completed B or H(-n)).  Every step keeps a
+        strand shape, so its top and bottom kinds tell it: F's only are
+        A_n, F's over an H are H(n) (H0 for the lone H)."""
         top = (self.li - 1, r)
-        sid = self.strand_of[top]
-        if sid in self.disk_sids:
-            return None
-        mem = self.members[sid]
+        mem = self.members[self.strand_of[top]]
         if mem[0] != top:
             raise SplitError("level generator is not a strand top")
         n = len(mem) - 1
@@ -649,7 +705,7 @@ class _Sweep:
         """Put source alpha on top of the strand whose top is target beta;
         returns the other sources whose columns changed."""
         li = self.li
-        moved = self._clear_row(alpha, beta, self.D[beta][alpha])
+        moved = self._clear_row(alpha, beta)
         sid = self.strand_of[(li - 1, beta)]
         self._absorb_cascade(alpha, self.members[sid])
         self.members[sid] = [(li, alpha)] + self.members[sid]
@@ -659,27 +715,25 @@ class _Sweep:
 
     # -- the basis moves of one placement ---------------------------------
 
-    def _clear_row(self, alpha: int, beta: int, e0: int) -> list[int]:
-        """Clear every other source entry into the pivot target beta,
-        by adding to it a phi-multiple of alpha with e0 . phi matching
-        the stray entry; returns the sources so changed.  Each move
-        changes one stray source's column of D and no entry of row beta
-        but its own, so the strays and their arrows are read off row beta
-        first and cleared by one run of ``_moves_onto``."""
+    def _clear_row(self, alpha: int, beta: int) -> list[int]:
+        """Clear every other source entry into the pivot target beta by
+        adding alpha to it (the arrow 1 or p: no arrow is a unit, so the
+        stray entry is the pivot's composed with it); returns the sources
+        so changed.  Each move changes one stray source's column of D and
+        no entry of row beta but its own, so the strays are read off row
+        beta first and cleared by one run of ``_moves_onto``."""
         src = self.src
-        ka, kb, row = src[alpha], self.tgt[beta], self.D[beta]
+        ka, row = src[alpha], self.D[beta]
         run = []
         for c2, e2 in enumerate(row):
             if c2 == alpha or not e2:
                 continue
             kc = src[c2]
-            if kc == "H" and ka == "F" and not (kb == "F" and e0 == 1):
-                # only a literal F-F disk pivot can absorb an H source;
-                # in steps 4-5 the H pivots have already been exhausted
+            if kc == "H" and ka == "F":
+                # the H pivots of steps 2-3 have already been exhausted
                 raise SplitError("H source entry survived past the "
                                  "H-pivot steps")
-            phi = e2 if kc == ka == kb == "F" and e0 == 1 else 1
-            run.append((_variant_for(kc, ka, phi), c2))
+            run.append((_variant_for(kc, ka, 1), c2))
         if not run:
             return run
         self._moves_onto(self.li, alpha, run)
@@ -688,23 +742,6 @@ class _Sweep:
             if row[c2]:
                 raise SplitError("phase A failed to clear a source")
         return moved
-
-    def _clear_column(self, alpha: int, beta: int) -> None:
-        """Clear every other target entry of the disk source alpha by
-        adding to its pivot target beta the stray arrow (alpha and beta
-        have one kind, and the pivot entry is 1).  Each move changes one
-        stray target's row of D and no other entry of column alpha, so
-        one run of ``_moves_from`` clears them all."""
-        D, tgt = self.D, self.tgt
-        kb = tgt[beta]
-        run = [(_variant_for(kb, tgt[r2], row[alpha]), r2)
-               for r2, row in enumerate(D) if r2 != beta and row[alpha]]
-        if run:
-            self._moves_from(self.li - 1, beta, run)
-            for _, r2 in run:
-                if D[r2][alpha]:
-                    raise SplitError("disk phase B failed to clear a "
-                                     "target")
 
     def _absorb_cascade(self, alpha: int, mem: list[tuple[int, int]]) -> None:
         """Walk down the strand that alpha now tops, clearing every entry
@@ -751,13 +788,12 @@ class _Sweep:
     def strands(self) -> list[Strand]:
         lo, gens = self.work.min_degree, self.work.gens
         out = []
-        for sid, mem in self.members.items():
+        for mem in self.members.values():
             seq = "".join(gens[L][g] for (L, g) in mem)
-            s = _path_strand(seq, lo + mem[0][0], sid in self.disk_sids)
+            s = _path_strand(seq, lo + mem[0][0], False)
             if s is None:
                 raise SplitError(f"generator path {seq} is not a strand shape")
             out.append(s)
-        out.sort()
         return out
 
 

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import logging
 import random
 import re
 from collections import Counter
@@ -17,18 +18,19 @@ from c2mackey.complexes import (FreeComplex, _HomComplex, _subquotient,
                                 hom_delta, homology, homology_counts, realize,
                                 shift_complex, strand, validate_chain_map,
                                 validate_complex, zero_matrix)
-from c2mackey.derived import balmer_support
+from c2mackey.derived import balmer_support, dbox_formula, dcotens_formula
 from c2mackey.gf2core import FMatrix
 from c2mackey.kronholm import kronholm_split, random_spacelike_script
 from c2mackey.mackey import (MackeyMap, MackeyModule, classify, direct_sum,
                              indecomposable, module_of_counts,
                              validate_module, zero_module)
 from c2mackey.split import (_MOVE_CODES, _MOVE_NAMES, _RANDOM_KINDS,
-                            _VARIANTS, BasisMove, Decomposition, SplitError,
-                            Strand, _components_of, _move_arrows, _Sweep,
+                            _VARIANTS, DISK_KINDS, BasisMove, Decomposition,
+                            SplitError, Strand, _cancel_units,
+                            _components_of, _move_arrows, _Sweep,
                             apply_move, certificate_isos, decomposition_sum, random_odd_complex,
                             random_legal_moves, random_scrambled_complex,
-                            random_strand, replay, split,
+                            random_strand, replay, split, strand_complex,
                             split_odd, split_odd_mackey, verify_certificate)
 
 ALL_SHAPES = ([("A", k) for k in range(7)] + [("Hn", n) for n in range(-6, 7)]
@@ -271,6 +273,20 @@ def test_unvalidated_split_refuses_a_wrong_shape(how):
     assert validate_complex(c) == [want]
     with pytest.raises(ValueError, match=want):
         split(c, validate=False)
+
+
+@pytest.mark.parametrize("code", [5, 1.0, 2, -1, 0.0])
+def test_unvalidated_split_refuses_an_illegal_code(code):
+    """``split(c, validate=False)`` reads every arrow code before its
+    sweep, so a code its slot does not have is refused in
+    ``validate_complex``'s wording, even where no step of the sweep would
+    read it (the lone F -> H arrow below is a finished strand)."""
+    bad = FreeComplex(0, [["H"], ["F"]], [[[code]]])
+    want = (f"illegal arrow {code!r} in slot (F->H) of the differential "
+            f"into degree 0")
+    assert validate_complex(bad) == [want]
+    with pytest.raises(ValueError, match=re.escape(want)):
+        split(bad, validate=False)
 
 
 def test_unvalidated_split_never_verifies_an_invalid_complex():
@@ -634,20 +650,23 @@ _BROKEN = [
 
 
 def test_certificates_replays_and_isos_are_pinned():
-    """``split``'s certificates, ``replay``'s complexes, both
-    ``certificate_isos`` maps and ``validate_complex``'s verdicts, digested
-    over seeded scrambles (100 small ones and three of 64 strands) and over
-    broken complexes: any route that replays certificates must reproduce
-    them byte for byte."""
-    docs = []
+    """``split``'s certificates, ``replay``'s complexes and both
+    ``certificate_isos`` maps, digested over seeded scrambles (100 small
+    ones and three of 64 strands): any route that replays certificates
+    must reproduce them byte for byte.  Apart from them, the strands and
+    ``validate_complex``'s verdicts, on those and on broken complexes,
+    which no certificate change moves."""
+    docs, certified = [], []
     inputs = [random_scrambled_complex(random.Random(f"pin:{i}"))[0]
               for i in range(100)]
     inputs += [_large_scramble(f"pin:large:{k}") for k in range(3)]
     for c in inputs:
         dec = split(c)
+        assert verify_certificate(c, dec)
         v, u = certificate_isos(c, dec.certificate)
-        docs += [dec.to_json(), replay(c, dec.certificate).to_json(),
-                 v.to_json(), u.to_json(), validate_complex(c)]
+        certified += [dec.to_json(), replay(c, dec.certificate).to_json(),
+                      v.to_json(), u.to_json()]
+        docs += [[s.to_json() for s in dec.strands], validate_complex(c)]
     rng = random.Random("pin:broken")
     for c in inputs:
         # one arrow changed to another legal one: mostly d*d != 0
@@ -663,19 +682,24 @@ def test_certificates_replays_and_isos_are_pinned():
         assert validate_complex(c) == want
         docs.append(validate_complex(c))
     assert _sha256(docs) == (
-        "985cc6a64d6c0e806405538c491b960d1efa54ef9ca45e68fc39c96ce1790e18")
+        "6582214cc3c9544b354d9a5bcbf90ebcaa1bb15b5ec3774e06152be69a4dc592")
+    assert _sha256(certified) == (
+        "de6f78c8bda94bd9343e1ebf97b2a9878bcf091b2e7d955257db8aabda033f37")
 
 
 def test_cascade_heavy_certificate_is_pinned():
     """The 256-strand scramble of ROADMAP's table: 956 generators split
-    by 16,107 moves, most of them cascade moves, which the CI pin at
+    by 15,792 moves, most of them cascade moves, which the CI pin at
     1,576 generators (57 moves) hardly makes."""
     c = _large_scramble("s256", 256)
     assert c.num_gens() == 956
     dec = split(c)
-    assert len(dec.certificate) == 16107
+    assert verify_certificate(c, dec)
+    assert len(dec.certificate) == 15792
+    assert _sha256([[s.to_json() for s in dec.strands]]) == (
+        "57f87a320313e136914e25317ff064aac775c9114f327c136493904850c6d44c")
     assert _sha256([dec.to_json()]) == (
-        "383e6b550bed767812f51554d3d347613aeb02ab5ab669d55a269e026caa917c")
+        "33f46282817125945072df6579ce1d68c4cf2925fcd9390a3d80039cd06ab86d")
 
 
 def _small_scramble(rng, strands: int):
@@ -687,24 +711,32 @@ def _small_scramble(rng, strands: int):
 
 
 def test_certificates_with_many_disks_are_pinned():
-    """``split``'s decompositions, digested over inputs whose sweeps place
-    many disks, which scrambles rarely do: box products of scrambles, the
-    same with a cotensor, cones of random cocycles and the last split of
-    random cell scripts."""
+    """``split``'s decompositions, digested over inputs that carry many
+    disks, which scrambles rarely do: box products of scrambles, the same
+    with a cotensor, cones of random cocycles and the last split of
+    random cell scripts.  Apart from them, the strands and the cell
+    scripts' reports, which no certificate change moves."""
     rng = random.Random("pin:disks")
-    docs = []
+    docs, certified = [], []
+    inputs = []
     for k in range(64):
         x = _small_scramble(rng, 1 + k % 4)
         y = _small_scramble(rng, 1 + k // 4 % 4)
-        docs.append(split(box_complex(x, y)).to_json())
-        docs.append(split(box_complex(cotens_H(x), y)).to_json())
-    for _ in range(100):
-        docs.append(split(_random_cone(rng)[0]).to_json())
+        inputs += [box_complex(x, y), box_complex(cotens_H(x), y)]
+    inputs += [_random_cone(rng)[0] for _ in range(100)]
+    for c in inputs:
+        dec = split(c)
+        assert verify_certificate(c, dec)
+        certified.append(dec.to_json())
+        docs.append([s.to_json() for s in dec.strands])
     for _ in range(20):
         dec, report = kronholm_split(random_spacelike_script(rng))
-        docs += [dec.to_json(), report.to_json()]
+        certified.append(dec.to_json())
+        docs += [[s.to_json() for s in dec.strands], report.to_json()]
     assert _sha256(docs) == (
-        "0e88275c7954507a63f73a21ccaec00e93abd96a7ed0560cba6b3dd5f7d5c4d4")
+        "7014e4c35abea8d57828969f50c1237f69ea2e0f104836a1840dd0f3cfff74a2")
+    assert _sha256(certified) == (
+        "0051886da4bce903f73e34aeadf9940521e9c94166003d8253475df30a5c5631")
 
 
 def _reference_extend_all(self, src_kind: str, tgt_types: tuple[str, ...],
@@ -830,6 +862,76 @@ def test_run_kernels_match_move_by_move_reference(monkeypatch):
     monkeypatch.setattr(_Sweep, "_moves_onto", _reference_moves_onto)
     monkeypatch.setattr(_Sweep, "_moves_from", _reference_moves_from)
     assert [split(c).to_json() for c in inputs] == batched
+
+
+def _kind_counts(c) -> Counter:
+    """The number of generators of ``c`` per (degree, kind)."""
+    return Counter((d, k) for d, kinds in zip(c.degrees(), c.gens)
+                   for k in kinds)
+
+
+def _model_inputs():
+    """(complex, its live strands, known without a split): 1,000
+    scrambles with their planted strands, and the box and cotensor
+    products of 160 scramble pairs with their closed forms."""
+    for i in range(1000):
+        c, planted = random_scrambled_complex(random.Random(f"model:{i}"))
+        yield c, sorted(s for s in planted.elements()
+                        if s.kind not in DISK_KINDS)
+    rng = random.Random("model:products")
+    for _ in range(160):
+        x, px = random_scrambled_complex(rng, max_strands=4)
+        y, py = random_scrambled_complex(rng, max_strands=4)
+        px, py = list(px.elements()), list(py.elements())
+        yield box_complex(x, y), dbox_formula(px, py)
+        yield box_complex(cotens_H(x), y), dcotens_formula(px, py)
+
+
+def test_minimal_model_cross_checks_the_sweep():
+    """The minimal model that ``split`` sweeps, checked by routes that
+    share no code with the sweep: no arrow of it is a unit; its generators
+    per degree and kind are those of the live strands (planted, or the
+    product's closed form); its homology is the input's at l = 2, and at
+    l = 3 wherever the input's canonical lift is a complex (the lift of a
+    scramble mostly has d*d != 0 mod 3, that of a model more often not);
+    and the certificate verifies, its two isomorphisms composing to the
+    identity both ways."""
+    lifted = 0
+    for n, (c, live) in enumerate(_model_inputs()):
+        model = _cancel_units(c)[2]
+        assert not any(ks == kt and e in (1, 2)
+                       for li, m in enumerate(model.diffs)
+                       for kt, row in zip(model.gens[li], m)
+                       for ks, e in zip(model.gens[li + 1], row)), n
+        assert _kind_counts(model) == sum(
+            map(_kind_counts, map(strand_complex, live)), Counter()), n
+        assert homology_counts(model) == homology_counts(c), n
+        try:
+            want = homology_counts(c, 3)
+        except ValueError:      # d*d != 0 mod 3
+            pass
+        else:
+            assert homology_counts(model, 3) == want, n
+            lifted += 1
+        dec = split(c)
+        assert sorted(s for s in dec.strands
+                      if s.kind not in DISK_KINDS) == live, n
+        assert verify_certificate(c, dec), n
+        v, u = certificate_isos(c, dec.certificate)
+        _assert_identity(compose_chain_maps(u, v), c)
+        _assert_identity(compose_chain_maps(v, u), v.target)
+    assert lifted >= 100, lifted
+
+
+def test_split_logs_its_cancelled_units(caplog):
+    """``split``'s debug line names the units it cancelled and the size
+    of the minimal model its sweep ran on."""
+    c = decomposition_sum([Strand("DiskF", 0, 0), Strand("A", 1, 0),
+                           Strand("DiskH", 0, 2)])
+    with caplog.at_level(logging.DEBUG, logger="c2mackey.split"):
+        split(c)
+    assert caplog.messages == ["split: 6 generators -> 3 strands in 0 moves; "
+                               "2 units cancelled, a model of 2 generators"]
 
 
 def _replay_by_moves(c, moves):

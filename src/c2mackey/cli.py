@@ -24,8 +24,8 @@ from .derived import (balmer_support, cohomology_window, dbox, dcotens,
                       invertible_class, op_dual_decomp, serre_check,
                       sufficient_window, toda_witness)
 from .kronholm import RepBuildScript, ScriptError, kronholm_split
-from .mackey import (KINDS, MackeyModule, box, classify, ext, internal_hom,
-                     tor, validate_module)
+from .mackey import (KINDS, MackeyModule, box, classify, derived_table, ext,
+                     internal_hom, tor, validate_module)
 from .split import (DISK_KINDS, random_scrambled_complex, split,
                     verify_certificate)
 
@@ -248,10 +248,11 @@ def cmd_module(args):
         elif args.degree is not None:
             counts = fn(a, b, args.degree)
         else:
-            table = {str(i): fn(a, b, i) for i in range(3)}
-            text = "\n".join(f"{args.mop}^{i}: {counts_text(table[str(i)])}"
-                             for i in ("0", "1", "2"))
-            return {args.mop: table}, text, 0
+            table = derived_table(args.mop, a, b)
+            text = "\n".join(f"{args.mop}^{i}: {counts_text(counts)}"
+                             for i, counts in enumerate(table))
+            return {args.mop: {str(i): counts for i, counts
+                               in enumerate(table)}}, text, 0
     return {"counts": counts}, counts_text(counts), 0
 
 

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import accumulate, chain, product, repeat
+from itertools import accumulate, chain, compress, product, repeat
 
 from . import _schema as schema
-from .gf2core import FMatrix
+from .gf2core import FMatrix, block_patterns
 from .mackey import (MackeyMap, MackeyModule, counts_of_ranks, direct_sum,
                      indecomposable, require_prime, zero_module)
 
@@ -87,21 +87,40 @@ def arrow_matrix(theta: FMatrix, src_kinds: list[str],
     move keep it.  Each arrow is read off the first row of its block, at
     its source's first coordinate (``orbit_starts``): from an F to an F
     the two bits there are the coefficients of 1 and t, and every other
-    block's first row is zero or all ones."""
-    sstarts = orbit_starts(src_kinds)
+    block's first row is zero or all ones.  A row with fewer nonzeros
+    than a third of the sources (a split differential's, most of a
+    certificate isomorphism's) is read off its set bits alone, any other
+    field by field, one source at a time."""
+    n, sstarts = len(src_kinds), orbit_starts(src_kinds)
     # the (shift, mask) of each source's arrow into an F, and into an H
     to_f = ([(j, 3 if k == "F" else 1) for j, k in zip(sstarts, src_kinds)]
             if "F" in tgt_kinds else None)
     to_h = [(j, 1) for j in sstarts[:-1]] if "H" in tgt_kinds else None
-    out, start = [], 0
+    out, start, owner = [], 0, None
     for kt in tgt_kinds:
-        if kt == "F":
-            out.append(theta.row_fields(start, to_f))
-            start += 2
+        if theta.row_weight(start) * 3 < n:
+            row = [0] * n
+            for b in theta.row_support(start):
+                if owner is None:
+                    owner, bits = _coordinate_owners(src_kinds)
+                row[owner[b]] |= bits[kt][b]
         else:
-            out.append(theta.row_fields(start, to_h))
-            start += 1
+            row = theta.row_fields(start, to_f if kt == "F" else to_h)
+        out.append(row)
+        start += 2 if kt == "F" else 1
     return out
+
+
+def _coordinate_owners(src_kinds: list[str]) -> tuple[list[int], dict]:
+    """Per free-orbit coordinate of generators of kinds ``src_kinds``: its
+    generator, and (by target kind) its bit in that generator's arrow code
+    into an F and into an H, which reads only an F's first coordinate."""
+    owner, bits = [], {"F": [], "H": []}
+    for s, k in enumerate(src_kinds):
+        owner += [s, s] if k == "F" else [s]
+        bits["F"] += [1, 2] if k == "F" else [1]
+        bits["H"] += [1, 0] if k == "F" else [1]
+    return owner, bits
 
 
 # (ka, kb, kc, e_ab, e_bc) -> the arrow whose block is the product of the
@@ -362,6 +381,9 @@ def strand(kind: str, param: int = 0) -> FreeComplex:
 
 
 def shift_complex(c: FreeComplex, s: int) -> FreeComplex:
+    """A copy of ``c`` moved up by ``s`` degrees; a shift that is not an
+    int (a float, or a bool) raises ValueError naming it."""
+    _require_int(s, "shift")
     out = c.copy()
     out.min_degree += s
     return out
@@ -596,12 +618,11 @@ def realize_map(src_kinds: list[str], tgt_kinds: list[str],
                 entries: list[list[int]], ell: int, src: MackeyModule,
                 tgt: MackeyModule) -> MackeyMap:
     theta = orbit_matrix(entries, src_kinds, tgt_kinds, ell)
-    table, fixed = _block_table(ell), zero_matrix(tgt.dim_dot, src.dim_dot)
+    table, fixed = _block_table(ell)[1], zero_matrix(tgt.dim_dot, src.dim_dot)
     for kt, row, dst in zip(tgt_kinds, entries, fixed):
         codes = table[kt]
-        for s, e in enumerate(row):
-            if e:
-                dst[s] = codes[src_kinds[s]][e][1]
+        for s in compress(range(len(row)), row):
+            dst[s] = codes[src_kinds[s]][row[s]]
     return MackeyMap(src, tgt, theta,
                      FMatrix.from_rows(fixed, ell, src.dim_dot))
 
@@ -629,20 +650,33 @@ def has_shape(m: list[list[int]], nrows: int, ncols: int) -> bool:
     return len(m) == nrows and {*map(len, m)} <= {ncols}
 
 
+def int_codes(rows) -> bool:
+    """Whether every entry of ``rows`` is an int (a bool counts), read as
+    one sum, not entry by entry: a float, say, would find the int's key
+    in a code table."""
+    try:
+        return type(sum(map(sum, rows))) is int
+    except TypeError:
+        return False
+
+
 @lru_cache(maxsize=8)
-def _block_table(ell: int) -> dict[str, dict[str, dict[int, tuple]]]:
-    """The arrow table over GF(l): target kind -> source kind -> code ->
-    (free-orbit block, fixed-level entry), for every nonzero arrow; callers
-    place the blocks and never change them.  The source's fixed generator
-    restricts to the all-ones orbit vector and the target's to a vector
-    with first coordinate 1, so the fixed-level entry is the sum of the
-    free-orbit block's first row."""
-    out = {kt: {ks: {} for ks in "FH"} for kt in "FH"}
+def _block_table(ell: int) -> tuple[dict, dict]:
+    """The arrow table over GF(l), for every nonzero arrow, in two forms:
+    target kind -> source kind -> code -> free-orbit block, as the
+    ``block_patterns`` table ``orbit_matrix`` writes from, and target kind
+    -> source kind -> code -> fixed-level entry.  The source's fixed
+    generator restricts to the all-ones orbit vector and the target's to
+    a vector with first coordinate 1, so the fixed-level entry is the sum
+    of the free-orbit block's first row."""
+    blocks = {kt: {ks: {} for ks in "FH"} for kt in "FH"}
+    fixed = {kt: {ks: {} for ks in "FH"} for kt in "FH"}
     for (ks, kt), names in _ARROW_NAMES.items():
         for e in range(1, len(names)):
             theta = theta_block(ks, kt, e, ell)
-            out[kt][ks][e] = theta, sum(theta.row(0)) % ell
-    return out
+            blocks[kt][ks][e] = theta
+            fixed[kt][ks][e] = sum(theta.row(0)) % ell
+    return block_patterns(blocks), fixed
 
 
 def orbit_matrix(m: list[list[int]], src_kinds: list[str],
@@ -650,29 +684,26 @@ def orbit_matrix(m: list[list[int]], src_kinds: list[str],
     """The free-orbit level over GF(l) of the arrow matrix ``m`` from
     generators of kinds ``src_kinds`` to ``tgt_kinds``: its rows and
     columns are the free-orbit coordinates (``orbit_starts``), and each
-    arrow sits there as its ``theta_block``.  ``arrow_matrix`` reads it
-    back at l = 2.  A matrix that is not len(tgt_kinds) x len(src_kinds)
-    raises ValueError before any code is read.  The first arrow code that
-    its slot does not have, an int (or bool) outside the slot's alphabet
-    or anything else, raises KeyError((source kind, target kind, code))."""
+    arrow sits there as its ``theta_block``, written by
+    ``FMatrix.from_patterns`` from the nonzero arrows alone.
+    ``arrow_matrix`` reads it back at l = 2.  A matrix that is not
+    len(tgt_kinds) x len(src_kinds) raises ValueError before any code is
+    read.  The first arrow code that its slot does not have, an int (or
+    bool) outside the slot's alphabet or anything else, raises
+    KeyError((source kind, target kind, code))."""
     if not has_shape(m, len(tgt_kinds), len(src_kinds)):
         raise ValueError("an arrow matrix of the wrong shape")
-    sstarts, tstarts = orbit_starts(src_kinds), orbit_starts(tgt_kinds)
-    table, blocks = _block_table(ell), []
+    sstarts = orbit_starts(src_kinds)
     try:
-        if not all(map(isinstance, chain.from_iterable(m), repeat(int))):
-            raise KeyError      # a float, say, would find the int's key
-        for kt, t0, row in zip(tgt_kinds, tstarts, m):
-            codes = table[kt]
-            for s, e in enumerate(row):
-                if e:
-                    blocks.append((t0, sstarts[s], codes[src_kinds[s]][e][0]))
+        if not int_codes(m):
+            raise KeyError
+        return FMatrix.from_patterns(ell, sstarts[-1], m, tgt_kinds,
+                                     src_kinds, sstarts, _block_table(ell)[0])
     except KeyError:
         raise KeyError(next((src_kinds[s], kt, e)
                             for kt, row in zip(tgt_kinds, m)
                             for s, e in enumerate(row)
                             if not entry_ok(src_kinds[s], kt, e))) from None
-    return FMatrix.from_blocks(ell, tstarts[-1], sstarts[-1], blocks)
 
 
 def _subquotient(mod: MackeyModule, d_out: MackeyMap, d_in: MackeyMap,

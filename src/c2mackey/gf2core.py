@@ -11,6 +11,7 @@ No floats anywhere.
 from __future__ import annotations
 
 import operator
+from itertools import compress
 
 
 # The first twelve primes.  As Miller-Rabin bases they decide primality
@@ -58,7 +59,9 @@ class FMatrix:
 
     Rows are ints (bitsets) when l = 2 and lists of ints otherwise.  That
     format is private to this module: other modules write laid-out blocks
-    with ``from_blocks`` and checked Kronecker systems with ``kron_sum``.
+    with ``from_blocks``, block matrices named by keys with
+    ``from_patterns``, checked Kronecker systems with ``kron_sum``, and
+    read rows with ``row_weight``, ``row_support`` and ``row_fields``.
     The class only implements what the rest of the package needs: ring
     ops, reduced row echelon form and the solvers built on top of it.
     """
@@ -223,6 +226,16 @@ class FMatrix:
         ell = self.ell
         return [sum(a * b for a, b in zip(r, v)) % ell for r in self.rows]
 
+    def row_weight(self, i: int) -> int:
+        """GF(2) only: the number of nonzero entries of row i."""
+        return self.rows[i].bit_count()
+
+    def row_support(self, i: int) -> list[int]:
+        """GF(2) only: the columns of the nonzero entries of row i, in
+        increasing order, read off its set bits without a scan of its
+        zeros."""
+        return set_bits(self.rows[i])
+
     def row_fields(self, i: int, fields) -> list[int]:
         """GF(2) only: for each (shift, mask) of ``fields``, the entries of
         row i from column ``shift`` on, as the bits of an int, under
@@ -235,7 +248,7 @@ class FMatrix:
             rows = [0] * self.ncols
             for i, r in enumerate(self.rows):
                 bit = 1 << i
-                for j in _set_bits(r):
+                for j in set_bits(r):
                     rows[j] |= bit
         elif self.nrows:
             rows = [list(col) for col in zip(*self.rows)]
@@ -302,7 +315,7 @@ class FMatrix:
                     # column c0 + j*q; the copies never overlap, so one
                     # product writes them all
                     spread = (a << c0 if q == 1 else
-                              sum(1 << c0 + j * q for j in _set_bits(a)))
+                              sum(1 << c0 + j * q for j in set_bits(a)))
                     for b in brows:
                         rows[r] ^= b * spread
                         r += 1
@@ -354,6 +367,42 @@ class FMatrix:
             raise ValueError(f"a block does not fit in {nrows}x{ncols}"
                              ) from None
         return out
+
+    @staticmethod
+    def from_patterns(ell: int, ncols: int, keys, row_types, col_types,
+                      offsets, patterns) -> "FMatrix":
+        """The matrix over GF(l) with ``ncols`` columns that is written in
+        bands, one per row of ``keys``: band r is as high as the blocks of
+        row type ``row_types[r]`` in ``patterns`` (a ``block_patterns``
+        table), and holds, for each nonzero key k = keys[r][s], the block
+        of (row_types[r], col_types[s], k) with its left column at
+        ``offsets[s]``, and zeros elsewhere.  Blocks must not overlap and
+        must fit; a key the table lacks raises KeyError.  Only nonzero
+        keys are read, and at l = 2 each row is the OR of its blocks' row
+        patterns, each shifted to its column."""
+        rows = []
+        for rt, row in zip(row_types, keys):
+            height, by_col = patterns[rt]
+            if ell == 2 and height == 1:    # a one-row band needs no list
+                bits = 0
+                for s in compress(range(len(row)), row):
+                    bits |= by_col[col_types[s]][row[s]][0] << offsets[s]
+                rows.append(bits)
+                continue
+            if ell == 2:
+                band = [0] * height
+                for s in compress(range(len(row)), row):
+                    off = offsets[s]
+                    for a, bits in enumerate(by_col[col_types[s]][row[s]]):
+                        band[a] |= bits << off
+            else:
+                band = [[0] * ncols for _ in range(height)]
+                for s in compress(range(len(row)), row):
+                    off = offsets[s]
+                    for dst, vals in zip(band, by_col[col_types[s]][row[s]]):
+                        dst[off:off + len(vals)] = vals
+            rows += band
+        return FMatrix(ell, len(rows), ncols, rows)
 
     @staticmethod
     def hstack(blocks: list["FMatrix"]) -> "FMatrix":
@@ -536,7 +585,7 @@ def _lowbit_pivots(rows) -> dict[int, int]:
     return pivots
 
 
-def _set_bits(r: int) -> list[int]:
+def set_bits(r: int) -> list[int]:
     """The positions of the set bits of r, lowest first."""
     out = []
     while r:
@@ -560,6 +609,26 @@ def _factor(ell: int, f) -> tuple[int, int, list]:
         return f.nrows, f.ncols, f.rows
     return f.nrows, f.ncols, [[(j, v) for j, v in enumerate(r) if v]
                               for r in f.rows]
+
+
+def block_patterns(blocks: dict) -> dict:
+    """The table ``FMatrix.from_patterns`` writes from: ``blocks`` maps a
+    row type to a column type to a key to a block, all blocks of one row
+    type equally high and over one field.  Each block is kept as its row
+    patterns (bitsets at l = 2), in the row format this module keeps to
+    itself."""
+    out = {}
+    for rt, by_col in blocks.items():
+        heights = {b.nrows for by_key in by_col.values()
+                   for b in by_key.values()}
+        if len(heights) != 1:
+            raise ValueError(f"the blocks of row type {rt!r} differ in "
+                             f"height")
+        out[rt] = (heights.pop(), {
+            ct: {k: tuple(b.rows) if b.ell == 2 else
+                 tuple(map(list, b.rows)) for k, b in by_key.items()}
+            for ct, by_key in by_col.items()})
+    return out
 
 
 def _bits(values) -> int:

@@ -427,22 +427,32 @@ _ODD = {0: {
 
 
 def _derived(name: str, tables: dict, a: MackeyModule, b: MackeyModule,
-             i: int) -> dict[str, int]:
-    """The classification dict of a derived functor from its table for
-    degree i (``tables`` at l = 2, ``_ODD`` otherwise)."""
-    if i < 0:
+             degrees) -> list[dict[str, int]]:
+    """The classification dicts of a derived functor in each of
+    ``degrees``, from its table for that degree (``tables`` at l = 2,
+    ``_ODD`` otherwise), classifying each input once."""
+    if min(degrees) < 0:
         raise ValueError(f"{name} degree must be >= 0")
     ca, cb = classify(a), classify(b)
     if a.ell != b.ell:
         raise ValueError(f"mixed moduli in {name}")
-    return _counts_mul(ca, cb, (tables if a.ell == 2 else _ODD).get(i, {}))
+    table = tables if a.ell == 2 else _ODD
+    return [_counts_mul(ca, cb, table.get(i, {})) for i in degrees]
 
 
 def ext(a: MackeyModule, b: MackeyModule, i: int) -> dict[str, int]:
     """uExt^i(a, b) as a classification dict (vanishes for i >= 3)."""
-    return _derived("ext", _EXT, a, b, i)
+    return _derived("ext", _EXT, a, b, [i])[0]
 
 
 def tor(a: MackeyModule, b: MackeyModule, i: int) -> dict[str, int]:
     """uTor_i(a, b) as a classification dict (vanishes for i >= 3)."""
-    return _derived("tor", _TOR, a, b, i)
+    return _derived("tor", _TOR, a, b, [i])[0]
+
+
+def derived_table(name: str, a: MackeyModule,
+                  b: MackeyModule) -> list[dict[str, int]]:
+    """uExt^i(a, b) (``name`` "ext") or uTor_i(a, b) ("tor") for i = 0,
+    1 and 2, the degrees where either can be nonzero, classifying each
+    input once."""
+    return _derived(name, {"ext": _EXT, "tor": _TOR}[name], a, b, range(3))

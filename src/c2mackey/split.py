@@ -45,11 +45,12 @@ from typing import NamedTuple
 from . import _schema as schema
 from .complexes import (STRAND_SHAPES, ChainMap, FreeComplex, arrow_matrix,
                         check_strand_param, direct_sum_complexes, ecompose,
-                        entry_ok, has_shape, illegal_arrow, orbit_matrix,
-                        orbit_starts, realize, strand, strand_edge,
-                        strand_param_ok, strand_top, theta_block,
-                        validate_complex, wrong_shape, zero_matrix)
-from .gf2core import FMatrix, is_prime, random_invertible
+                        entry_ok, has_shape, illegal_arrow, int_codes,
+                        orbit_matrix, orbit_starts, realize, strand,
+                        strand_edge, strand_param_ok, strand_top,
+                        theta_block, validate_complex, wrong_shape,
+                        zero_matrix)
+from .gf2core import FMatrix, is_prime, random_invertible, set_bits
 from .mackey import (MackeyMap, MackeyModule, conjugate, counts_of_ranks,
                      direct_sum, indecomposable, validate_module, zero_module)
 
@@ -292,6 +293,17 @@ _MOVE_RULES = {
     for name, (ki, kj, phi) in _VARIANTS.items()}
 
 
+def _slot_table(kinds: list[str],
+                starts: list[int]) -> dict[str, dict[int, int]]:
+    """Kind -> generator -> its first free-orbit slot (``starts``), for
+    the generators of one level."""
+    out: dict[str, dict[int, int]] = {"F": {}, "H": {}}
+    for g, (k, start) in enumerate(zip(kinds, starts)):
+        if k in out:
+            out[k][g] = start
+    return out
+
+
 def _replay_orbits(c: FreeComplex, certificate: list[BasisMove],
                    with_isos: bool = False):
     """Replay ``certificate`` on the free-orbit levels of ``c`` (see
@@ -319,27 +331,24 @@ def _replay_orbits(c: FreeComplex, certificate: list[BasisMove],
     gens, lo = c.gens, c.min_degree
     starts = [orbit_starts(kinds) for kinds in gens]
     # per level, its moves, each as (first row of j's slots, first row of
-    # i's slots, the row additions of its block); per degree, each
-    # generator's first slot by kind, against which every move is checked
-    # as _move_level checks it (dicts match 1.0 to 1, so the types too)
+    # i's slots, the row additions of its block); per level a move acts
+    # on, built at its first move, each generator's first slot by kind,
+    # against which every move is checked as _move_level checks it (dicts
+    # match 1.0 to 1, so the types too)
     ops: list[list[tuple]] = [[] for _ in gens]
-    levels = {}
-    for d, kinds, level_starts, level_ops in zip(c.degrees(), gens, starts,
-                                                 ops):
-        slots: dict[str, dict[int, int]] = {"F": {}, "H": {}}
-        for g, (k, start) in enumerate(zip(kinds, level_starts)):
-            if k in slots:
-                slots[k][g] = start
-        levels[d] = slots, level_ops
+    level_of = {d: li for li, d in enumerate(c.degrees())}
+    slots: dict[int, dict[str, dict[int, int]]] = {}
     for mv in certificate:
         degree, variant, i, j = mv
-        level, rule = levels.get(degree), _MOVE_RULES.get(variant)
-        if (level is not None and rule is not None
+        li, rule = level_of.get(degree), _MOVE_RULES.get(variant)
+        if (li is not None and rule is not None
                 and type(degree) is type(i) is type(j) is int):
-            slots, level_ops = level
-            si, sj = slots[rule[0]].get(i), slots[rule[1]].get(j)
+            level = slots.get(li)
+            if level is None:
+                level = slots[li] = _slot_table(gens[li], starts[li])
+            si, sj = level[rule[0]].get(i), level[rule[1]].get(j)
             if si is not None and sj is not None and (i == j) == rule[2]:
-                level_ops.append((sj, si, rule[3]))
+                ops[li].append((sj, si, rule[3]))
                 continue
         _move_level(c, mv)      # raises the move's ValueError
         raise SplitError(f"replay refused the legal move {mv}")
@@ -401,8 +410,8 @@ def split(c: FreeComplex, validate: bool = True) -> Decomposition:
             if not has_shape(m, sizes[li], sizes[li + 1]):
                 raise ValueError(wrong_shape(c.min_degree + li))
     try:
-        moves, disks, model, kept = _cancel_units(c, not validate)
-        sweep = _Sweep(model)
+        moves, disks, model, kept, supports = _cancel_units(c, not validate)
+        sweep = _Sweep(model, supports)
         for li in compress(range(1, len(model.gens)), model.gens[1:]):
             sweep.start_level(li)
             sweep.b_strands()
@@ -449,11 +458,13 @@ def _cancel_units(c: FreeComplex, check: bool = False):
     y <- x gaining (y <- b) after (a <- x); b's row above and a's column
     below are zero by d*d = 0 (``check`` checks the column).  Non-units
     form an ideal, so no fill-in gives a passed source a unit.  Returns
-    (moves, disks, model, kept), ``kept[d]`` the indices in ``c`` of the
-    model's generators in degree d; KeyError means an illegal code."""
+    (moves, disks, model, kept, supports), ``kept[d]`` the indices in
+    ``c`` of the model's generators in degree d and ``supports[k]`` the
+    column supports of the model's differential k (see ``_Sweep``),
+    written with it; KeyError means an illegal code."""
     lo, gens, diffs = c.min_degree, c.gens, c.diffs
-    if type(sum(map(sum, chain.from_iterable(diffs)))) is not int:
-        raise KeyError      # a float, say, would find the int's key
+    if not int_codes(chain.from_iterable(diffs)):
+        raise KeyError
     alive = [[True] * len(kinds) for kinds in gens]
     # cols[k]: differential k as per-source {target: code} dicts, if built
     cols, moves, disks = [None] * len(diffs), [], Counter()
@@ -512,25 +523,38 @@ def _cancel_units(c: FreeComplex, check: bool = False):
             alive[k + 1][b] = alive[k][a] = False
             disks[kb, degree] += 1
     kept = [list(compress(range(len(live)), live)) for live in alive]
-    out = []
-    for m, col, srcs, tgts, sk, tk in zip(diffs, cols, kept[1:], kept,
-                                         gens[1:], gens):
-        if col is None:
-            out.append([[m[t][s] for s in srcs] for t in tgts])
-            continue
-        at, mk = {t: i for i, t in enumerate(tgts)}, zero_matrix(
-            len(tgts), len(srcs))
-        for s2, s in enumerate(srcs):
-            for t, e in col[s].items():
-                if _UNITS[sk[s], tk[t], e]:
-                    raise SplitError("the minimal model kept a unit arrow")
-                mk[at[t]][s2] = e
+    out, supports = [], []
+    for m, col, live, srcs, tgts, sk, tk in zip(diffs, cols, alive[1:],
+                                               kept[1:], kept, gens[1:], gens):
+        if col is None:     # nothing cancelled here: copy the kept rows
+            mk = ([m[t][:] for t in tgts] if all(live) else
+                  [list(compress(m[t], live)) for t in tgts])
+            csup, bit = [0] * len(srcs), 1
+            for r in mk:
+                for s in compress(range(len(r)), r):
+                    csup[s] |= bit
+                bit <<= 1
+        else:
+            at, mk = {t: i for i, t in enumerate(tgts)}, zero_matrix(
+                len(tgts), len(srcs))
+            csup = []
+            for s2, s in enumerate(srcs):
+                mask = 0
+                for t, e in col[s].items():
+                    if _UNITS[sk[s], tk[t], e]:
+                        raise SplitError("the minimal model kept a unit "
+                                         "arrow")
+                    t2 = at[t]
+                    mk[t2][s2] = e
+                    mask |= 1 << t2
+                csup.append(mask)
         out.append(mk)
+        supports.append(csup)
     model = FreeComplex(lo, [list(map(kinds.__getitem__, keep))
                              for kinds, keep in zip(gens, kept)], out)
     disks = [s for (kb, d), n in disks.items()
              for s in [Strand("Disk" + kb, 0, d - 1)] * n]
-    return moves, disks, model, dict(zip(c.degrees(), kept))
+    return moves, disks, model, dict(zip(c.degrees(), kept)), supports
 
 
 class _Sweep:
@@ -541,23 +565,32 @@ class _Sweep:
     are the sources of the differential into level ``li - 1``, whose
     generators are the tops of the strands below.
 
-    The moves of one placement come in runs that share a generator: a run
-    of ``_clear_row`` adds the pivot source's column into other columns, a
-    run of one cascade step adds one row into other rows, and no move of a
-    run writes what it shares.  ``_moves_onto`` and ``_moves_from`` apply
-    a run, reading the shared column or row once: most of it is zero at
-    large sizes."""
+    Each differential keeps its column supports: for each source, the set
+    of targets it has a nonzero arrow to, as a mask (bit r for target r).
+    Every write keeps them, so a scan of a column reads only its nonzeros,
+    in index order (``set_bits``): the levels already split are almost all
+    zeros.  A scan of a row skips its zeros in ``compress``.  The moves of
+    one placement come in runs that share a generator: a run of
+    ``_clear_row`` adds the pivot source's column into other columns, a
+    run of one cascade step adds one row into other rows, and no move of
+    a run writes what it shares.  ``_moves_onto`` and ``_moves_from``
+    apply a run, reading the shared column or row once."""
 
-    def __init__(self, work: FreeComplex):
+    def __init__(self, work: FreeComplex, col_sups: list[list[int]]):
         self.work = w = work
         self.moves: list[BasisMove] = []
         self.members: dict[int, list[tuple[int, int]]] = {}
         self.strand_of: dict[tuple[int, int], int] = {}
         # per level, the arguments of _move_arrows after its move's
-        # generators: (d_in, kinds above, d_out, kinds below); the moves
-        # change the differentials in place
+        # generators: (d_in, kinds above, d_out, kinds below), and the
+        # column supports of d_in and d_out (none out of the bottom);
+        # the moves change them in place
         self.levels = [(w.diff(d + 1), w.gens_at(d + 1), w.diff(d),
                         w.gens_at(d - 1)) for d in w.degrees()]
+        self.col_sups = col_sups
+        self.supports = [(col_sups[li] if li < len(col_sups) else [],
+                          col_sups[li - 1] if li else [0] * len(kinds))
+                         for li, kinds in enumerate(w.gens)]
         for g in range(len(w.gens[0]) if w.gens else 0):
             self.new_strand([(0, g)])
 
@@ -573,21 +606,27 @@ class _Sweep:
         ``run``, a non-empty list of (variant, i) pairs, in order.  Each
         move adds column j of the differential out of the level into its
         column i, and row i of the differential into the level into row j
-        (see ``_move_arrows``).  No move writes column j, so its nonzeros
-        are read once for the run."""
+        (see ``_move_arrows``), keeping the column support of every entry
+        it writes.  No move writes column j, so its nonzeros are read once
+        for the run."""
         rows, row_kinds, cols, col_kinds = self.levels[level]
+        in_cols, out_cols = self.supports[level]
         kinds, degree = self.work.gens[level], self.work.min_degree + level
-        shared = [(row, k, row[j]) for row, k in zip(cols, col_kinds)
-                  if row[j]]
-        dst = rows[j]
+        shared = [(1 << r, cols[r], col_kinds[r])
+                  for r in set_bits(out_cols[j])]
+        dst, bit = rows[j], 1 << j
         for variant, i in run:
             _check_move(kinds, level, variant, i, j)
             col_codes, row_codes = _MOVE_CODES[variant]
-            for row, k, e in shared:
-                row[i] ^= col_codes[k][e]
-            for s, e in enumerate(rows[i]):
-                if e:
-                    dst[s] ^= row_codes[row_kinds[s]][e]
+            col_i = out_cols[i]
+            for r_bit, row, k in shared:
+                row[i] = new = row[i] ^ col_codes[k][row[j]]
+                col_i = col_i | r_bit if new else col_i & ~r_bit
+            out_cols[i] = col_i
+            src = rows[i]
+            for s in compress(range(len(src)), src):
+                dst[s] = new = dst[s] ^ row_codes[row_kinds[s]][src[s]]
+                in_cols[s] = in_cols[s] | bit if new else in_cols[s] & ~bit
             self.moves.append(BasisMove(degree, variant, i, j))
 
     def _moves_from(self, level: int, i: int,
@@ -597,23 +636,33 @@ class _Sweep:
         ``_moves_onto`` does.  No move writes row i of the differential
         into the level, so its nonzeros are read once for the run."""
         rows, row_kinds, cols, col_kinds = self.levels[level]
+        in_cols, out_cols = self.supports[level]
         kinds, degree = self.work.gens[level], self.work.min_degree + level
-        shared = [(s, row_kinds[s], e) for s, e in enumerate(rows[i]) if e]
+        src = rows[i]
+        shared = [(s, row_kinds[s], src[s])
+                  for s in compress(range(len(src)), src)]
         for variant, j in run:
             _check_move(kinds, level, variant, i, j)
             col_codes, row_codes = _MOVE_CODES[variant]
-            for row, k in zip(cols, col_kinds):
-                e = row[j]
-                if e:
-                    row[i] ^= col_codes[k][e]
-            dst = rows[j]
+            col_i, mask = out_cols[i], out_cols[j]
+            while mask:     # column j's targets r, as their bits 1 << r
+                low = mask & -mask
+                mask ^= low
+                r = low.bit_length() - 1
+                row = cols[r]
+                row[i] = new = row[i] ^ col_codes[col_kinds[r]][row[j]]
+                col_i = col_i | low if new else col_i & ~low
+            out_cols[i] = col_i
+            dst, bit = rows[j], 1 << j
             for s, k, e in shared:
-                dst[s] ^= row_codes[k][e]
+                dst[s] = new = dst[s] ^ row_codes[k][e]
+                in_cols[s] = in_cols[s] | bit if new else in_cols[s] & ~bit
             self.moves.append(BasisMove(degree, variant, i, j))
 
     def start_level(self, li: int) -> None:
         self.li = li
         self.D = self.work.diffs[li - 1]
+        self.D_cols = self.col_sups[li - 1]     # the column supports of D
         self.src = self.work.gens[li]
         self.tgt = self.work.gens[li - 1]
         self.assigned = [False] * len(self.src)
@@ -652,7 +701,7 @@ class _Sweep:
         which no unplaced source keeps an entry.  So only those columns
         are rescanned, and the least key in ``best`` is the pair a scan of
         every source would pick."""
-        D, src, assigned = self.D, self.src, self.assigned
+        D_cols, src, assigned = self.D_cols, self.src, self.assigned
         top_info = self._top_info
         lengths = {}    # per target: its signed length, or None if not one
         best = {}
@@ -661,10 +710,11 @@ class _Sweep:
             for a in todo:
                 if assigned[a] or src[a] != src_kind:
                     continue
-                key = None
-                for r, row in enumerate(D):
-                    if not row[a]:
-                        continue
+                key, mask = None, D_cols[a]
+                while mask:     # its targets r, in order
+                    low = mask & -mask
+                    mask ^= low
+                    r = low.bit_length() - 1
                     if r in lengths:
                         n = lengths[r]
                     else:
@@ -725,8 +775,8 @@ class _Sweep:
         src = self.src
         ka, row = src[alpha], self.D[beta]
         run = []
-        for c2, e2 in enumerate(row):
-            if c2 == alpha or not e2:
+        for c2 in compress(range(len(row)), row):
+            if c2 == alpha:
                 continue
             kc = src[c2]
             if kc == "H" and ka == "F":
@@ -748,23 +798,22 @@ class _Sweep:
         from each member's predecessor into a generator parallel to it:
         at each member, one run of ``_moves_from`` that adds the member's
         row to each parallel's."""
-        gens, diffs = self.work.gens, self.work.diffs
+        gens, diffs, col_sups = self.work.gens, self.work.diffs, self.col_sups
         pred = alpha
         for (L, cur) in mem:
             Dm = diffs[L]
             if not Dm[cur][pred]:
                 raise SplitError("cascade lost the strand entry")
-            kinds = gens[L]
-            k_cur = kinds[cur]
-            run = []
-            for r, row in enumerate(Dm):
-                if r == cur or not row[pred]:
-                    continue
-                if k_cur == "F" and kinds[r] != "F":
-                    raise SplitError("a parallel strand ends above "
-                                     "the selected one")
-                run.append((_variant_for(k_cur, kinds[r], 1), r))
-            if run:
+            parallels = col_sups[L][pred] & ~(1 << cur)
+            if parallels:
+                kinds = gens[L]
+                k_cur = kinds[cur]
+                run = []
+                for r in set_bits(parallels):
+                    if k_cur == "F" and kinds[r] != "F":
+                        raise SplitError("a parallel strand ends above "
+                                         "the selected one")
+                    run.append((_variant_for(k_cur, kinds[r], 1), r))
                 self._moves_from(L, cur, run)
                 for _, r in run:
                     if Dm[r][pred]:
@@ -776,11 +825,11 @@ class _Sweep:
 
     def close_level(self) -> None:
         """Start a new strand at every source that no step placed."""
-        D, li = self.D, self.li
+        D_cols, li = self.D_cols, self.li
         for a, placed in enumerate(self.assigned):
             if placed:
                 continue
-            if any(row[a] for row in D):
+            if D_cols[a]:
                 raise SplitError("unassigned generator still has "
                                  "differential entries")
             self.new_strand([(li, a)])
@@ -804,8 +853,7 @@ def strand_paths(c: FreeComplex) -> list[tuple[Strand, list[tuple[int, int]]]] |
     keeping the generator path of each piece (as (level, index) pairs,
     top first).  None if the complex is not in literal split form.
     """
-    if not all(map(isinstance, chain.from_iterable(chain.from_iterable(
-            c.diffs)), repeat(int))):
+    if not int_codes(chain.from_iterable(c.diffs)):
         return None                 # an arrow code is an int (entry_ok)
     out_edge: dict[tuple[int, int], tuple[int, int, int]] = {}
     in_deg: dict[tuple[int, int], int] = {}

@@ -13,10 +13,11 @@ import time
 import pytest
 
 import c2mackey.cli as cli_module
+import c2mackey.mackey as mackey_module
 from c2mackey.cli import main
 from c2mackey.complexes import (FreeComplex, shift_complex, strand,
                                 validate_complex)
-from c2mackey.mackey import indecomposable
+from c2mackey.mackey import indecomposable, module_of_counts
 from c2mackey.split import Strand, decomposition_sum
 
 
@@ -308,19 +309,60 @@ def test_module_commands_call_the_name_bound_now(capsys, tmp_path,
                                                  monkeypatch, mop, name):
     """``module box|hom|ext|tor`` look their function up per call, so a
     wrapper bound over the name afterwards (as bench/tracing.py binds
-    one) is the one that runs."""
+    one) is the one that runs: ``ext`` or ``tor`` for one ``--degree``,
+    and without it ``derived_table``, which serves all three degrees."""
     h = tmp_path / "h.json"
     h.write_text(json.dumps(indecomposable("H", 3).to_json()))
-    real, calls = getattr(cli_module, name), []
+    calls = []
 
-    def wrapped(*args):
-        calls.append(args)
-        return real(*args)
+    def wrap(fn_name):
+        real = getattr(cli_module, fn_name)
 
-    monkeypatch.setattr(cli_module, name, wrapped)
-    code, _ = run(capsys, "module", mop, "--ell", "3", str(h), str(h))
+        def wrapped(*args):
+            calls.append(fn_name)
+            return real(*args)
+
+        monkeypatch.setattr(cli_module, fn_name, wrapped)
+
+    wrap(name)
+    degree = ("--degree", "1") if mop in ("ext", "tor") else ()
+    code, _ = run(capsys, "module", mop, "--ell", "3", *degree, str(h),
+                  str(h))
     assert code == 0
-    assert len(calls) == (3 if mop in ("ext", "tor") else 1)
+    assert calls == [name]
+    if mop in ("ext", "tor"):
+        wrap("derived_table")
+        calls.clear()
+        code, _ = run(capsys, "module", mop, "--ell", "3", str(h), str(h))
+        assert code == 0
+        assert calls == ["derived_table"]
+
+
+@pytest.mark.parametrize("mop", ["ext", "tor"])
+def test_module_ext_tor_tables_classify_each_input_once(capsys, tmp_path,
+                                                        monkeypatch, mop):
+    """``module ext|tor`` without ``--degree`` prints all three degrees
+    from one classification of each input, and each degree as
+    ``--degree`` prints it."""
+    paths = []
+    for kinds in ({"Hop": 1, "STheta": 1}, {"H": 1, "SDot": 1}):
+        paths.append(tmp_path / f"m{len(paths)}.json")
+        paths[-1].write_text(json.dumps(module_of_counts(kinds, 2).to_json()))
+    real, classified = mackey_module.classify, []
+
+    def counted(m):
+        classified.append(m)
+        return real(m)
+
+    monkeypatch.setattr(mackey_module, "classify", counted)
+    code, out = run(capsys, "module", mop, *map(str, paths))
+    assert code == 0
+    assert len(classified) == 2
+    table = json.loads(out)[mop]
+    for i in range(3):
+        code, out = run(capsys, "module", mop, "--degree", str(i),
+                        *map(str, paths))
+        assert json.loads(out)["counts"] == table[str(i)]
 
 
 def test_module_ell_mismatch_fails(capsys, tmp_path):

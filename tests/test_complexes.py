@@ -463,18 +463,39 @@ def _arrow_matrices(draw):
 def test_orbit_codec_matches_block_placement(case, legal):
     """The codec ORs each arrow's theta_block pattern into its slot: the
     same matrix as ``FMatrix.kron_sum`` writes with one term per arrow,
-    its block times the 1 x 1 identity, and ``arrow_matrix`` reads the
-    arrows back.  ``legal`` makes every kind pair and code come up as a
-    lone 1 x 1 matrix too."""
+    its block times the 1 x 1 identity, at l = 2 and at odd l, and
+    ``arrow_matrix`` reads the arrows back.  ``legal`` makes every kind
+    pair and code come up as a lone 1 x 1 matrix too."""
     ks, kt, e = legal
     for m, sk, tk in (case, ([[e]], [ks], [kt])):
         ss, ts = orbit_starts(sk), orbit_starts(tk)
-        want = FMatrix.kron_sum(2, ts[-1], ss[-1], [
-            (ts[r], ss[s], 1, 1, theta_block(sk[s], tk[r], m[r][s]))
-            for r in range(len(tk)) for s in range(len(sk)) if m[r][s]])
+        for ell in (2, 3):
+            want = FMatrix.kron_sum(ell, ts[-1], ss[-1], [
+                (ts[r], ss[s], 1, 1, theta_block(sk[s], tk[r], m[r][s], ell))
+                for r in range(len(tk)) for s in range(len(sk)) if m[r][s]])
+            assert orbit_matrix(m, sk, tk, ell) == want
         theta = orbit_matrix(m, sk, tk)
-        assert theta == want
         assert arrow_matrix(theta, sk, tk) == m
+
+
+def test_arrow_matrix_reads_sparse_and_dense_rows(monkeypatch):
+    """``arrow_matrix`` reads a row with few nonzeros off its set bits and
+    any other field by field; both give back every arrow, on wide random
+    matrices from nearly empty to dense, and both are taken."""
+    rng, read = random.Random("arrow-rows"), {"sparse": 0, "fields": 0}
+    for name, method in (("sparse", "row_support"), ("fields", "row_fields")):
+        def counted(self, *args, real=getattr(FMatrix, method), name=name):
+            read[name] += 1
+            return real(self, *args)
+        monkeypatch.setattr(FMatrix, method, counted)
+    for _ in range(300):
+        sk = [rng.choice("FH") for _ in range(rng.randint(1, 24))]
+        tk = [rng.choice("FH") for _ in range(rng.randint(1, 8))]
+        density = rng.choice((0.05, 0.2, 0.6))
+        m = [[rng.randrange(1, len(_ARROW_NAMES[ks, kt]))
+              if rng.random() < density else 0 for ks in sk] for kt in tk]
+        assert arrow_matrix(orbit_matrix(m, sk, tk), sk, tk) == m
+    assert read["sparse"] > 0 and read["fields"] > 0
 
 
 def test_orbit_codec_refuses_codes_its_slot_lacks():
@@ -692,6 +713,11 @@ def test_validate_complex_refuses_a_non_integer_min_degree():
         c = FreeComplex(bad, [["H"]], [])
         assert validate_complex(c) == [
             f"min_degree must be an integer, not {bad!r}"]
+    # nor may a shift make one
+    for bad in (1.5, True):
+        with pytest.raises(ValueError,
+                           match=f"shift must be an integer, not {bad!r}"):
+            shift_complex(strand("A", 1), bad)
 
 
 # each public entry point that takes a complex, called on one

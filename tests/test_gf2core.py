@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from c2mackey.gf2core import FMatrix, is_prime, random_invertible
+from c2mackey.gf2core import (FMatrix, block_patterns, is_prime,
+                              random_invertible)
 
 
 def test_is_prime():
@@ -184,6 +185,35 @@ def test_block_and_row_ops_match_per_entry_reference(nrows, ncols, k, seed,
     assert FMatrix.vstack([a, b]) == _reference_placed(
         ell, nrows + k, ncols, [(0, 0, a), (nrows, 0, b)])
 
+    # from_patterns: a block matrix named by keys, the blocks of row type
+    # x as high as a, those of y as b, of column type u as wide as a and
+    # of v as c
+    d = _random_matrix(rng, k, k, ell)
+    table = {"x": {"u": {1: a, 2: a.scale(2)}, "v": {1: c}},
+             "y": {"u": {1: b}, "v": {1: d, 3: d.scale(3)}}}
+    height, width = {"x": nrows, "y": k}, {"u": ncols, "v": k}
+    rtypes = [rng.choice("xy") for _ in range(rng.randint(0, 4))]
+    ctypes = [rng.choice("uv") for _ in range(rng.randint(0, 6))]
+    keys = [[rng.choice([0, *table[rt][ct]]) for ct in ctypes]
+            for rt in rtypes]
+    roff, coff = [0], [0]
+    for rt in rtypes:
+        roff.append(roff[-1] + height[rt])
+    for ct in ctypes:
+        coff.append(coff[-1] + width[ct])
+    placed = [(roff[r], coff[s], table[rt][ct][key])
+              for r, (rt, row) in enumerate(zip(rtypes, keys))
+              for s, (ct, key) in enumerate(zip(ctypes, row)) if key]
+    got = FMatrix.from_patterns(ell, coff[-1], keys, rtypes, ctypes, coff,
+                                block_patterns(table))
+    assert got == _reference_placed(ell, roff[-1], coff[-1], placed)
+    with pytest.raises(KeyError):
+        FMatrix.from_patterns(ell, ncols, [[4]], ["x"], ["u"], [0],
+                              block_patterns(table))
+    with pytest.raises(ValueError, match="differ in height"):
+        block_patterns({"x": {"u": {1: FMatrix.identity(1)},
+                              "v": {1: FMatrix.identity(2)}}})
+
     # submatrix on arbitrary, repeated and unordered index lists
     rows = [rng.randrange(nrows) for _ in range(rng.randint(0, 5))] \
         if nrows else []
@@ -337,7 +367,9 @@ def test_row_format_stays_in_gf2core():
 def test_gf2_block_and_field_helpers():
     """``from_blocks`` puts blocks that do not overlap where the
     per-entry reference puts them; ``row_fields`` reads masked runs of a
-    row's entries as ints, entry j + b at bit b."""
+    row's entries as ints, entry j + b at bit b, ``row_support`` the
+    columns of its nonzero entries, in increasing order, and
+    ``row_weight`` their number."""
     rng = random.Random("gf2-helpers")
     for _ in range(200):
         nrows, ncols = rng.randint(0, 6), rng.randint(1, 10)
@@ -364,6 +396,9 @@ def test_gf2_block_and_field_helpers():
                 sum(got.get(i, j + b) << b
                     for b in range(mask.bit_length()) if j + b < ncols)
                 for j, mask in fields]
+            support = [j for j in range(ncols) if got.get(i, j)]
+            assert got.row_support(i) == support
+            assert got.row_weight(i) == len(support)
     with pytest.raises(ValueError, match="does not fit in 1x2"):
         FMatrix.from_blocks(2, 1, 2, [(0, 1, FMatrix.from_rows([[1, 1]]))])
 

@@ -368,10 +368,12 @@ def strand_top(seq: str, disk: bool) -> int:
 
 
 def strand(kind: str, param: int = 0) -> FreeComplex:
-    """The fundamental strands and disks in their canonical positions."""
+    """The fundamental strands and disks in their canonical positions; a
+    param that is not an int (a float, or a bool) raises ValueError."""
     shape = STRAND_SHAPES.get(kind)
     if shape is None:
         raise ValueError(f"unknown strand kind {kind!r}")
+    _require_int(param, "param")
     check_strand_param(kind, param)
     seq, disk = shape(param), kind.startswith("Disk")
     up = seq[::-1]

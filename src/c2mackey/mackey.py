@@ -223,13 +223,18 @@ def counts_of_ranks(ell: int, dim_theta: int, dim_dot: int,
 
 
 def module_of_counts(counts: dict[str, int], ell: int = 2) -> MackeyModule:
-    """The canonical direct sum realizing a classification dict."""
-    parts = []
-    for kind in KINDS:
-        parts.extend(indecomposable(kind, ell) for _ in range(counts.get(kind, 0)))
-    if not parts:
-        return zero_module(ell)
-    return direct_sum(*parts)
+    """The canonical direct sum realizing a classification dict; an
+    unknown kind, or a count that is not an int >= 0, raises ValueError
+    naming it."""
+    for kind, n in counts.items():
+        if kind not in KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"the count of {kind} must be an integer >= 0, "
+                             f"not {n!r}")
+    parts = [indecomposable(kind, ell) for kind in KINDS
+             for _ in range(counts.get(kind, 0))]
+    return direct_sum(*parts) if parts else zero_module(ell)
 
 
 def conjugate(m: MackeyModule, g_theta: FMatrix, g_dot: FMatrix) -> MackeyModule:
@@ -431,8 +436,10 @@ def _derived(name: str, tables: dict, a: MackeyModule, b: MackeyModule,
     """The classification dicts of a derived functor in each of
     ``degrees``, from its table for that degree (``tables`` at l = 2,
     ``_ODD`` otherwise), classifying each input once."""
-    if min(degrees) < 0:
-        raise ValueError(f"{name} degree must be >= 0")
+    for i in degrees:
+        if type(i) is not int or i < 0:
+            raise ValueError(f"{name} degree must be an integer >= 0, "
+                             f"not {i!r}")
     ca, cb = classify(a), classify(b)
     if a.ell != b.ell:
         raise ValueError(f"mixed moduli in {name}")

@@ -5,6 +5,8 @@ Every bounded complex of F/H sums over GF(2) is isomorphic to a direct
 sum of strands (A_k, H(n), B_r) and contractible disks.  ``split``
 cancels every unit arrow (``_cancel_units``), which splits off the disks
 and leaves the minimal model, then sweeps the model's levels bottom-up.
+No arrow of the model is a unit, so each is the one non-unit of its
+slot, and the sweep keeps each differential as its supports alone.
 A ``_Sweep`` runs one named step after another at each level:
 ``b_strands``, ``h_minus`` and ``h_plus`` (B-strands and the two H(n)
 families), ``a_strands`` (A-extensions) and ``close_level`` (new strands
@@ -43,13 +45,13 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from . import _schema as schema
-from .complexes import (STRAND_SHAPES, ChainMap, FreeComplex, arrow_matrix,
-                        check_strand_param, direct_sum_complexes, ecompose,
-                        entry_ok, has_shape, illegal_arrow, int_codes,
-                        orbit_matrix, orbit_starts, realize, strand,
-                        strand_edge, strand_param_ok, strand_top,
-                        theta_block, validate_complex, wrong_shape,
-                        zero_matrix)
+from .complexes import (STRAND_SHAPES, ChainMap, FreeComplex, _require_int,
+                        arrow_matrix, check_strand_param,
+                        direct_sum_complexes, ecompose, entry_ok, has_shape,
+                        illegal_arrow, int_codes, orbit_matrix, orbit_starts,
+                        realize, strand, strand_edge, strand_param_ok,
+                        strand_top, theta_block, validate_complex,
+                        wrong_shape)
 from .gf2core import FMatrix, is_prime, random_invertible, set_bits
 from .mackey import (MackeyMap, MackeyModule, conjugate, counts_of_ranks,
                      direct_sum, indecomposable, validate_module, zero_module)
@@ -131,13 +133,6 @@ _VARIANT_OF = {rule: name for name, rule in _VARIANTS.items()
                if name != "twist_t"}
 
 
-def _variant_for(ki: str, kj: str, phi: int) -> str:
-    variant = _VARIANT_OF.get((ki, kj, phi))
-    if variant is None:
-        raise SplitError(f"no move variant for arrow {phi} : {ki} -> {kj}")
-    return variant
-
-
 def _shape(seq: str) -> tuple[str, int] | None:
     """(kind, param) of the strand whose generator kinds, top first, are
     ``seq``; None if no strand has that shape (disks aside).  The inverse
@@ -161,8 +156,10 @@ def _path_strand(seq: str, top: int, disk: bool) -> Strand | None:
 
 
 def strand_complex(s: Strand) -> FreeComplex:
-    """The canonical complex of one strand or disk, in its place."""
+    """The canonical complex of one strand or disk, in its place; a param
+    or a shift that is not an int raises ValueError."""
     c = strand(s.kind, s.param)
+    _require_int(s.shift, "shift")
     c.min_degree += s.shift     # a new complex, so no copy to shift
     return c
 
@@ -256,8 +253,8 @@ def _move_arrows(codes, i: int, j: int, rows, row_kinds, cols,
     ``_MOVE_CODES`` entry, so each composite is one lookup: column i
     gains column j composed with the move's arrow, and row j gains row
     i.  Each entry is read before it is written, so i = j (twist_t)
-    works too.  The kernel of ``apply_move``; the sweep's runs of moves
-    make the same updates."""
+    works too.  The kernel of ``apply_move``, and the reference for the
+    sweep's ``_apply``, which makes the same updates on support masks."""
     col_codes, row_codes = codes
     for row, k in zip(cols, col_kinds):
         e = row[j]
@@ -410,9 +407,9 @@ def split(c: FreeComplex, validate: bool = True) -> Decomposition:
             if not has_shape(m, sizes[li], sizes[li + 1]):
                 raise ValueError(wrong_shape(c.min_degree + li))
     try:
-        moves, disks, model, kept, supports = _cancel_units(c, not validate)
-        sweep = _Sweep(model, supports)
-        for li in compress(range(1, len(model.gens)), model.gens[1:]):
+        moves, disks, kept, kinds, cols, rows = _cancel_units(c, not validate)
+        sweep = _Sweep(c.min_degree, kinds, cols, rows)
+        for li in compress(range(1, len(kinds)), kinds[1:]):
             sweep.start_level(li)
             sweep.b_strands()
             sweep.h_minus()
@@ -429,7 +426,7 @@ def split(c: FreeComplex, validate: bool = True) -> Decomposition:
     strands = sorted(disks + sweep.strands(), key=_STRAND_ORDER)
     log.debug("split: %d generators -> %d strands in %d moves; %d units "
               "cancelled, a model of %d generators", c.num_gens(),
-              len(strands), len(moves), len(disks), model.num_gens())
+              len(strands), len(moves), len(disks), sum(map(len, kinds)))
     return Decomposition(strands, moves)
 
 
@@ -444,8 +441,35 @@ def _refuse_invalid(c: FreeComplex) -> None:
 # each legal nonzero arrow (source kind, target kind, code) -> is it a unit
 _UNITS = {(ks, kt, e): ks == kt and e < 3 for ks in "FH" for kt in "FH"
           for e in range(1, 4) if entry_ok(ks, kt, e)}
+# each slot (source kind, target kind) with a non-unit arrow -> its code:
+# 1+t for F -> F, p for F -> H and H -> F (H -> H has none)
+_NON_UNIT = {(ks, kt): e for (ks, kt, e), unit in _UNITS.items() if not unit}
 # a BasisMove of a tuple (degree, variant, i, j), skipping its __new__
 _move = partial(tuple.__new__, BasisMove)
+
+
+def _mask_rule(name: str) -> tuple[bool, bool]:
+    """Whether the move ``name`` adds column j into column i, and row i
+    into row j, of a minimal complex, read off its ``_MOVE_CODES``: each
+    non-unit composed with its arrow must give the non-unit of the new
+    slot for every kind (the whole mask adds) or zero for every kind
+    (nothing does)."""
+    (col_codes, row_codes), (ki, kj, _) = _MOVE_CODES[name], _VARIANTS[name]
+    rule = []
+    for composites in ([(col_codes[kt][e], _NON_UNIT.get((ki, kt)))
+                        for (ks, kt), e in _NON_UNIT.items() if ks == kj],
+                       [(row_codes[ks][e], _NON_UNIT.get((ks, kj)))
+                        for (ks, kt), e in _NON_UNIT.items() if kt == ki]):
+        adds = all(got and got == want for got, want in composites)
+        if not adds and any(got for got, _ in composites):
+            raise SplitError(f"{name} does not add whole masks")
+        rule.append(adds)
+    return rule[0], rule[1]
+
+
+# the sweep's moves, those whose arrow is 1 or p -> (adds columns, adds rows)
+_MASK_RULES = {name: _mask_rule(name)
+               for (_, _, phi), name in _VARIANT_OF.items() if phi == 1}
 
 
 def _cancel_units(c: FreeComplex, check: bool = False):
@@ -458,10 +482,12 @@ def _cancel_units(c: FreeComplex, check: bool = False):
     y <- x gaining (y <- b) after (a <- x); b's row above and a's column
     below are zero by d*d = 0 (``check`` checks the column).  Non-units
     form an ideal, so no fill-in gives a passed source a unit.  Returns
-    (moves, disks, model, kept, supports), ``kept[d]`` the indices in
-    ``c`` of the model's generators in degree d and ``supports[k]`` the
-    column supports of the model's differential k (see ``_Sweep``),
-    written with it; KeyError means an illegal code."""
+    (moves, disks, kept, kinds, cols, rows): ``kept[d]`` the indices in
+    ``c`` of the minimal model's generators in degree d, ``kinds[L]``
+    their kinds at level L, and ``cols[k]`` and ``rows[k]`` the support
+    masks of the model's differential k (see ``_Sweep``), written from
+    the sparse dicts, or from the kept rows where nothing was cancelled;
+    KeyError means an illegal code."""
     lo, gens, diffs = c.min_degree, c.gens, c.diffs
     if not int_codes(chain.from_iterable(diffs)):
         raise KeyError
@@ -523,75 +549,63 @@ def _cancel_units(c: FreeComplex, check: bool = False):
             alive[k + 1][b] = alive[k][a] = False
             disks[kb, degree] += 1
     kept = [list(compress(range(len(live)), live)) for live in alive]
-    out, supports = [], []
+    col_masks, row_masks = [], []
     for m, col, live, srcs, tgts, sk, tk in zip(diffs, cols, alive[1:],
                                                kept[1:], kept, gens[1:], gens):
-        if col is None:     # nothing cancelled here: copy the kept rows
-            mk = ([m[t][:] for t in tgts] if all(live) else
-                  [list(compress(m[t], live)) for t in tgts])
-            csup, bit = [0] * len(srcs), 1
-            for r in mk:
+        csup, rsup = [0] * len(srcs), [0] * len(tgts)
+        if col is None:     # nothing cancelled here: read the kept rows
+            whole = all(live)
+            for t2, t in enumerate(tgts):
+                r = m[t] if whole else list(compress(m[t], live))
+                bit, mask = 1 << t2, 0
                 for s in compress(range(len(r)), r):
                     csup[s] |= bit
-                bit <<= 1
+                    mask |= 1 << s
+                rsup[t2] = mask
         else:
-            at, mk = {t: i for i, t in enumerate(tgts)}, zero_matrix(
-                len(tgts), len(srcs))
-            csup = []
+            at = {t: i for i, t in enumerate(tgts)}
             for s2, s in enumerate(srcs):
-                mask = 0
+                bit = 1 << s2
                 for t, e in col[s].items():
                     if _UNITS[sk[s], tk[t], e]:
                         raise SplitError("the minimal model kept a unit "
                                          "arrow")
                     t2 = at[t]
-                    mk[t2][s2] = e
-                    mask |= 1 << t2
-                csup.append(mask)
-        out.append(mk)
-        supports.append(csup)
-    model = FreeComplex(lo, [list(map(kinds.__getitem__, keep))
-                             for kinds, keep in zip(gens, kept)], out)
+                    csup[s2] |= 1 << t2
+                    rsup[t2] |= bit
+        col_masks.append(csup)
+        row_masks.append(rsup)
     disks = [s for (kb, d), n in disks.items()
              for s in [Strand("Disk" + kb, 0, d - 1)] * n]
-    return moves, disks, model, dict(zip(c.degrees(), kept)), supports
+    return (moves, disks, dict(zip(c.degrees(), kept)),
+            [list(map(kinds.__getitem__, keep))
+             for kinds, keep in zip(gens, kept)], col_masks, row_masks)
 
 
 class _Sweep:
-    """The state of one sweep of a minimal complex (no arrow is a unit,
-    and no move makes one), worked on in place: the moves applied to it,
-    and the strands built so far, each a list of (level, generator)
-    pairs, top first.  Level ``li`` is the current one: its generators
-    are the sources of the differential into level ``li - 1``, whose
-    generators are the tops of the strands below.
+    """The state of one sweep of a minimal complex, worked on in place: the
+    moves applied to it, and the strands built so far, each a list of
+    (level, generator) pairs, top first.  Level ``li`` is the current one:
+    its generators are the sources of the differential into level
+    ``li - 1``, whose generators are the tops of the strands below.
 
-    Each differential keeps its column supports: for each source, the set
-    of targets it has a nonzero arrow to, as a mask (bit r for target r).
-    Every write keeps them, so a scan of a column reads only its nonzeros,
-    in index order (``set_bits``): the levels already split are almost all
-    zeros.  A scan of a row skips its zeros in ``compress``.  The moves of
-    one placement come in runs that share a generator: a run of
-    ``_clear_row`` adds the pivot source's column into other columns, a
-    run of one cascade step adds one row into other rows, and no move of
-    a run writes what it shares.  ``_moves_onto`` and ``_moves_from``
-    apply a run, reading the shared column or row once."""
+    No arrow of a minimal complex is a unit, and no move of the sweep
+    makes one, so each nonzero arrow is the one non-unit of its slot
+    (``_NON_UNIT``) and a differential is its supports alone: per
+    differential k, ``col_masks[k][s]`` is the mask of the targets of
+    source s (bit t for target t), and ``row_masks[k][t]`` that of the
+    sources of target t.  A move adds whole masks (``_apply``), and each
+    scan reads only set bits, in index order (``set_bits``): the levels
+    already split are almost all zeros."""
 
-    def __init__(self, work: FreeComplex, col_sups: list[list[int]]):
-        self.work = w = work
+    def __init__(self, lo: int, kinds: list[list[str]],
+                 col_masks: list[list[int]], row_masks: list[list[int]]):
+        self.lo, self.kinds = lo, kinds
+        self.col_masks, self.row_masks = col_masks, row_masks
         self.moves: list[BasisMove] = []
         self.members: dict[int, list[tuple[int, int]]] = {}
         self.strand_of: dict[tuple[int, int], int] = {}
-        # per level, the arguments of _move_arrows after its move's
-        # generators: (d_in, kinds above, d_out, kinds below), and the
-        # column supports of d_in and d_out (none out of the bottom);
-        # the moves change them in place
-        self.levels = [(w.diff(d + 1), w.gens_at(d + 1), w.diff(d),
-                        w.gens_at(d - 1)) for d in w.degrees()]
-        self.col_sups = col_sups
-        self.supports = [(col_sups[li] if li < len(col_sups) else [],
-                          col_sups[li - 1] if li else [0] * len(kinds))
-                         for li, kinds in enumerate(w.gens)]
-        for g in range(len(w.gens[0]) if w.gens else 0):
+        for g in range(len(kinds[0]) if kinds else 0):
             self.new_strand([(0, g)])
 
     def new_strand(self, elems: list[tuple[int, int]]) -> None:
@@ -600,71 +614,34 @@ class _Sweep:
         for e in elems:
             self.strand_of[e] = sid
 
-    def _moves_onto(self, level: int, j: int,
-                    run: list[tuple[str, int]]) -> None:
-        """Apply and record the moves (variant, i, j) at ``level`` of
-        ``run``, a non-empty list of (variant, i) pairs, in order.  Each
-        move adds column j of the differential out of the level into its
-        column i, and row i of the differential into the level into row j
-        (see ``_move_arrows``), keeping the column support of every entry
-        it writes.  No move writes column j, so its nonzeros are read once
-        for the run."""
-        rows, row_kinds, cols, col_kinds = self.levels[level]
-        in_cols, out_cols = self.supports[level]
-        kinds, degree = self.work.gens[level], self.work.min_degree + level
-        shared = [(1 << r, cols[r], col_kinds[r])
-                  for r in set_bits(out_cols[j])]
-        dst, bit = rows[j], 1 << j
-        for variant, i in run:
-            _check_move(kinds, level, variant, i, j)
-            col_codes, row_codes = _MOVE_CODES[variant]
-            col_i = out_cols[i]
-            for r_bit, row, k in shared:
-                row[i] = new = row[i] ^ col_codes[k][row[j]]
-                col_i = col_i | r_bit if new else col_i & ~r_bit
-            out_cols[i] = col_i
-            src = rows[i]
-            for s in compress(range(len(src)), src):
-                dst[s] = new = dst[s] ^ row_codes[row_kinds[s]][src[s]]
-                in_cols[s] = in_cols[s] | bit if new else in_cols[s] & ~bit
-            self.moves.append(BasisMove(degree, variant, i, j))
-
-    def _moves_from(self, level: int, i: int,
-                    run: list[tuple[str, int]]) -> None:
-        """Apply and record the moves (variant, i, j) at ``level`` of
-        ``run``, a non-empty list of (variant, j) pairs, in order, as
-        ``_moves_onto`` does.  No move writes row i of the differential
-        into the level, so its nonzeros are read once for the run."""
-        rows, row_kinds, cols, col_kinds = self.levels[level]
-        in_cols, out_cols = self.supports[level]
-        kinds, degree = self.work.gens[level], self.work.min_degree + level
-        src = rows[i]
-        shared = [(s, row_kinds[s], src[s])
-                  for s in compress(range(len(src)), src)]
-        for variant, j in run:
-            _check_move(kinds, level, variant, i, j)
-            col_codes, row_codes = _MOVE_CODES[variant]
-            col_i, mask = out_cols[i], out_cols[j]
-            while mask:     # column j's targets r, as their bits 1 << r
-                low = mask & -mask
-                mask ^= low
-                r = low.bit_length() - 1
-                row = cols[r]
-                row[i] = new = row[i] ^ col_codes[col_kinds[r]][row[j]]
-                col_i = col_i | low if new else col_i & ~low
-            out_cols[i] = col_i
-            dst, bit = rows[j], 1 << j
-            for s, k, e in shared:
-                dst[s] = new = dst[s] ^ row_codes[k][e]
-                in_cols[s] = in_cols[s] | bit if new else in_cols[s] & ~bit
-            self.moves.append(BasisMove(degree, variant, i, j))
+    def _apply(self, level: int, variant: str, i: int, j: int) -> None:
+        """Apply and record the move (variant, i, j) at ``level`` (see
+        ``_move_arrows``): column i of the differential out of the level
+        gains column j, and row j of the one into it gains row i, each as
+        one mask XOR where ``_MASK_RULES`` says the move's arrow carries
+        the non-units over.  The other orientation follows one set bit at
+        a time."""
+        _check_move(self.kinds[level], level, variant, i, j)
+        adds_cols, adds_rows = _MASK_RULES[variant]
+        cols, rows = self.col_masks, self.row_masks
+        if adds_cols and level:
+            lines, mirror = cols[level - 1], rows[level - 1]
+            added, bit = lines[j], 1 << i
+            lines[i] ^= added
+            for r in set_bits(added):
+                mirror[r] ^= bit
+        if adds_rows and level < len(rows):
+            lines, mirror = rows[level], cols[level]
+            added, bit = lines[i], 1 << j
+            lines[j] ^= added
+            for s in set_bits(added):
+                mirror[s] ^= bit
+        self.moves.append(_move((self.lo + level, variant, i, j)))
 
     def start_level(self, li: int) -> None:
-        self.li = li
-        self.D = self.work.diffs[li - 1]
-        self.D_cols = self.col_sups[li - 1]     # the column supports of D
-        self.src = self.work.gens[li]
-        self.tgt = self.work.gens[li - 1]
+        self.li, self.src, self.tgt = li, self.kinds[li], self.kinds[li - 1]
+        self.D_cols = self.col_masks[li - 1]    # the masks of D, the
+        self.D_rows = self.row_masks[li - 1]    # differential into li - 1
         self.assigned = [False] * len(self.src)
         self.of_kind = {"F": [], "H": []}    # the sources, by kind
         for a, k in enumerate(self.src):
@@ -749,7 +726,7 @@ class _Sweep:
         if self.tgt[r] == "H":
             return None if n else ("H0", 0)
         L, g = mem[-1]
-        return ("A", n) if self.work.gens[L][g] == "F" else ("HEND", n)
+        return ("A", n) if self.kinds[L][g] == "F" else ("HEND", n)
 
     def _extend(self, alpha: int, beta: int) -> list[int]:
         """Put source alpha on top of the strand whose top is target beta;
@@ -770,55 +747,39 @@ class _Sweep:
         adding alpha to it (the arrow 1 or p: no arrow is a unit, so the
         stray entry is the pivot's composed with it); returns the sources
         so changed.  Each move changes one stray source's column of D and
-        no entry of row beta but its own, so the strays are read off row
-        beta first and cleared by one run of ``_moves_onto``."""
-        src = self.src
-        ka, row = src[alpha], self.D[beta]
-        run = []
-        for c2 in compress(range(len(row)), row):
-            if c2 == alpha:
-                continue
+        no entry of row beta but its own."""
+        src, li = self.src, self.li
+        ka, strays = src[alpha], self.D_rows[beta] & ~(1 << alpha)
+        moved = set_bits(strays)
+        for c2 in moved:
             kc = src[c2]
             if kc == "H" and ka == "F":
                 # the H pivots of steps 2-3 have already been exhausted
                 raise SplitError("H source entry survived past the "
                                  "H-pivot steps")
-            run.append((_variant_for(kc, ka, 1), c2))
-        if not run:
-            return run
-        self._moves_onto(self.li, alpha, run)
-        moved = [c2 for _, c2 in run]
-        for c2 in moved:
-            if row[c2]:
-                raise SplitError("phase A failed to clear a source")
+            self._apply(li, _VARIANT_OF[kc, ka, 1], c2, alpha)
+        if self.D_rows[beta] & strays:
+            raise SplitError("phase A failed to clear a source")
         return moved
 
     def _absorb_cascade(self, alpha: int, mem: list[tuple[int, int]]) -> None:
         """Walk down the strand that alpha now tops, clearing every entry
         from each member's predecessor into a generator parallel to it:
-        at each member, one run of ``_moves_from`` that adds the member's
-        row to each parallel's."""
-        gens, diffs, col_sups = self.work.gens, self.work.diffs, self.col_sups
+        at each member, the moves that add the member's row to each
+        parallel's."""
         pred = alpha
         for (L, cur) in mem:
-            Dm = diffs[L]
-            if not Dm[cur][pred]:
+            col, kinds = self.col_masks[L], self.kinds[L]
+            if not col[pred] >> cur & 1:
                 raise SplitError("cascade lost the strand entry")
-            parallels = col_sups[L][pred] & ~(1 << cur)
-            if parallels:
-                kinds = gens[L]
-                k_cur = kinds[cur]
-                run = []
-                for r in set_bits(parallels):
-                    if k_cur == "F" and kinds[r] != "F":
-                        raise SplitError("a parallel strand ends above "
-                                         "the selected one")
-                    run.append((_variant_for(k_cur, kinds[r], 1), r))
-                self._moves_from(L, cur, run)
-                for _, r in run:
-                    if Dm[r][pred]:
-                        raise SplitError("cascade failed to clear a "
-                                         "parallel")
+            parallels, k_cur = col[pred] & ~(1 << cur), kinds[cur]
+            for r in set_bits(parallels):
+                if k_cur == "F" and kinds[r] != "F":
+                    raise SplitError("a parallel strand ends above "
+                                     "the selected one")
+                self._apply(L, _VARIANT_OF[k_cur, kinds[r], 1], cur, r)
+            if col[pred] & parallels:
+                raise SplitError("cascade failed to clear a parallel")
             pred = cur
 
     # -- closing a level, and the sweep ---------------------------------------
@@ -835,8 +796,7 @@ class _Sweep:
             self.new_strand([(li, a)])
 
     def strands(self) -> list[Strand]:
-        lo, gens = self.work.min_degree, self.work.gens
-        out = []
+        lo, gens, out = self.lo, self.kinds, []
         for mem in self.members.values():
             seq = "".join(gens[L][g] for (L, g) in mem)
             s = _path_strand(seq, lo + mem[0][0], False)

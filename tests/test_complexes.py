@@ -192,6 +192,26 @@ def test_strand_refuses_params_outside_its_domain(kind, param):
     assert str(built.value) == str(loaded.value)
 
 
+@pytest.mark.parametrize("bad", [True, 1.5, 1.0])
+def test_strand_refuses_a_param_or_shift_that_is_not_an_int(bad):
+    """A param or a shift that is not an int (a bool, a float) is refused
+    with ValueError: by ``strand``, which built A(1) of True and raised
+    TypeError on 1.5, by ``Strand.from_json`` (in its own wording), and by
+    ``strand_complex`` and ``decomposition_sum`` of a ``Strand`` made in
+    code, which gave a complex in degree 1.5."""
+    with pytest.raises(ValueError, match="param must be an integer"):
+        strand("A", bad)
+    with pytest.raises(ValueError, match="param must be an integer"):
+        Strand.from_json({"kind": "A", "param": bad, "shift": 0})
+    for s, what in ((Strand("A", bad, 0), "param"),
+                    (Strand("A", 1, bad), "shift")):
+        for build in (strand_complex, lambda s: decomposition_sum([s])):
+            with pytest.raises(ValueError,
+                               match=f"{what} must be an integer, not "
+                                     f"{re.escape(repr(bad))}"):
+                build(s)
+
+
 def test_strand_facts_are_pinned():
     """The canonical strands, the inverse of their shape table on every
     F/H sequence, and the cotensor and opposite-dual closed forms,

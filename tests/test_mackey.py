@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -174,6 +175,28 @@ def test_ext_tor_tables():
             for i in (3, 4, 7):
                 assert ext(MODS[a], MODS[b], i) == {}
                 assert tor(MODS[a], MODS[b], i) == {}
+
+
+@pytest.mark.parametrize("counts,named", [
+    ({"X": 1}, "unknown kind 'X'"),
+    ({"H": -1}, "count of H must be an integer >= 0, not -1"),
+    ({"H": 1.5}, "count of H must be an integer >= 0, not 1.5"),
+    ({"F": True, "H": 1}, "count of F must be an integer >= 0, not True")])
+def test_module_of_counts_refuses_counts_no_module_has(counts, named):
+    """An unknown kind or a count that is not an int >= 0 is refused,
+    named, rather than read as the zero module or raising TypeError."""
+    with pytest.raises(ValueError, match=re.escape(named)):
+        module_of_counts(counts, 2)
+
+
+@pytest.mark.parametrize("i", [1.5, True, 1.0, -1])
+def test_ext_and_tor_refuse_a_degree_that_is_not_an_int_ge_0(i):
+    """A degree that is not an int >= 0 is refused, named, rather than
+    answered as {} (1.5) or as degree 1 (True)."""
+    for f, name in ((ext, "ext"), (tor, "tor")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} degree must be an integer >= 0, not {i!r}")):
+            f(MODS["Hop"], MODS["H"], i)
 
 
 def test_ext_tor_respect_op_duality():

@@ -5,6 +5,7 @@ import json
 import logging
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -24,10 +25,10 @@ from c2mackey.kronholm import kronholm_split, random_spacelike_script
 from c2mackey.mackey import (MackeyMap, MackeyModule, classify, direct_sum,
                              indecomposable, module_of_counts,
                              validate_module, zero_module)
-from c2mackey.split import (_MOVE_CODES, _MOVE_NAMES, _RANDOM_KINDS,
+from c2mackey.split import (_MOVE_NAMES, _RANDOM_KINDS,
                             _VARIANTS, DISK_KINDS, BasisMove, Decomposition,
                             SplitError, Strand, _cancel_units,
-                            _components_of, _move_arrows, _Sweep,
+                            _components_of, _Sweep,
                             apply_move, certificate_isos, decomposition_sum, random_odd_complex,
                             random_legal_moves, random_scrambled_complex,
                             random_strand, replay, split, strand_complex,
@@ -741,9 +742,11 @@ def test_certificates_with_many_disks_are_pinned():
 
 def _reference_extend_all(self, src_kind: str, tgt_types: tuple[str, ...],
                           longest: bool) -> None:
-    """``_Sweep._extend_all`` before its candidate index, verbatim: a scan
-    of every (unplaced source, target) pair before each placement."""
-    D, assigned, top_info = self.D, self.assigned, self._top_info
+    """``_Sweep._extend_all`` before its candidate index: a scan of every
+    (unplaced source, target) pair before each placement, reading the
+    entries off D's row masks rather than the column masks the sweep
+    reads."""
+    D_rows, assigned, top_info = self.D_rows, self.assigned, self._top_info
     targets = range(len(self.tgt))
     while True:
         best = None
@@ -752,7 +755,7 @@ def _reference_extend_all(self, src_kind: str, tgt_types: tuple[str, ...],
             if assigned[a]:
                 continue
             for r in targets:
-                if not D[r][a]:
+                if not D_rows[r] >> a & 1:
                     continue
                 if r not in infos:
                     infos[r] = top_info(r)
@@ -770,13 +773,13 @@ def _reference_extend_all(self, src_kind: str, tgt_types: tuple[str, ...],
 
 def _least_keys(sweep, src_kind, tgt_types, longest) -> dict:
     """Each unplaced source's least (length, target, source) key, by a
-    scan of its whole column."""
+    scan of its whole column, read off D's row masks."""
     keys = {}
     for a in sweep.of_kind[src_kind]:
         if sweep.assigned[a]:
             continue
-        for r, row in enumerate(sweep.D):
-            info = sweep._top_info(r) if row[a] else None
+        for r, row in enumerate(sweep.D_rows):
+            info = sweep._top_info(r) if row >> a & 1 else None
             if info is not None and info[0] in tgt_types:
                 key = (-info[1] if longest else info[1], r, a)
                 keys[a] = min(keys.get(a, key), key)
@@ -835,57 +838,6 @@ def test_candidate_index_matches_full_rescan(monkeypatch):
     assert changed[0] > 0
 
 
-def _reread_supports(sweep, level, i, j):
-    """Read the column supports a move on i, j at ``level`` changes off
-    the dense differentials, in place: that of column i of the
-    differential out of the level, and j's place in every column of the
-    one into it."""
-    rows, _, cols, _ = sweep.levels[level]
-    in_cols, out_cols = sweep.supports[level]
-    out_cols[i] = _column_mask(cols, i)
-    for s, e in enumerate(rows[j]):
-        in_cols[s] = in_cols[s] | 1 << j if e else in_cols[s] & ~(1 << j)
-
-
-def _column_mask(m, s):
-    """The column support of column s of ``m``: bit r set where entry
-    (r, s) is nonzero."""
-    return sum(1 << r for r, row in enumerate(m) if row[s])
-
-
-def _reference_moves_onto(self, level, j, run):
-    """``_Sweep._moves_onto`` as one ``_move_arrows`` per move, each move
-    reading the shared column j afresh, its column supports read off the
-    dense differentials."""
-    for variant, i in run:
-        _move_arrows(_MOVE_CODES[variant], i, j, *self.levels[level])
-        _reread_supports(self, level, i, j)
-        self.moves.append(
-            BasisMove(self.work.min_degree + level, variant, i, j))
-
-
-def _reference_moves_from(self, level, i, run):
-    """``_Sweep._moves_from`` as one ``_move_arrows`` per move, each move
-    reading the shared row i afresh, its column supports read off the
-    dense differentials."""
-    for variant, j in run:
-        _move_arrows(_MOVE_CODES[variant], i, j, *self.levels[level])
-        _reread_supports(self, level, i, j)
-        self.moves.append(
-            BasisMove(self.work.min_degree + level, variant, i, j))
-
-
-def test_run_kernels_match_move_by_move_reference(monkeypatch):
-    """``_Sweep._moves_onto`` and ``_moves_from`` read the row or column a
-    run of moves shares once for the run; the sweep must make the same
-    moves and strands as with one ``_move_arrows`` per move."""
-    inputs = _sweep_inputs()
-    batched = [split(c).to_json() for c in inputs]
-    monkeypatch.setattr(_Sweep, "_moves_onto", _reference_moves_onto)
-    monkeypatch.setattr(_Sweep, "_moves_from", _reference_moves_from)
-    assert [split(c).to_json() for c in inputs] == batched
-
-
 def _seed1_products():
     """The 320 products of the derived-products benchmark at seed 1: 160
     scramble pairs (1 to 4 strands each, from a design fixed at every
@@ -905,23 +857,54 @@ def _seed1_products():
             + [box_complex(cotens_H(x), y) for x, y in pairs])
 
 
+def _support_masks(c) -> list[tuple[list[int], list[int]]]:
+    """Per differential of ``c``, (column masks, row masks) read off its
+    dense entries: bit t of column s, and bit s of row t, where entry
+    (t, s) is nonzero."""
+    return [([sum(1 << t for t, row in enumerate(m) if row[s])
+              for s in range(len(c.gens[li + 1]))],
+             [sum(1 << s for s, e in enumerate(row) if e) for row in m])
+            for li, m in enumerate(c.diffs)]
+
+
+def _has_unit(c) -> bool:
+    """Whether an arrow of ``c`` is a unit: 1 or t between two F's, 1
+    between two H's."""
+    return any(ks == kt and e in (1, 2)
+               for li, m in enumerate(c.diffs)
+               for kt, row in zip(c.gens[li], m)
+               for ks, e in zip(c.gens[li + 1], row))
+
+
 def test_sweep_supports_mirror_its_differentials(monkeypatch):
-    """The sweep's column supports are exactly the nonzeros of its dense
-    working differentials, before and after every level, in every
-    level's view of them: on scrambles, on the 320 seed-1 benchmark
+    """The sweep's two mask lists are exactly the nonzeros of the dense
+    minimal model, ``c`` replayed through the cancellation moves and read
+    at the kept generators, with every sweep move recorded so far applied
+    to it by ``apply_move``; no arrow so made is a unit.  Checked before
+    and after every level: on scrambles, on the 320 seed-1 benchmark
     products and on a 956-generator scramble."""
-    checked = []
+    split_module = sys.modules[_Sweep.__module__]
+    cancel, state, checked = split_module._cancel_units, {}, []
+
+    def recorded_cancel(c, check=False):
+        out = cancel(c, check)
+        moves, _, kept, kinds, _, _ = out
+        full = replay(c, moves)
+        keep = [kept[d] for d in c.degrees()]
+        state["model"] = FreeComplex(c.min_degree, [list(k) for k in kinds], [
+            [[m[t][s] for s in keep[li + 1]] for t in keep[li]]
+            for li, m in enumerate(full.diffs)])
+        state["applied"] = 0
+        return out
 
     def check(sweep):
-        gens = sweep.work.gens
-        for li, (rows, _, cols, _) in enumerate(sweep.levels):
-            in_cols, out_cols = sweep.supports[li]
-            above = len(gens[li + 1]) if li + 1 < len(gens) else 0
-            assert in_cols == [_column_mask(rows, s) for s in range(above)]
-            assert out_cols == [_column_mask(cols, s)
-                                for s in range(len(gens[li]))]
-        for k, m in enumerate(sweep.work.diffs):
-            assert sweep.col_sups[k] is sweep.supports[k + 1][1]
+        model = state["model"]
+        for mv in sweep.moves[state["applied"]:]:
+            apply_move(model, mv)
+        state["applied"] = len(sweep.moves)
+        assert model.gens == sweep.kinds
+        assert _support_masks(model) == list(zip(sweep.col_masks, sweep.row_masks))
+        assert not _has_unit(model)
         checked.append(len(sweep.moves))
 
     start, close = _Sweep.start_level, _Sweep.close_level
@@ -934,6 +917,7 @@ def test_sweep_supports_mirror_its_differentials(monkeypatch):
         close(self)
         check(self)
 
+    monkeypatch.setattr(split_module, "_cancel_units", recorded_cancel)
     monkeypatch.setattr(_Sweep, "start_level", checked_start)
     monkeypatch.setattr(_Sweep, "close_level", checked_close)
     inputs = [random_scrambled_complex(random.Random(f"supports:{i}"))[0]
@@ -968,9 +952,33 @@ def _model_inputs():
         yield box_complex(cotens_H(x), y), dcotens_formula(px, py)
 
 
+def _model_of_masks(c) -> FreeComplex:
+    """The minimal model of ``c`` that ``split`` sweeps, rebuilt from the
+    kinds and masks ``_cancel_units`` hands the sweep: each set bit is the
+    non-unit of its slot (1+t, code 3, between two F's; p, code 1, between
+    an F and an H), and none may join two H's; the row masks must be the
+    column masks read the other way."""
+    _, _, _, kinds, cols, rows = _cancel_units(c)
+    diffs = []
+    for li, (col_masks, row_masks) in enumerate(zip(cols, rows)):
+        sk, tk = kinds[li + 1], kinds[li]
+        assert len(col_masks) == len(sk) and len(row_masks) == len(tk)
+        m = [[0] * len(sk) for _ in tk]
+        for s, mask in enumerate(col_masks):
+            assert mask >> len(tk) == 0
+            for t in range(len(tk)):
+                if mask >> t & 1:
+                    assert (sk[s], tk[t]) != ("H", "H")
+                    m[t][s] = 3 if sk[s] == tk[t] == "F" else 1
+        diffs.append(m)
+    model = FreeComplex(c.min_degree, kinds, diffs)
+    assert [rows for _, rows in _support_masks(model)] == rows
+    return model
+
+
 def test_minimal_model_cross_checks_the_sweep():
-    """The minimal model that ``split`` sweeps, checked by routes that
-    share no code with the sweep: no arrow of it is a unit; its generators
+    """The minimal model that ``split`` sweeps, rebuilt from its masks and
+    checked by routes that share no code with the sweep: its generators
     per degree and kind are those of the live strands (planted, or the
     product's closed form); its homology is the input's at l = 2, and at
     l = 3 wherever the input's canonical lift is a complex (the lift of a
@@ -979,11 +987,7 @@ def test_minimal_model_cross_checks_the_sweep():
     identity both ways."""
     lifted = 0
     for n, (c, live) in enumerate(_model_inputs()):
-        model = _cancel_units(c)[2]
-        assert not any(ks == kt and e in (1, 2)
-                       for li, m in enumerate(model.diffs)
-                       for kt, row in zip(model.gens[li], m)
-                       for ks, e in zip(model.gens[li + 1], row)), n
+        model = _model_of_masks(c)
         assert _kind_counts(model) == sum(
             map(_kind_counts, map(strand_complex, live)), Counter()), n
         assert homology_counts(model) == homology_counts(c), n
